@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -241,21 +242,44 @@ def _cmd_sqrtmap(args) -> Report:
             "absent",
             {"reason": "the set of nilpotents has no top", "witness": _fmt(pmv.zero_elem(A))},
         )
-    import random
-
-    rng = random.Random(7)
-    for _ in range(300):
-        g = og.random_element(desc, rng, coord_bound=4, exp_bound=4)
-        g = og.g_meet(og.g_join(g, og.zero(desc)), og.unit(desc))
-        if og.try_halve(og.g_add(g, og.unit(desc))) is None:
+    payload = _rootless_payload(desc)
+    if payload is not None:
+        witness = pmv.element_of(A, payload)
+        if not roots.element_sqrt(A, witness).exists:
             return Report(
                 "absent",
-                {
-                    "reason": "an element of the interval has no square root",
-                    "witness": dsl.format_element_value(g.payload),
-                },
+                {"reason": "an element of the interval has no square root", "witness": _fmt(witness)},
             )
     raise UnsupportedOperationError("could not classify the square root mapping")
+
+
+def _rootless_payload(desc: og.GroupDescriptor):
+    """An element of [0, u] that (x + u)/2 takes out of the group, or None.
+
+    On (1/n)Z a positive k/n halves into the group exactly when k + n is
+    even, so 1/n (n even) or 2/n (n odd) is taken out; a lexicographic
+    product takes out such a head with tail 0 or (0, 1/m) over a tail
+    (1/m)Z; a direct product takes the first factor that has one, with 0
+    elsewhere.
+    """
+    if isinstance(desc, og.ScaledInt):
+        k = 1 + desc.n % 2
+        return Fraction(k, desc.n) if k <= desc.n else None
+    if isinstance(desc, og.Lex):
+        head = _rootless_payload(desc.head)
+        if head is not None:
+            return (head, og.zero(desc.tail).payload)
+        if isinstance(desc.tail, og.ScaledInt):
+            return (og.zero(desc.head).payload, Fraction(1, desc.tail.n))
+        return None
+    if isinstance(desc, og.ProductGroup):
+        for i, f in enumerate(desc.factors):
+            inner = _rootless_payload(f)
+            if inner is not None:
+                return tuple(
+                    inner if j == i else og.zero(g).payload for j, g in enumerate(desc.factors)
+                )
+    return None
 
 
 def _cmd_ideals(args) -> Report:
@@ -264,7 +288,7 @@ def _cmd_ideals(args) -> Report:
         raise UnsupportedOperationError("ideal enumeration needs a finite algebra")
     smap = roots.sqrt_map(A)
     ideals = enumerate_ideals(A, smap=smap)
-    part = partition_primes(A)
+    part = partition_primes(A, ideals=ideals)
     payload: dict = {
         "ideals": [
             {
@@ -282,13 +306,13 @@ def _cmd_ideals(args) -> Report:
         "x2_tops": [_fmt(p.top) for p in part.x2],
         "i1_top": _fmt(_ideal_top(A, part.i1)),
         "i2_top": _fmt(_ideal_top(A, part.i2)),
-        "bsi": is_bsi(A),
+        "bsi": is_bsi(A, part=part),
     }
-    a = nn12_element(A)
+    a = nn12_element(A, part=part)
     payload["splitting_element"] = _fmt(a) if a is not None else None
     if smap is not None:
-        report = strict_square_ideals(A)
-        dec = decomposition_by_w(A)
+        report = strict_square_ideals(A, smap=smap, ideals=ideals, part=part)
+        dec = decomposition_by_w(A, smap=smap)
         payload["strict_map"] = smap.strict
         payload["least_strict_square_ideal_top"] = _fmt(report.least_strict.top)
         payload["least_boolean_ideal_top"] = _fmt(report.least_boolean.top)
@@ -462,7 +486,13 @@ def main(argv=None) -> int:
     except (DslError, CarrierError, ParameterError, MismatchError, ResourceLimitError, PmvError) as exc:
         report = Report("error", {"message": str(exc)})
         args = argparse.Namespace(json="--json" in (argv or sys.argv[1:]))
-    print(report.to_json() if getattr(args, "json", False) else report.to_text())
+    try:
+        print(report.to_json() if getattr(args, "json", False) else report.to_text())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``): send what is left, and the flush at
+        # interpreter shutdown, to devnull so that no traceback follows
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return report.exit_code
 
 

@@ -462,30 +462,28 @@ def _sqrt_closure_finite(M: FiniteAlgebra) -> ClosureDescriptor | OpenProblem:
             f"the square-root closure needs coinciding negations ({witness} differs)"
         )
     part = partition_primes(M)
-    zero_only = frozenset({zero_elem(M)})
-    lengths = [n for _, n in pmv.chain_decomposition(M)]
-    if part.i1 == zero_only:
-        return ClosureDescriptor(
-            "sqrt",
-            tuple(FactorClosure(og.ScaledInt(n), og.ScaledInt(n), IDENTITY) for n in lengths),
-        )
-    if part.i2 == zero_only:
-        closure = strict_closure(M)
-        return ClosureDescriptor("sqrt", closure.factors)
-    a = nn12_element(M)
-    if a is None:
-        return OpenProblem(
-            explanation=(
-                "both prime-intersection ideals are nonzero and no element is "
-                "1 mod I1 and 0 mod I2; the implemented construction does not "
-                "decide this algebra"
-            ),
-        )
     atoms = pmv.chain_decomposition(M)
+    zero_only = frozenset({zero_elem(M)})
+    # chains below a stay as they are (Boolean), the others close strictly:
+    # a = 1 in case (i), 0 in case (ii), the splitting element in case (iii)
+    if part.i1 == zero_only:
+        a = pmv.one_elem(M)
+    elif part.i2 == zero_only:
+        a = zero_elem(M)
+    else:
+        a = nn12_element(M, part=part)
+        if a is None:
+            return OpenProblem(
+                explanation=(
+                    "both prime-intersection ideals are nonzero and no element is "
+                    "1 mod I1 and 0 mod I2; the implemented construction does not "
+                    "decide this algebra"
+                ),
+            )
     out = []
     for atom, n in atoms:
         if pmv.leq(atom, a):
-            assert n == 1, "the splitting element bounds a Boolean interval"
+            assert n == 1, "the atoms below the splitting element bound Boolean intervals"
             out.append(FactorClosure(og.ScaledInt(1), og.ScaledInt(1), IDENTITY))
         else:
             out.append(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from . import ogroups as og
 from . import pmv
 from .errors import DslError
-from .scalars import Fraction, format_quad, format_rational, parse_quad
+from .scalars import Fraction, format_quad, format_value, parse_quad
 
 VERBS = (
     "analyze",
@@ -55,8 +55,9 @@ class _Cursor:
         self.text = text
         self.pos = 0
 
-    def error(self, message: str):
-        raise DslError(message, position=self.pos + 1)
+    def error(self, message: str, at: int | None = None):
+        """Raise at the 0-based offset ``at`` (default: the cursor), reported 1-based."""
+        raise DslError(message, position=(self.pos if at is None else at) + 1)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -134,7 +135,7 @@ class _Cursor:
 def _tag(cur: _Cursor) -> str:
     tag = cur.name()
     if tag not in og.SCALAR_TAGS:
-        cur.error("expected a scalar tag Z, D or Q")
+        cur.error("expected a scalar tag Z, D or Q", at=cur.pos - len(tag))
     return tag
 
 
@@ -170,7 +171,7 @@ def _group(cur: _Cursor) -> og.GroupDescriptor:
             factors.append(_group(cur))
         cur.expect(")")
         return og.ProductGroup(tuple(factors))
-    cur.error(f"unknown group constructor {head!r}")
+    cur.error(f"unknown group constructor {head!r}", at=cur.pos - len(head))
 
 
 def parse_group(text: str) -> og.GroupDescriptor:
@@ -227,10 +228,7 @@ def parse_element(algebra: pmv.Algebra, text: str) -> pmv.Element:
     return pmv.element_of(algebra, parse_element_value(text))
 
 
-def format_element_value(value) -> str:
-    if isinstance(value, tuple):
-        return "(" + ",".join(format_element_value(v) for v in value) + ")"
-    return format_rational(value)
+format_element_value = format_value
 
 
 def format_element(x: pmv.Element) -> str:
@@ -267,7 +265,7 @@ def _algebra(cur: _Cursor) -> pmv.Algebra:
         b = pmv.element_of(parent, _element_value(cur))
         cur.expect(")")
         return pmv.interval(parent, b)
-    cur.error(f"unknown algebra constructor {head!r}")
+    cur.error(f"unknown algebra constructor {head!r}", at=cur.pos - len(head))
 
 
 def parse_algebra(text: str) -> pmv.Algebra:

@@ -29,7 +29,7 @@ class DslError(PmvError):
     """Syntax or semantic error in a textual expression."""
 
     def __init__(self, message: str, position: int | None = None):
-        self.position = position
+        self.position = position  # 1-based column
         if position is not None:
-            message = f"{message} (at column {position + 1})"
+            message = f"{message} (at column {position})"
         super().__init__(message)

@@ -88,8 +88,17 @@ def _is_ideal(M: FiniteAlgebra, members: frozenset[Element]) -> bool:
     return True
 
 
-def enumerate_ideals(M: FiniteAlgebra, *, smap: SqrtMap | None = None) -> list[IdealInfo]:
-    """All ideals of ``M`` with their classification flags."""
+# default of ``smap`` below: compute the mapping (None means there is none)
+_COMPUTE = object()
+
+
+def enumerate_ideals(M: FiniteAlgebra, *, smap=_COMPUTE) -> list[IdealInfo]:
+    """All ideals of ``M`` with their classification flags.
+
+    ``smap`` is ``sqrt_map(M)`` when the caller has it already, ``None``
+    included (no total mapping: the strict-square-ideal flags are None);
+    it is computed when not given.
+    """
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("ideal enumeration needs a finite algebra")
     cap = _cap()
@@ -98,7 +107,7 @@ def enumerate_ideals(M: FiniteAlgebra, *, smap: SqrtMap | None = None) -> list[I
             f"carrier has {M.size} elements, above the cap {cap} (set {ENV_CAP} to raise)"
         )
     elems = carrier(M)
-    if smap is None:
+    if smap is _COMPUTE:
         smap = sqrt_map(M)
     out = []
     for b in elems:
@@ -130,11 +139,16 @@ def enumerate_ideals(M: FiniteAlgebra, *, smap: SqrtMap | None = None) -> list[I
     return out
 
 
-def normal_primes(M: FiniteAlgebra) -> list[IdealInfo]:
-    """The proper normal prime ideals of a non-degenerate finite algebra."""
+def normal_primes(M: FiniteAlgebra, *, ideals: list[IdealInfo] | None = None) -> list[IdealInfo]:
+    """The proper normal prime ideals of a non-degenerate finite algebra.
+
+    ``ideals`` is ``enumerate_ideals(M)`` when the caller has it already.
+    """
     if M.size == 1:
         raise ParameterError("the one-element algebra has no prime spectrum")
-    return [i for i in enumerate_ideals(M) if i.is_proper and i.is_normal and i.is_prime]
+    if ideals is None:
+        ideals = enumerate_ideals(M)
+    return [i for i in ideals if i.is_proper and i.is_normal and i.is_prime]
 
 
 @dataclass(frozen=True)
@@ -145,13 +159,14 @@ class PrimePartition:
     i2: frozenset[Element]
 
 
-def partition_primes(M: FiniteAlgebra) -> PrimePartition:
+def partition_primes(M: FiniteAlgebra, *, ideals: list[IdealInfo] | None = None) -> PrimePartition:
     """Split normal primes by Boolean quotients; intersect each class.
 
     A prime P yields a Boolean quotient exactly when x ^ x- lies in P for
-    every x.  An empty class intersects to the full carrier.
+    every x.  An empty class intersects to the full carrier.  ``ideals``
+    is ``enumerate_ideals(M)`` when the caller has it already.
     """
-    primes = normal_primes(M)
+    primes = normal_primes(M, ideals=ideals)
     elems = carrier(M)
     x1, x2 = [], []
     for p in primes:
@@ -162,9 +177,13 @@ def partition_primes(M: FiniteAlgebra) -> PrimePartition:
     return PrimePartition(tuple(x1), tuple(x2), i1, i2)
 
 
-def is_bsi(M: FiniteAlgebra) -> bool:
-    """Boolean subdirect irreducibility: I2 == {0}."""
-    part = partition_primes(M)
+def is_bsi(M: FiniteAlgebra, *, part: PrimePartition | None = None) -> bool:
+    """Boolean subdirect irreducibility: I2 == {0}.
+
+    ``part`` is ``partition_primes(M)`` when the caller has it already.
+    """
+    if part is None:
+        part = partition_primes(M)
     return part.i2 == frozenset({zero_elem(M)})
 
 
@@ -238,12 +257,25 @@ def _boolean_closure_top(M: FiniteAlgebra, seed: Element) -> Element:
     return t
 
 
-def strict_square_ideals(M: FiniteAlgebra) -> StrictIdealReport:
-    """Classify ideals by containment of w = r(0)- (.) r(0)-."""
-    smap = sqrt_map(M)
+def strict_square_ideals(
+    M: FiniteAlgebra,
+    *,
+    smap: SqrtMap | None = None,
+    ideals: list[IdealInfo] | None = None,
+    part: PrimePartition | None = None,
+) -> StrictIdealReport:
+    """Classify ideals by containment of w = r(0)- (.) r(0)-.
+
+    ``smap``, ``ideals`` and ``part`` are ``sqrt_map(M)``,
+    ``enumerate_ideals(M, smap=smap)`` and ``partition_primes(M)`` when the
+    caller has them already.
+    """
+    if smap is None:
+        smap = sqrt_map(M)
     if smap is None:
         raise UnsupportedOperationError("the algebra has no total square root mapping")
-    ideals = enumerate_ideals(M, smap=smap)
+    if ideals is None:
+        ideals = enumerate_ideals(M, smap=smap)
     strict = tuple(i for i in ideals if i.is_strict_square_ideal)
     least_strict = _ideal_by_top(ideals, smap.w)
     assert all(least_strict.members <= i.members for i in strict)
@@ -255,7 +287,8 @@ def strict_square_ideals(M: FiniteAlgebra) -> StrictIdealReport:
     assert all(
         least_boolean.members <= i.members for i in ideals if i.is_boolean_ideal
     )
-    part = partition_primes(M) if M.size > 1 else None
+    if part is None and M.size > 1:
+        part = partition_primes(M, ideals=ideals)
     return StrictIdealReport(
         smap=smap,
         strict_ideals=strict,
@@ -277,15 +310,17 @@ class WDecomposition:
     induced_root_matches: bool
 
 
-def decomposition_by_w(M: FiniteAlgebra) -> WDecomposition:
+def decomposition_by_w(M: FiniteAlgebra, *, smap: SqrtMap | None = None) -> WDecomposition:
     """Split M as [0, w] x [0, w-] along x -> (x ^ w, x ^ w-).
 
     The first factor is a Boolean algebra, the second carries a strict
     square root mapping induced by r2(x) = r(x) ^ w-; all three claims
     are verified exhaustively and the map is checked to be a bijective
-    homomorphism.
+    homomorphism.  ``smap`` is ``sqrt_map(M)`` when the caller has it
+    already.
     """
-    smap = sqrt_map(M)
+    if smap is None:
+        smap = sqrt_map(M)
     if smap is None:
         raise UnsupportedOperationError("the algebra has no total square root mapping")
     w = smap.w
@@ -322,13 +357,15 @@ def decomposition_by_w(M: FiniteAlgebra) -> WDecomposition:
 # the splitting element
 
 
-def nn12_element(M: FiniteAlgebra) -> Element | None:
+def nn12_element(M: FiniteAlgebra, *, part: PrimePartition | None = None) -> Element | None:
     """The unique a mapping to (1 mod I1, 0 mod I2), when it exists.
 
     When present, a is idempotent with I2 = [0, a] and I1 = [0, a-];
-    these consequences are asserted.
+    these consequences are asserted.  ``part`` is ``partition_primes(M)``
+    when the caller has it already.
     """
-    part = partition_primes(M)
+    if part is None:
+        part = partition_primes(M)
     one = one_elem(M)
     found = [
         a for a in carrier(M) if distance(a, one) in part.i1 and a in part.i2

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Union
 
 from .errors import CarrierError, MismatchError, ParameterError
-from .scalars import QuadValue, is_dyadic, rational
+from .scalars import QuadValue, format_value, is_dyadic, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
 
@@ -242,7 +242,7 @@ def element(desc: GroupDescriptor, raw) -> GroupElement:
     try:
         payload = _normalize(desc, raw)
     except (TypeError, ValueError) as exc:
-        raise CarrierError(f"payload {raw!r} has the wrong shape: {exc}") from None
+        raise CarrierError(f"payload {format_value(raw)} has the wrong shape: {exc}") from None
     if not contains(desc, payload):
         raise CarrierError(f"{format_payload(desc, payload)} is not in the carrier")
     return GroupElement(desc, payload)

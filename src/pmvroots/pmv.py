@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Union
 
 from . import ogroups as og
@@ -28,7 +29,7 @@ from .errors import (
     ParameterError,
     UnsupportedOperationError,
 )
-from .scalars import format_rational
+from .scalars import format_value
 
 
 class Algebra:
@@ -62,9 +63,9 @@ class FiniteAlgebra(Algebra):
         self.rneg_t = tuple(rneg)
         self.zero_i = zero
         self.one_i = one
-        if len(set(self.values)) != self.size:
-            raise ParameterError("carrier values must be pairwise distinct")
         self.index = {v: i for i, v in enumerate(self.values)}
+        if len(self.index) != self.size:
+            raise ParameterError("carrier values must be pairwise distinct")
         self._derive_tables()
         if validate:
             self._validate()
@@ -76,19 +77,21 @@ class FiniteAlgebra(Algebra):
             self.zero_i,
             self.one_i,
         )
+        # elements hash their algebra on every set or dict operation
+        self._hash = hash(self._fingerprint)
 
     def _derive_tables(self):
-        n = self.size
+        # each row is a composition of table rows, gathered with map
         op, ln, rn = self.oplus_t, self.lneg_t, self.rneg_t
-        rng = range(n)
-        # x (.) y = (y- (+) x-)~
+        columns = tuple(zip(*op))  # columns[b][a] == op[a][b]
+        # x (.) y = (y- (+) x-)~: odot_t[i][j] == rn[op[ln[j]][ln[i]]]
         self.odot_t = tuple(
-            tuple(rn[op[ln[j]][ln[i]]] for j in rng) for i in rng
+            tuple(map(rn.__getitem__, map(columns[li].__getitem__, ln))) for li in ln
         )
         od = self.odot_t
         # x v y = x (+) (x~ (.) y), x ^ y = x (.) (x- (+) y)
-        self.join_t = tuple(tuple(op[i][od[rn[i]][j]] for j in rng) for i in rng)
-        self.meet_t = tuple(tuple(od[i][op[ln[i]][j]] for j in rng) for i in rng)
+        self.join_t = tuple(tuple(map(op[i].__getitem__, od[ri])) for i, ri in enumerate(rn))
+        self.meet_t = tuple(tuple(map(od[i].__getitem__, op[li])) for i, li in enumerate(ln))
 
     def _validate(self):
         n, op, ln, rn = self.size, self.oplus_t, self.lneg_t, self.rneg_t
@@ -119,20 +122,29 @@ class FiniteAlgebra(Algebra):
                     raise ParameterError(f"join expressions disagree at ({i},{j})")
                 if od[i][op[ln[i]][j]] != od[op[i][rn[j]]][j]:
                     raise ParameterError(f"meet expressions disagree at ({i},{j})")
+        if n == 1:
+            return  # 0 (+) 0 == 0 was checked above
+        # (i (+) j) (+) k == i (+) (j (+) k) for all k at once: row i (+) j of
+        # the table against row i gathered at the entries of row j
+        gather = [itemgetter(*row) for row in op]
         for i in rng:
+            opi = op[i]
             for j in rng:
-                row = op[i][j]
-                for k in rng:
-                    if op[row][k] != op[i][op[j][k]]:
-                        raise ParameterError(
-                            f"(+) is not associative at ({i},{j},{k})"
-                        )
+                if op[opi[j]] != gather[j](opi):
+                    k = next(k for k in rng if op[opi[j]][k] != opi[op[j][k]])
+                    raise ParameterError(f"(+) is not associative at ({i},{j},{k})")
 
     def __eq__(self, other):
-        return isinstance(other, FiniteAlgebra) and self._fingerprint == other._fingerprint
+        if self is other:
+            return True
+        return (
+            isinstance(other, FiniteAlgebra)
+            and self._hash == other._hash
+            and self._fingerprint == other._fingerprint
+        )
 
     def __hash__(self):
-        return hash(self._fingerprint)
+        return self._hash
 
     def __str__(self) -> str:
         return f"finite algebra ({self.size} elements)"
@@ -151,9 +163,10 @@ class Element:
 
 
 def _same(x: Element, y: Element) -> Algebra:
-    if x.algebra != y.algebra:
+    A = x.algebra
+    if A is not y.algebra and A != y.algebra:
         raise MismatchError("elements of different algebras")
-    return x.algebra
+    return A
 
 
 def element_of(algebra: Algebra, value) -> Element:
@@ -168,7 +181,7 @@ def element_of(algebra: Algebra, value) -> Element:
     if isinstance(value, int):
         value = Fraction(value)
     if value not in algebra.index:
-        raise CarrierError(f"{value!r} is not in the carrier")
+        raise CarrierError(f"{format_value(value)} is not in the carrier")
     return Element(algebra, algebra.index[value])
 
 
@@ -176,14 +189,6 @@ def value_of(x: Element):
     if isinstance(x.algebra, GammaAlgebra):
         return x.payload
     return x.algebra.values[x.payload]
-
-
-def format_value(v) -> str:
-    if isinstance(v, Fraction):
-        return format_rational(v)
-    if isinstance(v, tuple):
-        return "(" + ",".join(format_value(c) for c in v) + ")"
-    return str(v)
 
 
 def format_element(x: Element) -> str:
@@ -342,22 +347,28 @@ def finite_mv_chain(n: int) -> FiniteAlgebra:
 
 
 def finite_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
+    """The direct product, carrier in ``itertools.product`` order.
+
+    Factors are folded in one at a time: in that order the pair of indices
+    (s, t) of A x B sits at ``s * |B| + t``, so every table entry of the
+    product is index arithmetic on one entry of each factor.
+    """
     if not factors:
         raise ParameterError("product needs at least one factor")
-    tuples = list(itertools.product(*(range(f.size) for f in factors)))
-    pos = {t: i for i, t in enumerate(tuples)}
-    values = [tuple(f.values[i] for f, i in zip(factors, t)) for t in tuples]
-    oplus_t = [
-        [
-            pos[tuple(f.oplus_t[a][b] for f, a, b in zip(factors, s, t))]
-            for t in tuples
+    first = factors[0]
+    values = [(v,) for v in first.values]
+    oplus_t, lneg_t, rneg_t = first.oplus_t, first.lneg_t, first.rneg_t
+    zero, one = first.zero_i, first.one_i
+    for f in factors[1:]:
+        m = f.size
+        values = [v + (w,) for v in values for w in f.values]
+        oplus_t = [
+            [x * m + y for x in row for y in frow] for row in oplus_t for frow in f.oplus_t
         ]
-        for s in tuples
-    ]
-    lneg_t = [pos[tuple(f.lneg_t[a] for f, a in zip(factors, s))] for s in tuples]
-    rneg_t = [pos[tuple(f.rneg_t[a] for f, a in zip(factors, s))] for s in tuples]
-    zero = pos[tuple(f.zero_i for f in factors)]
-    one = pos[tuple(f.one_i for f in factors)]
+        lneg_t = [x * m + y for x in lneg_t for y in f.lneg_t]
+        rneg_t = [x * m + y for x in rneg_t for y in f.rneg_t]
+        zero = zero * m + f.zero_i
+        one = one * m + f.one_i
     return FiniteAlgebra(values, oplus_t, lneg_t, rneg_t, zero, one, validate=False)
 
 

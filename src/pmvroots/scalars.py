@@ -31,7 +31,7 @@ def rational(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         return parse_rational(value)
-    raise ParameterError(f"cannot interpret {value!r} as a rational")
+    raise ParameterError(f"cannot interpret {format_value(value)} as a rational")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -45,6 +45,15 @@ def format_rational(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
+
+
+def format_value(v) -> str:
+    """A rational, a (nested) tuple of rationals or a label, as it is written."""
+    if isinstance(v, Fraction):
+        return format_rational(v)
+    if isinstance(v, tuple):
+        return "(" + ",".join(format_value(c) for c in v) + ")"
+    return str(v)
 
 
 def rat_cmp(x: Fraction, y: Fraction) -> int:

@@ -236,3 +236,87 @@ def test_all_reports_schema_valid():
         ["greatest", "M(2)"],
     ):
         run_json(args)
+
+
+# --- one analysis per ideals request ------------------------------------------------
+
+
+def test_ideals_report_is_the_same_without_precomputed_results(monkeypatch):
+    targets = ["M(1)", "M(3)", "M(4)", "prod(M(1),M(2))", "prod(M(1),M(1),M(3))",
+               "prod(M(2),M(4))", "interval(prod(M(1),M(4)),(1,0))"]
+    passed_down = [run(["ideals", t, "--json"]) for t in targets]
+    # each callee recomputes what _cmd_ideals would have passed it
+    for name in ("partition_primes", "is_bsi", "nn12_element",
+                 "strict_square_ideals", "decomposition_by_w"):
+        monkeypatch.setattr(cli, name, lambda M, _f=getattr(cli, name), **_: _f(M))
+    recomputed = [run(["ideals", t, "--json"]) for t in targets]
+    assert passed_down == recomputed
+    assert all(code == 0 for code, _ in passed_down)
+
+
+# --- messages --------------------------------------------------------------------------
+
+
+def test_carrier_messages_print_values_as_written():
+    _, blob = run_json(["member", "M(3)", "5/4"])
+    assert blob["payload"]["reason"] == "5/4 is not in the carrier"
+    code, blob = run_json(["sqrt", "M(3)", "(1,2)"])
+    assert code == 3 and blob["payload"]["message"] == "(1,2) is not in the carrier"
+    _, blob = run_json(["member", "gamma(prod(Z/3,Q))", "1/2"])
+    assert blob["payload"]["reason"].startswith("payload 1/2 has the wrong shape")
+    code, blob = run_json(["decompose", "M(3)", "(1,2)"])
+    assert code == 3 and blob["payload"]["message"] == "cannot interpret (1,2) as a rational"
+
+
+def test_parse_error_columns_are_one_based():
+    _, blob = run_json(["sqrt", "M(x)", "1"])
+    assert blob["payload"]["message"] == "expected an integer (at column 3)"
+    _, blob = run_json(["analyze", "prod(M(1),Z/3)"])
+    assert blob["payload"]["message"] == "unknown algebra constructor 'Z' (at column 11)"
+
+
+# --- sqrtmap on group intervals --------------------------------------------------------
+
+
+@pytest.mark.parametrize("target, witness", [
+    ("gamma(Z/5)", "2/5"),
+    ("gamma(Z/4)", "1/4"),
+    ("gamma(prod(Z/3,D/5,Q))", "(2/3,0,0)"),
+    ("gamma(prod(Z/1,Z/3))", "(0,2/3)"),
+    ("gamma(lex(Z/2,Z/1))", "(1/2,0)"),
+    ("gamma(lex(D/1,Z/1))", "(0,1)"),
+])
+def test_sqrtmap_witness_has_no_root(target, witness):
+    code, blob = run_json(["sqrtmap", target])
+    assert (code, blob["status"]) == (1, "absent")
+    assert blob["payload"]["witness"] == witness
+    code, root = run_json(["sqrt", target, witness])
+    assert (code, root["status"]) == (1, "not_exists")
+
+
+@pytest.mark.parametrize("target", ["gamma(Z/1)", "gamma(prod(Z/1,Z/1))", "gamma(prod(Z/1,D/1))"])
+def test_sqrtmap_without_a_rootless_element_is_not_absent(target):
+    # every element of these intervals has a square root
+    code, blob = run_json(["sqrtmap", target])
+    assert (code, blob["status"]) == (2, "unsupported")
+
+
+# --- pipes -----------------------------------------------------------------------------
+
+
+def test_closed_pipe_ends_quietly_with_the_report_exit_code():
+    import os
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pmvroots.cli", "verify-paper"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()  # the reader is gone before the report is printed
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""

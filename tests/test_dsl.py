@@ -77,9 +77,15 @@ def test_parse_group_error_positions():
     with pytest.raises(DslError) as exc:
         dsl.parse_group("Z/x")
     assert exc.value.position == 3
+    assert str(exc.value) == "expected an integer (at column 3)"
     with pytest.raises(DslError) as exc2:
         dsl.parse_group("prod(Z/2")
     assert exc2.value.position == 9
+    assert str(exc2.value) == "expected ')' (at column 9)"
+    with pytest.raises(DslError, match=r"^unknown group constructor 'foo' \(at column 9\)$"):
+        dsl.parse_group("lex(Z/1,foo)")
+    with pytest.raises(DslError, match=r"^expected a scalar tag Z, D or Q \(at column 8\)$"):
+        dsl.parse_group("twist3(W)")
 
 
 def test_quad_syntax_vs_semantics():

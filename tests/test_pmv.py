@@ -356,3 +356,167 @@ def test_dyadic_gamma_axioms_property(a, b, c):
     assert pmv.value_of(pmv.odot(x, y)) == max(a + b - 1, Fraction(0))
     assert pmv.join(x, y) == pmv.oplus(x, pmv.odot(pmv.rneg(x), y))
     assert pmv.meet(x, y) == pmv.odot(x, pmv.oplus(pmv.lneg(x), y))
+
+
+# --- finite products by index arithmetic, and the algebra hash ---------------------
+
+
+def _product_by_tuples(factors):
+    """The product tables built cell by cell from carrier tuples: the oracle."""
+    tuples = list(itertools.product(*(range(f.size) for f in factors)))
+    pos = {t: i for i, t in enumerate(tuples)}
+    values = tuple(tuple(f.values[i] for f, i in zip(factors, t)) for t in tuples)
+    oplus_t = tuple(
+        tuple(pos[tuple(f.oplus_t[a][b] for f, a, b in zip(factors, s, t))] for t in tuples)
+        for s in tuples
+    )
+    lneg_t = tuple(pos[tuple(f.lneg_t[a] for f, a in zip(factors, s))] for s in tuples)
+    rneg_t = tuple(pos[tuple(f.rneg_t[a] for f, a in zip(factors, s))] for s in tuples)
+    zero = pos[tuple(f.zero_i for f in factors)]
+    one = pos[tuple(f.one_i for f in factors)]
+    return values, oplus_t, lneg_t, rneg_t, zero, one
+
+
+def _assert_product_matches_oracle(factors):
+    P = pmv.finite_product(factors)
+    values, oplus_t, lneg_t, rneg_t, zero, one = _product_by_tuples(factors)
+    assert P.values == values
+    assert P.oplus_t == oplus_t
+    assert P.lneg_t == lneg_t
+    assert P.rneg_t == rneg_t
+    assert (P.zero_i, P.one_i) == (zero, one)
+
+
+def _chain_sizes(limit, prod=1):
+    """Every ordered sequence of chain sizes >= 2 whose product is at most ``limit``."""
+    for s in range(2, limit // prod + 1):
+        yield (s,)
+        for rest in _chain_sizes(limit, prod * s):
+            yield (s,) + rest
+
+
+def test_finite_product_matches_tuple_oracle_on_all_chain_products_to_64():
+    chains = {n: pmv.finite_mv_chain(n) for n in range(1, 64)}
+    count = 0
+    for sizes in _chain_sizes(64):
+        _assert_product_matches_oracle([chains[s - 1] for s in sizes])
+        count += 1
+    assert count == 440
+
+
+def test_finite_product_matches_tuple_oracle_on_nested_and_interval_factors():
+    M = pmv.finite_mv_chain
+    P12 = pmv.finite_product([M(1), M(2)])
+    P13 = pmv.finite_product([M(1), M(3)])
+    cut = pmv.interval(P13, pmv.element_of(P13, (Fraction(0), Fraction(1))))
+    cut3 = pmv.interval(
+        pmv.finite_product([M(1), M(1), M(2)]),
+        pmv.element_of(
+            pmv.finite_product([M(1), M(1), M(2)]), (Fraction(1), Fraction(0), Fraction(1))
+        ),
+    )
+    for factors in (
+        [P12, M(3)],
+        [M(2), P12],
+        [P12, P13],
+        [pmv.finite_product([P12, M(1)]), M(1)],
+        [cut, M(2)],
+        [M(1), cut3],
+        [cut, cut3],
+        [cut3, P12, M(1)],
+    ):
+        _assert_product_matches_oracle(factors)
+
+
+def test_separate_parses_give_equal_algebras_with_interchangeable_elements():
+    from pmvroots import dsl
+
+    for text in ("M(5)", "prod(M(1),M(3))", "prod(prod(M(1),M(1)),M(2))",
+                 "interval(prod(M(1),M(4)),(0,1))"):
+        A, B = dsl.parse_algebra(text), dsl.parse_algebra(text)
+        assert A is not B
+        assert A == B and hash(A) == hash(B)
+        assert frozenset(pmv.carrier(A)) == frozenset(pmv.carrier(B))
+        lookup = {x: pmv.value_of(x) for x in pmv.carrier(A)}
+        assert all(lookup[y] == pmv.value_of(y) for y in pmv.carrier(B))
+        assert pmv.oplus(pmv.one_elem(A), pmv.zero_elem(B)) == pmv.one_elem(B)
+
+
+def test_distinct_algebras_of_one_size_are_unequal():
+    M = pmv.finite_mv_chain
+    same_size = [
+        M(3),
+        pmv.finite_product([M(1), M(1)]),
+        M(5),
+        pmv.finite_product([M(1), M(2)]),
+        pmv.finite_product([M(2), M(1)]),
+    ]
+    for A, B in itertools.combinations(same_size, 2):
+        assert A != B and B != A
+        if A.size == B.size:
+            assert pmv.zero_elem(A) != pmv.zero_elem(B)
+            assert len({pmv.zero_elem(A), pmv.zero_elem(B)}) == 2
+
+
+def _verdict_cell_by_cell(op, ln, rn, zero, one):
+    """The derived tables and the axiom checks cell by cell: the oracle.
+
+    Returns ``(odot, join, meet)`` or the message of the first failed check.
+    """
+    n, rng = len(op), range(len(op))
+    od = tuple(tuple(rn[op[ln[j]][ln[i]]] for j in rng) for i in rng)
+    jo = tuple(tuple(op[i][od[rn[i]][j]] for j in rng) for i in rng)
+    me = tuple(tuple(od[i][op[ln[i]][j]] for j in rng) for i in rng)
+    for i in rng:
+        if op[i][zero] != i or op[zero][i] != i:
+            return f"0 is not neutral at index {i}"
+        if op[i][one] != one or op[one][i] != one:
+            return f"1 is not absorbing at index {i}"
+        if rn[ln[i]] != i or ln[rn[i]] != i:
+            return f"negations are not mutually inverse at {i}"
+    if ln[one] != zero or rn[one] != zero:
+        return "negation of 1 must be 0"
+    for i in rng:
+        for j in rng:
+            if rn[op[ln[i]][ln[j]]] != ln[op[rn[i]][rn[j]]]:
+                return f"negation exchange fails at ({i},{j})"
+            a = jo[i][j]
+            if a != op[j][od[rn[j]][i]] or a != op[od[i][ln[j]]][j] or a != op[od[j][ln[i]]][i]:
+                return f"join expressions disagree at ({i},{j})"
+            if od[i][op[ln[i]][j]] != od[op[i][rn[j]]][j]:
+                return f"meet expressions disagree at ({i},{j})"
+    for i, j, k in itertools.product(rng, repeat=3):
+        if op[op[i][j]][k] != op[i][op[j][k]]:
+            return f"(+) is not associative at ({i},{j},{k})"
+    return od, jo, me
+
+
+def _checked_tables(op, ln, rn, zero, one):
+    try:
+        A = pmv.FiniteAlgebra(range(len(op)), op, ln, rn, zero, one)
+    except ParameterError as exc:
+        return str(exc)
+    return A.odot_t, A.join_t, A.meet_t
+
+
+def test_derived_tables_and_axiom_checks_match_the_cell_by_cell_oracle():
+    verdicts = []
+    # commutative tables on 4 and 5 elements with 0 neutral, 1 absorbing and
+    # the chain negation, every inner cell free: each check fails somewhere
+    for n in (4, 5):
+        inner = [(i, j) for i in range(1, n - 1) for j in range(i, n - 1)]
+        neg = [n - 1 - i for i in range(n)]
+        for cells in itertools.product(range(n), repeat=len(inner)):
+            op = [[max(i, j) if min(i, j) == 0 else n - 1 for j in range(n)] for i in range(n)]
+            for (i, j), v in zip(inner, cells):
+                op[i][j] = op[j][i] = v
+            verdict = _checked_tables(op, neg, neg, 0, n - 1)
+            assert verdict == _verdict_cell_by_cell(op, neg, neg, 0, n - 1), op
+            verdicts.append(verdict if isinstance(verdict, str) else "ok")
+    kinds = {v.split(" at ")[0] for v in verdicts}
+    assert {"ok", "(+) is not associative", "join expressions disagree",
+            "meet expressions disagree"} <= kinds
+    # finite chains and products, with one-sided negations left equal
+    for A in finite_algebras():
+        assert _verdict_cell_by_cell(A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i) == (
+            A.odot_t, A.join_t, A.meet_t)
