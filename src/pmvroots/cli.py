@@ -223,15 +223,22 @@ def _cmd_sqrtmap(args) -> Report:
                 "witness": _fmt(witness),
             },
         )
-    if og.is_two_divisible(desc):
-        half = og.try_halve(og.unit(desc))
+    C = cl.sqrt_closure(desc)
+    if isinstance(C, cl.ClosureDescriptor) and all(f.closed == f.base for f in C.factors):
+        # [0, u] is its own square-root closure, so the closure's root mapping
+        # is total on it: x on Boolean factors, (x + u)/2 on the others
+        flat = cl.closure_sqrt(C, pmv.zero_elem(C.closed_algebra())).payload
+        r0 = pmv.element_of(A, _nested(desc, iter(flat if len(C.factors) > 1 else (flat,))))
+        strict = all(f.root == cl.HALF_SHIFT for f in C.factors)
+        boolean = all(f.root == cl.IDENTITY for f in C.factors)
         return Report(
             "ok",
             {
-                "strict": True,
-                "formula": "(x + u) / 2",
-                "r0": dsl.format_element_value(half.payload),
-                "w": dsl.format_element_value(og.zero(desc).payload),
+                "strict": strict,
+                "formula": "(x + u) / 2" if strict else "x" if boolean
+                else "x on Boolean factors, (x + u) / 2 on the others",
+                "r0": _fmt(r0),
+                "w": _fmt(pmv.odot(pmv.lneg(r0), pmv.lneg(r0))),
             },
         )
     # the interval is not closed under the root formula; exhibit an element
@@ -251,6 +258,13 @@ def _cmd_sqrtmap(args) -> Report:
                 {"reason": "an element of the interval has no square root", "witness": _fmt(witness)},
             )
     raise UnsupportedOperationError("could not classify the square root mapping")
+
+
+def _nested(desc: og.GroupDescriptor, flat):
+    """The flattened factor coordinates ``flat`` (an iterator), nested like ``desc``."""
+    if isinstance(desc, og.ProductGroup):
+        return tuple(_nested(f, flat) for f in desc.factors)
+    return next(flat)
 
 
 def _rootless_payload(desc: og.GroupDescriptor):

@@ -18,6 +18,10 @@ Two closure operators are computed symbolically, factor by factor:
   and no splitting element exists, the construction is not known to
   apply and an :class:`OpenProblem` value is returned instead.
 
+Both operators work on group descriptors.  A finite algebra is first
+written as ``Gamma(prod (1/n_i) Z, u)`` from its chain decomposition, so
+its closures are decided by the same case analysis as its l-group's.
+
 ``crit_check`` certifies that a closed group really is a closure base:
 every element must reach the base group under repeated doubling.
 """
@@ -31,8 +35,7 @@ from fractions import Fraction
 from . import ogroups as og
 from . import pmv
 from .errors import ParameterError, UnsupportedOperationError
-from .ideals import nn12_element, partition_primes
-from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of, odot, zero_elem
+from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of, odot
 from .scalars import dyadic_exponent, is_dyadic, odd_part
 
 HALF_SHIFT = "half_shift"
@@ -416,8 +419,8 @@ def _profile(desc: og.GroupDescriptor) -> _FactorProfile:
 
 def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
     """The square-root closure by case analysis on the prime partition."""
-    if isinstance(M, FiniteAlgebra):
-        return _sqrt_closure_finite(M)
+    if isinstance(M, FiniteAlgebra) and M.size == 1:
+        raise ParameterError("the one-element algebra is excluded")
     desc = _as_descriptor(M)
     factors = _flatten(desc)
     profiles = [_profile(f) for f in factors]
@@ -450,45 +453,6 @@ def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
             out.append(FactorClosure(f, f, IDENTITY))
         else:
             out.append(FactorClosure(f, _close_factor(f), HALF_SHIFT))
-    return ClosureDescriptor("sqrt", tuple(out))
-
-
-def _sqrt_closure_finite(M: FiniteAlgebra) -> ClosureDescriptor | OpenProblem:
-    if M.size == 1:
-        raise ParameterError("the one-element algebra is excluded")
-    sym, witness = pmv.is_symmetric(M)
-    if not sym:
-        raise UnsupportedOperationError(
-            f"the square-root closure needs coinciding negations ({witness} differs)"
-        )
-    part = partition_primes(M)
-    atoms = pmv.chain_decomposition(M)
-    zero_only = frozenset({zero_elem(M)})
-    # chains below a stay as they are (Boolean), the others close strictly:
-    # a = 1 in case (i), 0 in case (ii), the splitting element in case (iii)
-    if part.i1 == zero_only:
-        a = pmv.one_elem(M)
-    elif part.i2 == zero_only:
-        a = zero_elem(M)
-    else:
-        a = nn12_element(M, part=part)
-        if a is None:
-            return OpenProblem(
-                explanation=(
-                    "both prime-intersection ideals are nonzero and no element is "
-                    "1 mod I1 and 0 mod I2; the implemented construction does not "
-                    "decide this algebra"
-                ),
-            )
-    out = []
-    for atom, n in atoms:
-        if pmv.leq(atom, a):
-            assert n == 1, "the atoms below the splitting element bound Boolean intervals"
-            out.append(FactorClosure(og.ScaledInt(1), og.ScaledInt(1), IDENTITY))
-        else:
-            out.append(
-                FactorClosure(og.ScaledInt(n), og.ScaledDyadic(odd_part(n)), HALF_SHIFT)
-            )
     return ClosureDescriptor("sqrt", tuple(out))
 
 

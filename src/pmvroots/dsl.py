@@ -1,4 +1,4 @@
-"""Textual descriptor language for groups, algebras, elements and commands.
+"""Textual descriptor language for groups, algebras and elements.
 
 Groups::
 
@@ -10,41 +10,17 @@ Algebras::
     M(3)   gamma(twist3(Z))   prod(M(1),M(4))   interval(prod(M(1),M(4)), (1,0))
 
 Elements are rationals or (possibly nested) tuples of elements; a
-parenthesized single element is just grouping.  Commands are a verb, a
-target expression, element arguments and ``--flag`` options, split on
-top-level whitespace.
+parenthesized single element is just grouping.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from . import ogroups as og
 from . import pmv
 from .errors import DslError
 from .scalars import Fraction, format_quad, format_value, parse_quad
-
-VERBS = (
-    "analyze",
-    "sqrt",
-    "sqrtmap",
-    "ideals",
-    "closure",
-    "member",
-    "decompose",
-    "greatest",
-    "verify-paper",
-)
-
-# flag name -> takes a value
-FLAGS = {
-    "kind": True,
-    "quantifier": True,
-    "bound": True,
-    "json": False,
-    "approx": False,
-}
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -292,76 +268,3 @@ def format_algebra(A: pmv.Algebra) -> str:
             if A == candidate:
                 return "prod(" + ",".join(f"M({n})" for n in lengths) + ")"
     raise DslError("this finite algebra has no canonical textual form")
-
-
-# ---------------------------------------------------------------------------
-# commands
-
-
-@dataclass(frozen=True)
-class Command:
-    verb: str
-    target: str | None = None
-    args: tuple[str, ...] = ()
-    flags: tuple[tuple[str, str | None], ...] = field(default=())
-
-
-def _split_fields(line: str) -> list[str]:
-    fields, depth, current = [], 0, []
-    for ch in line:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if current:
-                fields.append("".join(current))
-                current = []
-        else:
-            current.append(ch)
-    if current:
-        fields.append("".join(current))
-    return fields
-
-
-def parse_command(line: str) -> Command:
-    fields = _split_fields(line)
-    if not fields:
-        raise DslError("empty command")
-    verb, rest = fields[0], fields[1:]
-    if verb not in VERBS:
-        raise DslError(f"unknown verb {verb!r}")
-    positional: list[str] = []
-    flags: list[tuple[str, str | None]] = []
-    i = 0
-    while i < len(rest):
-        item = rest[i]
-        if item.startswith("--"):
-            name = item[2:]
-            if name not in FLAGS:
-                raise DslError(f"unknown flag --{name}")
-            if FLAGS[name]:
-                if i + 1 >= len(rest) or rest[i + 1].startswith("--"):
-                    raise DslError(f"flag --{name} needs a value")
-                flags.append((name, rest[i + 1]))
-                i += 2
-            else:
-                flags.append((name, None))
-                i += 1
-        else:
-            positional.append(item)
-            i += 1
-    target = positional[0] if positional else None
-    return Command(verb, target, tuple(positional[1:]), tuple(flags))
-
-
-def format_command(cmd: Command) -> str:
-    parts = [cmd.verb]
-    if cmd.target is not None:
-        parts.append(cmd.target)
-    parts.extend(cmd.args)
-    for name, value in cmd.flags:
-        parts.append(f"--{name}")
-        if value is not None:
-            parts.append(value)
-    return " ".join(parts)

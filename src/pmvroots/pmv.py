@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Union
+from typing import Union
 
 from . import ogroups as og
 from .errors import (

@@ -9,7 +9,10 @@ The square root of ``x`` is the element ``a`` (unique when it exists) with
 serves as the oracle for every family-specific procedure:
 
 * ``sqrt_element_gamma`` uses the halving formula ``(x + u) / 2`` on
-  Abelian group intervals whose unit is halvable;
+  Abelian group intervals whose unit is halvable; the halving step and
+  its check ``a (.) a == x`` live in one helper, ``_halving_root``, which
+  ``element_sqrt`` also takes for nonzero elements of chains whose unit
+  is central;
 * ``sqrt_element_twist3`` decides roots in the interval of the twisted
   ``Z^3`` group, where the unit is not central;
 * ``element_sqrt`` dispatches to the widest applicable procedure.
@@ -159,7 +162,12 @@ def sqrt_element_gamma(A: GammaAlgebra, x: Element) -> SqrtResult:
         raise UnsupportedOperationError(
             "the halving formula needs u/2 in the group; use the finite procedure"
         )
-    h = og.try_halve(og.g_add(og.GroupElement(A.desc, x.payload), A.unit))
+    return _halving_root(A, x)
+
+
+def _halving_root(A: GammaAlgebra, x: Element) -> SqrtResult:
+    """The root (x + u)/2, checked; no candidate when x + u does not halve."""
+    h = og.try_halve(og.g_add(og.GroupElement(A.desc, x.payload), og.unit(A.desc)))
     if h is None:
         return _not_exists(NO_CANDIDATE)
     a = Element(A, h.payload)
@@ -262,12 +270,7 @@ def element_sqrt(A: pmv.Algebra, x: Element) -> SqrtResult:
         if x == zero_elem(A):
             return sqrt_zero(A)
         # in a chain with central unit, a (.) a = x > 0 forces 2a = x + u
-        h = og.try_halve(og.g_add(og.GroupElement(desc, x.payload), og.unit(desc)))
-        if h is None:
-            return _not_exists(NO_CANDIDATE)
-        a = Element(A, h.payload)
-        assert odot(a, a) == x
-        return _exists(a)
+        return _halving_root(A, x)
     if isinstance(desc, og.ProductGroup):
         parts = []
         for f, coord in zip(desc.factors, x.payload):

@@ -56,23 +56,6 @@ def format_value(v) -> str:
     return str(v)
 
 
-def rat_cmp(x: Fraction, y: Fraction) -> int:
-    return (x > y) - (x < y)
-
-
-def rat_arith(op: str, x: Fraction, y: Fraction | None = None):
-    """Dispatch table for the four primitive rational operations."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    if op == "cmp":
-        return rat_cmp(x, y)
-    raise ParameterError(f"unknown rational operation {op!r}")
-
-
 def is_dyadic(x: Fraction) -> bool:
     """True when the denominator of ``x`` is a power of two."""
     d = x.denominator
@@ -205,8 +188,14 @@ class QuadValue:
         return self.b == 0
 
     def floor(self) -> int:
-        """Exact floor, found from a float hint and fixed up by exact sign tests."""
-        guess = math.floor(self.to_float())
+        """Exact floor, from an integer guess fixed up by exact sign tests.
+
+        The guess adds floor(a) and +-floor(sqrt(b*b*d)), where the floor of
+        sqrt(p/q) is isqrt(p*q) // q; it is off by at most one at any size.
+        """
+        m = self.b * self.b * self.d
+        root = math.isqrt(m.numerator * m.denominator) // m.denominator
+        guess = math.floor(self.a) + (root if self.b >= 0 else -root)
         while (self - QuadValue.make(guess + 1)).sign() >= 0:
             guess += 1
         while (self - QuadValue.make(guess)).sign() < 0:
@@ -219,8 +208,6 @@ class QuadValue:
     def __str__(self) -> str:
         return format_quad(self)
 
-
-ZERO_QUAD = QuadValue(Fraction(0), Fraction(0), 0)
 
 _QUAD_RE = re.compile(
     r"(?P<a>[+-]?\d+(?:/\d+)?)?"

@@ -20,7 +20,6 @@ from .ideals import (
     partition_primes,
 )
 from .pmv import (
-    Element,
     GammaAlgebra,
     element_of,
     finite_mv_chain,

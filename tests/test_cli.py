@@ -120,6 +120,13 @@ def test_sqrtmap_finite_and_gamma():
     assert code3 == 1
     assert blob3["status"] == "absent"
     assert blob3["payload"]["witness"]
+    # nested products keep their nesting in r(0) and w
+    for target, r0, w in (
+        ("gamma(prod(prod(D/1,D/3),Q))", "((1/2,1/2),1/2)", "((0,0),0)"),
+        ("gamma(prod(Z/1,prod(D/3,Q)))", "(0,(1/2,1/2))", "(1,(0,0))"),
+    ):
+        code4, blob4 = run_json(["sqrtmap", target])
+        assert (code4, blob4["payload"]["r0"], blob4["payload"]["w"]) == (0, r0, w)
 
 
 def test_ideals_payload():
@@ -294,11 +301,31 @@ def test_sqrtmap_witness_has_no_root(target, witness):
     assert (code, root["status"]) == (1, "not_exists")
 
 
-@pytest.mark.parametrize("target", ["gamma(Z/1)", "gamma(prod(Z/1,Z/1))", "gamma(prod(Z/1,D/1))"])
+# Boolean-factor intervals and one algebra per factor: M(1) for Z/1
+FACTOR_TWINS = {
+    "gamma(Z/1)": ["M(1)"],
+    "gamma(prod(Z/1,Z/1))": ["M(1)", "M(1)"],
+    "gamma(prod(Z/1,D/1))": ["M(1)", "gamma(D/1)"],
+}
+
+
+@pytest.mark.parametrize("target", FACTOR_TWINS)
 def test_sqrtmap_without_a_rootless_element_is_not_absent(target):
-    # every element of these intervals has a square root
+    # every element of these intervals has a square root: the mapping acts
+    # factor by factor, as on M(1) (identity) and on gamma(D/1) ((x + u)/2)
     code, blob = run_json(["sqrtmap", target])
-    assert (code, blob["status"]) == (2, "unsupported")
+    assert (code, blob["status"]) == (0, "ok")
+    twins = [run_json(["sqrtmap", t])[1]["payload"] for t in FACTOR_TWINS[target]]
+
+    def joined(parts):
+        return parts[0] if len(parts) == 1 else "(" + ",".join(parts) + ")"
+
+    payload = blob["payload"]
+    assert payload["strict"] == all(t["strict"] for t in twins)
+    assert payload["r0"] == joined([t["r0"] for t in twins])
+    assert payload["w"] == joined([t["w"] for t in twins])
+    zero = joined(["0"] * len(twins))
+    assert run_json(["sqrt", target, zero])[1]["payload"]["root"] == payload["r0"]
 
 
 # --- pipes -----------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pmvroots import closures as cl
+from pmvroots import dsl
 from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import scalars as S
@@ -344,6 +345,85 @@ def test_sqrt_closure_open_problem_value():
     assert isinstance(out, cl.OpenProblem)
     assert "nonzero" in out.explanation
     assert out.factor_reports
+
+
+# --- the finite case analysis as the oracle of the group path --------------------------
+
+
+def sqrt_closure_by_partition(A):
+    """Cases (i)-(iii) decided on the carrier: prime partition, splitting element.
+
+    Chains below a stay as they are (Boolean), the others close strictly:
+    a = 1 in case (i), 0 in case (ii), the splitting element in case (iii).
+    """
+    from pmvroots import ideals
+
+    part = ideals.partition_primes(A)
+    zero_only = frozenset({pmv.zero_elem(A)})
+    if part.i1 == zero_only:
+        case, a = "i", pmv.one_elem(A)
+    elif part.i2 == zero_only:
+        case, a = "ii", pmv.zero_elem(A)
+    else:
+        case, a = "iii", ideals.nn12_element(A, part=part)
+        assert a is not None, "a finite algebra always has a splitting element"
+    out = []
+    for atom, n in pmv.chain_decomposition(A):
+        if pmv.leq(atom, a):
+            assert n == 1, "the atoms below the splitting element bound Boolean intervals"
+            out.append(cl.FactorClosure(og.ScaledInt(1), og.ScaledInt(1), cl.IDENTITY))
+        else:
+            closed = og.ScaledDyadic(S.odd_part(n))
+            out.append(cl.FactorClosure(og.ScaledInt(n), closed, cl.HALF_SHIFT))
+    return case, cl.ClosureDescriptor("sqrt", tuple(out))
+
+
+def chain_multisets(limit, least=1):
+    """Non-decreasing chain lengths whose product has at most ``limit`` elements."""
+    yield ()
+    for n in range(least, limit):
+        for rest in chain_multisets(limit // (n + 1), n):
+            yield (n,) + rest
+
+
+SMALL_CHAIN_PRODUCTS = [m for m in chain_multisets(32) if m]
+
+
+def test_chain_multisets_cover_every_product_up_to_32():
+    assert len(SMALL_CHAIN_PRODUCTS) == 77
+
+
+@pytest.mark.parametrize("lengths", SMALL_CHAIN_PRODUCTS, ids=str)
+def test_sqrt_closure_matches_the_partition_oracle(lengths):
+    A = pmv.finite_product([M(n) for n in lengths])
+    _, expected = sqrt_closure_by_partition(A)
+    assert cl.sqrt_closure(A) == expected
+
+
+# reordered, nested and interval(...)-cut presentations
+PRESENTATIONS = [
+    "prod(M(4),M(1))",
+    "prod(M(1),M(3),M(1))",
+    "prod(M(2),prod(M(1),M(1)))",
+    "prod(prod(M(3),M(1)),M(2))",
+    "interval(prod(M(1),M(4)),(1,0))",  # case (i): only the Boolean chain is kept
+    "interval(prod(M(1),M(4)),(0,1))",  # case (ii): only the 4-chain is kept
+    "interval(prod(M(1),M(1),M(3)),(1,0,1))",  # case (iii)
+    "interval(prod(M(2),M(1),M(1)),(1,1,1))",  # case (iii), the whole algebra
+    "interval(prod(M(1),M(2),M(3)),(0,1,1))",  # case (ii)
+]
+
+
+@pytest.mark.parametrize("text", PRESENTATIONS)
+def test_sqrt_closure_matches_the_oracle_on_other_presentations(text):
+    A = dsl.parse_algebra(text)
+    _, expected = sqrt_closure_by_partition(A)
+    assert cl.sqrt_closure(A) == expected
+
+
+def test_oracle_presentations_hit_every_case():
+    cases = {sqrt_closure_by_partition(dsl.parse_algebra(t))[0] for t in PRESENTATIONS}
+    assert cases == {"i", "ii", "iii"}
 
 
 def test_sqrt_closure_degenerate_rejected():

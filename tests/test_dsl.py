@@ -176,42 +176,3 @@ def test_format_algebra_no_canonical_form():
     except DslError:
         return
     assert dsl.parse_algebra(text).size == Q.size
-
-
-# --- commands ---------------------------------------------------------------------------
-
-
-def test_command_round_trip():
-    for line in (
-        "sqrt M(3) 1/3 --json",
-        "analyze gamma(twist4(Z))",
-        "closure M(6) --kind sqrt",
-        "member gamma(Z/4) 3/4",
-        "decompose M(1) 3/4 --json",
-        "greatest M(4) --quantifier relative",
-        "verify-paper --json",
-        "sqrt gamma(twist3(Z)) (1,-2,2) --bound 4",
-    ):
-        cmd = dsl.parse_command(line)
-        assert dsl.format_command(cmd) == line
-        assert dsl.parse_command(dsl.format_command(cmd)) == cmd
-
-
-def test_command_fields():
-    cmd = dsl.parse_command("closure gamma(twist4(Z)) --kind sqrt")
-    assert cmd.verb == "closure"
-    assert cmd.target == "gamma(twist4(Z))"
-    assert cmd.args == ()
-    assert dict(cmd.flags) == {"kind": "sqrt"}
-
-
-def test_command_rejects():
-    for line in ("", "frobnicate M(3)", "sqrt M(3) --kind", "sqrt M(3) --nope"):
-        with pytest.raises(DslError):
-            dsl.parse_command(line)
-
-
-def test_command_split_respects_parens():
-    cmd = dsl.parse_command("sqrt prod(M(1),M(2)) (1,1/2)")
-    assert cmd.target == "prod(M(1),M(2))"
-    assert cmd.args == ("(1,1/2)",)

@@ -326,6 +326,14 @@ def test_strong_unit_bound_spot_value():
     assert og.strong_unit_bound(og.element(desc, (2, -5, 9))) == 3
 
 
+def test_strong_unit_bound_beyond_float_range():
+    for alpha in (ALPHA, S.QuadValue.make(0, Fraction(1, 2), 2)):
+        x = og.element(og.QuadLattice(alpha, False), (10**400, 0))
+        assert og.strong_unit_bound(x) == 10**400
+        y = og.element(og.QuadLattice(alpha, False), (0, 10**400))
+        assert og.strong_unit_bound(y) == alpha.scale(10**400).floor() + 1
+
+
 # --- carriers, formatting, sampling -------------------------------------------
 
 

@@ -92,25 +92,6 @@ def test_rational_coercion():
     assert S.rational(Fraction(1, 2)) == Fraction(1, 2)
 
 
-def test_rat_arith_dispatch():
-    a, b = Fraction(2, 3), Fraction(-1, 6)
-    assert S.rat_arith("add", a, b) == a + b
-    assert S.rat_arith("mul", a, b) == a * b
-    assert S.rat_arith("neg", a) == -a
-    assert S.rat_arith("cmp", a, b) == 1
-    with pytest.raises(ParameterError):
-        S.rat_arith("div", a, b)
-
-
-def test_rat_cmp_matches_builtin():
-    rng = random.Random(11)
-    for _ in range(200):
-        x = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-        y = Fraction(rng.randint(-50, 50), rng.randint(1, 20))
-        expected = (x > y) - (x < y)
-        assert S.rat_cmp(x, y) == expected
-
-
 # --- dyadic helpers against brute-force oracles ----------------------------
 
 
@@ -187,6 +168,18 @@ def test_quad_floor_matches_sandwich_oracle():
         q = Fraction(rng.randint(-30, 30), rng.randint(1, 8))
         x = Q(p, q, d) if q else Q(p)
         assert x.floor() == oracle_floor(p, q, d)
+
+
+def test_quad_floor_is_exact_beyond_float_range():
+    big = 10**400
+    assert Q(big).floor() == big
+    assert Q(Fraction(-2 * big - 1, 2)).floor() == -big - 1
+    root = math.isqrt(2 * big * big)  # floor(10^400 * sqrt(2))
+    assert Q(0, big, 2).floor() == root
+    assert Q(0, -big, 2).floor() == -root - 1
+    for x in (Q(big, Fraction(-big, 3), 7), Q(Fraction(big, 7), Fraction(big + 1, 5), 3)):
+        n = x.floor()
+        assert (x - Q(n)).sign() >= 0 and (Q(n + 1) - x).sign() > 0
 
 
 def test_quad_specific_values():
