@@ -21,8 +21,10 @@ as strings, and the list of reference anchors exercised.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -34,10 +36,8 @@ from . import roots
 from .errors import (
     CarrierError,
     DslError,
-    MismatchError,
     ParameterError,
     PmvError,
-    ResourceLimitError,
     UnsupportedOperationError,
 )
 from .ideals import (
@@ -454,12 +454,27 @@ def _cmd_verify(args) -> Report:
 # argument parsing
 
 
+# argparse's own pattern (-3, -.5) widened by -p/q: such words are elements,
+# not options, since no option of this grammar looks like a number
+_NEGATIVE_NUMBER = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise DslError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The grammar, built at the first call and shared by every later one.
+
+    ``parse_args`` leaves the parser as it was and returns a fresh namespace,
+    so one parser serves every request of a process.
+    """
     parser = _Parser(prog="pmvroots", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -490,18 +505,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         report = args.handler(args)
-    except UnsupportedOperationError as exc:
-        report = Report("unsupported", {"message": str(exc)})
-        args = argparse.Namespace(json="--json" in (argv or sys.argv[1:]))
-    except (DslError, CarrierError, ParameterError, MismatchError, ResourceLimitError, PmvError) as exc:
-        report = Report("error", {"message": str(exc)})
-        args = argparse.Namespace(json="--json" in (argv or sys.argv[1:]))
+        as_json = args.json
+    except Exception as exc:
+        if isinstance(exc, UnsupportedOperationError):
+            report = Report("unsupported", {"message": str(exc)})
+        elif isinstance(exc, PmvError):
+            report = Report("error", {"message": str(exc)})
+        else:  # a fault of the program itself still ends in a report
+            import logging  # only on this path: logging is not loaded otherwise
+
+            logging.getLogger(__name__).debug("internal error", exc_info=exc)
+            report = Report("error", {"message": f"internal error: {type(exc).__name__}: {exc}"})
+        as_json = "--json" in argv
     try:
-        print(report.to_json() if getattr(args, "json", False) else report.to_text())
+        print(report.to_json() if as_json else report.to_text())
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader has gone (``| head``): send what is left, and the flush at

@@ -139,6 +139,8 @@ def _as_descriptor(M) -> og.GroupDescriptor:
     if isinstance(M, GammaAlgebra):
         return M.desc
     if isinstance(M, FiniteAlgebra):
+        if M.size == 1:
+            raise ParameterError("the one-element algebra is excluded")
         return pmv.to_gamma_descriptor(M)
     raise ParameterError(f"cannot interpret {M!r} as an algebra or descriptor")
 
@@ -419,8 +421,6 @@ def _profile(desc: og.GroupDescriptor) -> _FactorProfile:
 
 def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
     """The square-root closure by case analysis on the prime partition."""
-    if isinstance(M, FiniteAlgebra) and M.size == 1:
-        raise ParameterError("the one-element algebra is excluded")
     desc = _as_descriptor(M)
     factors = _flatten(desc)
     profiles = [_profile(f) for f in factors]

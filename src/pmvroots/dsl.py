@@ -24,12 +24,16 @@ from .scalars import Fraction, format_quad, format_value, parse_quad
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
+# the deepest nesting of parentheses accepted: parsing, and every recursive
+# group and algebra operation after it, takes a few stack frames per level
+MAX_DEPTH = 64
 
 
 class _Cursor:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str, at: int | None = None):
         """Raise at the 0-based offset ``at`` (default: the cursor), reported 1-based."""
@@ -57,6 +61,17 @@ class _Cursor:
     def expect(self, literal: str):
         if not self.match(literal):
             self.error(f"expected {literal!r}")
+
+    def open(self):
+        """Enter one level of parentheses, at most ``MAX_DEPTH`` deep."""
+        self.expect("(")
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.error(f"nesting deeper than {MAX_DEPTH} levels", at=self.pos - 1)
+
+    def close(self):
+        self.expect(")")
+        self.depth -= 1
 
     def name(self) -> str:
         self.skip_ws()
@@ -129,23 +144,23 @@ def _group(cur: _Cursor) -> og.GroupDescriptor:
     if head in ("quad", "dquad"):
         return og.QuadLattice(parse_quad(cur.balanced()), dyadic=head == "dquad")
     if head == "lex":
-        cur.expect("(")
+        cur.open()
         a = _group(cur)
         cur.expect(",")
         b = _group(cur)
-        cur.expect(")")
+        cur.close()
         return og.Lex(a, b)
     if head == "twist3" or head == "twist4":
-        cur.expect("(")
+        cur.open()
         tag = _tag(cur)
-        cur.expect(")")
+        cur.close()
         return og.Twist3(tag) if head == "twist3" else og.Twist4(tag)
     if head == "prod":
-        cur.expect("(")
+        cur.open()
         factors = [_group(cur)]
         while cur.match(","):
             factors.append(_group(cur))
-        cur.expect(")")
+        cur.close()
         return og.ProductGroup(tuple(factors))
     cur.error(f"unknown group constructor {head!r}", at=cur.pos - len(head))
 
@@ -183,11 +198,11 @@ def format_group(desc: og.GroupDescriptor) -> str:
 
 def _element_value(cur: _Cursor):
     if cur.peek() == "(":
-        cur.expect("(")
+        cur.open()
         items = [_element_value(cur)]
         while cur.match(","):
             items.append(_element_value(cur))
-        cur.expect(")")
+        cur.close()
         return items[0] if len(items) == 1 else tuple(items)
     return cur.rational()
 
@@ -218,28 +233,28 @@ def format_element(x: pmv.Element) -> str:
 def _algebra(cur: _Cursor) -> pmv.Algebra:
     head = cur.name()
     if head == "M":
-        cur.expect("(")
+        cur.open()
         n = cur.integer()
-        cur.expect(")")
+        cur.close()
         return pmv.finite_mv_chain(n)
     if head == "gamma":
-        cur.expect("(")
+        cur.open()
         desc = _group(cur)
-        cur.expect(")")
+        cur.close()
         return pmv.GammaAlgebra(desc)
     if head == "prod":
-        cur.expect("(")
+        cur.open()
         factors = [_algebra(cur)]
         while cur.match(","):
             factors.append(_algebra(cur))
-        cur.expect(")")
+        cur.close()
         return pmv.product(factors)
     if head == "interval":
-        cur.expect("(")
+        cur.open()
         parent = _algebra(cur)
         cur.expect(",")
         b = pmv.element_of(parent, _element_value(cur))
-        cur.expect(")")
+        cur.close()
         return pmv.interval(parent, b)
     cur.error(f"unknown algebra constructor {head!r}", at=cur.pos - len(head))
 

@@ -326,7 +326,7 @@ def _neg(desc: GroupDescriptor, p) -> Payload:
 
 
 def _require_same(x: GroupElement, y: GroupElement):
-    if x.desc != y.desc:
+    if x.desc is not y.desc and x.desc != y.desc:
         raise MismatchError(f"elements of different groups: {x.desc!r} vs {y.desc!r}")
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import itemgetter
 from typing import Union
 
@@ -42,9 +43,19 @@ class GammaAlgebra(Algebra):
 
     desc: og.GroupDescriptor
 
-    @property
+    # u, 0 and -u enter every operation: each instance builds them once, on
+    # first use (not fields, so equality and hashing still see desc only)
+    @cached_property
     def unit(self) -> og.GroupElement:
         return og.unit(self.desc)
+
+    @cached_property
+    def zero(self) -> og.GroupElement:
+        return og.zero(self.desc)
+
+    @cached_property
+    def neg_unit(self) -> og.GroupElement:
+        return og.g_neg(self.unit)
 
     def __str__(self) -> str:
         from .dsl import format_algebra
@@ -173,7 +184,7 @@ def element_of(algebra: Algebra, value) -> Element:
     """Build a carrier element from a structured value."""
     if isinstance(algebra, GammaAlgebra):
         g = og.element(algebra.desc, value)
-        lo = og.g_cmp(og.zero(algebra.desc), g)
+        lo = og.g_cmp(algebra.zero, g)
         hi = og.g_cmp(g, algebra.unit)
         if lo is None or lo > 0 or hi is None or hi > 0:
             raise CarrierError(f"{g} is outside the unit interval")
@@ -199,7 +210,7 @@ def format_element(x: Element) -> str:
 
 def zero_elem(A: Algebra) -> Element:
     if isinstance(A, GammaAlgebra):
-        return Element(A, og.zero(A.desc).payload)
+        return Element(A, A.zero.payload)
     return Element(A, A.zero_i)
 
 
@@ -234,8 +245,8 @@ def oplus(x: Element, y: Element) -> Element:
 def odot(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
-        s = og.g_add(og.g_sub(_group(x), A.unit), _group(y))
-        return Element(A, og.g_join(s, og.zero(A.desc)).payload)
+        s = og.g_add(og.g_add(_group(x), A.neg_unit), _group(y))
+        return Element(A, og.g_join(s, A.zero).payload)
     return Element(A, A.odot_t[x.payload][y.payload])
 
 

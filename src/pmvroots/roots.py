@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import ogroups as og
 from . import pmv
-from .errors import ParameterError, UnsupportedOperationError
+from .errors import CarrierError, ParameterError, UnsupportedOperationError
 from .pmv import (
     Element,
     FiniteAlgebra,
@@ -158,7 +158,7 @@ def sqrt_element_gamma(A: GammaAlgebra, x: Element) -> SqrtResult:
             "the halving formula needs an Abelian group; use the family-specific "
             "or the finite procedure instead"
         )
-    if og.try_halve(og.unit(A.desc)) is None:
+    if og.try_halve(A.unit) is None:
         raise UnsupportedOperationError(
             "the halving formula needs u/2 in the group; use the finite procedure"
         )
@@ -167,7 +167,7 @@ def sqrt_element_gamma(A: GammaAlgebra, x: Element) -> SqrtResult:
 
 def _halving_root(A: GammaAlgebra, x: Element) -> SqrtResult:
     """The root (x + u)/2, checked; no candidate when x + u does not halve."""
-    h = og.try_halve(og.g_add(og.GroupElement(A.desc, x.payload), og.unit(A.desc)))
+    h = og.try_halve(og.g_add(og.GroupElement(A.desc, x.payload), A.unit))
     if h is None:
         return _not_exists(NO_CANDIDATE)
     a = Element(A, h.payload)
@@ -187,7 +187,7 @@ def sqrt_element_twist3(A: GammaAlgebra, x: Element) -> SqrtResult:
     if not isinstance(A, GammaAlgebra) or A.desc != og.Twist3("Z"):
         raise ParameterError("this procedure is specific to the twisted Z^3 interval")
     p = x.payload
-    if p == og.zero(A.desc).payload:
+    if p == A.zero.payload:
         return _not_exists(NO_MAX, note="nilpotents (0,p,q) are unbounded in p")
     if p[0] == 0:
         return _not_exists(NO_CANDIDATE, note="only 0 and head-1 pairs are squares")
@@ -206,29 +206,30 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     lexicographic comparison recorded in the procedure's note.
     """
     res = sqrt_element_twist3(A, x)
+    zero = zero_elem(A)
+    # each in-box element with its square; element_of keeps the box inside [0, u]
     box = []
     for b in range(-bound, bound + 1):
         for c in range(-bound, bound + 1):
             for h in (0, 1):
                 try:
-                    box.append(element_of(A, (Fraction(h), Fraction(b), Fraction(c))))
-                except Exception:
-                    pass
-    box = [y for y in box if leq(zero_elem(A), y) and leq(y, one_elem(A))]
-    candidates = [a for a in box if odot(a, a) == x]
+                    y = element_of(A, (Fraction(h), Fraction(b), Fraction(c)))
+                except CarrierError:
+                    continue
+                box.append((y, odot(y, y)))
     agree = True
     detail = ""
     if res.exists:
         a = res.value
-        dominated = [y for y in box if leq(odot(y, y), x)]
+        dominated = [y for y, sq in box if leq(sq, x)]
         bad = [y for y in dominated if not leq(y, a)]
         agree = odot(a, a) == x and not bad
         detail = f"verified against {len(dominated)} in-box dominated elements"
     elif res.reason == NO_CANDIDATE:
-        agree = not candidates
+        agree = not any(sq == x for _, sq in box)
         detail = f"no in-box candidate among {len(box)} elements"
     else:  # no max of nilpotents
-        nil = [y for y in box if odot(y, y) == zero_elem(A)]
+        nil = [y for y, sq in box if sq == zero]
         # a finite box in a total order always has a top, so widen by one
         # coordinate step: unboundedness shows as every in-box nilpotent
         # being beaten inside the enlarged box
@@ -237,9 +238,9 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
             for c in range(-bound - 1, bound + 2):
                 try:
                     w = element_of(A, (Fraction(0), Fraction(b), Fraction(c)))
-                except Exception:
+                except CarrierError:
                     continue
-                if leq(zero_elem(A), w) and leq(w, one_elem(A)) and odot(w, w) == zero_elem(A):
+                if odot(w, w) == zero:
                     wider.append(w)
         agree = all(
             any(leq(y, w) and y != w for w in wider) for y in nil

@@ -347,3 +347,79 @@ def test_closed_pipe_ends_quietly_with_the_report_exit_code():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert err == b""
+
+
+# --- one parser per process ------------------------------------------------------------
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_a_parse_error_leaves_the_next_request_unchanged():
+    requests = [["sqrt", "M(3)", "1/3", "--json"], ["closure", "M(6)", "--kind", "sqrt"],
+                ["member", "gamma(Q)", "1/2"], ["verify-paper"]]
+    first = [run(args) for args in requests]
+    for bad in (["sqrt", "M(3)"], ["closure", "M(6)", "--kind", "bogus"], ["bogus"],
+                ["sqrt", "M(3)", "1/3", "--bound", "x"], ["member", "M(3)", "1/3", "--nope"]):
+        code, out = run(bad)
+        assert code == 3 and out.startswith("status: error")
+        assert [run(args) for args in requests] == first
+
+
+# --- negative elements -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("element", ["-1/2", "-1", "-0", "-3/4"])
+def test_negative_elements_need_no_double_dash(element):
+    code, blob = run_json(["member", "gamma(Q)", element])
+    assert code == 0
+    assert blob["payload"]["member"] == (element == "-0")
+    assert run(["member", "gamma(Q)", element]) == run(["member", "gamma(Q)", "--", element])
+    code, blob = run_json(["sqrt", "gamma(Q)", element])
+    if element == "-0":
+        assert (code, blob["payload"]["root"]) == (0, "1/2")
+    else:
+        assert (code, blob["payload"]["message"]) == (3, f"{element} is outside the unit interval")
+    # after --, --json is an element, as before
+    code, out = run(["sqrt", "gamma(Q)", "--", element, "--json"])
+    assert (code, json.loads(out)["payload"]["message"]) == (3, "unrecognized arguments: --json")
+
+
+def test_words_that_are_not_numbers_are_still_options():
+    for word in ("-x", "-1/x", "-1/2/3"):
+        code, blob = run_json(["member", "gamma(Q)", word])
+        assert (code, blob["payload"]["message"]) == (3, "the following arguments are required: element")
+
+
+# --- every argv ends in a report -------------------------------------------------------
+
+
+def test_deep_nesting_is_a_parse_error():
+    target = "gamma(" + "lex(Z/1," * 400 + "Z/1" + ")" * 401
+    code, out = run(["analyze", target])
+    assert code == 3
+    assert out == "status: error\nmessage: nesting deeper than 64 levels (at column 514)\n"
+    code, blob = run_json(["member", "gamma(Q)", "(" * 1000 + "1" + ")" * 1000])
+    assert (code, blob["status"]) == (3, "error")
+
+
+def test_an_unexpected_exception_is_reported_as_an_error(monkeypatch):
+    def boom(text):
+        raise ZeroDivisionError("forced")
+
+    monkeypatch.setattr(cli.dsl, "parse_algebra", boom)
+    code, out = run(["analyze", "M(3)"])
+    assert (code, out) == (3, "status: error\nmessage: internal error: ZeroDivisionError: forced\n")
+    code, blob = run_json(["sqrt", "M(3)", "1/3"])
+    assert (code, blob["status"]) == (3, "error")
+    assert blob["payload"]["message"] == "internal error: ZeroDivisionError: forced"
+
+
+@pytest.mark.parametrize("kind", ["strict", "sqrt"])
+def test_both_closures_reject_the_one_element_algebra(kind):
+    argv = ["closure", "interval(M(1),0)", "--kind", kind]
+    assert run(argv) == (3, "status: error\nmessage: the one-element algebra is excluded\n")
+    code, blob = run_json(argv)
+    assert (code, blob["status"]) == (3, "error")
+    assert blob["payload"]["message"] == "the one-element algebra is excluded"

@@ -434,6 +434,14 @@ def test_sqrt_closure_degenerate_rejected():
         cl.sqrt_closure(Q)
 
 
+def test_both_closures_reject_the_one_element_algebra_alike():
+    A = dsl.parse_algebra("interval(M(1),0)")
+    assert A.size == 1
+    for closure in (cl.strict_closure, cl.sqrt_closure):
+        with pytest.raises(ParameterError, match="^the one-element algebra is excluded$"):
+            closure(A)
+
+
 def test_minimal_two_divisible_certificate():
     report = cl.minimal_two_divisible_check(samples=25, seed=3)
     assert report["axis_halving_chains_in_closure"]

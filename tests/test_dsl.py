@@ -88,6 +88,36 @@ def test_parse_group_error_positions():
         dsl.parse_group("twist3(W)")
 
 
+def _nested(template, base, depth):
+    text = base
+    for _ in range(depth):
+        text = template.format(text)
+    return text
+
+
+def test_nesting_deeper_than_the_limit_is_rejected_at_its_column():
+    limit = dsl.MAX_DEPTH
+    # each "lex(Z/1," opens one level; the parenthesis of the level past the
+    # limit is at column 8 * limit + 4
+    assert dsl.parse_group(_nested("lex(Z/1,{})", "Z/1", limit))
+    with pytest.raises(DslError) as exc:
+        dsl.parse_group(_nested("lex(Z/1,{})", "Z/1", 400))
+    assert exc.value.position == 8 * limit + 4
+    assert str(exc.value) == f"nesting deeper than {limit} levels (at column {8 * limit + 4})"
+    # gamma( is a level too
+    dsl.parse_algebra("gamma(" + _nested("lex(Z/1,{})", "Z/1", limit - 1) + ")")
+    with pytest.raises(DslError, match="nesting deeper"):
+        dsl.parse_algebra("gamma(" + _nested("lex(Z/1,{})", "Z/1", limit) + ")")
+    assert dsl.parse_element_value(_nested("({})", "1/2", limit)) == Fraction(1, 2)
+    with pytest.raises(DslError, match=rf"\(at column {limit + 1}\)$"):
+        dsl.parse_element_value(_nested("({})", "1/2", 1000))
+    with pytest.raises(DslError, match="nesting deeper"):
+        dsl.parse_algebra(_nested("prod({})", "M(1)", limit))
+    # depth is counted per level, not per parenthesis read
+    wide = "(" + ",".join(["(1)"] * (2 * limit)) + ")"
+    assert dsl.parse_element_value(wide) == (Fraction(1),) * (2 * limit)
+
+
 def test_quad_syntax_vs_semantics():
     # grammatically fine, semantically out of the open unit interval
     with pytest.raises(ParameterError):

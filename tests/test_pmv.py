@@ -442,6 +442,22 @@ def test_separate_parses_give_equal_algebras_with_interchangeable_elements():
         assert pmv.oplus(pmv.one_elem(A), pmv.zero_elem(B)) == pmv.one_elem(B)
 
 
+def test_gamma_algebras_stay_equal_after_their_cached_values_are_read():
+    for desc in (og.Twist3("Z"), og.ProductGroup((og.ScaledInt(3), og.Rationals())),
+                 og.Lex(og.ScaledInt(2), og.ScaledDyadic(3))):
+        A, B = pmv.GammaAlgebra(desc), pmv.GammaAlgebra(desc)
+        before = hash(A)
+        # A builds u, 0 and -u; B builds none of them
+        assert (A.unit, A.zero, A.neg_unit) == (og.unit(desc), og.zero(desc), og.g_neg(og.unit(desc)))
+        assert A == B and B == A and hash(A) == hash(B) == before
+        assert len({A, B}) == 1
+        assert repr(A) == repr(B)
+        x, y = pmv.one_elem(A), pmv.one_elem(B)
+        assert x == y and hash(x) == hash(y)
+        assert pmv.odot(x, pmv.zero_elem(B)) == pmv.zero_elem(A)
+        assert pmv.oplus(pmv.lneg(y), x) == x and pmv.rneg(x) == pmv.zero_elem(B)
+
+
 def test_distinct_algebras_of_one_size_are_unequal():
     M = pmv.finite_mv_chain
     same_size = [

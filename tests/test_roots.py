@@ -10,6 +10,7 @@ from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import roots
 from pmvroots import scalars as S
+from pmvroots.errors import CarrierError
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 M = pmv.finite_mv_chain
@@ -188,6 +189,102 @@ def test_twist3_bounded_check_agreement():
         report = roots.twist3_bounded_check(A, x, bound=4)
         assert report["agrees"], (t, report)
         assert report["bound"] == 4
+
+
+def twist3_bounded_check_oracle(A, x, bound):
+    """The box re-verification as first written: every operation from scratch.
+
+    Each box element is squared again wherever it is used, and the box is
+    filtered through 0 <= y <= 1 after element_of has built it.
+    """
+    res = roots.sqrt_element_twist3(A, x)
+    box = []
+    for b in range(-bound, bound + 1):
+        for c in range(-bound, bound + 1):
+            for h in (0, 1):
+                try:
+                    box.append(pmv.element_of(A, (Fraction(h), Fraction(b), Fraction(c))))
+                except Exception:
+                    pass
+    box = [y for y in box if pmv.leq(pmv.zero_elem(A), y) and pmv.leq(y, pmv.one_elem(A))]
+    candidates = [a for a in box if pmv.odot(a, a) == x]
+    agree = True
+    detail = ""
+    if res.exists:
+        a = res.value
+        dominated = [y for y in box if pmv.leq(pmv.odot(y, y), x)]
+        bad = [y for y in dominated if not pmv.leq(y, a)]
+        agree = pmv.odot(a, a) == x and not bad
+        detail = f"verified against {len(dominated)} in-box dominated elements"
+    elif res.reason == roots.NO_CANDIDATE:
+        agree = not candidates
+        detail = f"no in-box candidate among {len(box)} elements"
+    else:
+        nil = [y for y in box if pmv.odot(y, y) == pmv.zero_elem(A)]
+        wider = []
+        for b in range(-bound - 1, bound + 2):
+            for c in range(-bound - 1, bound + 2):
+                try:
+                    w = pmv.element_of(A, (Fraction(0), Fraction(b), Fraction(c)))
+                except Exception:
+                    continue
+                if (pmv.leq(pmv.zero_elem(A), w) and pmv.leq(w, pmv.one_elem(A))
+                        and pmv.odot(w, w) == pmv.zero_elem(A)):
+                    wider.append(w)
+        agree = all(any(pmv.leq(y, w) and y != w for w in wider) for y in nil)
+        detail = "every in-box nilpotent is exceeded in the enlarged box"
+    return {"agrees": agree, "result": res, "detail": detail, "bound": bound}
+
+
+def _assert_bounded_check_matches_oracle(A, x, bound):
+    got = roots.twist3_bounded_check(A, x, bound=bound)
+    want = twist3_bounded_check_oracle(A, x, bound)
+    assert {k: got[k] for k in ("agrees", "detail", "bound")} == {
+        k: want[k] for k in ("agrees", "detail", "bound")
+    }, pmv.value_of(x)
+    assert got["result"] == want["result"]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_twist3_bounded_check_matches_the_oracle_on_every_in_box_element(bound):
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    seen = 0
+    for h, b, c in itertools.product((0, 1), range(-bound, bound + 1), range(-bound, bound + 1)):
+        try:
+            x = pmv.element_of(A, (Fraction(h), Fraction(b), Fraction(c)))
+        except CarrierError:
+            continue
+        _assert_bounded_check_matches_oracle(A, x, bound)
+        seen += 1
+    # (0, b > 0, c), (0, 0, c >= 0), (1, b < 0, c) and (1, 0, c <= 0)
+    assert seen == 2 * bound * (2 * bound + 1) + 2 * (bound + 1)
+
+
+@pytest.mark.parametrize("payload, reason", [
+    ((1, -6, 4), None),  # a root: head 1, even coordinates
+    ((0, 3, -2), roots.NO_CANDIDATE),  # head 0, squares to 0
+    ((1, -3, 5), roots.NO_CANDIDATE),  # head 1, an odd coordinate
+    ((0, 0, 0), roots.NO_MAX),  # zero
+])
+def test_twist3_bounded_check_matches_the_oracle_at_bound_11(payload, reason):
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    x = pmv.element_of(A, tuple(map(Fraction, payload)))
+    assert roots.sqrt_element_twist3(A, x).reason == reason
+    _assert_bounded_check_matches_oracle(A, x, 11)
+
+
+def test_twist3_bounded_check_lets_internal_errors_through(monkeypatch):
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    x = pmv.element_of(A, (Fraction(1), Fraction(-2), Fraction(2)))
+
+    def element_of(algebra, value):
+        if value == (1, 0, 0):
+            raise TypeError("internal fault")
+        return pmv.element_of(algebra, value)
+
+    monkeypatch.setattr(roots, "element_of", element_of)
+    with pytest.raises(TypeError, match="internal fault"):
+        roots.twist3_bounded_check(A, x, bound=1)
 
 
 # --- square-root mappings ------------------------------------------------------------
