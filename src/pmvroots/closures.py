@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import ogroups as og
 from . import pmv
-from .errors import ParameterError, UnsupportedOperationError
+from .errors import ParameterError, UnsupportedOperationError, check
 from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of, odot
 from .scalars import dyadic_exponent, is_dyadic, odd_part
 
@@ -152,7 +152,7 @@ def strict_closure(M) -> ClosureDescriptor:
         for d in _flatten(_as_descriptor(M))
     )
     for f in factors:
-        assert og.is_two_divisible(f.closed)
+        check(og.is_two_divisible(f.closed), "every strict closure factor is two-divisible")
     return ClosureDescriptor("strict", factors)
 
 
@@ -341,11 +341,11 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
         p = og.g_meet(remaining, u)
         parts.append(element_of(base_alg, p.payload))
         remaining = og.g_sub(remaining, p)
-    assert remaining == og.zero(base_desc)
+    check(remaining == og.zero(base_desc), "the parts use up the doubled element")
     total = og.zero(base_desc)
     for p in parts:
         total = og.g_add(total, og.GroupElement(base_desc, p.payload))
-    assert total == doubled
+    check(total == doubled, "the parts sum to the doubled element")
     minimal = n == 0 or not og.contains(base_desc, og.mul_int(2 ** (n - 1), g).payload)
     return RdpDecomposition(n=n, parts=tuple(parts), minimal=minimal)
 
@@ -367,10 +367,10 @@ def closure_sqrt(C: ClosureDescriptor, x: Element) -> Element:
             continue
         ge = og.GroupElement(f.closed, p)
         h = og.try_halve(og.g_add(ge, og.unit(f.closed)))
-        assert h is not None, "closed factors are two-divisible"
+        check(h is not None, "closed factors are two-divisible")
         out.append(h.payload)
     r = element_of(closed_alg, out[0] if len(out) == 1 else tuple(out))
-    assert odot(r, r) == x
+    check(odot(r, r) == x, "the closure root r has r (.) r == x")
     return r
 
 

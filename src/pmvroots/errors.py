@@ -33,3 +33,14 @@ class DslError(PmvError):
         if position is not None:
             message = f"{message} (at column {position})"
         super().__init__(message)
+
+
+class InternalError(PmvError):
+    """An internal consistency check failed: a defect of this package."""
+
+
+def check(condition, what: str) -> None:
+    """Raise ``InternalError`` unless ``condition`` holds; unlike ``assert``,
+    this still runs under ``python -O``."""
+    if not condition:
+        raise InternalError(f"internal check failed: {what}")

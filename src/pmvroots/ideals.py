@@ -23,7 +23,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 
-from .errors import ParameterError, ResourceLimitError, UnsupportedOperationError
+from .errors import ParameterError, ResourceLimitError, UnsupportedOperationError, check
 from .pmv import (
     Element,
     FiniteAlgebra,
@@ -114,7 +114,7 @@ def enumerate_ideals(M: FiniteAlgebra, *, smap=_COMPUTE) -> list[IdealInfo]:
         if not is_boolean_elem(b):
             continue
         members = frozenset(x for x in elems if leq(x, b))
-        assert _is_ideal(M, members)
+        check(_is_ideal(M, members), "[0, b] is an ideal for Boolean b")
         normal = all(
             {oplus(x, i) for i in members} == {oplus(i, x) for i in members}
             for x in elems
@@ -278,14 +278,15 @@ def strict_square_ideals(
         ideals = enumerate_ideals(M, smap=smap)
     strict = tuple(i for i in ideals if i.is_strict_square_ideal)
     least_strict = _ideal_by_top(ideals, smap.w)
-    assert all(least_strict.members <= i.members for i in strict)
+    check(all(least_strict.members <= i.members for i in strict), "[0, w] is the least strict square ideal")
     seed = zero_elem(M)
     for x in carrier(M):
         seed = join(seed, meet(x, lneg(x)))
     least_boolean = _ideal_by_top(ideals, _boolean_closure_top(M, seed))
-    assert least_boolean.is_boolean_ideal
-    assert all(
-        least_boolean.members <= i.members for i in ideals if i.is_boolean_ideal
+    check(least_boolean.is_boolean_ideal, "the least Boolean ideal is Boolean")
+    check(
+        all(least_boolean.members <= i.members for i in ideals if i.is_boolean_ideal),
+        "the least Boolean ideal is below every Boolean ideal",
     )
     if part is None and M.size > 1:
         part = partition_primes(M, ideals=ideals)
@@ -372,9 +373,9 @@ def nn12_element(M: FiniteAlgebra, *, part: PrimePartition | None = None) -> Ele
     ]
     if not found:
         return None
-    assert len(found) == 1, "the splitting element must be unique"
+    check(len(found) == 1, "the splitting element must be unique")
     a = found[0]
-    assert is_boolean_elem(a)
-    assert part.i2 == frozenset(x for x in carrier(M) if leq(x, a))
-    assert part.i1 == frozenset(x for x in carrier(M) if leq(x, lneg(a)))
+    check(is_boolean_elem(a), "the splitting element is idempotent")
+    check(part.i2 == frozenset(x for x in carrier(M) if leq(x, a)), "I2 = [0, a]")
+    check(part.i1 == frozenset(x for x in carrier(M) if leq(x, lneg(a))), "I1 = [0, a-]")
     return a

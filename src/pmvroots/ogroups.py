@@ -21,6 +21,10 @@ are recursive over the descriptor shape:
 
 Scalar tags for the twisted families are ``"Z"`` (integers), ``"D"``
 (dyadic rationals) and ``"Q"`` (rationals).
+
+Each family is one class that holds its payload laws as private methods
+(``_add``, ``_cmp``, ``_halve``, ...) and three flags (``_linear``,
+``_abelian``, ``_two_divisible``); the module-level functions are the API.
 """
 
 from __future__ import annotations
@@ -30,39 +34,132 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CarrierError, MismatchError, ParameterError
-from .scalars import QuadValue, format_value, is_dyadic, rational
+from .errors import CarrierError, MismatchError, ParameterError, check
+from .scalars import QuadValue, format_rational, format_value, is_dyadic, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
 
+Payload = Union[Fraction, tuple]
+
+
+def _tag_member(tag: str, x: Fraction) -> bool:
+    if tag == "Z":
+        return x.denominator == 1
+    if tag == "D":
+        return is_dyadic(x)
+    return True
+
+
+def _random_scalar(tag: str, rng, bound: int, exp: int) -> Fraction:
+    if tag == "Z":
+        return Fraction(rng.randint(-bound, bound))
+    if tag == "D":
+        k = rng.randint(0, exp)
+        return Fraction(rng.randint(-bound * 2**k, bound * 2**k), 2**k)
+    den = rng.randint(1, 12)
+    return Fraction(rng.randint(-bound * den, bound * den), den)
+
 
 class GroupDescriptor:
-    """Base class for group descriptors; instances are immutable."""
+    """Base class for group descriptors; instances are immutable.
+
+    Defaults: a linear, Abelian order, join and meet from ``_cmp``, and a
+    central unit (no non-centrality witness).
+    """
+
+    __slots__ = ()
+    _linear = True
+    _abelian = True
+
+    def _join(self, p, q):
+        return p if self._cmp(p, q) >= 0 else q
+
+    def _meet(self, p, q):
+        return p if self._cmp(p, q) <= 0 else q
+
+    def _witness(self):
+        return None
+
+
+class _Rank1(GroupDescriptor):
+    """Subgroups of Q containing 1, unit 1; payloads are Fractions."""
 
     __slots__ = ()
 
+    def _normalize(self, raw):
+        return rational(raw)
+
+    def _zero(self):
+        return Fraction(0)
+
+    def _unit(self):
+        return Fraction(1)
+
+    def _add(self, p, q):
+        return p + q
+
+    def _neg(self, p):
+        return -p
+
+    def _cmp(self, p, q):
+        return (p > q) - (p < q)
+
+    def _halve(self, p):
+        return p / 2
+
+    def _bound(self, p):
+        return math.ceil(p)
+
+    def _format(self, p):
+        return format_rational(p)
+
 
 @dataclass(frozen=True)
-class ScaledInt(GroupDescriptor):
+class ScaledInt(_Rank1):
     n: int
+    _two_divisible = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("ScaledInt needs n >= 1")
 
+    def _contains(self, p):
+        return isinstance(p, Fraction) and (p * self.n).denominator == 1
+
+    def _random(self, rng, bound, exp):
+        return Fraction(rng.randint(-bound * self.n, bound * self.n), self.n)
+
 
 @dataclass(frozen=True)
-class ScaledDyadic(GroupDescriptor):
+class ScaledDyadic(_Rank1):
     q: int
+    _two_divisible = True
 
     def __post_init__(self):
         if self.q < 1 or self.q % 2 == 0:
             raise ParameterError("ScaledDyadic needs odd q >= 1")
 
+    def _contains(self, p):
+        if not isinstance(p, Fraction):
+            return False
+        den = p.denominator
+        return self.q % (den >> ((den & -den).bit_length() - 1)) == 0
+
+    def _random(self, rng, bound, exp):
+        k = rng.randint(0, exp)
+        den = self.q * 2**k
+        return Fraction(rng.randint(-bound * den, bound * den), den)
+
 
 @dataclass(frozen=True)
-class Rationals(GroupDescriptor):
-    pass
+class Rationals(_Rank1):
+    _two_divisible = True
+
+    def _contains(self, p):
+        return isinstance(p, Fraction)
+
+    def _random(self, rng, bound, exp):
+        return _random_scalar("Q", rng, bound, exp)
 
 
 @dataclass(frozen=True)
@@ -76,46 +173,277 @@ class QuadLattice(GroupDescriptor):
         if not (0 < self.alpha.sign() and (self.alpha - QuadValue.make(1)).sign() < 0):
             raise ParameterError("QuadLattice needs 0 < alpha < 1")
 
+    @property
+    def _two_divisible(self):
+        return self.dyadic
+
+    def _value(self, p) -> QuadValue:
+        return QuadValue.make(p[0] + p[1] * self.alpha.a, p[1] * self.alpha.b, self.alpha.d if p[1] else 0)
+
+    def _contains(self, p):
+        if not (isinstance(p, tuple) and len(p) == 2):
+            return False
+        tag = "D" if self.dyadic else "Z"
+        return all(isinstance(c, Fraction) and _tag_member(tag, c) for c in p)
+
+    def _normalize(self, raw):
+        a, b = raw
+        return (rational(a), rational(b))
+
+    def _zero(self):
+        return (Fraction(0), Fraction(0))
+
+    def _unit(self):
+        return (Fraction(1), Fraction(0))
+
+    def _add(self, p, q):
+        return (p[0] + q[0], p[1] + q[1])
+
+    def _neg(self, p):
+        return (-p[0], -p[1])
+
+    def _cmp(self, p, q):
+        return self._value((p[0] - q[0], p[1] - q[1])).sign()
+
+    def _halve(self, p):
+        return (p[0] / 2, p[1] / 2)
+
+    def _bound(self, p):
+        v = self._value(p)
+        f = v.floor()
+        return f if (v - QuadValue.make(f)).sign() == 0 else f + 1
+
+    def _random(self, rng, bound, exp):
+        tag = "D" if self.dyadic else "Z"
+        return (_random_scalar(tag, rng, bound, exp), _random_scalar(tag, rng, bound, exp))
+
+    def _format(self, p):
+        m, n = p
+        if n == 0:
+            return format_rational(m)
+        radical = f"{format_rational(abs(n))}*alpha"
+        if m == 0:
+            return radical if n > 0 else f"-{radical}"
+        return f"{format_rational(m)}{'+' if n > 0 else '-'}{radical}"
+
 
 @dataclass(frozen=True)
-class Lex(GroupDescriptor):
+class _Twisted(GroupDescriptor):
+    """``arity``-tuples over a tagged scalar ring, ordered lexicographically,
+    unit (1,0,...,0); the last coordinate carries the twisting product."""
+
+    tag: str = "Z"
+    _abelian = False
+
+    def __post_init__(self):
+        if self.tag not in SCALAR_TAGS:
+            raise ParameterError(f"scalar tag must be one of {SCALAR_TAGS}")
+
+    @property
+    def _two_divisible(self):
+        return self.tag in ("D", "Q")
+
+    def _contains(self, p):
+        return (
+            isinstance(p, tuple)
+            and len(p) == self.arity
+            and all(isinstance(c, Fraction) and _tag_member(self.tag, c) for c in p)
+        )
+
+    def _normalize(self, raw):
+        return tuple(rational(c) for c in raw)
+
+    def _zero(self):
+        return (Fraction(0),) * self.arity
+
+    def _unit(self):
+        return (Fraction(1),) + (Fraction(0),) * (self.arity - 1)
+
+    def _cmp(self, p, q):
+        for a, b in zip(p, q):
+            if a != b:
+                return 1 if a > b else -1
+        return 0
+
+    def _bound(self, p):
+        return math.floor(abs(p[0])) + 1
+
+    def _random(self, rng, bound, exp):
+        return tuple(_random_scalar(self.tag, rng, bound, exp) for _ in range(self.arity))
+
+    def _format(self, p):
+        return "(" + ",".join(format_rational(c) for c in p) + ")"
+
+
+# Twist3 and Twist4 inherit the field ``tag`` and the dataclass methods of
+# _Twisted; those compare classes, so Twist3("Z") != Twist4("Z").
+class Twist3(_Twisted):
+    arity = 3
+
+    def _add(self, p, q):
+        return (p[0] + q[0], p[1] + q[1], p[2] + q[2] + p[0] * q[1])
+
+    def _neg(self, p):
+        return (-p[0], -p[1], -p[2] + p[0] * p[1])
+
+    def _halve(self, p):
+        # h + h = (2h1, 2h2, 2h3 + h1*h2)
+        return (p[0] / 2, p[1] / 2, (p[2] - p[0] * p[1] / 4) / 2)
+
+    def _witness(self):
+        # u + (0,1,0) = (1,1,1) but (0,1,0) + u = (1,1,0)
+        return (Fraction(0), Fraction(1), Fraction(0))
+
+
+class Twist4(_Twisted):
+    arity = 4
+
+    def _add(self, p, q):
+        return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3] + p[1] * q[2])
+
+    def _neg(self, p):
+        return (-p[0], -p[1], -p[2], -p[3] + p[1] * p[2])
+
+    def _halve(self, p):
+        # h + h = (2h1, 2h2, 2h3, 2h4 + h2*h3)
+        return (p[0] / 2, p[1] / 2, p[2] / 2, (p[3] - p[1] * p[2] / 4) / 2)
+
+
+class _Composite(GroupDescriptor):
+    """Tuple payloads, one coordinate per descriptor in ``parts``; the group
+    operations, sampling and display work coordinatewise.  Each subclass
+    sets ``parts`` at construction; it is not a dataclass field, so equality,
+    hashing and ``repr`` do not see it."""
+
+    __slots__ = ()
+
+    @property
+    def _abelian(self):
+        return all(f._abelian for f in self.parts)
+
+    @property
+    def _two_divisible(self):
+        return all(f._two_divisible for f in self.parts)
+
+    def _contains(self, p):
+        return (
+            isinstance(p, tuple)
+            and len(p) == len(self.parts)
+            and all(f._contains(a) for f, a in zip(self.parts, p))
+        )
+
+    def _zero(self):
+        return tuple(f._zero() for f in self.parts)
+
+    def _add(self, p, q):
+        return tuple(f._add(a, b) for f, a, b in zip(self.parts, p, q))
+
+    def _neg(self, p):
+        return tuple(f._neg(a) for f, a in zip(self.parts, p))
+
+    def _halve(self, p):
+        return tuple(f._halve(a) for f, a in zip(self.parts, p))
+
+    def _random(self, rng, bound, exp):
+        return tuple(f._random(rng, bound, exp) for f in self.parts)
+
+    def _format(self, p):
+        return "(" + ",".join(f._format(a) for f, a in zip(self.parts, p)) + ")"
+
+
+@dataclass(frozen=True)
+class Lex(_Composite):
     head: GroupDescriptor
     tail: GroupDescriptor
 
     def __post_init__(self):
-        if not is_linear(self.head):
+        if not self.head._linear:
             raise ParameterError("lexicographic head must be linearly ordered")
+        object.__setattr__(self, "parts", (self.head, self.tail))
+
+    @property
+    def _linear(self):
+        return self.tail._linear
+
+    def _normalize(self, raw):
+        h, t = raw
+        return (self.head._normalize(h), self.tail._normalize(t))
+
+    def _unit(self):
+        return (self.head._unit(), self.tail._zero())
+
+    def _cmp(self, p, q):
+        return self.head._cmp(p[0], q[0]) or self.tail._cmp(p[1], q[1])
+
+    def _join(self, p, q):
+        c = self.head._cmp(p[0], q[0])
+        if c:
+            return p if c > 0 else q
+        return (p[0], self.tail._join(p[1], q[1]))
+
+    def _meet(self, p, q):
+        c = self.head._cmp(p[0], q[0])
+        if c:
+            return q if c > 0 else p
+        return (p[0], self.tail._meet(p[1], q[1]))
+
+    def _witness(self):
+        w = self.head._witness()
+        return None if w is None else (w, self.tail._zero())
+
+    def _bound(self, p):
+        # (n+1)*u = ((n+1)*u_head, 0) exceeds |x| strictly in the head.
+        h = self.head
+        return h._bound(h._join(p[0], h._neg(p[0]))) + 1
 
 
 @dataclass(frozen=True)
-class Twist3(GroupDescriptor):
-    tag: str = "Z"
-
-    def __post_init__(self):
-        if self.tag not in SCALAR_TAGS:
-            raise ParameterError(f"scalar tag must be one of {SCALAR_TAGS}")
-
-
-@dataclass(frozen=True)
-class Twist4(GroupDescriptor):
-    tag: str = "Z"
-
-    def __post_init__(self):
-        if self.tag not in SCALAR_TAGS:
-            raise ParameterError(f"scalar tag must be one of {SCALAR_TAGS}")
-
-
-@dataclass(frozen=True)
-class ProductGroup(GroupDescriptor):
+class ProductGroup(_Composite):
     factors: tuple[GroupDescriptor, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise ParameterError("product needs at least one factor")
+        object.__setattr__(self, "parts", self.factors)
 
+    @property
+    def _linear(self):
+        return len(self.factors) == 1 and self.factors[0]._linear
 
-Payload = Union[Fraction, tuple]
+    def _normalize(self, raw):
+        return tuple(f._normalize(p) for f, p in zip(self.factors, raw, strict=True))
+
+    def _unit(self):
+        return tuple(f._unit() for f in self.factors)
+
+    def _cmp(self, p, q):
+        seen_lt = seen_gt = False
+        for f, a, b in zip(self.factors, p, q):
+            c = f._cmp(a, b)
+            if c is None:
+                return None
+            seen_lt |= c < 0
+            seen_gt |= c > 0
+        if seen_lt and seen_gt:
+            return None
+        return 1 if seen_gt else (-1 if seen_lt else 0)
+
+    def _join(self, p, q):
+        return tuple(f._join(a, b) for f, a, b in zip(self.factors, p, q))
+
+    def _meet(self, p, q):
+        return tuple(f._meet(a, b) for f, a, b in zip(self.factors, p, q))
+
+    def _witness(self):
+        for i, f in enumerate(self.factors):
+            w = f._witness()
+            if w is not None:
+                return tuple(w if j == i else g._zero() for j, g in enumerate(self.factors))
+        return None
+
+    def _bound(self, p):
+        return max(f._bound(a) for f, a in zip(self.factors, p))
 
 
 @dataclass(frozen=True)
@@ -133,114 +461,27 @@ class GroupElement:
 
 def is_linear(desc: GroupDescriptor) -> bool:
     """True when the descriptor's order is total."""
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals, QuadLattice, Twist3, Twist4)):
-        return True
-    if isinstance(desc, Lex):
-        return is_linear(desc.tail)
-    if isinstance(desc, ProductGroup):
-        return len(desc.factors) == 1 and is_linear(desc.factors[0])
-    raise ParameterError(f"unknown descriptor {desc!r}")
+    return desc._linear
 
 
 def is_abelian(desc: GroupDescriptor) -> bool:
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals, QuadLattice)):
-        return True
-    if isinstance(desc, (Twist3, Twist4)):
-        return False
-    if isinstance(desc, Lex):
-        return is_abelian(desc.head) and is_abelian(desc.tail)
-    if isinstance(desc, ProductGroup):
-        return all(is_abelian(f) for f in desc.factors)
-    raise ParameterError(f"unknown descriptor {desc!r}")
+    return desc._abelian
 
 
 def is_two_divisible(desc: GroupDescriptor) -> bool:
     """True when every element has a (necessarily unique) half."""
-    if isinstance(desc, ScaledInt):
-        return False
-    if isinstance(desc, (ScaledDyadic, Rationals)):
-        return True
-    if isinstance(desc, QuadLattice):
-        return desc.dyadic
-    if isinstance(desc, Lex):
-        return is_two_divisible(desc.head) and is_two_divisible(desc.tail)
-    if isinstance(desc, (Twist3, Twist4)):
-        return desc.tag in ("D", "Q")
-    if isinstance(desc, ProductGroup):
-        return all(is_two_divisible(f) for f in desc.factors)
-    raise ParameterError(f"unknown descriptor {desc!r}")
-
-
-def _tag_member(tag: str, x: Fraction) -> bool:
-    if tag == "Z":
-        return x.denominator == 1
-    if tag == "D":
-        return is_dyadic(x)
-    return True
+    return desc._two_divisible
 
 
 def contains(desc: GroupDescriptor, payload) -> bool:
     """Carrier membership test; also checks the payload shape."""
-    if isinstance(desc, ScaledInt):
-        return isinstance(payload, Fraction) and (payload * desc.n).denominator == 1
-    if isinstance(desc, ScaledDyadic):
-        if not isinstance(payload, Fraction):
-            return False
-        den = payload.denominator
-        return desc.q % (den >> ((den & -den).bit_length() - 1)) == 0
-    if isinstance(desc, Rationals):
-        return isinstance(payload, Fraction)
-    if isinstance(desc, QuadLattice):
-        if not (isinstance(payload, tuple) and len(payload) == 2):
-            return False
-        if not all(isinstance(c, Fraction) for c in payload):
-            return False
-        if desc.dyadic:
-            return all(is_dyadic(c) for c in payload)
-        return all(c.denominator == 1 for c in payload)
-    if isinstance(desc, Lex):
-        return (
-            isinstance(payload, tuple)
-            and len(payload) == 2
-            and contains(desc.head, payload[0])
-            and contains(desc.tail, payload[1])
-        )
-    if isinstance(desc, (Twist3, Twist4)):
-        arity = 3 if isinstance(desc, Twist3) else 4
-        return (
-            isinstance(payload, tuple)
-            and len(payload) == arity
-            and all(isinstance(c, Fraction) and _tag_member(desc.tag, c) for c in payload)
-        )
-    if isinstance(desc, ProductGroup):
-        return (
-            isinstance(payload, tuple)
-            and len(payload) == len(desc.factors)
-            and all(contains(f, p) for f, p in zip(desc.factors, payload))
-        )
-    raise ParameterError(f"unknown descriptor {desc!r}")
-
-
-def _normalize(desc: GroupDescriptor, raw) -> Payload:
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return rational(raw)
-    if isinstance(desc, QuadLattice):
-        a, b = raw
-        return (rational(a), rational(b))
-    if isinstance(desc, Lex):
-        h, t = raw
-        return (_normalize(desc.head, h), _normalize(desc.tail, t))
-    if isinstance(desc, (Twist3, Twist4)):
-        return tuple(rational(c) for c in raw)
-    if isinstance(desc, ProductGroup):
-        return tuple(_normalize(f, p) for f, p in zip(desc.factors, raw, strict=True))
-    raise ParameterError(f"unknown descriptor {desc!r}")
+    return desc._contains(payload)
 
 
 def element(desc: GroupDescriptor, raw) -> GroupElement:
     """Build a validated element of the group described by ``desc``."""
     try:
-        payload = _normalize(desc, raw)
+        payload = desc._normalize(raw)
     except (TypeError, ValueError) as exc:
         raise CarrierError(f"payload {format_value(raw)} has the wrong shape: {exc}") from None
     if not contains(desc, payload):
@@ -252,77 +493,13 @@ def element(desc: GroupDescriptor, raw) -> GroupElement:
 # group structure
 
 
-def _zero_payload(desc: GroupDescriptor) -> Payload:
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return Fraction(0)
-    if isinstance(desc, QuadLattice):
-        return (Fraction(0), Fraction(0))
-    if isinstance(desc, Lex):
-        return (_zero_payload(desc.head), _zero_payload(desc.tail))
-    if isinstance(desc, Twist3):
-        return (Fraction(0),) * 3
-    if isinstance(desc, Twist4):
-        return (Fraction(0),) * 4
-    if isinstance(desc, ProductGroup):
-        return tuple(_zero_payload(f) for f in desc.factors)
-    raise ParameterError(f"unknown descriptor {desc!r}")
-
-
-def _unit_payload(desc: GroupDescriptor) -> Payload:
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return Fraction(1)
-    if isinstance(desc, QuadLattice):
-        return (Fraction(1), Fraction(0))
-    if isinstance(desc, Lex):
-        return (_unit_payload(desc.head), _zero_payload(desc.tail))
-    if isinstance(desc, Twist3):
-        return (Fraction(1), Fraction(0), Fraction(0))
-    if isinstance(desc, Twist4):
-        return (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    if isinstance(desc, ProductGroup):
-        return tuple(_unit_payload(f) for f in desc.factors)
-    raise ParameterError(f"unknown descriptor {desc!r}")
-
-
 def zero(desc: GroupDescriptor) -> GroupElement:
-    return GroupElement(desc, _zero_payload(desc))
+    return GroupElement(desc, desc._zero())
 
 
 def unit(desc: GroupDescriptor) -> GroupElement:
     """The distinguished strong unit of the family."""
-    return GroupElement(desc, _unit_payload(desc))
-
-
-def _add(desc: GroupDescriptor, p, q) -> Payload:
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return p + q
-    if isinstance(desc, QuadLattice):
-        return (p[0] + q[0], p[1] + q[1])
-    if isinstance(desc, Lex):
-        return (_add(desc.head, p[0], q[0]), _add(desc.tail, p[1], q[1]))
-    if isinstance(desc, Twist3):
-        return (p[0] + q[0], p[1] + q[1], p[2] + q[2] + p[0] * q[1])
-    if isinstance(desc, Twist4):
-        return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3] + p[1] * q[2])
-    if isinstance(desc, ProductGroup):
-        return tuple(_add(f, a, b) for f, a, b in zip(desc.factors, p, q))
-    raise ParameterError(f"unknown descriptor {desc!r}")
-
-
-def _neg(desc: GroupDescriptor, p) -> Payload:
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return -p
-    if isinstance(desc, QuadLattice):
-        return (-p[0], -p[1])
-    if isinstance(desc, Lex):
-        return (_neg(desc.head, p[0]), _neg(desc.tail, p[1]))
-    if isinstance(desc, Twist3):
-        return (-p[0], -p[1], -p[2] + p[0] * p[1])
-    if isinstance(desc, Twist4):
-        return (-p[0], -p[1], -p[2], -p[3] + p[1] * p[2])
-    if isinstance(desc, ProductGroup):
-        return tuple(_neg(f, a) for f, a in zip(desc.factors, p))
-    raise ParameterError(f"unknown descriptor {desc!r}")
+    return GroupElement(desc, desc._unit())
 
 
 def _require_same(x: GroupElement, y: GroupElement):
@@ -332,11 +509,11 @@ def _require_same(x: GroupElement, y: GroupElement):
 
 def g_add(x: GroupElement, y: GroupElement) -> GroupElement:
     _require_same(x, y)
-    return GroupElement(x.desc, _add(x.desc, x.payload, y.payload))
+    return GroupElement(x.desc, x.desc._add(x.payload, y.payload))
 
 
 def g_neg(x: GroupElement) -> GroupElement:
-    return GroupElement(x.desc, _neg(x.desc, x.payload))
+    return GroupElement(x.desc, x.desc._neg(x.payload))
 
 
 def g_sub(x: GroupElement, y: GroupElement) -> GroupElement:
@@ -361,43 +538,10 @@ def mul_int(k: int, x: GroupElement) -> GroupElement:
 # order structure
 
 
-def _quad_value(desc: QuadLattice, p) -> QuadValue:
-    return QuadValue.make(p[0] + p[1] * desc.alpha.a, p[1] * desc.alpha.b, desc.alpha.d if p[1] else 0)
-
-
-def _cmp(desc: GroupDescriptor, p, q) -> int | None:
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return (p > q) - (p < q)
-    if isinstance(desc, QuadLattice):
-        return _quad_value(desc, (p[0] - q[0], p[1] - q[1])).sign()
-    if isinstance(desc, Lex):
-        c = _cmp(desc.head, p[0], q[0])
-        if c != 0:
-            return c
-        return _cmp(desc.tail, p[1], q[1])
-    if isinstance(desc, (Twist3, Twist4)):
-        for a, b in zip(p, q):
-            if a != b:
-                return 1 if a > b else -1
-        return 0
-    if isinstance(desc, ProductGroup):
-        seen_lt = seen_gt = False
-        for f, a, b in zip(desc.factors, p, q):
-            c = _cmp(f, a, b)
-            if c is None:
-                return None
-            seen_lt |= c < 0
-            seen_gt |= c > 0
-        if seen_lt and seen_gt:
-            return None
-        return 1 if seen_gt else (-1 if seen_lt else 0)
-    raise ParameterError(f"unknown descriptor {desc!r}")
-
-
 def g_cmp(x: GroupElement, y: GroupElement) -> int | None:
     """-1, 0 or 1; None when the elements are incomparable."""
     _require_same(x, y)
-    return _cmp(x.desc, x.payload, y.payload)
+    return x.desc._cmp(x.payload, y.payload)
 
 
 def g_leq(x: GroupElement, y: GroupElement) -> bool:
@@ -405,40 +549,14 @@ def g_leq(x: GroupElement, y: GroupElement) -> bool:
     return c is not None and c <= 0
 
 
-def _join(desc: GroupDescriptor, p, q) -> Payload:
-    if isinstance(desc, Lex):
-        c = _cmp(desc.head, p[0], q[0])
-        if c > 0:
-            return p
-        if c < 0:
-            return q
-        return (p[0], _join(desc.tail, p[1], q[1]))
-    if isinstance(desc, ProductGroup):
-        return tuple(_join(f, a, b) for f, a, b in zip(desc.factors, p, q))
-    return p if _cmp(desc, p, q) >= 0 else q
-
-
-def _meet(desc: GroupDescriptor, p, q) -> Payload:
-    if isinstance(desc, Lex):
-        c = _cmp(desc.head, p[0], q[0])
-        if c > 0:
-            return q
-        if c < 0:
-            return p
-        return (p[0], _meet(desc.tail, p[1], q[1]))
-    if isinstance(desc, ProductGroup):
-        return tuple(_meet(f, a, b) for f, a, b in zip(desc.factors, p, q))
-    return p if _cmp(desc, p, q) <= 0 else q
-
-
 def g_join(x: GroupElement, y: GroupElement) -> GroupElement:
     _require_same(x, y)
-    return GroupElement(x.desc, _join(x.desc, x.payload, y.payload))
+    return GroupElement(x.desc, x.desc._join(x.payload, y.payload))
 
 
 def g_meet(x: GroupElement, y: GroupElement) -> GroupElement:
     _require_same(x, y)
-    return GroupElement(x.desc, _meet(x.desc, x.payload, y.payload))
+    return GroupElement(x.desc, x.desc._meet(x.payload, y.payload))
 
 
 def g_abs(x: GroupElement) -> GroupElement:
@@ -449,95 +567,32 @@ def g_abs(x: GroupElement) -> GroupElement:
 # halving, centrality, strong unit bounds
 
 
-def _halve_payload(desc: GroupDescriptor, p):
-    """Candidate payload h with h + h == p, ignoring carrier membership."""
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return p / 2
-    if isinstance(desc, QuadLattice):
-        return (p[0] / 2, p[1] / 2)
-    if isinstance(desc, Lex):
-        return (_halve_payload(desc.head, p[0]), _halve_payload(desc.tail, p[1]))
-    if isinstance(desc, Twist3):
-        # h + h = (2h1, 2h2, 2h3 + h1*h2)
-        return (p[0] / 2, p[1] / 2, (p[2] - p[0] * p[1] / 4) / 2)
-    if isinstance(desc, Twist4):
-        # h + h = (2h1, 2h2, 2h3, 2h4 + h2*h3)
-        return (p[0] / 2, p[1] / 2, p[2] / 2, (p[3] - p[1] * p[2] / 4) / 2)
-    if isinstance(desc, ProductGroup):
-        return tuple(_halve_payload(f, a) for f, a in zip(desc.factors, p))
-    raise ParameterError(f"unknown descriptor {desc!r}")
-
-
 def try_halve(x: GroupElement) -> GroupElement | None:
     """The unique h with h + h == x, or None when no such h is in the carrier."""
-    h = _halve_payload(x.desc, x.payload)
+    h = x.desc._halve(x.payload)
     if not contains(x.desc, h):
         return None
     half = GroupElement(x.desc, h)
-    assert g_add(half, half) == x
+    check(g_add(half, half) == x, "a half h of x has h + h == x")
     return half
 
 
 def is_unit_central(desc: GroupDescriptor) -> tuple[bool, GroupElement | None]:
     """Whether the strong unit commutes with every element; witness otherwise."""
-    witness_payload = _noncentral_witness(desc)
+    witness_payload = desc._witness()
     if witness_payload is None:
         return True, None
     w = GroupElement(desc, witness_payload)
     u = unit(desc)
-    assert g_add(u, w) != g_add(w, u)
+    check(g_add(u, w) != g_add(w, u), "the non-centrality witness does not commute with u")
     return False, w
-
-
-def _noncentral_witness(desc: GroupDescriptor):
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals, QuadLattice, Twist4)):
-        return None
-    if isinstance(desc, Twist3):
-        # u + (0,1,0) = (1,1,1) but (0,1,0) + u = (1,1,0)
-        return (Fraction(0), Fraction(1), Fraction(0))
-    if isinstance(desc, Lex):
-        w = _noncentral_witness(desc.head)
-        if w is None:
-            return None
-        return (w, _zero_payload(desc.tail))
-    if isinstance(desc, ProductGroup):
-        for i, f in enumerate(desc.factors):
-            w = _noncentral_witness(f)
-            if w is not None:
-                return tuple(
-                    w if j == i else _zero_payload(g) for j, g in enumerate(desc.factors)
-                )
-        return None
-    raise ParameterError(f"unknown descriptor {desc!r}")
-
-
-def _ceil_fraction(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
 
 
 def strong_unit_bound(x: GroupElement) -> int:
     """Some n >= 1 with |x| <= n * u; the defining property is asserted."""
-    n = max(1, _unit_bound(x.desc, g_abs(x).payload))
-    assert g_leq(g_abs(x), mul_int(n, unit(x.desc)))
+    n = max(1, x.desc._bound(g_abs(x).payload))
+    check(g_leq(g_abs(x), mul_int(n, unit(x.desc))), "the strong unit bound n has |x| <= n * u")
     return n
-
-
-def _unit_bound(desc: GroupDescriptor, p) -> int:
-    # p is the payload of |x|, so p >= 0 in the group order.
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return _ceil_fraction(p)
-    if isinstance(desc, QuadLattice):
-        v = _quad_value(desc, p)
-        f = v.floor()
-        return f if (v - QuadValue.make(f)).sign() == 0 else f + 1
-    if isinstance(desc, Lex):
-        # (n+1)*u = ((n+1)*u_head, 0) exceeds |x| strictly in the head.
-        return _unit_bound(desc.head, g_abs(GroupElement(desc.head, p[0])).payload) + 1
-    if isinstance(desc, (Twist3, Twist4)):
-        return math.floor(abs(p[0])) + 1
-    if isinstance(desc, ProductGroup):
-        return max(_unit_bound(f, a) for f, a in zip(desc.factors, p))
-    raise ParameterError(f"unknown descriptor {desc!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -546,61 +601,8 @@ def _unit_bound(desc: GroupDescriptor, p) -> int:
 
 def random_element(desc: GroupDescriptor, rng, *, coord_bound: int = 8, exp_bound: int = 6) -> GroupElement:
     """A pseudo-random carrier element, used by randomized certificates."""
-    return GroupElement(desc, _random_payload(desc, rng, coord_bound, exp_bound))
-
-
-def _random_scalar(tag: str, rng, bound: int, exp: int) -> Fraction:
-    if tag == "Z":
-        return Fraction(rng.randint(-bound, bound))
-    if tag == "D":
-        k = rng.randint(0, exp)
-        return Fraction(rng.randint(-bound * 2**k, bound * 2**k), 2**k)
-    den = rng.randint(1, 12)
-    return Fraction(rng.randint(-bound * den, bound * den), den)
-
-
-def _random_payload(desc: GroupDescriptor, rng, bound: int, exp: int):
-    if isinstance(desc, ScaledInt):
-        return Fraction(rng.randint(-bound * desc.n, bound * desc.n), desc.n)
-    if isinstance(desc, ScaledDyadic):
-        k = rng.randint(0, exp)
-        den = desc.q * 2**k
-        return Fraction(rng.randint(-bound * den, bound * den), den)
-    if isinstance(desc, Rationals):
-        return _random_scalar("Q", rng, bound, exp)
-    if isinstance(desc, QuadLattice):
-        tag = "D" if desc.dyadic else "Z"
-        return (_random_scalar(tag, rng, bound, exp), _random_scalar(tag, rng, bound, exp))
-    if isinstance(desc, Lex):
-        return (
-            _random_payload(desc.head, rng, bound, exp),
-            _random_payload(desc.tail, rng, bound, exp),
-        )
-    if isinstance(desc, (Twist3, Twist4)):
-        arity = 3 if isinstance(desc, Twist3) else 4
-        return tuple(_random_scalar(desc.tag, rng, bound, exp) for _ in range(arity))
-    if isinstance(desc, ProductGroup):
-        return tuple(_random_payload(f, rng, bound, exp) for f in desc.factors)
-    raise ParameterError(f"unknown descriptor {desc!r}")
+    return GroupElement(desc, desc._random(rng, coord_bound, exp_bound))
 
 
 def format_payload(desc: GroupDescriptor, p) -> str:
-    from .scalars import format_rational
-
-    if isinstance(desc, (ScaledInt, ScaledDyadic, Rationals)):
-        return format_rational(p)
-    if isinstance(desc, QuadLattice):
-        m, n = p
-        if n == 0:
-            return format_rational(m)
-        radical = f"{format_rational(abs(n))}*alpha"
-        if m == 0:
-            return radical if n > 0 else f"-{radical}"
-        return f"{format_rational(m)}{'+' if n > 0 else '-'}{radical}"
-    if isinstance(desc, Lex):
-        return f"({format_payload(desc.head, p[0])},{format_payload(desc.tail, p[1])})"
-    if isinstance(desc, (Twist3, Twist4)):
-        return "(" + ",".join(format_rational(c) for c in p) + ")"
-    if isinstance(desc, ProductGroup):
-        return "(" + ",".join(format_payload(f, a) for f, a in zip(desc.factors, p)) + ")"
-    raise ParameterError(f"unknown descriptor {desc!r}")
+    return desc._format(p)

@@ -29,6 +29,7 @@ from .errors import (
     MismatchError,
     ParameterError,
     UnsupportedOperationError,
+    check,
 )
 from .scalars import format_value
 
@@ -316,7 +317,7 @@ def is_symmetric(A: Algebra) -> tuple[bool, Element | None]:
             return True, None
         # the non-centrality witness lies in [0, u] for every supported family
         witness = element_of(A, w.payload)
-        assert lneg(witness) != rneg(witness)
+        check(lneg(witness) != rneg(witness), "the witness has different negations")
         return False, witness
     for i in range(A.size):
         if A.lneg_t[i] != A.rneg_t[i]:

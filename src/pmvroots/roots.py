@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import ogroups as og
 from . import pmv
-from .errors import CarrierError, ParameterError, UnsupportedOperationError
+from .errors import CarrierError, ParameterError, UnsupportedOperationError, check
 from .pmv import (
     Element,
     FiniteAlgebra,
@@ -171,7 +171,7 @@ def _halving_root(A: GammaAlgebra, x: Element) -> SqrtResult:
     if h is None:
         return _not_exists(NO_CANDIDATE)
     a = Element(A, h.payload)
-    assert odot(a, a) == x
+    check(odot(a, a) == x, "the halving root a has a (.) a == x")
     return _exists(a)
 
 
@@ -193,18 +193,26 @@ def sqrt_element_twist3(A: GammaAlgebra, x: Element) -> SqrtResult:
         return _not_exists(NO_CANDIDATE, note="only 0 and head-1 pairs are squares")
     if p[1] % 2 == 0 and p[2] % 2 == 0:
         a = element_of(A, (Fraction(1), p[1] / 2, p[2] / 2))
-        assert odot(a, a) == x
+        check(odot(a, a) == x, "the twisted Z^3 root a has a (.) a == x")
         return _exists(a, note=_TWIST3_NOTE)
     return _not_exists(NO_CANDIDATE, note="head-1 squares have even coordinates")
+
+
+# the box has 2(2N+1)^2 elements and the nilpotent check compares pairs of
+# them, so its cost grows as N^4
+MAX_BOX_BOUND = 16
 
 
 def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     """Re-verify the twisted-Z^3 verdict against the definition on a box.
 
     Candidates and dominated elements are enumerated with coordinates in
-    [-bound, bound]; the dominance of out-of-box elements follows from the
-    lexicographic comparison recorded in the procedure's note.
+    [-bound, bound], 0 <= bound <= MAX_BOX_BOUND; the dominance of
+    out-of-box elements follows from the lexicographic comparison recorded
+    in the procedure's note.
     """
+    if not 0 <= bound <= MAX_BOX_BOUND:
+        raise ParameterError(f"the box bound must be between 0 and {MAX_BOX_BOUND}, not {bound}")
     res = sqrt_element_twist3(A, x)
     zero = zero_elem(A)
     # each in-box element with its square; element_of keeps the box inside [0, u]
@@ -281,7 +289,7 @@ def element_sqrt(A: pmv.Algebra, x: Element) -> SqrtResult:
                 return _not_exists(r.reason, note=f"factor {f!r}: {r.note or r.reason}")
             parts.append(r.value.payload)
         a = Element(A, tuple(parts))
-        assert odot(a, a) == x
+        check(odot(a, a) == x, "the factorwise root a has a (.) a == x")
         return _exists(a)
     raise UnsupportedOperationError(f"no root procedure covers {desc!r}")
 
@@ -294,7 +302,7 @@ def sqrt_boolean(A: pmv.Algebra, b: Element) -> SqrtResult:
     if not r0.exists:
         return r0
     a = join(b, r0.value)
-    assert odot(a, a) == b
+    check(odot(a, a) == b, "the Boolean root a has a (.) a == b")
     return _exists(a)
 
 

@@ -87,6 +87,23 @@ def test_sqrt_bounded_check_twist3():
     assert zero_blob["payload"]["bounded_check"]["agrees"] is True
 
 
+@pytest.mark.parametrize("bound", ["-1", "17"])
+def test_sqrt_bound_outside_the_box_range_is_an_error(bound):
+    argv = ["sqrt", "gamma(twist3(Z))", "(1,-2,2)", "--bound", bound]
+    message = f"the box bound must be between 0 and 16, not {bound}"
+    assert run(argv) == (3, f"status: error\nmessage: {message}\n")
+    code, blob = run_json(argv)
+    assert (code, blob["status"], blob["payload"]["message"]) == (3, "error", message)
+
+
+def test_sqrt_bound_16_still_answers():
+    code, blob = run_json(["sqrt", "gamma(twist3(Z))", "(1,-2,2)", "--bound", "16"])
+    assert code == 0
+    assert blob["payload"]["bounded_check"] == {
+        "agrees": True, "bound": 16, "detail": "verified against 1058 in-box dominated elements",
+    }
+
+
 def test_analyze_gamma():
     code, blob = run_json(["analyze", "gamma(twist3(Z))"])
     assert code == 0
@@ -423,3 +440,12 @@ def test_both_closures_reject_the_one_element_algebra(kind):
     code, blob = run_json(argv)
     assert (code, blob["status"]) == (3, "error")
     assert blob["payload"]["message"] == "the one-element algebra is excluded"
+
+
+def test_a_failed_internal_check_is_reported_as_an_error(monkeypatch):
+    # a wrong product makes the root check after the halving formula fail
+    monkeypatch.setattr(cli.roots, "odot", lambda a, b: a)
+    message = "internal check failed: the halving root a has a (.) a == x"
+    assert run(["sqrt", "gamma(Q)", "1/2"]) == (3, f"status: error\nmessage: {message}\n")
+    code, blob = run_json(["sqrt", "gamma(Q)", "1/2"])
+    assert (code, blob["status"], blob["payload"]["message"]) == (3, "error", message)

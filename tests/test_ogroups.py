@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from pmvroots import ogroups as og
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError
+from pmvroots.errors import CarrierError, PmvError
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)  # sqrt(2) - 1
 
@@ -234,6 +234,21 @@ def test_unit_centrality():
             assert central and witness is None
 
 
+def test_noncentral_witness_through_composites():
+    # only a lexicographic head carries the unit, so a twisted tail stays central
+    t3 = og.Twist3("Z")
+    cases = [
+        (og.Lex(t3, og.ScaledInt(1)), "((0,1,0),0)"),
+        (og.Lex(og.ScaledInt(1), t3), None),
+        (og.ProductGroup((og.ScaledInt(1), t3, og.Twist3("D"))), "(0,(0,1,0),(0,0,0))"),
+        (og.ProductGroup((og.Lex(t3, og.Rationals()), t3)), "(((0,1,0),0),(0,0,0))"),
+    ]
+    for desc, expected in cases:
+        central, witness = og.is_unit_central(desc)
+        assert (central, None if witness is None else str(witness)) == (expected is None, expected)
+        assert not og.is_abelian(desc)
+
+
 def test_twist3_noncentral_unit_value():
     desc = og.Twist3("Z")
     u = og.unit(desc)
@@ -359,11 +374,73 @@ def test_contains_matches_element():
             assert og.contains(desc, x.payload)
 
 
+# Each family's behaviour, one row per descriptor of all_descriptors(), as
+# the families behaved when every law was an isinstance switch:
+# (unit, zero, linear, abelian, two-divisible, non-centrality witness,
+#  the first 3 random_element draws at seed 99, their strong unit bounds,
+#  element(desc, 1/2), element(desc, (1,2,3))).
+PINNED = [
+    ('1', '0', True, True, False, None, ('4', '4', '-2'), (4, 4, 2), 'CarrierError: 1/2 is not in the carrier', 'ParameterError: cannot interpret (1,2,3) as a rational'),
+    ('1', '0', True, True, False, None, ('19/4', '4', '-7/4'), (5, 4, 2), '1/2', 'ParameterError: cannot interpret (1,2,3) as a rational'),
+    ('1', '0', True, True, True, None, ('33/8', '-5/2', '-1/2'), (5, 3, 1), '1/2', 'ParameterError: cannot interpret (1,2,3) as a rational'),
+    ('1', '0', True, True, True, None, ('1/12', '14/3', '-19/6'), (1, 5, 4), '1/2', 'ParameterError: cannot interpret (1,2,3) as a rational'),
+    ('1', '0', True, True, True, None, ('-8/7', '-5/2', '-1/4'), (2, 3, 1), '1/2', 'ParameterError: cannot interpret (1,2,3) as a rational'),
+    ('1', '0', True, True, False, None, ('4+4*alpha', '-2-3*alpha', '-1-1*alpha'), (6, 4, 2), 'CarrierError: payload 1/2 has the wrong shape: cannot unpack non-iterable Fraction object', 'CarrierError: payload (1,2,3) has the wrong shape: too many values to unpack (expected 2)'),
+    ('1', '0', True, True, True, None, ('33/8-5/2*alpha', '-1/2-11/2*alpha', '17/4-83/16*alpha'), (4, 3, 3), 'CarrierError: payload 1/2 has the wrong shape: cannot unpack non-iterable Fraction object', 'CarrierError: payload (1,2,3) has the wrong shape: too many values to unpack (expected 2)'),
+    ('(1,0)', '(0,0)', True, True, False, None, ('(4,4)', '(-2,-3)', '(-1,-1)'), (5, 3, 2), 'CarrierError: payload 1/2 has the wrong shape: cannot unpack non-iterable Fraction object', 'CarrierError: payload (1,2,3) has the wrong shape: too many values to unpack (expected 2)'),
+    ('(1,0)', '(0,0)', True, True, False, None, ('(9/2,-13/8)', '(-5/2,-1/2)', '(-4,-335/64)'), (6, 4, 5), 'CarrierError: payload 1/2 has the wrong shape: cannot unpack non-iterable Fraction object', 'CarrierError: payload (1,2,3) has the wrong shape: too many values to unpack (expected 2)'),
+    ('(1,0,0)', '(0,0,0)', True, False, False, '(0,1,0)', ('(4,4,-2)', '(-3,-1,-1)', '(-4,-6,0)'), (5, 4, 5), "CarrierError: payload 1/2 has the wrong shape: 'Fraction' object is not iterable", '(1,2,3)'),
+    ('(1,0,0)', '(0,0,0)', True, False, True, '(0,1,0)', ('(33/8,-5/2,-1/2)', '(-11/2,17/4,-83/16)', '(61/8,5,-35/32)'), (5, 6, 8), "CarrierError: payload 1/2 has the wrong shape: 'Fraction' object is not iterable", '(1,2,3)'),
+    ('(1,0,0,0)', '(0,0,0,0)', True, False, False, None, ('(4,4,-2,-3)', '(-1,-1,-4,-6)', '(0,4,8,-6)'), (5, 2, 1), "CarrierError: payload 1/2 has the wrong shape: 'Fraction' object is not iterable", 'CarrierError: (1,2,3) is not in the carrier'),
+    ('(1,0,0,0)', '(0,0,0,0)', True, False, True, None, ('(-8/7,-5/2,-1/4,8)', '(0,1/6,65/9,15/2)', '(21/4,5,-5/2,1/6)'), (2, 1, 6), "CarrierError: payload 1/2 has the wrong shape: 'Fraction' object is not iterable", 'CarrierError: (1,2,3) is not in the carrier'),
+    ('(1,1)', '(0,0)', False, True, False, None, ('(9/2,0)', '(-2,14/3)', '(-5/2,-10/3)'), (5, 5, 4), "CarrierError: payload 1/2 has the wrong shape: 'Fraction' object is not iterable", 'CarrierError: payload (1,2,3) has the wrong shape: zip() argument 2 is longer than argument 1'),
+    ('(1,(1,0))', '(0,(0,0))', False, True, False, None, ('(33/8,(-2,-3))', '(-1/2,(-4,-6))', '(17/4,(8,-6))'), (5, 5, 9), "CarrierError: payload 1/2 has the wrong shape: 'Fraction' object is not iterable", 'CarrierError: payload (1,2,3) has the wrong shape: cannot unpack non-iterable int object'),
+]
+
+
+def outcome(desc, raw):
+    try:
+        return str(og.element(desc, raw))
+    except PmvError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_each_family_is_pinned():
+    descs = all_descriptors()
+    assert len(descs) == len(PINNED)
+    for desc, row in zip(descs, PINNED):
+        central, witness = og.is_unit_central(desc)
+        assert central == (witness is None)
+        got = (
+            str(og.unit(desc)), str(og.zero(desc)),
+            og.is_linear(desc), og.is_abelian(desc), og.is_two_divisible(desc),
+            None if witness is None else str(witness),
+        )
+        assert got == row[:6], desc
+        assert (outcome(desc, Fraction(1, 2)), outcome(desc, (1, 2, 3))) == row[8:], desc
+
+
+def test_descriptor_equality_hash_and_repr():
+    assert og.Twist3("Z") == og.Twist3() and hash(og.Twist3("Z")) == hash(og.Twist3())
+    assert og.Twist3("Z") != og.Twist4("Z")
+    assert repr(og.Twist3("Z")) == "Twist3(tag='Z')"
+    assert repr(og.ScaledInt(2)) == "ScaledInt(n=2)"
+    assert repr(og.Lex(og.Rationals(), og.ScaledDyadic(3))) == "Lex(head=Rationals(), tail=ScaledDyadic(q=3))"
+    assert repr(og.ProductGroup([og.ScaledInt(1)])) == "ProductGroup(factors=(ScaledInt(n=1),))"
+    assert og.ProductGroup([og.ScaledInt(1)]) == og.ProductGroup((og.ScaledInt(1),))
+    assert og.ScaledInt(1) != og.ScaledDyadic(1)
+    assert len({og.ScaledInt(1), og.ScaledInt(1), og.ScaledDyadic(1), og.Twist3(), og.Twist4()}) == 4
+
+
 def test_random_element_reproducible():
-    for desc in all_descriptors():
+    for desc, row in zip(all_descriptors(), PINNED):
         a = [og.random_element(desc, random.Random(99)) for _ in range(5)]
         b = [og.random_element(desc, random.Random(99)) for _ in range(5)]
         assert a == b
+        rng = random.Random(99)
+        draws = [og.random_element(desc, rng) for _ in range(3)]
+        assert tuple(str(x) for x in draws) == row[6], desc
+        assert tuple(og.strong_unit_bound(x) for x in draws) == row[7], desc
 
 
 def test_format_payload_strings():

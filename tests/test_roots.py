@@ -10,7 +10,7 @@ from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import roots
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError
+from pmvroots.errors import CarrierError, ParameterError
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 M = pmv.finite_mv_chain
@@ -271,6 +271,22 @@ def test_twist3_bounded_check_matches_the_oracle_at_bound_11(payload, reason):
     x = pmv.element_of(A, tuple(map(Fraction, payload)))
     assert roots.sqrt_element_twist3(A, x).reason == reason
     _assert_bounded_check_matches_oracle(A, x, 11)
+
+
+@pytest.mark.parametrize("bound", [-1, 17])
+def test_twist3_bounded_check_rejects_a_bound_outside_the_range(bound):
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    x = pmv.element_of(A, (Fraction(0), Fraction(0), Fraction(0)))
+    with pytest.raises(ParameterError, match=f"between 0 and 16, not {bound}"):
+        roots.twist3_bounded_check(A, x, bound=bound)
+
+
+def test_twist3_bounded_check_accepts_the_ends_of_the_range():
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    x = pmv.element_of(A, (Fraction(1), Fraction(-2), Fraction(2)))
+    assert roots.MAX_BOX_BOUND == 16
+    for bound in (0, roots.MAX_BOX_BOUND):
+        _assert_bounded_check_matches_oracle(A, x, bound)
 
 
 def test_twist3_bounded_check_lets_internal_errors_through(monkeypatch):
