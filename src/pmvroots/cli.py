@@ -190,9 +190,7 @@ def _cmd_sqrt(args) -> Report:
 def _sqrtmap_finite(M: pmv.FiniteAlgebra) -> Report:
     smap = roots.sqrt_map(M)
     if smap is None:
-        witness = next(
-            x for x in pmv.carrier(M) if not roots.sqrt_element_finite(M, x).exists
-        )
+        witness = pmv.Element(M, roots.finite_roots(M).index(None))
         return Report(
             "absent",
             {"reason": "some element has no square root", "witness": _fmt(witness)},

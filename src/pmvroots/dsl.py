@@ -20,7 +20,7 @@ import re
 from . import ogroups as og
 from . import pmv
 from .errors import DslError
-from .scalars import Fraction, format_quad, format_value, parse_quad
+from .scalars import Fraction, format_quad, format_value, parse_quad, reject_zero_denominators
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -31,6 +31,7 @@ MAX_DEPTH = 64
 
 class _Cursor:
     def __init__(self, text: str):
+        reject_zero_denominators(text)  # rationals and quadratic coefficients
         self.text = text
         self.pos = 0
         self.depth = 0

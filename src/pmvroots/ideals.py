@@ -4,7 +4,9 @@ An ideal is a downward-closed, (+)-closed subset containing 0.  In a
 finite algebra every ideal is the interval [0, b] of an idempotent b
 (the (+)-join of the ideal's members is idempotent and belongs to the
 ideal), so enumeration walks the Boolean skeleton instead of the power
-set; a configurable cap still bounds the quadratic flag computations.
+set, and a configurable cap bounds the carrier it walks.  The algebra is
+a product of chains, and an ideal [0, b] is the product of the chains on
+which b is full, so its flags follow from which chains those are.
 
 Normal prime ideals are partitioned into
 
@@ -19,7 +21,6 @@ that case.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -34,7 +35,6 @@ from .pmv import (
     finite_product,
     interval,
     is_boolean_elem,
-    join,
     leq,
     lneg,
     meet,
@@ -75,19 +75,6 @@ class IdealInfo:
         return x in self.members
 
 
-def _is_ideal(M: FiniteAlgebra, members: frozenset[Element]) -> bool:
-    if zero_elem(M) not in members:
-        return False
-    for x in members:
-        for y in carrier(M):
-            if leq(y, x) and y not in members:
-                return False
-        for y in members:
-            if oplus(x, y) not in members:
-                return False
-    return True
-
-
 # default of ``smap`` below: compute the mapping (None means there is none)
 _COMPUTE = object()
 
@@ -95,6 +82,9 @@ _COMPUTE = object()
 def enumerate_ideals(M: FiniteAlgebra, *, smap=_COMPUTE) -> list[IdealInfo]:
     """All ideals of ``M`` with their classification flags.
 
+    The flags are read off the chain decomposition: with S the chains on
+    which the top b is full, [0, b] is normal, prime when at most one chain
+    lies outside S, and Boolean when every chain outside S has length 1.
     ``smap`` is ``sqrt_map(M)`` when the caller has it already, ``None``
     included (no total mapping: the strict-square-ideal flags are None);
     it is computed when not given.
@@ -109,31 +99,23 @@ def enumerate_ideals(M: FiniteAlgebra, *, smap=_COMPUTE) -> list[IdealInfo]:
     elems = carrier(M)
     if smap is _COMPUTE:
         smap = sqrt_map(M)
+    dec = M.decomposition
     out = []
     for b in elems:
         if not is_boolean_elem(b):
             continue
         members = frozenset(x for x in elems if leq(x, b))
-        check(_is_ideal(M, members), "[0, b] is an ideal for Boolean b")
-        normal = all(
-            {oplus(x, i) for i in members} == {oplus(i, x) for i in members}
-            for x in elems
-        )
-        prime = all(
-            meet(x, y) not in members or x in members or y in members
-            for x, y in itertools.combinations(elems, 2)
-        )
-        boolean_ideal = all(meet(x, lneg(x)) in members for x in elems)
-        strict = (smap.w in members) if smap is not None else None
+        # the lengths of the chains on which b is not full
+        outside = [n for k, n in zip(dec.coords[b.payload], dec.lengths) if k != n]
         out.append(
             IdealInfo(
                 top=b,
                 members=members,
                 is_proper=len(members) < M.size,
-                is_normal=normal,
-                is_prime=prime,
-                is_boolean_ideal=boolean_ideal,
-                is_strict_square_ideal=strict,
+                is_normal=True,
+                is_prime=len(outside) <= 1,
+                is_boolean_ideal=all(n == 1 for n in outside),
+                is_strict_square_ideal=(smap.w in members) if smap is not None else None,
             )
         )
     return out
@@ -250,13 +232,6 @@ def _ideal_by_top(ideals: list[IdealInfo], top: Element) -> IdealInfo:
     raise ParameterError(f"no ideal with top {top}")
 
 
-def _boolean_closure_top(M: FiniteAlgebra, seed: Element) -> Element:
-    t = seed
-    while not is_boolean_elem(t):
-        t = oplus(t, t)
-    return t
-
-
 def strict_square_ideals(
     M: FiniteAlgebra,
     *,
@@ -279,11 +254,8 @@ def strict_square_ideals(
     strict = tuple(i for i in ideals if i.is_strict_square_ideal)
     least_strict = _ideal_by_top(ideals, smap.w)
     check(all(least_strict.members <= i.members for i in strict), "[0, w] is the least strict square ideal")
-    seed = zero_elem(M)
-    for x in carrier(M):
-        seed = join(seed, meet(x, lneg(x)))
-    least_boolean = _ideal_by_top(ideals, _boolean_closure_top(M, seed))
-    check(least_boolean.is_boolean_ideal, "the least Boolean ideal is Boolean")
+    # the improper ideal is Boolean, so the smallest Boolean ideal exists
+    least_boolean = min((i for i in ideals if i.is_boolean_ideal), key=lambda i: len(i.members))
     check(
         all(least_boolean.members <= i.members for i in ideals if i.is_boolean_ideal),
         "the least Boolean ideal is below every Boolean ideal",

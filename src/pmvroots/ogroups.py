@@ -251,6 +251,8 @@ class _Twisted(GroupDescriptor):
         )
 
     def _normalize(self, raw):
+        if len(raw) != self.arity:
+            raise ValueError("wrong arity")
         return tuple(rational(c) for c in raw)
 
     def _zero(self):
@@ -482,8 +484,10 @@ def element(desc: GroupDescriptor, raw) -> GroupElement:
     """Build a validated element of the group described by ``desc``."""
     try:
         payload = desc._normalize(raw)
-    except (TypeError, ValueError) as exc:
-        raise CarrierError(f"payload {format_value(raw)} has the wrong shape: {exc}") from None
+    except (TypeError, ValueError, ParameterError):
+        # a tuple where a scalar belongs (rational() raises ParameterError),
+        # a scalar where a tuple belongs, or a tuple of the wrong length
+        raise CarrierError(f"payload {format_value(raw)} has the wrong shape") from None
     if not contains(desc, payload):
         raise CarrierError(f"{format_payload(desc, payload)} is not in the carrier")
     return GroupElement(desc, payload)

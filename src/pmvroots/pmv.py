@@ -7,7 +7,15 @@ Two representations are supported:
   ``x (.) y = (x - u + y) v 0``, left negation ``x- = u - x`` and right
   negation ``x~ = -x + u``;
 * :class:`FiniteAlgebra` -- an explicit finite carrier with operation
-  tables, checked against the pseudo MV axiom list at construction.
+  tables, checked against the pseudo MV axiom list at construction;
+  ``finite_product`` builds the tables of a product of checked factors by
+  index arithmetic and skips the check.
+
+A finite algebra is a product of chains M(n_1) x ... x M(n_k).  Each
+instance finds this chain decomposition once, on first use
+(``FiniteAlgebra.decomposition``): the chain lengths and the integer
+coordinates of every element, checked against the tables.  The analyses of
+the whole carrier (chain lengths, ideals, square root mappings) read it.
 
 Derived operations are defined uniformly from the primitive ones:
 ``x (.) y = (y- (+) x-)~``, ``x v y = x (+) (x~ (.) y)``,
@@ -17,11 +25,12 @@ Derived operations are defined uniformly from the primitive ones:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import ogroups as og
 from .errors import (
@@ -146,6 +155,12 @@ class FiniteAlgebra(Algebra):
                     k = next(k for k in rng if op[opi[j]][k] != opi[op[j][k]])
                     raise ParameterError(f"(+) is not associative at ({i},{j},{k})")
 
+    @cached_property
+    def decomposition(self) -> ChainDecomposition:
+        """The algebra as a product of chains, found once per instance;
+        ``UnsupportedOperationError`` when the tables are not one."""
+        return _decompose(self)
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -160,6 +175,21 @@ class FiniteAlgebra(Algebra):
 
     def __str__(self) -> str:
         return f"finite algebra ({self.size} elements)"
+
+
+class ChainDecomposition(NamedTuple):
+    """A finite algebra as a product of chains M(n_1) x ... x M(n_k).
+
+    ``atoms`` are the carrier indices of the skeleton atoms in carrier
+    order and ``lengths`` the n_i; ``coords[x]`` holds the integer
+    coordinates of carrier index x, the rank of x ^ atom_i in [0, atom_i],
+    and ``index`` maps coordinates back to carrier indices.
+    """
+
+    atoms: tuple[int, ...]
+    lengths: tuple[int, ...]
+    coords: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int]
 
 
 Value = Union[Fraction, tuple, str]
@@ -442,54 +472,68 @@ def _degenerate() -> FiniteAlgebra:
 # decomposition and comparison
 
 
+def _decompose(A: FiniteAlgebra) -> ChainDecomposition:
+    """Find the chains from the tables by index arithmetic, then check them."""
+    n, op, jo, me = A.size, A.oplus_t, A.join_t, A.meet_t
+    zero, one = A.zero_i, A.one_i
+    skeleton = [b for b in range(n) if op[b][b] == b and b != zero]
+    # an atom meets every nonzero idempotent in 0 or in itself
+    atoms = [b for b in skeleton if set(map(me[b].__getitem__, skeleton)) <= {zero, b}]
+    lengths, cols = [], []
+    for a in atoms:
+        # walk up [0, a] from 0 in steps of its least nonzero element g
+        g = a
+        for x in range(n):
+            if jo[x][g] == g and x != zero:
+                g = x
+        rank = [None] * n
+        rank[zero], x = 0, zero
+        while x != a and rank[x] < n:
+            rank[op[x][g]] = rank[x] + 1
+            x = op[x][g]
+        if x != a:
+            raise UnsupportedOperationError("the tables are not a product of chains")
+        lengths.append(rank[a])
+        # coordinate of every carrier index: the rank of x ^ a in [0, a]
+        cols.append([rank[row[a]] for row in me])
+    coords = tuple(zip(*cols)) if cols else ((),) * n
+    index = {c: x for x, c in enumerate(coords)}
+    # zero needs no test of its own: it alone has rank 0 on every walk
+    if (
+        any(None in col for col in cols)
+        or len(index) != n
+        or n != math.prod(m + 1 for m in lengths)
+        or coords[one] != tuple(lengths)
+        or not all(_lukasiewicz(A, col, m) for col, m in zip(cols, lengths))
+    ):
+        raise UnsupportedOperationError("the tables are not a product of chains")
+    return ChainDecomposition(tuple(atoms), tuple(lengths), coords, index)
+
+
+def _lukasiewicz(A: FiniteAlgebra, col: list[int], m: int) -> bool:
+    """Whether one coordinate carries (+) and both negations of A to those of
+    M(m): min(i + j, m) and m - i, compared a whole table row at a time."""
+    neg = [m - c for c in col]
+    if list(map(col.__getitem__, A.lneg_t)) != neg or list(map(col.__getitem__, A.rneg_t)) != neg:
+        return False
+    luk = (list(range(k, m + 1)) + [m] * k for k in range(m + 1))  # min(k + j, m)
+    sums = [list(map(r.__getitem__, col)) for r in luk]
+    return all(list(map(col.__getitem__, row)) == sums[k] for row, k in zip(A.oplus_t, col))
+
+
 def chain_decomposition(A: FiniteAlgebra) -> list[tuple[Element, int]]:
     """Write a finite algebra as a product of chains along skeleton atoms.
 
-    Returns ``[(atom, length), ...]`` where ``[0, atom]`` is a chain with
-    ``length + 1`` elements; the induced map ``x -> (x ^ atom_i)_i`` is
-    verified to be a bijection that preserves (+), both negations, 0 and 1.
+    Returns ``[(atom, length), ...]``, atoms in carrier order, where
+    ``[0, atom]`` is a chain with ``length + 1`` elements; the map
+    ``x -> (x ^ atom_i)_i`` is checked to be a bijection onto the product
+    that preserves (+), both negations, 0 and 1.  Raises
+    ``UnsupportedOperationError`` on tables that are not a chain product.
     """
     if not isinstance(A, FiniteAlgebra):
         raise UnsupportedOperationError("chain decomposition needs a finite algebra")
-    if A.size == 1:
-        return []
-    skeleton = [x for x in boolean_skeleton(A) if x != zero_elem(A)]
-    atoms = [
-        b
-        for b in skeleton
-        if not any(c != b and leq(c, b) for c in skeleton)
-    ]
-    top = zero_elem(A)
-    for a in atoms:
-        top = join(top, a)
-    if top != one_elem(A):
-        raise UnsupportedOperationError("skeleton atoms do not join to 1")
-    for a, b in itertools.combinations(atoms, 2):
-        if meet(a, b) != zero_elem(A):
-            raise UnsupportedOperationError("skeleton atoms are not disjoint")
-    out = []
-    for a in atoms:
-        below = [x for x in carrier(A) if leq(x, a)]
-        for x, y in itertools.combinations(below, 2):
-            if not (leq(x, y) or leq(y, x)):
-                raise UnsupportedOperationError(
-                    "an atomic interval is not totally ordered"
-                )
-        out.append((a, len(below) - 1))
-    factors = [interval(A, a) for a, _ in out]
-    prod = finite_product(factors) if len(factors) > 1 else factors[0]
-    mapping = {}
-    for x in carrier(A):
-        parts = [element_of(f, value_of(meet(x, a))) for f, (a, _) in zip(factors, out)]
-        mapping[x] = (
-            element_of(prod, tuple(value_of(p) for p in parts))
-            if len(factors) > 1
-            else parts[0]
-        )
-    ok, why = check_homomorphism(mapping, A, prod, require_injective=True)
-    if not ok or len(set(mapping.values())) != prod.size:
-        raise UnsupportedOperationError(f"atomic decomposition failed: {why}")
-    return out
+    dec = A.decomposition
+    return [(Element(A, a), n) for a, n in zip(dec.atoms, dec.lengths)]
 
 
 def chain_lengths(A: FiniteAlgebra) -> list[int]:
@@ -508,11 +552,7 @@ def to_gamma_descriptor(A: FiniteAlgebra) -> og.GroupDescriptor:
 
 def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     """Isomorphism of finite algebras via their chain length multisets."""
-    if A.size != B.size:
-        return False
-    if A.size == 1:
-        return True
-    return chain_lengths(A) == chain_lengths(B)
+    return A.size == B.size and chain_lengths(A) == chain_lengths(B)
 
 
 def check_homomorphism(

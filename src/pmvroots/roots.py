@@ -15,7 +15,10 @@ serves as the oracle for every family-specific procedure:
   is central;
 * ``sqrt_element_twist3`` decides roots in the interval of the twisted
   ``Z^3`` group, where the unit is not central;
-* ``element_sqrt`` dispatches to the widest applicable procedure.
+* ``element_sqrt`` dispatches to the widest applicable procedure;
+* ``finite_roots`` reads the root of every element of a finite algebra off
+  its chain decomposition, in closed form; ``sqrt_map``, ``sqrt_zero`` and
+  the ambient stages of ``greatest_sqrt_subalgebra`` use it.
 
 Negative answers carry a machine-checkable reason code and, where
 meaningful, a witness element.
@@ -116,12 +119,7 @@ def sqrt_in_subset(M: FiniteAlgebra, x: Element, allowed: frozenset[Element]) ->
 def sqrt_zero(A: pmv.Algebra) -> SqrtResult:
     """The largest nilpotent element (top of {y : y (.) y = 0}), if any."""
     if isinstance(A, FiniteAlgebra):
-        z = zero_elem(A)
-        nil = [y for y in carrier(A) if odot(y, y) == z]
-        for y in nil:
-            if all(leq(w, y) for w in nil):
-                return _exists(y)
-        return _not_exists(NO_MAX)
+        return _exists(finite_roots(A)[A.zero_i])  # floor(n/2) on each chain
     payload = _zero_root_payload(A.desc)
     if payload is None:
         return _not_exists(NO_MAX, note="the nilpotent set is upward unbounded")
@@ -319,16 +317,35 @@ class SqrtMap:
     w: Element  # r(0)- (.) r(0)-
 
 
-def sqrt_map(M: FiniteAlgebra) -> SqrtMap | None:
-    """The total square root mapping of a finite algebra, or None."""
+def finite_roots(M: FiniteAlgebra) -> list[Element | None]:
+    """The square root of every carrier element, in carrier order; None
+    where there is none.
+
+    Read off the chain decomposition coordinate by coordinate: in M(n) the
+    root of 0 is floor(n/2), that of k > 0 is (k + n)/2 when k + n is even,
+    and otherwise no a has a (.) a == k.  ``sqrt_element_finite`` decides
+    the same by search.
+    """
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("total mappings are computed on finite algebras")
-    mapping = {}
-    for x in carrier(M):
-        r = sqrt_element_finite(M, x)
-        if not r.exists:
-            return None
-        mapping[x] = r.value
+    dec = M.decomposition
+    per_chain = [
+        [n // 2] + [(k + n) // 2 if (k + n) % 2 == 0 else None for k in range(1, n + 1)]
+        for n in dec.lengths
+    ]
+    out = []
+    for c in dec.coords:
+        r = tuple(roots_in[k] for roots_in, k in zip(per_chain, c))
+        out.append(None if None in r else Element(M, dec.index[r]))
+    return out
+
+
+def sqrt_map(M: FiniteAlgebra) -> SqrtMap | None:
+    """The total square root mapping of a finite algebra, or None."""
+    found = finite_roots(M)
+    if None in found:
+        return None
+    mapping = dict(zip(carrier(M), found))
     r0 = mapping[zero_elem(M)]
     w = odot(lneg(r0), lneg(r0))
     return SqrtMap(M, mapping, strict=(r0 == lneg(r0)), r0=r0, w=w)
@@ -483,19 +500,14 @@ def greatest_sqrt_subalgebra(M: FiniteAlgebra, quantifier: str = "ambient") -> G
         raise ParameterError("quantifier must be 'ambient' or 'relative'")
     if M.size == 1:
         raise ParameterError("the one-element algebra is excluded")
-    ambient_root = {}
     if quantifier == "ambient":
-        for x in carrier(M):
-            ambient_root[x] = sqrt_element_finite(M, x)
+        ambient_root = dict(zip(carrier(M), finite_roots(M)))
     current = frozenset(carrier(M))
     stages: list[frozenset[Element]] = []
     while True:
         if quantifier == "ambient":
-            nxt = frozenset(
-                x
-                for x in current
-                if ambient_root[x].exists and ambient_root[x].value in current
-            )
+            # None (no root) is in no stage
+            nxt = frozenset(x for x in current if ambient_root[x] in current)
         else:
             nxt = frozenset(
                 x

@@ -35,10 +35,24 @@ def rational(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    text = text.strip()
-    if not re.fullmatch(r"[+-]?\d+(/\d+)?", text):
-        raise DslError(f"malformed rational {text!r}")
-    return Fraction(text)
+    stripped = text.strip()
+    if not re.fullmatch(r"[+-]?\d+(/\d+)?", stripped):
+        raise DslError(f"malformed rational {stripped!r}")
+    reject_zero_denominators(text)
+    return Fraction(stripped)
+
+
+# a rational whose denominator is zeros only
+_ZERO_DENOMINATOR = re.compile(r"[+-]?\d+/0+(?!\d)")
+
+
+def reject_zero_denominators(text: str) -> None:
+    """Raise DslError at the 1-based column of the first rational over 0 in
+    ``text``; whitespace is skipped, as the parsers skip it."""
+    zero = _ZERO_DENOMINATOR.search("".join(text.split()))
+    if zero:
+        kept = [i for i, ch in enumerate(text) if not ch.isspace()]
+        raise DslError(f"zero denominator in {zero.group()}", position=kept[zero.start()] + 1)
 
 
 def format_rational(x: Fraction) -> str:
@@ -221,6 +235,7 @@ def parse_quad(text: str) -> QuadValue:
     m = _QUAD_RE.fullmatch(stripped)
     if not m or (m.group("a") is None and m.group("b") is None):
         raise DslError(f"malformed quadratic value {text!r}")
+    reject_zero_denominators(text)
     a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
     if m.group("b") is None:
         return QuadValue.make(a)

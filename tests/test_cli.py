@@ -287,9 +287,28 @@ def test_carrier_messages_print_values_as_written():
     code, blob = run_json(["sqrt", "M(3)", "(1,2)"])
     assert code == 3 and blob["payload"]["message"] == "(1,2) is not in the carrier"
     _, blob = run_json(["member", "gamma(prod(Z/3,Q))", "1/2"])
-    assert blob["payload"]["reason"].startswith("payload 1/2 has the wrong shape")
+    assert blob["payload"]["reason"] == "payload 1/2 has the wrong shape"
     code, blob = run_json(["decompose", "M(3)", "(1,2)"])
-    assert code == 3 and blob["payload"]["message"] == "cannot interpret (1,2) as a rational"
+    assert code == 3 and blob["payload"]["message"] == "payload (1,2) has the wrong shape"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sqrt", "M(3)", "1/0"], "zero denominator in 1/0 (at column 1)"),
+        (["member", "gamma(Q)", "1/0"], "zero denominator in 1/0 (at column 1)"),
+        (["member", "gamma(Q)", "(1,-2/00)"], "zero denominator in -2/00 (at column 4)"),
+        (["analyze", "interval(prod(M(1),M(2)),(1,0/0))"], "zero denominator in 0/0 (at column 29)"),
+        (["analyze", "gamma(quad(1+1/0*sqrt(2)))"], "zero denominator in +1/0 (at column 13)"),
+        (["analyze", "gamma(quad(1/0+1*sqrt(2)))"], "zero denominator in 1/0 (at column 12)"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_a_zero_denominator_is_a_parse_error_at_its_column(argv, message):
+    code, out = run(argv)
+    assert code == 3 and out == f"status: error\nmessage: {message}\n"
+    code, blob = run_json(argv)
+    assert code == 3 and blob["status"] == "error" and blob["payload"]["message"] == message
 
 
 def test_parse_error_columns_are_one_based():

@@ -1,0 +1,301 @@
+"""The chain decomposition of finite algebras against the brute-force procedures.
+
+``FiniteAlgebra.decomposition`` finds the chains of a finite algebra by index
+arithmetic and checks them with whole-row comparisons; the ideal flags,
+``sqrt_map`` and the ambient stages of ``greatest_sqrt_subalgebra`` read it.
+The procedures it replaced are kept here as oracles: the atomic decomposition
+through interval tables, a product and a homomorphism check; the ideal
+definition and the normal, prime and Boolean scans; and the exhaustive root
+search ``sqrt_element_finite``.
+"""
+
+import functools
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pmvroots import dsl, ideals, pmv, roots
+from pmvroots.errors import CarrierError, ParameterError, UnsupportedOperationError
+
+M = pmv.finite_mv_chain
+
+
+# --- oracles ---------------------------------------------------------------------
+
+
+def chain_decomposition_oracle(A):
+    """Atoms of the skeleton, each interval checked to be a chain, and the map
+    into the product of the interval algebras checked to be an isomorphism."""
+    if A.size == 1:
+        return []
+    skeleton = [x for x in pmv.boolean_skeleton(A) if x != pmv.zero_elem(A)]
+    atoms = [b for b in skeleton if not any(c != b and pmv.leq(c, b) for c in skeleton)]
+    top = pmv.zero_elem(A)
+    for a in atoms:
+        top = pmv.join(top, a)
+    if top != pmv.one_elem(A):
+        raise UnsupportedOperationError("skeleton atoms do not join to 1")
+    for a, b in itertools.combinations(atoms, 2):
+        if pmv.meet(a, b) != pmv.zero_elem(A):
+            raise UnsupportedOperationError("skeleton atoms are not disjoint")
+    out = []
+    for a in atoms:
+        below = [x for x in pmv.carrier(A) if pmv.leq(x, a)]
+        for x, y in itertools.combinations(below, 2):
+            if not (pmv.leq(x, y) or pmv.leq(y, x)):
+                raise UnsupportedOperationError("an atomic interval is not totally ordered")
+        out.append((a, len(below) - 1))
+    factors = [pmv.interval(A, a) for a, _ in out]
+    prod = pmv.finite_product(factors) if len(factors) > 1 else factors[0]
+    mapping = {}
+    for x in pmv.carrier(A):
+        parts = [pmv.element_of(f, pmv.value_of(pmv.meet(x, a))) for f, (a, _) in zip(factors, out)]
+        mapping[x] = (
+            pmv.element_of(prod, tuple(pmv.value_of(p) for p in parts))
+            if len(factors) > 1
+            else parts[0]
+        )
+    ok, why = pmv.check_homomorphism(mapping, A, prod, require_injective=True)
+    if not ok or len(set(mapping.values())) != prod.size:
+        raise UnsupportedOperationError(f"atomic decomposition failed: {why}")
+    return out
+
+
+def is_ideal(A, members):
+    """``members`` (carrier indices) contains 0 and is downward and (+)-closed."""
+    if A.zero_i not in members:
+        return False
+    for x in members:
+        for y in range(A.size):
+            if A.join_t[y][x] == x and y not in members:
+                return False
+        for y in members:
+            if A.oplus_t[x][y] not in members:
+                return False
+    return True
+
+
+def ideal_flags_oracle(A, members):
+    """(normal, prime, Boolean) of an ideal (carrier indices), by scanning the
+    carrier: the scans ``enumerate_ideals`` ran on elements, on the tables."""
+    elems, op, me, ln = range(A.size), A.oplus_t, A.meet_t, A.lneg_t
+    normal = all({op[x][i] for i in members} == {op[i][x] for i in members} for x in elems)
+    prime = all(
+        me[x][y] not in members or x in members or y in members
+        for x, y in itertools.combinations(elems, 2)
+    )
+    boolean_ideal = all(me[x][ln[x]] in members for x in elems)
+    return normal, prime, boolean_ideal
+
+
+def ambient_stages_oracle(A, found):
+    """The ambient iteration of greatest_sqrt_subalgebra on searched roots."""
+    current = frozenset(pmv.carrier(A))
+    stages = []
+    while True:
+        nxt = frozenset(x for x in current if found[x].exists and found[x].value in current)
+        stages.append(nxt)
+        if nxt == current:
+            return stages
+        current = nxt
+
+
+# --- presentations -----------------------------------------------------------------
+
+
+def ordered_chain_products(limit):
+    """Every tuple of chain lengths whose product has at most ``limit`` elements."""
+    yield ()
+    for n in range(1, limit):
+        for rest in ordered_chain_products(limit // (n + 1)):
+            yield (n,) + rest
+
+
+ORDERED = [t for t in ordered_chain_products(64) if t]
+
+
+@functools.lru_cache(maxsize=None)
+def product_of(lengths):
+    return pmv.finite_product([M(n) for n in lengths])
+
+
+def test_ordered_products_cover_every_product_up_to_64():
+    assert len(ORDERED) == 440
+    assert max(product_of(t).size for t in ORDERED) == 64
+
+
+def other_presentations():
+    """Nested products, interval(...) cuts and quotients by ideals."""
+    out = {
+        text: dsl.parse_algebra(text)
+        for text in (
+            "prod(prod(M(1),M(1)),M(2))",
+            "prod(M(1),prod(M(2),M(1)))",
+            "prod(prod(M(2),M(1)),prod(M(1),M(2)))",
+            "interval(prod(M(1),M(4)),(1,0))",
+            "interval(prod(M(2),M(3)),(0,1))",
+            "interval(prod(M(1),M(1),M(3)),(1,0,1))",
+            "interval(prod(prod(M(2),M(1)),M(5)),((1,0),1))",
+            "interval(M(6),1)",
+        )
+    }
+    for lengths in ((2, 3), (1, 1, 2), (3, 1, 4), (1, 1, 1, 1)):
+        P = product_of(lengths)
+        for info in ideals.enumerate_ideals(P):
+            if info.is_proper:
+                Q, _ = ideals.quotient(P, info.members)
+                out[f"{lengths} / [0,{info.top}]"] = Q
+    return out
+
+
+OTHERS = other_presentations()
+CASES = [pytest.param(product_of(t), id=str(t)) for t in ORDERED] + [
+    pytest.param(A, id=name) for name, A in OTHERS.items()
+]
+
+
+# --- differential tests ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("A", CASES)
+def test_decomposition_matches_the_atomic_procedure(A):
+    assert pmv.chain_decomposition(A) == chain_decomposition_oracle(A)
+    dec = A.decomposition
+    assert [dec.index[c] for c in dec.coords] == list(range(A.size))
+
+
+def test_coordinates_of_a_product_are_its_factor_values():
+    # in itertools.product order a later factor's atom comes first
+    for lengths in ORDERED:
+        A = product_of(lengths)
+        dec = A.decomposition
+        assert dec.lengths == lengths[::-1]
+        assert dec.coords == tuple(
+            tuple(v * n for v, n in zip(value[::-1], lengths[::-1])) for value in A.values
+        )
+
+
+@pytest.mark.parametrize("A", [pytest.param(A, id=name) for name, A in OTHERS.items()])
+def test_coordinates_are_ranks_in_the_atomic_chains(A):
+    dec = A.decomposition
+    for x, c in enumerate(dec.coords):
+        for atom, k in zip(dec.atoms, c):
+            m = A.meet_t[x][atom]
+            assert k == sum(A.join_t[y][m] == m for y in range(A.size)) - 1
+
+
+@pytest.mark.parametrize("A", CASES)
+def test_ideal_flags_match_the_scans(A):
+    for info in ideals.enumerate_ideals(A):
+        members = {x.payload for x in info.members}
+        assert is_ideal(A, members)
+        flags = (info.is_normal, info.is_prime, info.is_boolean_ideal)
+        assert flags == ideal_flags_oracle(A, members), pmv.value_of(info.top)
+
+
+@pytest.mark.parametrize("A", CASES)
+def test_closed_form_roots_match_the_search(A):
+    found = {x: roots.sqrt_element_finite(A, x) for x in pmv.carrier(A)}
+    # no root of a chain product fails by Sq2 alone: each negative answer
+    # says that no a has a (.) a == x
+    assert all(r.exists or r.reason == roots.NO_CANDIDATE for r in found.values())
+    expected = [r.value if r.exists else None for r in found.values()]
+    assert roots.finite_roots(A) == expected
+    assert roots.sqrt_zero(A).value == found[pmv.zero_elem(A)].value
+    smap = roots.sqrt_map(A)
+    if None in expected:
+        assert smap is None
+    else:
+        assert smap.mapping == dict(zip(pmv.carrier(A), expected))
+    if A.size > 1:
+        greatest = roots.greatest_sqrt_subalgebra(A, "ambient")
+        assert list(greatest.stages) == ambient_stages_oracle(A, found)
+
+
+def altered(A, kind, cell, value):
+    """The tables of ``A`` with one entry of (+) or of a negation replaced."""
+    op = [list(row) for row in A.oplus_t]
+    ln, rn = list(A.lneg_t), list(A.rneg_t)
+    if kind == "oplus":
+        op[cell[0]][cell[1]] = value
+    else:
+        (ln if kind == "lneg" else rn)[cell[0]] = value
+    return pmv.FiniteAlgebra(A.values, op, ln, rn, A.zero_i, A.one_i, validate=False)
+
+
+def every_alteration(A):
+    n = A.size
+    for x, y in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v != A.oplus_t[x][y]:
+                yield "oplus", (x, y), v
+    for kind, table in (("lneg", A.lneg_t), ("rneg", A.rneg_t)):
+        for x in range(n):
+            for v in range(n):
+                if v != table[x]:
+                    yield kind, (x,), v
+
+
+@pytest.mark.parametrize("lengths", [(3,), (1, 1), (1, 2)], ids=str)
+def test_every_altered_cell_is_not_a_chain_product(lengths):
+    A = product_of(lengths)
+    for kind, cell, value in every_alteration(A):
+        B = altered(A, kind, cell, value)
+        with pytest.raises(UnsupportedOperationError):
+            pmv.chain_decomposition(B)
+        # the atomic procedure revalidates each interval first, so some
+        # alterations stop it there (ParameterError) or in a lookup of an
+        # element that the broken tables put outside an interval
+        with pytest.raises((UnsupportedOperationError, ParameterError, CarrierError, KeyError)):
+            chain_decomposition_oracle(B)
+
+
+@pytest.mark.parametrize("lengths", [(3,), (1, 2), (2, 1, 1)], ids=str)
+def test_a_misplaced_zero_or_one_is_not_a_chain_product(lengths):
+    A = product_of(lengths)
+    for x in range(A.size):
+        for zero, one in ((x, A.one_i), (A.zero_i, x)):
+            if (zero, one) != (A.zero_i, A.one_i):
+                B = pmv.FiniteAlgebra(A.values, A.oplus_t, A.lneg_t, A.rneg_t, zero, one, validate=False)
+                with pytest.raises(UnsupportedOperationError):
+                    pmv.chain_decomposition(B)
+
+
+# --- property test -----------------------------------------------------------------
+
+
+@st.composite
+def relabelled(draw):
+    """A chain product of at most 64 elements, its carrier permuted."""
+    lengths = draw(st.sampled_from(ORDERED))
+    A = product_of(lengths)
+    perm = draw(st.permutations(range(A.size)))  # old index -> new index
+    inv = [0] * A.size
+    for old, new in enumerate(perm):
+        inv[new] = old
+    B = pmv.FiniteAlgebra(
+        [A.values[inv[i]] for i in range(A.size)],
+        [[perm[A.oplus_t[inv[i]][inv[j]]] for j in range(A.size)] for i in range(A.size)],
+        [perm[A.lneg_t[inv[i]]] for i in range(A.size)],
+        [perm[A.rneg_t[inv[i]]] for i in range(A.size)],
+        perm[A.zero_i],
+        perm[A.one_i],
+        validate=False,
+    )
+    return lengths, B
+
+
+@settings(max_examples=150, deadline=2000)
+@given(relabelled(), st.data())
+def test_relabelled_products_decompose_and_altered_ones_do_not(case, data):
+    lengths, B = case
+    assert pmv.chain_lengths(B) == sorted(lengths)
+    n = B.size
+    kind = data.draw(st.sampled_from(["oplus", "lneg", "rneg"]))
+    cell = tuple(data.draw(st.integers(0, n - 1)) for _ in range(2 if kind == "oplus" else 1))
+    old = B.oplus_t[cell[0]][cell[1]] if kind == "oplus" else getattr(B, kind + "_t")[cell[0]]
+    value = data.draw(st.integers(0, n - 1).filter(lambda v: v != old))
+    with pytest.raises(UnsupportedOperationError):
+        pmv.chain_decomposition(altered(B, kind, cell, value))

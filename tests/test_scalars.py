@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmvroots import scalars as S
-from pmvroots.errors import ParameterError
+from pmvroots.errors import DslError, ParameterError
 
 Q = S.QuadValue.make
 
@@ -84,6 +84,25 @@ def test_parse_rational_rejects_garbage():
     for text in ("", "1/0", "a/b", "1.5", "2/", "/3", "1 / 2x"):
         with pytest.raises(Exception):
             S.parse_rational(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, column",
+    [
+        (S.parse_rational, "1/0", 1),
+        (S.parse_rational, " -7/000", 2),
+        (S.parse_quad, "1/0", 1),
+        (S.parse_quad, "1+1/0*sqrt(2)", 2),
+        (S.parse_quad, "1/2 - 3/00*sqrt(2)", 5),
+    ],
+)
+def test_a_zero_denominator_is_a_dsl_error_at_its_column(parse, text, column):
+    with pytest.raises(DslError) as exc:
+        parse(text)
+    assert exc.value.position == column
+    assert str(exc.value).startswith("zero denominator in ")
+    assert S.parse_rational("10/20") == Fraction(1, 2)
+    assert S.parse_quad("1/10+1/20*sqrt(2)") == S.QuadValue.make(Fraction(1, 10), Fraction(1, 20), 2)
 
 
 def test_rational_coercion():
