@@ -177,8 +177,8 @@ def quotient(M: FiniteAlgebra, members: frozenset[Element]) -> tuple[FiniteAlgeb
     """The quotient by a normal ideal, with its projection map.
 
     Elements are congruent when both one-sided differences fall in the
-    ideal; the resulting tables are rebuilt from representatives and
-    revalidated against the axioms.
+    ideal; the resulting tables are rebuilt from representatives, and the
+    constructor decomposes them into chains, which checks them.
     """
     elems = carrier(M)
 

@@ -7,15 +7,17 @@ Two representations are supported:
   ``x (.) y = (x - u + y) v 0``, left negation ``x- = u - x`` and right
   negation ``x~ = -x + u``;
 * :class:`FiniteAlgebra` -- an explicit finite carrier with operation
-  tables, checked against the pseudo MV axiom list at construction;
-  ``finite_product`` builds the tables of a product of checked factors by
-  index arithmetic and skips the check.
+  tables.
 
-A finite algebra is a product of chains M(n_1) x ... x M(n_k).  Each
-instance finds this chain decomposition once, on first use
-(``FiniteAlgebra.decomposition``): the chain lengths and the integer
-coordinates of every element, checked against the tables.  The analyses of
-the whole carrier (chain lengths, ideals, square root mappings) read it.
+A finite pseudo MV-algebra is an MV-algebra and a product of chains
+M(n_1) x ... x M(n_k) (Mundici's Gamma functor; Dvurecenskij for the
+non-commutative version).  So the constructor's one check is to find this
+chain decomposition (``FiniteAlgebra.decomposition``): the chain lengths and
+the integer coordinates of every element, checked by whole-row comparisons
+against Lukasiewicz tables.  Tables that are not a product of chains raise
+``ParameterError``; every construction (chains, products, intervals,
+quotients) goes through it.  The analyses of the whole carrier (chain
+lengths, ideals, square roots) read the decomposition.
 
 Derived operations are defined uniformly from the primitive ones:
 ``x (.) y = (y- (+) x-)~``, ``x v y = x (+) (x~ (.) y)``,
@@ -74,22 +76,29 @@ class GammaAlgebra(Algebra):
 
 
 class FiniteAlgebra(Algebra):
-    """A finite pseudo MV-algebra given by operation tables."""
+    """A finite pseudo MV-algebra given by operation tables.
 
-    def __init__(self, values, oplus, lneg, rneg, zero, one, *, validate=True):
-        self.values = tuple(values)
+    The tables pass the axioms exactly when they are a product of chains, so
+    the one check is to find that decomposition, kept as ``decomposition``.
+    """
+
+    def __init__(self, values, oplus, lneg, rneg, zero, one):
+        try:
+            self.values = tuple(values)
+            self.oplus_t = tuple(map(tuple, oplus))
+            self.lneg_t = tuple(lneg)
+            self.rneg_t = tuple(rneg)
+            self.index = {v: i for i, v in enumerate(self.values)}
+        except TypeError:
+            raise ParameterError("the tables must be sequences and the values hashable") from None
         self.size = len(self.values)
-        self.oplus_t = tuple(tuple(row) for row in oplus)
-        self.lneg_t = tuple(lneg)
-        self.rneg_t = tuple(rneg)
         self.zero_i = zero
         self.one_i = one
-        self.index = {v: i for i, v in enumerate(self.values)}
+        _check_shape(self)
         if len(self.index) != self.size:
             raise ParameterError("carrier values must be pairwise distinct")
         self._derive_tables()
-        if validate:
-            self._validate()
+        self.decomposition = _decompose(self)
         self._fingerprint = (
             self.values,
             self.oplus_t,
@@ -113,53 +122,6 @@ class FiniteAlgebra(Algebra):
         # x v y = x (+) (x~ (.) y), x ^ y = x (.) (x- (+) y)
         self.join_t = tuple(tuple(map(op[i].__getitem__, od[ri])) for i, ri in enumerate(rn))
         self.meet_t = tuple(tuple(map(od[i].__getitem__, op[li])) for i, li in enumerate(ln))
-
-    def _validate(self):
-        n, op, ln, rn = self.size, self.oplus_t, self.lneg_t, self.rneg_t
-        zero, one = self.zero_i, self.one_i
-        rng = range(n)
-        if n == 0:
-            raise ParameterError("carrier must be non-empty")
-        for i in rng:
-            if op[i][zero] != i or op[zero][i] != i:
-                raise ParameterError(f"0 is not neutral at index {i}")
-            if op[i][one] != one or op[one][i] != one:
-                raise ParameterError(f"1 is not absorbing at index {i}")
-            if rn[ln[i]] != i or ln[rn[i]] != i:
-                raise ParameterError(f"negations are not mutually inverse at {i}")
-        if ln[one] != zero or rn[one] != zero:
-            raise ParameterError("negation of 1 must be 0")
-        od, jo = self.odot_t, self.join_t
-        for i in rng:
-            for j in rng:
-                if rn[op[ln[i]][ln[j]]] != ln[op[rn[i]][rn[j]]]:
-                    raise ParameterError(f"negation exchange fails at ({i},{j})")
-                a = jo[i][j]
-                if (
-                    a != op[j][od[rn[j]][i]]
-                    or a != op[od[i][ln[j]]][j]
-                    or a != op[od[j][ln[i]]][i]
-                ):
-                    raise ParameterError(f"join expressions disagree at ({i},{j})")
-                if od[i][op[ln[i]][j]] != od[op[i][rn[j]]][j]:
-                    raise ParameterError(f"meet expressions disagree at ({i},{j})")
-        if n == 1:
-            return  # 0 (+) 0 == 0 was checked above
-        # (i (+) j) (+) k == i (+) (j (+) k) for all k at once: row i (+) j of
-        # the table against row i gathered at the entries of row j
-        gather = [itemgetter(*row) for row in op]
-        for i in rng:
-            opi = op[i]
-            for j in rng:
-                if op[opi[j]] != gather[j](opi):
-                    k = next(k for k in rng if op[opi[j]][k] != opi[op[j][k]])
-                    raise ParameterError(f"(+) is not associative at ({i},{j},{k})")
-
-    @cached_property
-    def decomposition(self) -> ChainDecomposition:
-        """The algebra as a product of chains, found once per instance;
-        ``UnsupportedOperationError`` when the tables are not one."""
-        return _decompose(self)
 
     def __eq__(self, other):
         if self is other:
@@ -411,7 +373,7 @@ def finite_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
         rneg_t = [x * m + y for x in rneg_t for y in f.rneg_t]
         zero = zero * m + f.zero_i
         one = one * m + f.one_i
-    return FiniteAlgebra(values, oplus_t, lneg_t, rneg_t, zero, one, validate=False)
+    return FiniteAlgebra(values, oplus_t, lneg_t, rneg_t, zero, one)
 
 
 def product(algebras: list[Algebra]) -> Algebra:
@@ -472,13 +434,30 @@ def _degenerate() -> FiniteAlgebra:
 # decomposition and comparison
 
 
+def _check_shape(A: FiniteAlgebra) -> None:
+    """Every table entry, 0 and 1 must be an index into the carrier."""
+    n, op = A.size, A.oplus_t
+    if n == 0:
+        raise ParameterError("carrier must be non-empty")
+    if len(op) != n or len(A.lneg_t) != n or len(A.rneg_t) != n or any(len(r) != n for r in op):
+        raise ParameterError(f"(+) must be a {n}x{n} table and each negation have {n} entries")
+    entries = (*itertools.chain.from_iterable(op), *A.lneg_t, *A.rneg_t, A.zero_i, A.one_i)
+    # type first: a Fraction or a float equal to an index would pass the range test
+    if set(map(type, entries)) != {int} or not set(entries) <= set(range(n)):
+        raise ParameterError(f"table entries, 0 and 1 must be integers in [0, {n - 1}]")
+
+
 def _decompose(A: FiniteAlgebra) -> ChainDecomposition:
-    """Find the chains from the tables by index arithmetic, then check them."""
+    """Find the chains from the tables by index arithmetic, then check them;
+    ``ParameterError``, naming the failed check, when they are not a product
+    of chains, that is, not a pseudo MV-algebra."""
     n, op, jo, me = A.size, A.oplus_t, A.join_t, A.meet_t
     zero, one = A.zero_i, A.one_i
     skeleton = [b for b in range(n) if op[b][b] == b and b != zero]
-    # an atom meets every nonzero idempotent in 0 or in itself
-    atoms = [b for b in skeleton if set(map(me[b].__getitem__, skeleton)) <= {zero, b}]
+    # an atom meets every nonzero idempotent in 0 or in itself (zero is
+    # picked too, so that the itemgetter returns a tuple)
+    pick = itemgetter(zero, *skeleton)
+    atoms = [b for b in skeleton if set(pick(me[b])) <= {zero, b}]
     lengths, cols = [], []
     for a in atoms:
         # walk up [0, a] from 0 in steps of its least nonzero element g
@@ -492,33 +471,43 @@ def _decompose(A: FiniteAlgebra) -> ChainDecomposition:
             rank[op[x][g]] = rank[x] + 1
             x = op[x][g]
         if x != a:
-            raise UnsupportedOperationError("the tables are not a product of chains")
+            raise _not_chains(
+                f"steps of index {g} up from 0 (index {zero}) miss the idempotent at index {a}"
+            )
         lengths.append(rank[a])
         # coordinate of every carrier index: the rank of x ^ a in [0, a]
         cols.append([rank[row[a]] for row in me])
     coords = tuple(zip(*cols)) if cols else ((),) * n
     index = {c: x for x, c in enumerate(coords)}
-    # zero needs no test of its own: it alone has rank 0 on every walk
-    if (
-        any(None in col for col in cols)
-        or len(index) != n
-        or n != math.prod(m + 1 for m in lengths)
-        or coords[one] != tuple(lengths)
-        or not all(_lukasiewicz(A, col, m) for col, m in zip(cols, lengths))
-    ):
-        raise UnsupportedOperationError("the tables are not a product of chains")
+    # a misplaced 0 needs no test of its own: on tables that pass the rest,
+    # the true 0 is an atom whose walk never leaves the given one
+    numbered = not any(None in col for col in cols) and len(index) == n
+    if not numbered or n != math.prod(m + 1 for m in lengths):
+        raise _not_chains(f"the chains {tuple(lengths)} do not number the {n} elements one to one")
+    if coords[one] != tuple(lengths):
+        raise _not_chains("1 is not the top of every chain")
+    rows = [itemgetter(*row) for row in op]
+    for i, (col, m) in enumerate(zip(cols, lengths)):
+        if not _lukasiewicz(A, rows, col, m):
+            raise _not_chains(f"(+) or a negation is not Lukasiewicz's on chain {i} of M({m})")
     return ChainDecomposition(tuple(atoms), tuple(lengths), coords, index)
 
 
-def _lukasiewicz(A: FiniteAlgebra, col: list[int], m: int) -> bool:
+def _not_chains(why: str) -> ParameterError:
+    return ParameterError(f"the tables are not a product of chains: {why}")
+
+
+def _lukasiewicz(A: FiniteAlgebra, rows: list[itemgetter], col: list[int], m: int) -> bool:
     """Whether one coordinate carries (+) and both negations of A to those of
-    M(m): min(i + j, m) and m - i, compared a whole table row at a time."""
+    M(m): min(i + j, m) and m - i, compared a whole table row at a time;
+    ``rows[x]`` gathers row x of (+) out of a column."""
     neg = [m - c for c in col]
     if list(map(col.__getitem__, A.lneg_t)) != neg or list(map(col.__getitem__, A.rneg_t)) != neg:
         return False
-    luk = (list(range(k, m + 1)) + [m] * k for k in range(m + 1))  # min(k + j, m)
-    sums = [list(map(r.__getitem__, col)) for r in luk]
-    return all(list(map(col.__getitem__, row)) == sums[k] for row, k in zip(A.oplus_t, col))
+    # A has at least two elements, so itemgetters of n entries return tuples
+    at_col = itemgetter(*col)
+    sums = [at_col(tuple(range(k, m + 1)) + (m,) * k) for k in range(m + 1)]  # min(k + j, m)
+    return all(row(col) == sums[k] for row, k in zip(rows, col))
 
 
 def chain_decomposition(A: FiniteAlgebra) -> list[tuple[Element, int]]:
@@ -526,9 +515,10 @@ def chain_decomposition(A: FiniteAlgebra) -> list[tuple[Element, int]]:
 
     Returns ``[(atom, length), ...]``, atoms in carrier order, where
     ``[0, atom]`` is a chain with ``length + 1`` elements; the map
-    ``x -> (x ^ atom_i)_i`` is checked to be a bijection onto the product
-    that preserves (+), both negations, 0 and 1.  Raises
-    ``UnsupportedOperationError`` on tables that are not a chain product.
+    ``x -> (x ^ atom_i)_i`` is a bijection onto the product that preserves
+    (+), both negations, 0 and 1.  The constructor found and checked it, so
+    on a finite algebra this cannot fail; other algebras raise
+    ``UnsupportedOperationError``.
     """
     if not isinstance(A, FiniteAlgebra):
         raise UnsupportedOperationError("chain decomposition needs a finite algebra")

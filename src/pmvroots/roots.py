@@ -5,8 +5,9 @@ The square root of ``x`` is the element ``a`` (unique when it exists) with
 * Sq1: ``a (.) a == x``, and
 * Sq2: ``y (.) y <= x`` implies ``y <= a`` for every carrier element y.
 
-``sqrt_element_finite`` decides this definition by exhaustive search and
-serves as the oracle for every family-specific procedure:
+``sqrt_element_finite`` decides this definition by exhaustive search; the
+worked-example ledger calls it, and it serves as the oracle for every
+family-specific procedure:
 
 * ``sqrt_element_gamma`` uses the halving formula ``(x + u) / 2`` on
   Abelian group intervals whose unit is halvable; the halving step and
@@ -16,9 +17,10 @@ serves as the oracle for every family-specific procedure:
 * ``sqrt_element_twist3`` decides roots in the interval of the twisted
   ``Z^3`` group, where the unit is not central;
 * ``element_sqrt`` dispatches to the widest applicable procedure;
-* ``finite_roots`` reads the root of every element of a finite algebra off
-  its chain decomposition, in closed form; ``sqrt_map``, ``sqrt_zero`` and
-  the ambient stages of ``greatest_sqrt_subalgebra`` use it.
+* on a finite algebra, roots are read off its chain decomposition in closed
+  form, chain by chain (``_chain_root``): ``element_sqrt`` and ``sqrt_zero``
+  for one element, ``finite_roots`` for every element, which ``sqrt_map``
+  and the ambient stages of ``greatest_sqrt_subalgebra`` use.
 
 Negative answers carry a machine-checkable reason code and, where
 meaningful, a witness element.
@@ -119,7 +121,7 @@ def sqrt_in_subset(M: FiniteAlgebra, x: Element, allowed: frozenset[Element]) ->
 def sqrt_zero(A: pmv.Algebra) -> SqrtResult:
     """The largest nilpotent element (top of {y : y (.) y = 0}), if any."""
     if isinstance(A, FiniteAlgebra):
-        return _exists(finite_roots(A)[A.zero_i])  # floor(n/2) on each chain
+        return _finite_root(A, zero_elem(A))  # floor(n/2) on each chain
     payload = _zero_root_payload(A.desc)
     if payload is None:
         return _not_exists(NO_MAX, note="the nilpotent set is upward unbounded")
@@ -260,7 +262,7 @@ def element_sqrt(A: pmv.Algebra, x: Element) -> SqrtResult:
     if x.algebra != A:
         raise ParameterError("element does not belong to the algebra")
     if isinstance(A, FiniteAlgebra):
-        return sqrt_element_finite(A, x)
+        return _finite_root(A, x)
     desc = A.desc
     if desc == og.Twist3("Z"):
         return sqrt_element_twist3(A, x)
@@ -317,22 +319,37 @@ class SqrtMap:
     w: Element  # r(0)- (.) r(0)-
 
 
+def _chain_root(n: int, k: int) -> int | None:
+    """The root of k in M(n): floor(n/2) for k = 0, (k + n)/2 for k > 0 when
+    k + n is even, and otherwise None, as no a has a (.) a == k."""
+    if k == 0:
+        return n // 2
+    return (k + n) // 2 if (k + n) % 2 == 0 else None
+
+
+def _finite_root(M: FiniteAlgebra, x: Element) -> SqrtResult:
+    """The root of one element, coordinate by coordinate; a chain product
+    has no root that fails by Sq2 alone."""
+    dec = M.decomposition
+    r = tuple(map(_chain_root, dec.lengths, dec.coords[x.payload]))
+    if None in r:
+        return _not_exists(NO_CANDIDATE)
+    a = Element(M, dec.index[r])
+    check(odot(a, a) == x, "the chain root a has a (.) a == x")
+    return _exists(a)
+
+
 def finite_roots(M: FiniteAlgebra) -> list[Element | None]:
     """The square root of every carrier element, in carrier order; None
     where there is none.
 
-    Read off the chain decomposition coordinate by coordinate: in M(n) the
-    root of 0 is floor(n/2), that of k > 0 is (k + n)/2 when k + n is even,
-    and otherwise no a has a (.) a == k.  ``sqrt_element_finite`` decides
-    the same by search.
+    Read off the chain decomposition coordinate by coordinate with
+    ``_chain_root``; ``sqrt_element_finite`` decides the same by search.
     """
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("total mappings are computed on finite algebras")
     dec = M.decomposition
-    per_chain = [
-        [n // 2] + [(k + n) // 2 if (k + n) % 2 == 0 else None for k in range(1, n + 1)]
-        for n in dec.lengths
-    ]
+    per_chain = [[_chain_root(n, k) for k in range(n + 1)] for n in dec.lengths]
     out = []
     for c in dec.coords:
         r = tuple(roots_in[k] for roots_in, k in zip(per_chain, c))

@@ -1,12 +1,15 @@
 """The chain decomposition of finite algebras against the brute-force procedures.
 
-``FiniteAlgebra.decomposition`` finds the chains of a finite algebra by index
-arithmetic and checks them with whole-row comparisons; the ideal flags,
-``sqrt_map`` and the ambient stages of ``greatest_sqrt_subalgebra`` read it.
-The procedures it replaced are kept here as oracles: the atomic decomposition
-through interval tables, a product and a homomorphism check; the ideal
-definition and the normal, prime and Boolean scans; and the exhaustive root
-search ``sqrt_element_finite``.
+``FiniteAlgebra`` finds the chains of its tables at construction, by index
+arithmetic, and checks them with whole-row comparisons; that is its one
+check of the tables, and the ideal flags, the roots and the ambient stages
+of ``greatest_sqrt_subalgebra`` read it.  The procedures it replaced are
+kept as oracles: the atomic decomposition through interval tables, a
+product and a homomorphism check; the ideal definition and the normal,
+prime and Boolean scans; the exhaustive root search
+``sqrt_element_finite``; and the cell-by-cell axiom check
+``_verdict_cell_by_cell`` of ``tests/test_pmv.py``, which rejects every
+altered table that the constructor rejects.
 """
 
 import functools
@@ -17,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmvroots import dsl, ideals, pmv, roots
-from pmvroots.errors import CarrierError, ParameterError, UnsupportedOperationError
+from pmvroots.errors import ParameterError, UnsupportedOperationError
+from test_pmv import _verdict_cell_by_cell
 
 M = pmv.finite_mv_chain
 
@@ -203,6 +207,7 @@ def test_closed_form_roots_match_the_search(A):
     assert all(r.exists or r.reason == roots.NO_CANDIDATE for r in found.values())
     expected = [r.value if r.exists else None for r in found.values()]
     assert roots.finite_roots(A) == expected
+    assert all(roots.element_sqrt(A, x) == r for x, r in found.items())
     assert roots.sqrt_zero(A).value == found[pmv.zero_elem(A)].value
     smap = roots.sqrt_map(A)
     if None in expected:
@@ -215,14 +220,15 @@ def test_closed_form_roots_match_the_search(A):
 
 
 def altered(A, kind, cell, value):
-    """The tables of ``A`` with one entry of (+) or of a negation replaced."""
+    """The tables of ``A`` with one entry of (+) or of a negation replaced, as
+    the constructor takes them: (+), both negations, 0 and 1."""
     op = [list(row) for row in A.oplus_t]
     ln, rn = list(A.lneg_t), list(A.rneg_t)
     if kind == "oplus":
         op[cell[0]][cell[1]] = value
     else:
         (ln if kind == "lneg" else rn)[cell[0]] = value
-    return pmv.FiniteAlgebra(A.values, op, ln, rn, A.zero_i, A.one_i, validate=False)
+    return op, ln, rn, A.zero_i, A.one_i
 
 
 def every_alteration(A):
@@ -238,29 +244,35 @@ def every_alteration(A):
                     yield kind, (x,), v
 
 
-@pytest.mark.parametrize("lengths", [(3,), (1, 1), (1, 2)], ids=str)
+def assert_rejected(values, tables):
+    """The constructor and the cell-by-cell axiom oracle both reject."""
+    assert isinstance(_verdict_cell_by_cell(*tables), str)
+    with pytest.raises(ParameterError, match="^the tables are not a product of chains: "):
+        pmv.FiniteAlgebra(values, *tables)
+
+
+# every chain product of at most 12 elements, once up to isomorphism
+SMALL = [t for t in ORDERED if product_of(t).size <= 12 and list(t) == sorted(t)]
+
+
+def test_small_products_are_every_chain_product_up_to_12():
+    assert len(SMALL) == 20
+
+
+@pytest.mark.parametrize("lengths", SMALL, ids=str)
 def test_every_altered_cell_is_not_a_chain_product(lengths):
     A = product_of(lengths)
     for kind, cell, value in every_alteration(A):
-        B = altered(A, kind, cell, value)
-        with pytest.raises(UnsupportedOperationError):
-            pmv.chain_decomposition(B)
-        # the atomic procedure revalidates each interval first, so some
-        # alterations stop it there (ParameterError) or in a lookup of an
-        # element that the broken tables put outside an interval
-        with pytest.raises((UnsupportedOperationError, ParameterError, CarrierError, KeyError)):
-            chain_decomposition_oracle(B)
+        assert_rejected(A.values, altered(A, kind, cell, value))
 
 
-@pytest.mark.parametrize("lengths", [(3,), (1, 2), (2, 1, 1)], ids=str)
+@pytest.mark.parametrize("lengths", [t for t in ORDERED if product_of(t).size <= 12], ids=str)
 def test_a_misplaced_zero_or_one_is_not_a_chain_product(lengths):
     A = product_of(lengths)
     for x in range(A.size):
         for zero, one in ((x, A.one_i), (A.zero_i, x)):
             if (zero, one) != (A.zero_i, A.one_i):
-                B = pmv.FiniteAlgebra(A.values, A.oplus_t, A.lneg_t, A.rneg_t, zero, one, validate=False)
-                with pytest.raises(UnsupportedOperationError):
-                    pmv.chain_decomposition(B)
+                assert_rejected(A.values, (A.oplus_t, A.lneg_t, A.rneg_t, zero, one))
 
 
 # --- property test -----------------------------------------------------------------
@@ -282,7 +294,6 @@ def relabelled(draw):
         [perm[A.rneg_t[inv[i]]] for i in range(A.size)],
         perm[A.zero_i],
         perm[A.one_i],
-        validate=False,
     )
     return lengths, B
 
@@ -297,5 +308,4 @@ def test_relabelled_products_decompose_and_altered_ones_do_not(case, data):
     cell = tuple(data.draw(st.integers(0, n - 1)) for _ in range(2 if kind == "oplus" else 1))
     old = B.oplus_t[cell[0]][cell[1]] if kind == "oplus" else getattr(B, kind + "_t")[cell[0]]
     value = data.draw(st.integers(0, n - 1).filter(lambda v: v != old))
-    with pytest.raises(UnsupportedOperationError):
-        pmv.chain_decomposition(altered(B, kind, cell, value))
+    assert_rejected(B.values, altered(B, kind, cell, value))

@@ -508,11 +508,17 @@ def _verdict_cell_by_cell(op, ln, rn, zero, one):
 
 
 def _checked_tables(op, ln, rn, zero, one):
+    """The constructor's derived tables, or None when it rejects the tables."""
     try:
         A = pmv.FiniteAlgebra(range(len(op)), op, ln, rn, zero, one)
-    except ParameterError as exc:
-        return str(exc)
+    except ParameterError:
+        return None
     return A.odot_t, A.join_t, A.meet_t
+
+
+def _accepted(verdict):
+    """The oracle's verdict as the constructor gives it: tables or None."""
+    return None if isinstance(verdict, str) else verdict
 
 
 def test_derived_tables_and_axiom_checks_match_the_cell_by_cell_oracle():
@@ -526,13 +532,80 @@ def test_derived_tables_and_axiom_checks_match_the_cell_by_cell_oracle():
             op = [[max(i, j) if min(i, j) == 0 else n - 1 for j in range(n)] for i in range(n)]
             for (i, j), v in zip(inner, cells):
                 op[i][j] = op[j][i] = v
-            verdict = _checked_tables(op, neg, neg, 0, n - 1)
-            assert verdict == _verdict_cell_by_cell(op, neg, neg, 0, n - 1), op
+            verdict = _verdict_cell_by_cell(op, neg, neg, 0, n - 1)
+            assert _checked_tables(op, neg, neg, 0, n - 1) == _accepted(verdict), op
             verdicts.append(verdict if isinstance(verdict, str) else "ok")
+    assert len(verdicts) == 4**3 + 5**6
+    # M(1) x M(1), and M(3) and M(4) each in two orders of their middle
+    # elements that the chain negation reverses
+    assert verdicts.count("ok") == 5
     kinds = {v.split(" at ")[0] for v in verdicts}
-    assert {"ok", "(+) is not associative", "join expressions disagree",
+    assert {"(+) is not associative", "join expressions disagree",
             "meet expressions disagree"} <= kinds
     # finite chains and products, with one-sided negations left equal
     for A in finite_algebras():
         assert _verdict_cell_by_cell(A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i) == (
             A.odot_t, A.join_t, A.meet_t)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_every_chain_up_to_24_passes_the_cell_by_cell_oracle(n):
+    A = pmv.finite_mv_chain(n)
+    assert _verdict_cell_by_cell(A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i) == (
+        A.odot_t, A.join_t, A.meet_t)
+    assert A.decomposition.lengths == (n,)
+
+
+def _chain_tables(n):
+    """(+) and the negation of M(n)."""
+    rng = range(n + 1)
+    return [[min(i + j, n) for j in rng] for i in rng], [n - i for i in rng]
+
+
+def _malformed():
+    """Tables of M(2) with one defect of shape or range each."""
+    op, neg = _chain_tables(2)
+
+    def case(name, **change):
+        args = dict(values=range(3), oplus=op, lneg=neg, rneg=neg, zero=0, one=2)
+        args.update(change)
+        return pytest.param(args, id=name)
+
+    def entry(v):
+        return [[v, 1, 2]] + op[1:]
+
+    return [
+        case("empty carrier", values=[], oplus=[], lneg=[], rneg=[], zero=0, one=0),
+        case("entry past the carrier", oplus=entry(3)),
+        case("negative entry", oplus=entry(-1)),
+        case("fraction entry", oplus=entry(Fraction(0))),
+        case("float entry", oplus=entry(0.0)),
+        case("string entry", oplus=entry("0")),
+        case("None entry", oplus=entry(None)),
+        case("bool entry", oplus=entry(False)),
+        case("short (+) row", oplus=[[0, 1]] + op[1:]),
+        case("long (+) row", oplus=[[0, 1, 2, 2]] + op[1:]),
+        case("missing (+) row", oplus=op[:2]),
+        case("row that is not a sequence", oplus=[0] + op[1:]),
+        case("negation past the carrier", lneg=[2, 1, 3]),
+        case("negative negation", rneg=[2, 1, -3]),
+        case("short negation", lneg=[2, 1]),
+        case("zero past the carrier", zero=3),
+        case("negative zero", zero=-3),
+        case("negative one", one=-1),
+        case("fraction one", one=Fraction(2)),
+        case("unhashable values", values=[[0], [1], [2]]),
+        case("repeated values", values=[0, 1, 1]),
+    ]
+
+
+@pytest.mark.parametrize("args", _malformed())
+def test_malformed_tables_raise_parameter_error(args):
+    with pytest.raises(ParameterError):
+        pmv.FiniteAlgebra(**args)
+
+
+def test_the_unaltered_tables_of_the_malformed_cases_are_accepted():
+    op, neg = _chain_tables(2)
+    A = pmv.FiniteAlgebra(range(3), op, neg, neg, 0, 2)
+    assert A.decomposition.lengths == (2,)
