@@ -20,7 +20,12 @@ are recursive over the descriptor shape:
 * ``ProductGroup(factors)`` -- direct product with componentwise order.
 
 Scalar tags for the twisted families are ``"Z"`` (integers), ``"D"``
-(dyadic rationals) and ``"Q"`` (rationals).
+(dyadic rationals) and ``"Q"`` (rationals).  Payload coordinates are
+``Fraction``s, except that the ``"Z"``-tagged twisted groups store plain
+``int`` coordinates; membership is a question of value, so an integral
+``Fraction`` is a member too, and ``Fraction(n) == n`` with equal hashes.
+Halving stays exact: an odd ``int`` halves to a ``Fraction``, never to a
+``float``.
 
 Each family is one class that holds its payload laws as private methods
 (``_add``, ``_cmp``, ``_halve``, ...) and three flags (``_linear``,
@@ -42,12 +47,28 @@ SCALAR_TAGS = ("Z", "D", "Q")
 Payload = Union[Fraction, tuple]
 
 
-def _tag_member(tag: str, x: Fraction) -> bool:
+def _tag_member(tag: str, x) -> bool:
     if tag == "Z":
         return x.denominator == 1
     if tag == "D":
         return is_dyadic(x)
     return True
+
+
+def _int_if_integral(c):
+    """An integral value as an ``int``; any other rational stays a ``Fraction``,
+    which the carrier of the integers then rejects."""
+    if type(c) is int:
+        return c
+    q = rational(c)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _half(c):
+    """c / 2, exactly: an ``int`` when c is an even ``int``, else a ``Fraction``."""
+    if type(c) is int and not c & 1:
+        return c >> 1
+    return Fraction(c, 2)
 
 
 def _random_scalar(tag: str, rng, bound: int, exp: int) -> Fraction:
@@ -230,7 +251,12 @@ class QuadLattice(GroupDescriptor):
 @dataclass(frozen=True)
 class _Twisted(GroupDescriptor):
     """``arity``-tuples over a tagged scalar ring, ordered lexicographically,
-    unit (1,0,...,0); the last coordinate carries the twisting product."""
+    unit (1,0,...,0); the last coordinate carries the twisting product.
+
+    With tag ``"Z"`` the coordinates are plain ``int``s; with ``"D"`` and
+    ``"Q"`` they are ``Fraction``s.  Membership accepts either kind of
+    exact scalar by value.
+    """
 
     tag: str = "Z"
     _abelian = False
@@ -243,23 +269,29 @@ class _Twisted(GroupDescriptor):
     def _two_divisible(self):
         return self.tag in ("D", "Q")
 
+    @property
+    def _scalar(self):
+        return int if self.tag == "Z" else Fraction
+
     def _contains(self, p):
         return (
             isinstance(p, tuple)
             and len(p) == self.arity
-            and all(isinstance(c, Fraction) and _tag_member(self.tag, c) for c in p)
+            # exact scalars only: an int that is not a bool, or a Fraction
+            and all((type(c) is int or isinstance(c, Fraction)) and _tag_member(self.tag, c) for c in p)
         )
 
     def _normalize(self, raw):
         if len(raw) != self.arity:
             raise ValueError("wrong arity")
-        return tuple(rational(c) for c in raw)
+        return tuple(map(_int_if_integral if self.tag == "Z" else rational, raw))
 
     def _zero(self):
-        return (Fraction(0),) * self.arity
+        return (self._scalar(0),) * self.arity
 
     def _unit(self):
-        return (Fraction(1),) + (Fraction(0),) * (self.arity - 1)
+        s = self._scalar
+        return (s(1),) + (s(0),) * (self.arity - 1)
 
     def _cmp(self, p, q):
         for a, b in zip(p, q):
@@ -271,6 +303,8 @@ class _Twisted(GroupDescriptor):
         return math.floor(abs(p[0])) + 1
 
     def _random(self, rng, bound, exp):
+        if self.tag == "Z":
+            return tuple(rng.randint(-bound, bound) for _ in range(self.arity))
         return tuple(_random_scalar(self.tag, rng, bound, exp) for _ in range(self.arity))
 
     def _format(self, p):
@@ -290,11 +324,12 @@ class Twist3(_Twisted):
 
     def _halve(self, p):
         # h + h = (2h1, 2h2, 2h3 + h1*h2)
-        return (p[0] / 2, p[1] / 2, (p[2] - p[0] * p[1] / 4) / 2)
+        return (_half(p[0]), _half(p[1]), _half(p[2] - _half(_half(p[0] * p[1]))))
 
     def _witness(self):
         # u + (0,1,0) = (1,1,1) but (0,1,0) + u = (1,1,0)
-        return (Fraction(0), Fraction(1), Fraction(0))
+        s = self._scalar
+        return (s(0), s(1), s(0))
 
 
 class Twist4(_Twisted):
@@ -308,7 +343,7 @@ class Twist4(_Twisted):
 
     def _halve(self, p):
         # h + h = (2h1, 2h2, 2h3, 2h4 + h2*h3)
-        return (p[0] / 2, p[1] / 2, p[2] / 2, (p[3] - p[1] * p[2] / 4) / 2)
+        return (_half(p[0]), _half(p[1]), _half(p[2]), _half(p[3] - _half(_half(p[1] * p[2]))))
 
 
 class _Composite(GroupDescriptor):

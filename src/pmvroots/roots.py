@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 from . import ogroups as og
 from . import pmv
-from .errors import CarrierError, ParameterError, UnsupportedOperationError, check
+from .errors import ParameterError, UnsupportedOperationError, check
 from .pmv import (
     Element,
     FiniteAlgebra,
@@ -192,15 +193,20 @@ def sqrt_element_twist3(A: GammaAlgebra, x: Element) -> SqrtResult:
     if p[0] == 0:
         return _not_exists(NO_CANDIDATE, note="only 0 and head-1 pairs are squares")
     if p[1] % 2 == 0 and p[2] % 2 == 0:
-        a = element_of(A, (Fraction(1), p[1] / 2, p[2] / 2))
+        a = element_of(A, (1, p[1] // 2, p[2] // 2))
         check(odot(a, a) == x, "the twisted Z^3 root a has a (.) a == x")
         return _exists(a, note=_TWIST3_NOTE)
     return _not_exists(NO_CANDIDATE, note="head-1 squares have even coordinates")
 
 
-# the box has 2(2N+1)^2 elements and the nilpotent check compares pairs of
-# them, so its cost grows as N^4
+# the box has 2N(2N+1) + 2(N+1) elements, each squared once, and the
+# nilpotent verdict compares two maxima, so the cost grows as N^2
 MAX_BOX_BOUND = 16
+
+
+def _upper_pairs(bound: int) -> list[tuple[int, int]]:
+    """The pairs (b, c) >= (0, 0), lexicographically, with |b|, |c| <= bound."""
+    return [(b, c) for b in range(bound + 1) for c in range(-bound if b else 0, bound + 1)]
 
 
 def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
@@ -210,21 +216,26 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     [-bound, bound], 0 <= bound <= MAX_BOX_BOUND; the dominance of
     out-of-box elements follows from the lexicographic comparison recorded
     in the procedure's note.
+
+    The box is built from the order: (h, b, c) lies in [0, u] = [(0,0,0),
+    (1,0,0)] exactly when h = 0 and (b, c) >= (0, 0) lexicographically, or
+    h = 1 and (b, c) <= (0, 0), so no point outside the interval is tried;
+    each point still goes through ``element_of``.  The order of Twist3 is
+    linear, so the interval is a chain, and "every in-box nilpotent is
+    exceeded in the enlarged box" holds exactly when the largest in-box
+    nilpotent lies strictly below the largest nilpotent of the enlarged box.
     """
     if not 0 <= bound <= MAX_BOX_BOUND:
         raise ParameterError(f"the box bound must be between 0 and {MAX_BOX_BOUND}, not {bound}")
     res = sqrt_element_twist3(A, x)
     zero = zero_elem(A)
-    # each in-box element with its square; element_of keeps the box inside [0, u]
+    upper = _upper_pairs(bound)
+    # each in-box element with its square; (b, c) <= (0, 0) is (-b, -c) >= (0, 0)
     box = []
-    for b in range(-bound, bound + 1):
-        for c in range(-bound, bound + 1):
-            for h in (0, 1):
-                try:
-                    y = element_of(A, (Fraction(h), Fraction(b), Fraction(c)))
-                except CarrierError:
-                    continue
-                box.append((y, odot(y, y)))
+    for h, sign in ((0, 1), (1, -1)):
+        for b, c in upper:
+            y = element_of(A, (h, sign * b, sign * c))
+            box.append((y, odot(y, y)))
     agree = True
     detail = ""
     if res.exists:
@@ -237,22 +248,18 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
         agree = not any(sq == x for _, sq in box)
         detail = f"no in-box candidate among {len(box)} elements"
     else:  # no max of nilpotents
-        nil = [y for y, sq in box if sq == zero]
         # a finite box in a total order always has a top, so widen by one
-        # coordinate step: unboundedness shows as every in-box nilpotent
-        # being beaten inside the enlarged box
-        wider = []
-        for b in range(-bound - 1, bound + 2):
-            for c in range(-bound - 1, bound + 2):
-                try:
-                    w = element_of(A, (Fraction(0), Fraction(b), Fraction(c)))
-                except CarrierError:
-                    continue
-                if odot(w, w) == zero:
-                    wider.append(w)
-        agree = all(
-            any(leq(y, w) and y != w for w in wider) for y in nil
-        )
+        # coordinate step: unboundedness shows as the in-box top being
+        # beaten inside the enlarged box; 0 is in every box, so neither
+        # list is empty
+        nil = [y for y, sq in box if sq == zero]
+        wider = [
+            w
+            for w in (element_of(A, (0, b, c)) for b, c in _upper_pairs(bound + 1))
+            if odot(w, w) == zero
+        ]
+        top, wider_top = reduce(join, nil), reduce(join, wider)
+        agree = leq(top, wider_top) and top != wider_top
         detail = "every in-box nilpotent is exceeded in the enlarged box"
     return {"agrees": agree, "result": res, "detail": detail, "bound": bound}
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmvroots import ogroups as og
+from pmvroots import pmv
 from pmvroots import scalars as S
 from pmvroots.errors import CarrierError, PmvError
 
@@ -365,6 +366,66 @@ def test_carrier_validation():
         og.element(og.Twist3("Z"), (1, 2))
     assert og.element(og.ScaledInt(4), Fraction(3, 4)).payload == Fraction(3, 4)
     assert og.element(og.ScaledDyadic(3), Fraction(5, 6)).payload == Fraction(5, 6)
+
+
+def test_integer_twisted_carriers_hold_ints_by_value():
+    t3, t4 = og.Twist3("Z"), og.Twist4("Z")
+    assert og.contains(t3, (1, 2, 3))
+    assert og.contains(t3, (Fraction(1), Fraction(2), Fraction(3)))
+    assert not og.contains(t3, (1, Fraction(1, 2), 0))
+    assert not og.contains(t3, (1.0, 0, 0))
+    assert not og.contains(t3, (True, 0, 0))
+    with pytest.raises(CarrierError, match=r"^\(1,1/2,0\) is not in the carrier$"):
+        og.element(t3, (1, Fraction(1, 2), 0))
+    for desc, raw in ((t3, (1, -2, 3)), (t4, (1, -2, 3, -4))):
+        x = og.element(desc, tuple(map(Fraction, raw)))
+        y = og.element(desc, raw)
+        assert x == y and hash(x) == hash(y)
+        for g in (x, og.zero(desc), og.unit(desc), og.g_add(x, y), og.g_neg(x),
+                  og.mul_int(5, x), og.mul_int(-3, x)):
+            assert all(type(c) is int for c in g.payload), g.payload
+
+
+def _leaves(payload):
+    if isinstance(payload, tuple):
+        for c in payload:
+            yield from _leaves(c)
+    else:
+        yield payload
+
+
+def _assert_exact(payload):
+    """Every leaf scalar is an int that is not a bool, or a Fraction."""
+    for c in _leaves(payload):
+        assert type(c) is int or isinstance(c, Fraction), (payload, type(c).__name__)
+
+
+@pytest.mark.parametrize("desc", all_descriptors(), ids=lambda d: type(d).__name__ + repr(getattr(d, "n", getattr(d, "q", ""))))
+def test_every_operation_keeps_payloads_exact(desc):
+    rng = random.Random(53)
+    A = pmv.GammaAlgebra(desc)
+    xs = sample(desc, rng, 12)
+    for x, y in zip(xs, xs[1:]):
+        _assert_exact(x.payload)
+        # every double has its half, which must not pass through a float
+        assert og.try_halve(og.g_add(x, x)) == x
+        results = [og.element(desc, x.payload), og.g_add(x, y), og.g_neg(x),
+                   og.mul_int(3, x), og.mul_int(-2, x), og.try_halve(x)]
+        for g in results:
+            if g is not None:
+                _assert_exact(g.payload)
+        # into [0, u], then the algebra operations
+        a, b = (pmv.element_of(A, og.g_join(og.g_meet(g, A.unit), A.zero).payload) for g in (x, y))
+        for z in (a, b, pmv.odot(a, b), pmv.oplus(a, b)):
+            _assert_exact(z.payload)
+
+
+def test_odd_integer_twisted_coordinates_have_no_half():
+    desc = og.Twist3("Z")
+    for raw in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 0), (-4, 6, 5)):
+        assert og.try_halve(og.element(desc, raw)) is None, raw
+    half = og.try_halve(og.element(desc, (-4, 6, -10))).payload
+    assert half == (-2, 3, -2) and all(type(c) is int for c in half)
 
 
 def test_contains_matches_element():

@@ -273,6 +273,54 @@ def test_twist3_bounded_check_matches_the_oracle_at_bound_11(payload, reason):
     _assert_bounded_check_matches_oracle(A, x, 11)
 
 
+# coordinates beyond 64 bits, as the benchmark draws them
+WIDE = 2**70 + 12345
+DEEP = -(3**45)
+
+
+@pytest.mark.parametrize("payload, reason", [
+    ((1, -6, 4), None),
+    ((1, -2 * WIDE - 2, 2 * DEEP), None),
+    ((0, 3, -2), roots.NO_CANDIDATE),
+    ((0, WIDE + 1, DEEP), roots.NO_CANDIDATE),
+    ((1, -3, 5), roots.NO_CANDIDATE),
+    ((0, 0, 0), roots.NO_MAX),
+])
+def test_twist3_bounded_check_matches_the_oracle_at_the_cap(payload, reason):
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    x = pmv.element_of(A, payload)
+    assert roots.sqrt_element_twist3(A, x).reason == reason
+    _assert_bounded_check_matches_oracle(A, x, roots.MAX_BOX_BOUND)
+
+
+@pytest.mark.parametrize("bound", [0, 1, 5, 16])
+def test_twist3_box_is_built_from_the_order(bound, monkeypatch):
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    built, refused = [], []
+
+    def element_of(algebra, value):
+        try:
+            y = pmv.element_of(algebra, value)
+        except CarrierError:
+            refused.append(value)
+            raise
+        built.append(value)
+        return y
+
+    size = 2 * bound * (2 * bound + 1) + 2 * (bound + 1)
+    for payload in ((1, -6, 4), (0, 3, -2), (1, -3, 5), (0, 0, 0)):
+        x = pmv.element_of(A, payload)
+        built.clear()
+        monkeypatch.setattr(roots, "element_of", element_of)
+        report = roots.twist3_bounded_check(A, x, bound=bound)
+        monkeypatch.undo()
+        assert not refused, (payload, refused[:3])
+        if report["result"].reason == roots.NO_CANDIDATE:
+            # the box is every call: no root to build, no enlarged box
+            assert len(built) == len(set(built)) == size
+            assert report["detail"] == f"no in-box candidate among {size} elements"
+
+
 @pytest.mark.parametrize("bound", [-1, 17])
 def test_twist3_bounded_check_rejects_a_bound_outside_the_range(bound):
     A = pmv.GammaAlgebra(og.Twist3("Z"))
