@@ -307,13 +307,11 @@ def test_twist3_box_is_built_from_the_order(bound, monkeypatch):
         built.append(value)
         return y
 
+    monkeypatch.setattr(roots, "element_of", element_of)
     size = 2 * bound * (2 * bound + 1) + 2 * (bound + 1)
     for payload in ((1, -6, 4), (0, 3, -2), (1, -3, 5), (0, 0, 0)):
-        x = pmv.element_of(A, payload)
         built.clear()
-        monkeypatch.setattr(roots, "element_of", element_of)
-        report = roots.twist3_bounded_check(A, x, bound=bound)
-        monkeypatch.undo()
+        report = roots.twist3_bounded_check(A, pmv.element_of(A, payload), bound=bound)
         assert not refused, (payload, refused[:3])
         if report["result"].reason == roots.NO_CANDIDATE:
             # the box is every call: no root to build, no enlarged box
