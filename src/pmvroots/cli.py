@@ -43,6 +43,7 @@ from .errors import (
 from .ideals import (
     decomposition_by_w,
     enumerate_ideals,
+    ideal_top,
     is_bsi,
     nn12_element,
     partition_primes,
@@ -102,13 +103,6 @@ def _approximate(value) -> object:
 
 def _sorted_values(elems) -> list[str]:
     return [dsl.format_element_value(v) for v in sorted(pmv.value_of(x) for x in elems)]
-
-
-def _ideal_top(M: pmv.FiniteAlgebra, members) -> pmv.Element:
-    for x in members:
-        if all(pmv.leq(y, x) for y in members):
-            return x
-    raise ParameterError("member set has no top element")
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +310,8 @@ def _cmd_ideals(args) -> Report:
         ],
         "x1_tops": [_fmt(p.top) for p in part.x1],
         "x2_tops": [_fmt(p.top) for p in part.x2],
-        "i1_top": _fmt(_ideal_top(A, part.i1)),
-        "i2_top": _fmt(_ideal_top(A, part.i2)),
+        "i1_top": _fmt(ideal_top(A, part.i1)),
+        "i2_top": _fmt(ideal_top(A, part.i2)),
         "bsi": is_bsi(A, part=part),
     }
     a = nn12_element(A, part=part)

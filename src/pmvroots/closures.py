@@ -28,6 +28,7 @@ every element must reach the base group under repeated doubling.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,9 +257,7 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
     probe = og.unit(closed).payload
     if _claimed_exponent(base, closed, probe) is None:
         h = _criterion_counterexample(base, closed)
-        reachable = any(
-            og.contains(base, og.mul_int(2**n, h).payload) for n in range(41)
-        )
+        reachable = any(og.contains(base, d.payload) for d in _doublings(h, 41))
         if reachable:
             return CritResult(
                 ok=False,
@@ -286,6 +285,11 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
         samples_checked=samples,
         max_exponent_seen=max_seen,
     )
+
+
+def _doublings(h: og.GroupElement, count: int):
+    """h, 2h, 4h, ..., 2**(count - 1) h, one addition per step."""
+    return itertools.accumulate(range(count - 1), lambda d, _: og.g_add(d, d), initial=h)
 
 
 def _criterion_counterexample(base, closed) -> og.GroupElement:
@@ -326,13 +330,14 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
         raise ParameterError("element does not live in the closed algebra")
     if not og.is_abelian(base_desc):
         raise UnsupportedOperationError("the decomposition needs a commutative group")
-    g = og.GroupElement(closed_alg.desc, x.payload)
-    n = 0
-    while not og.contains(base_desc, og.mul_int(2**n, g).payload):
-        n += 1
-        if n > 128:
-            raise ParameterError(f"{x} never reaches the base group by doubling")
-    doubled = og.GroupElement(base_desc, og.mul_int(2**n, g).payload)
+    half = None  # 2**(n - 1) * x
+    for n, doubled in enumerate(_doublings(og.GroupElement(closed_alg.desc, x.payload), 129)):
+        if og.contains(base_desc, doubled.payload):
+            break
+        half = doubled
+    else:
+        raise ParameterError(f"{x} never reaches the base group by doubling")
+    doubled = og.GroupElement(base_desc, doubled.payload)
     base_alg = C.base_algebra()
     u = og.unit(base_desc)
     parts = []
@@ -346,7 +351,7 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
     for p in parts:
         total = og.g_add(total, og.GroupElement(base_desc, p.payload))
     check(total == doubled, "the parts sum to the doubled element")
-    minimal = n == 0 or not og.contains(base_desc, og.mul_int(2 ** (n - 1), g).payload)
+    minimal = n == 0 or not og.contains(base_desc, half.payload)
     return RdpDecomposition(n=n, parts=tuple(parts), minimal=minimal)
 
 

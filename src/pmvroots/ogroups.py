@@ -563,14 +563,16 @@ def mul_int(k: int, x: GroupElement) -> GroupElement:
     """k-fold sum of x with itself (valid in any group: x commutes with x)."""
     if k < 0:
         return g_neg(mul_int(-k, x))
-    acc = zero(x.desc)
-    base = x
+    # binary method: no term is added onto zero and nothing is doubled after
+    # the top bit, so k = 2**n costs n additions
+    acc = None
     while k:
         if k & 1:
-            acc = g_add(acc, base)
-        base = g_add(base, base)
+            acc = x if acc is None else g_add(acc, x)
         k >>= 1
-    return acc
+        if k:
+            x = g_add(x, x)
+    return zero(x.desc) if acc is None else acc
 
 
 # ---------------------------------------------------------------------------

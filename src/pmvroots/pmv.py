@@ -17,7 +17,9 @@ the integer coordinates of every element, checked by whole-row comparisons
 against Lukasiewicz tables.  Tables that are not a product of chains raise
 ``ParameterError``; every construction (chains, products, intervals,
 quotients) goes through it.  The analyses of the whole carrier (chain
-lengths, ideals, square roots) read the decomposition.
+lengths, ideals and quotients, square roots and the greatest subalgebra
+with roots) read the decomposition.  The tests keep the homomorphism check
+on ``Element`` maps, ``check_homomorphism``, as an oracle.
 
 Derived operations are defined uniformly from the primitive ones:
 ``x (.) y = (y- (+) x-)~``, ``x v y = x (+) (x~ (.) y)``,
@@ -543,34 +545,3 @@ def to_gamma_descriptor(A: FiniteAlgebra) -> og.GroupDescriptor:
 def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
     """Isomorphism of finite algebras via their chain length multisets."""
     return A.size == B.size and chain_lengths(A) == chain_lengths(B)
-
-
-def check_homomorphism(
-    mapping: dict[Element, Element],
-    M: Algebra,
-    N: Algebra,
-    *,
-    require_injective: bool = False,
-) -> tuple[bool, str | None]:
-    """Verify that ``mapping`` preserves (+), both negations, 0 and 1."""
-    if not isinstance(M, FiniteAlgebra):
-        raise UnsupportedOperationError("homomorphism checks need a finite domain")
-    elems = carrier(M)
-    for x in elems:
-        if x not in mapping:
-            return False, f"map is not total: {x} missing"
-    if mapping[zero_elem(M)] != zero_elem(N):
-        return False, "0 is not preserved"
-    if mapping[one_elem(M)] != one_elem(N):
-        return False, "1 is not preserved"
-    for x in elems:
-        if mapping[lneg(x)] != lneg(mapping[x]):
-            return False, f"left negation fails at {x}"
-        if mapping[rneg(x)] != rneg(mapping[x]):
-            return False, f"right negation fails at {x}"
-        for y in elems:
-            if mapping[oplus(x, y)] != oplus(mapping[x], mapping[y]):
-                return False, f"(+) fails at ({x},{y})"
-    if require_injective and len(set(mapping.values())) != len(elems):
-        return False, "map is not injective"
-    return True, None

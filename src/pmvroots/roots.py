@@ -20,7 +20,11 @@ family-specific procedure:
 * on a finite algebra, roots are read off its chain decomposition in closed
   form, chain by chain (``_chain_root``): ``element_sqrt`` and ``sqrt_zero``
   for one element, ``finite_roots`` for every element, which ``sqrt_map``
-  and the ambient stages of ``greatest_sqrt_subalgebra`` use.
+  uses; ``greatest_sqrt_subalgebra`` runs its stages chain by chain on
+  integer coordinates, for both quantifiers.
+
+The tests keep the element-level procedures these replaced as oracles: the
+relative quantifier ``sqrt_in_subset`` and the subalgebra scan.
 
 Negative answers carry a machine-checkable reason code and, where
 meaningful, a witness element.
@@ -28,6 +32,7 @@ meaningful, a witness element.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -101,18 +106,6 @@ def sqrt_element_finite(M: FiniteAlgebra, x: Element) -> SqrtResult:
             best, best_misses = a, misses
     return _not_exists(SQ2_VIOLATED, witness=best_misses[0],
                        note=f"candidate {best} does not dominate {best_misses[0]}")
-
-
-def sqrt_in_subset(M: FiniteAlgebra, x: Element, allowed: frozenset[Element]) -> SqrtResult:
-    """The defining conditions with both quantifiers restricted to ``allowed``."""
-    dominated = [y for y in allowed if leq(odot(y, y), x)]
-    candidates = [a for a in allowed if odot(a, a) == x]
-    for a in candidates:
-        if all(leq(y, a) for y in dominated):
-            return _exists(a)
-    if not candidates:
-        return _not_exists(NO_CANDIDATE)
-    return _not_exists(SQ2_VIOLATED)
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +494,30 @@ class GreatestSqrtResult:
         return self.subalgebra_flags[-1]
 
 
-def _is_subalgebra(M: FiniteAlgebra, subset: frozenset[Element]) -> bool:
-    if zero_elem(M) not in subset or one_elem(M) not in subset:
-        return False
-    for x in subset:
-        if lneg(x) not in subset or rneg(x) not in subset:
-            return False
-        for y in subset:
-            if oplus(x, y) not in subset:
-                return False
-    return True
+def _next_chain_stage(n: int, stage: frozenset[int], quantifier: str) -> frozenset[int]:
+    """One stage step on the chain M(n): k stays when its root is in the stage.
+
+    The quantifiers differ only at 0: ``ambient`` takes the root floor(n/2)
+    of M(n), ``relative`` the largest member of the stage that squares to 0
+    (at most n/2), which exists whenever 0 is in the stage.
+    """
+
+    def root(k):
+        if k == 0 and quantifier == "relative":
+            return max(j for j in stage if 2 * j <= n)
+        return _chain_root(n, k)
+
+    return frozenset(k for k in stage if root(k) in stage)
+
+
+def _is_chain_subalgebra(n: int, stage: frozenset[int]) -> bool:
+    """Whether a subset of M(n) holds 0 and 1 and is closed under n - x and
+    min(x + y, n)."""
+    return (
+        {0, n} <= stage
+        and all(n - x in stage for x in stage)
+        and all(min(x + y, n) in stage for x in stage for y in stage)
+    )
 
 
 def greatest_sqrt_subalgebra(M: FiniteAlgebra, quantifier: str = "ambient") -> GreatestSqrtResult:
@@ -519,28 +526,26 @@ def greatest_sqrt_subalgebra(M: FiniteAlgebra, quantifier: str = "ambient") -> G
     With the ``ambient`` quantifier, roots are taken in M itself; with the
     ``relative`` quantifier, both defining conditions are restricted to the
     current stage.  Iteration stops at the first fixpoint.
+
+    Roots and both quantifiers act chain by chain, so every stage is the
+    product of chain stages (``_next_chain_stage``), and it is a subalgebra
+    exactly when each chain stage is one.
     """
     if quantifier not in ("ambient", "relative"):
         raise ParameterError("quantifier must be 'ambient' or 'relative'")
     if M.size == 1:
         raise ParameterError("the one-element algebra is excluded")
-    if quantifier == "ambient":
-        ambient_root = dict(zip(carrier(M), finite_roots(M)))
-    current = frozenset(carrier(M))
+    dec = M.decomposition
+    chains = [frozenset(range(n + 1)) for n in dec.lengths]
+    size = M.size
     stages: list[frozenset[Element]] = []
+    flags: list[bool] = []
     while True:
-        if quantifier == "ambient":
-            # None (no root) is in no stage
-            nxt = frozenset(x for x in current if ambient_root[x] in current)
-        else:
-            nxt = frozenset(
-                x
-                for x in current
-                if (r := sqrt_in_subset(M, x, current)).exists and r.value in current
-            )
-        stages.append(nxt)
-        if nxt == current:
+        chains = [_next_chain_stage(n, s, quantifier) for n, s in zip(dec.lengths, chains)]
+        stages.append(frozenset(Element(M, dec.index[c]) for c in itertools.product(*chains)))
+        flags.append(all(map(_is_chain_subalgebra, dec.lengths, chains)))
+        # stages only shrink, so the first one of unchanged size is the fixpoint
+        if len(stages[-1]) == size:
             break
-        current = nxt
-    flags = tuple(_is_subalgebra(M, s) for s in stages)
-    return GreatestSqrtResult(quantifier, tuple(stages), flags)
+        size = len(stages[-1])
+    return GreatestSqrtResult(quantifier, tuple(stages), tuple(flags))

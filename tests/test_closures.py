@@ -152,6 +152,14 @@ def test_crit_planted_negative():
         assert not og.contains(og.ScaledInt(2), Fraction(2**n) * h)
 
 
+def test_crit_without_certificate_reports_a_reachable_pair():
+    # every dyadic already lies in Q, but no symbolic certificate covers the pair
+    res = cl.crit_check(og.Rationals(), og.ScaledDyadic(1))
+    assert not res.ok
+    assert res.detail == "no symbolic certificate covers this base/closure pair"
+    assert res.counterexample is None
+
+
 def test_crit_negative_on_containment_failure():
     res = cl.crit_check(og.ScaledDyadic(1), og.ScaledDyadic(3))
     assert not res.ok

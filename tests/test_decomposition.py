@@ -2,18 +2,22 @@
 
 ``FiniteAlgebra`` finds the chains of its tables at construction, by index
 arithmetic, and checks them with whole-row comparisons; that is its one
-check of the tables, and the ideal flags, the roots and the ambient stages
-of ``greatest_sqrt_subalgebra`` read it.  The procedures it replaced are
-kept as oracles: the atomic decomposition through interval tables, a
-product and a homomorphism check; the ideal definition and the normal,
-prime and Boolean scans; the exhaustive root search
-``sqrt_element_finite``; and the cell-by-cell axiom check
-``_verdict_cell_by_cell`` of ``tests/test_pmv.py``, which rejects every
-altered table that the constructor rejects.
+check of the tables, and the ideal flags, the quotients, the roots, the
+w-split and both quantifiers of ``greatest_sqrt_subalgebra`` read it.  The
+procedures it replaced are kept as oracles: the atomic decomposition
+through interval tables, a product and a homomorphism check
+(``check_homomorphism`` of ``tests/test_pmv.py``); the ideal definition and
+the normal, prime and Boolean scans; the congruence-class quotient; the
+exhaustive root search ``sqrt_element_finite``, its restriction to a subset
+``sqrt_in_subset`` and the element-level stage iteration with its
+subalgebra scan; and the cell-by-cell axiom check ``_verdict_cell_by_cell``
+of ``tests/test_pmv.py``, which rejects every altered table that the
+constructor rejects.
 """
 
 import functools
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +25,8 @@ from hypothesis import strategies as st
 
 from pmvroots import dsl, ideals, pmv, roots
 from pmvroots.errors import ParameterError, UnsupportedOperationError
-from test_pmv import _verdict_cell_by_cell
+from pmvroots.scalars import format_value
+from test_pmv import _verdict_cell_by_cell, check_homomorphism
 
 M = pmv.finite_mv_chain
 
@@ -61,7 +66,7 @@ def chain_decomposition_oracle(A):
             if len(factors) > 1
             else parts[0]
         )
-    ok, why = pmv.check_homomorphism(mapping, A, prod, require_injective=True)
+    ok, why = check_homomorphism(mapping, A, prod, require_injective=True)
     if not ok or len(set(mapping.values())) != prod.size:
         raise UnsupportedOperationError(f"atomic decomposition failed: {why}")
     return out
@@ -94,16 +99,78 @@ def ideal_flags_oracle(A, members):
     return normal, prime, boolean_ideal
 
 
-def ambient_stages_oracle(A, found):
-    """The ambient iteration of greatest_sqrt_subalgebra on searched roots."""
-    current = frozenset(pmv.carrier(A))
-    stages = []
+def sqrt_in_subset(A, x, allowed):
+    """The defining conditions of a root with both quantifiers restricted to
+    ``allowed``: a candidate a in it with a (.) a == x that dominates every y
+    in it with y (.) y <= x."""
+    dominated = [y for y in allowed if pmv.leq(pmv.odot(y, y), x)]
+    candidates = [a for a in allowed if pmv.odot(a, a) == x]
+    for a in candidates:
+        if all(pmv.leq(y, a) for y in dominated):
+            return roots.SqrtResult("exists", value=a)
+    if not candidates:
+        return roots.SqrtResult("not_exists", reason=roots.NO_CANDIDATE)
+    return roots.SqrtResult("not_exists", reason=roots.SQ2_VIOLATED)
+
+
+def is_subalgebra(A, subset):
+    """``subset`` holds 0 and 1 and is closed under both negations and (+)."""
+    if pmv.zero_elem(A) not in subset or pmv.one_elem(A) not in subset:
+        return False
+    for x in subset:
+        if pmv.lneg(x) not in subset or pmv.rneg(x) not in subset:
+            return False
+        for y in subset:
+            if pmv.oplus(x, y) not in subset:
+                return False
+    return True
+
+
+def greatest_oracle(A, quantifier):
+    """The stage iteration of greatest_sqrt_subalgebra on elements, with the
+    subalgebra scan of each stage: roots are searched in A (ambient) or in
+    the current stage (relative)."""
+    full = frozenset(pmv.carrier(A))
+    ambient = {x: sqrt_in_subset(A, x, full) for x in full} if quantifier == "ambient" else None
+    current, stages = full, []
     while True:
+        found = ambient or {x: sqrt_in_subset(A, x, current) for x in current}
         nxt = frozenset(x for x in current if found[x].exists and found[x].value in current)
         stages.append(nxt)
         if nxt == current:
-            return stages
+            return stages, [is_subalgebra(A, s) for s in stages]
         current = nxt
+
+
+def quotient_oracle(A, members):
+    """The quotient by congruence classes: x ~ y when both one-sided
+    differences lie in the ideal; each class is represented by its first
+    element, the tables are rebuilt from the representatives and the
+    projection is checked to be a homomorphism."""
+    classes, where = [], {}
+    for x in pmv.carrier(A):
+        for k, cls in enumerate(classes):
+            if pmv.ominus(x, cls[0]) in members and pmv.ominus(cls[0], x) in members:
+                cls.append(x)
+                where[x] = k
+                break
+        else:
+            where[x] = len(classes)
+            classes.append([x])
+    reps = [cls[0] for cls in classes]
+    Q = pmv.FiniteAlgebra(
+        [f"[{format_value(pmv.value_of(r))}]" for r in reps],
+        [[where[pmv.oplus(a, b)] for b in reps] for a in reps],
+        [where[pmv.lneg(a)] for a in reps],
+        [where[pmv.rneg(a)] for a in reps],
+        where[pmv.zero_elem(A)],
+        where[pmv.one_elem(A)],
+    )
+    projection = {x: pmv.Element(Q, where[x]) for x in pmv.carrier(A)}
+    ok, why = check_homomorphism(projection, A, Q)
+    if not ok:
+        raise ParameterError(f"not a congruence: {why}")
+    return Q, projection
 
 
 # --- presentations -----------------------------------------------------------------
@@ -214,9 +281,107 @@ def test_closed_form_roots_match_the_search(A):
         assert smap is None
     else:
         assert smap.mapping == dict(zip(pmv.carrier(A), expected))
-    if A.size > 1:
-        greatest = roots.greatest_sqrt_subalgebra(A, "ambient")
-        assert list(greatest.stages) == ambient_stages_oracle(A, found)
+
+
+def test_sqrt_in_subset_detects_domination_failure():
+    # In M1 x M2 the root of (1, 0) is (1, 1/2); with that element removed
+    # the candidate (1, 0) remains but no longer dominates (0, 1/2).
+    A = product_of((1, 2))
+    allowed = frozenset(
+        pmv.element_of(A, v)
+        for v in (
+            (Fraction(0), Fraction(0)),
+            (Fraction(0), Fraction(1, 2)),
+            (Fraction(1), Fraction(0)),
+        )
+    )
+    x = pmv.element_of(A, (Fraction(1), Fraction(0)))
+    r = sqrt_in_subset(A, x, allowed)
+    assert r.status == "not_exists"
+    assert r.reason == roots.SQ2_VIOLATED
+    # restricting to a chain never trips the domination clause
+    C = M(4)
+    chain_allowed = frozenset(
+        pmv.element_of(C, v) for v in (Fraction(0), Fraction(1, 4), Fraction(1))
+    )
+    rc = sqrt_in_subset(C, pmv.element_of(C, Fraction(0)), chain_allowed)
+    assert rc.status == "exists"
+    assert pmv.value_of(rc.value) == Fraction(1, 4)
+
+
+def both_orders(limit):
+    """Every chain-length multiset of at most ``limit`` elements, in ascending
+    and in descending factor order."""
+    return sorted(
+        {t for m in ORDERED if product_of(m).size <= limit and list(m) == sorted(m) for t in (m, m[::-1])}
+    )
+
+
+def test_both_orders_cover_every_multiset_up_to_64():
+    assert len({tuple(sorted(t)) for t in both_orders(64)}) == 197
+
+
+GREATEST_CASES = [pytest.param(product_of(t), id=str(t)) for t in both_orders(64)] + [
+    pytest.param(A, id=name) for name, A in OTHERS.items() if A.size > 1
+]
+
+
+@pytest.mark.parametrize("A", GREATEST_CASES)
+@pytest.mark.parametrize("quantifier", ["ambient", "relative"])
+def test_greatest_chain_by_chain_matches_the_element_iteration(A, quantifier):
+    res = roots.greatest_sqrt_subalgebra(A, quantifier)
+    stages, flags = greatest_oracle(A, quantifier)
+    assert list(res.stages) == stages
+    assert list(res.subalgebra_flags) == flags
+
+
+def test_chain_subalgebra_flag_matches_the_scan_on_every_subset():
+    # the stages the iteration reaches are closed under (+) whenever they
+    # are closed under negation, so the flag is checked on every subset
+    for n in range(1, 7):
+        A = M(n)
+        for bits in itertools.product((False, True), repeat=n + 1):
+            stage = frozenset(k for k, b in enumerate(bits) if b)
+            subset = frozenset(pmv.Element(A, k) for k in stage)
+            assert roots._is_chain_subalgebra(n, stage) == is_subalgebra(A, subset), (n, stage)
+
+
+QUOTIENT_CASES = both_orders(32)
+
+
+def test_quotient_cases_hold_574_ideals():
+    assert sum(len(ideals.enumerate_ideals(product_of(t))) for t in QUOTIENT_CASES) == 574
+
+
+@pytest.mark.parametrize("lengths", QUOTIENT_CASES, ids=str)
+def test_quotient_by_coordinates_matches_the_congruence_classes(lengths):
+    A = product_of(lengths)
+    for info in ideals.enumerate_ideals(A):
+        Q, projection = ideals.quotient(A, info.members)
+        Q_oracle, projection_oracle = quotient_oracle(A, info.members)
+        assert Q == Q_oracle
+        assert projection == projection_oracle
+
+
+BOOLEAN = [product_of((1,) * k) for k in range(1, 7)] + [
+    dsl.parse_algebra(text)
+    for text in (
+        "prod(prod(M(1),M(1)),M(1))",
+        "prod(M(1),prod(M(1),M(1)))",
+        "prod(prod(M(1),M(1)),prod(M(1),M(1)))",
+        "prod(prod(M(1),prod(M(1),M(1))),prod(M(1),M(1),M(1)))",
+    )
+]
+
+
+@pytest.mark.parametrize("A", BOOLEAN, ids=lambda A: f"{A.size} elements, top {format_value(A.values[-1])}")
+def test_w_split_is_an_isomorphism(A):
+    dec = ideals.decomposition_by_w(A)
+    P = pmv.finite_product([dec.boolean_part, dec.strict_part])
+    ok, why = check_homomorphism(dec.mapping, A, P, require_injective=True)
+    assert ok, why
+    assert len(set(dec.mapping.values())) == P.size
+    assert dec.boolean_part_is_boolean and dec.strict_part_map_strict and dec.induced_root_matches
 
 
 def altered(A, kind, cell, value):

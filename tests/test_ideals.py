@@ -1,6 +1,7 @@
 """Tests for ideal enumeration, prime partitions, quotients, and w-splitting."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,31 @@ def test_quotient_shapes():
     assert Qf.size == 1
     # projection is onto
     assert len(set(proj1.values())) == Q1.size
+
+
+def test_quotient_rejects_a_set_that_is_not_an_ideal():
+    P = pmv.finite_product([M(1), M(2)])
+    Q = M(3)
+    half, one = pmv.element_of(P, (Fraction(0), Fraction(1, 2))), pmv.element_of(P, (Fraction(0), Fraction(1)))
+    cases = [
+        (frozenset(), "the set is empty"),
+        (frozenset({half}), "the join (0,1/2) of its members is not idempotent"),
+        (frozenset({pmv.zero_elem(P), one}), "it misses elements below the join (0,1) of its members"),
+        (frozenset({pmv.zero_elem(Q)}), "the set holds elements of another algebra"),
+    ]
+    for members, why in cases:
+        with pytest.raises(ParameterError, match=rf"^not an ideal: {re.escape(why)}$"):
+            ideals.quotient(P, members)
+
+
+def test_quotient_labels_print_values_as_written():
+    P = pmv.finite_product([M(1), M(2)])
+    by_top = {pmv.value_of(i.top): i for i in ideals.enumerate_ideals(P)}
+    Q, _ = ideals.quotient(P, by_top[(Fraction(1), Fraction(0))].members)
+    assert Q.values == ("[(0,0)]", "[(0,1/2)]", "[(0,1)]")
+    # a quotient of a quotient keeps the labels as they are
+    Q2, _ = ideals.quotient(Q, frozenset({pmv.zero_elem(Q)}))
+    assert Q2.values == ("[[(0,0)]]", "[[(0,1/2)]]", "[[(0,1)]]")
 
 
 # --- prime partitions and BSI ---------------------------------------------------------

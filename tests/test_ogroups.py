@@ -119,10 +119,22 @@ def test_mul_int_matches_repeated_addition():
     for desc in all_descriptors():
         for x in sample(desc, rng, 6):
             acc = og.zero(desc)
-            for k in range(7):
+            for k in range(21):
                 assert og.mul_int(k, x) == acc
                 assert og.mul_int(-k, x) == og.g_neg(acc)
                 acc = og.g_add(acc, x)
+
+
+def test_doubling_costs_one_addition_per_step(monkeypatch):
+    calls = []
+    add = og.g_add
+    monkeypatch.setattr(og, "g_add", lambda x, y: calls.append(1) or add(x, y))
+    for desc in (og.ScaledInt(3), og.Twist4("Z")):
+        x = og.unit(desc)
+        for n in range(9):
+            calls.clear()
+            og.mul_int(2**n, x)
+            assert len(calls) == n, (desc, n)
 
 
 # --- order and lattice laws -------------------------------------------------

@@ -89,32 +89,6 @@ def test_failure_reason_constants():
     assert z.status == "not_exists" and z.reason == roots.NO_MAX
 
 
-def test_sqrt_in_subset_detects_domination_failure():
-    # In M1 x M2 the root of (1, 0) is (1, 1/2); with that element removed
-    # the candidate (1, 0) remains but no longer dominates (0, 1/2).
-    A = pmv.finite_product([M(1), M(2)])
-    allowed = frozenset(
-        pmv.element_of(A, v)
-        for v in (
-            (Fraction(0), Fraction(0)),
-            (Fraction(0), Fraction(1, 2)),
-            (Fraction(1), Fraction(0)),
-        )
-    )
-    x = pmv.element_of(A, (Fraction(1), Fraction(0)))
-    r = roots.sqrt_in_subset(A, x, allowed)
-    assert r.status == "not_exists"
-    assert r.reason == roots.SQ2_VIOLATED
-    # restricting to a chain never trips the domination clause
-    C = M(4)
-    chain_allowed = frozenset(
-        pmv.element_of(C, v) for v in (Fraction(0), Fraction(1, 4), Fraction(1))
-    )
-    rc = roots.sqrt_in_subset(C, pmv.element_of(C, Fraction(0)), chain_allowed)
-    assert rc.status == "exists"
-    assert pmv.value_of(rc.value) == Fraction(1, 4)
-
-
 # --- interval algebras over groups ------------------------------------------------
 
 
