@@ -6,8 +6,8 @@ Two representations are supported:
   lattice-ordered group, with ``x (+) y = (x + y) ^ u``,
   ``x (.) y = (x - u + y) v 0``, left negation ``x- = u - x`` and right
   negation ``x~ = -x + u``;
-* :class:`FiniteAlgebra` -- an explicit finite carrier with operation
-  tables.
+* :class:`FiniteAlgebra` -- an explicit finite carrier with the tables of
+  (+) and of both negations.
 
 A finite pseudo MV-algebra is an MV-algebra and a product of chains
 M(n_1) x ... x M(n_k) (Mundici's Gamma functor; Dvurecenskij for the
@@ -17,13 +17,16 @@ the integer coordinates of every element, checked by whole-row comparisons
 against Lukasiewicz tables.  Tables that are not a product of chains raise
 ``ParameterError``; every construction (chains, products, intervals,
 quotients) goes through it.  The analyses of the whole carrier (chain
-lengths, ideals and quotients, square roots and the greatest subalgebra
-with roots) read the decomposition.  The tests keep the homomorphism check
-on ``Element`` maps, ``check_homomorphism``, as an oracle.
+lengths, ideals and quotients, intervals, square roots and the greatest
+subalgebra with roots) read the decomposition.  The tests keep the
+homomorphism check on ``Element`` maps, ``check_homomorphism``, as an
+oracle.
 
-Derived operations are defined uniformly from the primitive ones:
+Derived operations are defined uniformly from the primitive ones, and a
+finite algebra computes them from its three tables by these formulas:
 ``x (.) y = (y- (+) x-)~``, ``x v y = x (+) (x~ (.) y)``,
-``x ^ y = (x (.) (x- (+) y))`` and ``x -> y = x- (+) y``.
+``x ^ y = (x (.) (x- (+) y))``, ``x -> y = x- (+) y``, and ``x <= y``
+exactly when ``x- (+) y = 1``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, le, sub
 from typing import NamedTuple, Union
 
 from . import ogroups as og
@@ -78,7 +81,9 @@ class GammaAlgebra(Algebra):
 
 
 class FiniteAlgebra(Algebra):
-    """A finite pseudo MV-algebra given by operation tables.
+    """A finite pseudo MV-algebra given by the tables of (+) and of both
+    negations, on carrier indices; the derived operations are computed from
+    them.
 
     The tables pass the axioms exactly when they are a product of chains, so
     the one check is to find that decomposition, kept as ``decomposition``.
@@ -99,31 +104,12 @@ class FiniteAlgebra(Algebra):
         _check_shape(self)
         if len(self.index) != self.size:
             raise ParameterError("carrier values must be pairwise distinct")
-        self._derive_tables()
         self.decomposition = _decompose(self)
-        self._fingerprint = (
-            self.values,
-            self.oplus_t,
-            self.lneg_t,
-            self.rneg_t,
-            self.zero_i,
-            self.one_i,
-        )
-        # elements hash their algebra on every set or dict operation
-        self._hash = hash(self._fingerprint)
-
-    def _derive_tables(self):
-        # each row is a composition of table rows, gathered with map
-        op, ln, rn = self.oplus_t, self.lneg_t, self.rneg_t
-        columns = tuple(zip(*op))  # columns[b][a] == op[a][b]
-        # x (.) y = (y- (+) x-)~: odot_t[i][j] == rn[op[ln[j]][ln[i]]]
-        self.odot_t = tuple(
-            tuple(map(rn.__getitem__, map(columns[li].__getitem__, ln))) for li in ln
-        )
-        od = self.odot_t
-        # x v y = x (+) (x~ (.) y), x ^ y = x (.) (x- (+) y)
-        self.join_t = tuple(tuple(map(op[i].__getitem__, od[ri])) for i, ri in enumerate(rn))
-        self.meet_t = tuple(tuple(map(od[i].__getitem__, op[li])) for i, li in enumerate(ln))
+        tables = (self.oplus_t, self.lneg_t, self.rneg_t, self.zero_i, self.one_i)
+        self._fingerprint = (self.values, *tables)
+        # elements hash their algebra on every set or dict operation; ``index``
+        # has hashed the values, so the hash takes the integer tables only
+        self._hash = hash(tables)
 
     def __eq__(self, other):
         if self is other:
@@ -237,12 +223,18 @@ def oplus(x: Element, y: Element) -> Element:
     return Element(A, A.oplus_t[x.payload][y.payload])
 
 
+def _odot(A: FiniteAlgebra, i: int, j: int) -> int:
+    """x (.) y = (y- (+) x-)~ on carrier indices."""
+    ln = A.lneg_t
+    return A.rneg_t[A.oplus_t[ln[j]][ln[i]]]
+
+
 def odot(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         s = og.g_add(og.g_add(_group(x), A.neg_unit), _group(y))
         return Element(A, og.g_join(s, A.zero).payload)
-    return Element(A, A.odot_t[x.payload][y.payload])
+    return Element(A, _odot(A, x.payload, y.payload))
 
 
 def lneg(x: Element) -> Element:
@@ -263,14 +255,18 @@ def join(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         return Element(A, og.g_join(_group(x), _group(y)).payload)
-    return Element(A, A.join_t[x.payload][y.payload])
+    # x v y = x (+) (x~ (.) y)
+    i = x.payload
+    return Element(A, A.oplus_t[i][_odot(A, A.rneg_t[i], y.payload)])
 
 
 def meet(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         return Element(A, og.g_meet(_group(x), _group(y)).payload)
-    return Element(A, A.meet_t[x.payload][y.payload])
+    # x ^ y = x (.) (x- (+) y)
+    i = x.payload
+    return Element(A, _odot(A, i, A.oplus_t[A.lneg_t[i]][y.payload]))
 
 
 def arrow(x: Element, y: Element) -> Element:
@@ -282,7 +278,7 @@ def leq(x: Element, y: Element) -> bool:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         return og.g_leq(_group(x), _group(y))
-    return A.join_t[x.payload][y.payload] == y.payload
+    return A.oplus_t[A.lneg_t[x.payload]][y.payload] == A.one_i  # x- (+) y == 1
 
 
 def ominus(x: Element, y: Element) -> Element:
@@ -400,15 +396,17 @@ def interval(A: Algebra, b: Element) -> Algebra:
     if not is_boolean_elem(b):
         raise ParameterError("interval bound must be idempotent")
     if isinstance(A, FiniteAlgebra):
-        keep = [i for i in range(A.size) if leq(Element(A, i), b)]
-        pos = {i: k for k, i in enumerate(keep)}
-        bm = b.payload
-        me, op, ln, rn = A.meet_t, A.oplus_t, A.lneg_t, A.rneg_t
-        values = [A.values[i] for i in keep]
-        oplus_t = [[pos[me[op[i][j]][bm]] for j in keep] for i in keep]
-        lneg_t = [pos[me[ln[i]][bm]] for i in keep]
-        rneg_t = [pos[me[rn[i]][bm]] for i in keep]
-        return FiniteAlgebra(values, oplus_t, lneg_t, rneg_t, pos[A.zero_i], pos[bm])
+        # [0, b] holds the coordinates up to those of b, in carrier order; it
+        # is closed under (+), and both of its negations are top - c
+        dec = A.decomposition
+        top = dec.coords[b.payload]
+        keep = [x for x, c in enumerate(dec.coords) if all(map(le, c, top))]
+        pos = {x: k for k, x in enumerate(keep)}
+        op = A.oplus_t
+        values = [A.values[x] for x in keep]
+        oplus_t = [[pos[op[x][y]] for y in keep] for x in keep]
+        neg = [pos[dec.index[tuple(map(sub, top, dec.coords[x]))]] for x in keep]
+        return FiniteAlgebra(values, oplus_t, neg, neg, pos[A.zero_i], pos[b.payload])
     desc = A.desc
     if b == one_elem(A):
         return A
@@ -450,22 +448,26 @@ def _check_shape(A: FiniteAlgebra) -> None:
 
 
 def _decompose(A: FiniteAlgebra) -> ChainDecomposition:
-    """Find the chains from the tables by index arithmetic, then check them;
-    ``ParameterError``, naming the failed check, when they are not a product
-    of chains, that is, not a pseudo MV-algebra."""
-    n, op, jo, me = A.size, A.oplus_t, A.join_t, A.meet_t
+    """Find the chains from (+) and the negations by index arithmetic, then
+    check them; ``ParameterError``, naming the failed check, when they are
+    not a product of chains, that is, not a pseudo MV-algebra.
+
+    x <= y is tested as x- (+) y == 1, and x ^ a as x (.) a, which it equals
+    for an idempotent a.
+    """
+    n, op, ln, rn = A.size, A.oplus_t, A.lneg_t, A.rneg_t
     zero, one = A.zero_i, A.one_i
     skeleton = [b for b in range(n) if op[b][b] == b and b != zero]
-    # an atom meets every nonzero idempotent in 0 or in itself (zero is
-    # picked too, so that the itemgetter returns a tuple)
-    pick = itemgetter(zero, *skeleton)
-    atoms = [b for b in skeleton if set(pick(me[b])) <= {zero, b}]
+    # an atom meets every nonzero idempotent c in 0 or in itself, where
+    # b ^ c = b (.) c = (c- (+) b-)~
+    neg_rows = [op[ln[c]] for c in skeleton]
+    atoms = [b for b in skeleton if {rn[row[ln[b]]] for row in neg_rows} <= {zero, b}]
     lengths, cols = [], []
     for a in atoms:
         # walk up [0, a] from 0 in steps of its least nonzero element g
         g = a
         for x in range(n):
-            if jo[x][g] == g and x != zero:
+            if op[ln[x]][g] == one and x != zero:
                 g = x
         rank = [None] * n
         rank[zero], x = 0, zero
@@ -477,8 +479,10 @@ def _decompose(A: FiniteAlgebra) -> ChainDecomposition:
                 f"steps of index {g} up from 0 (index {zero}) miss the idempotent at index {a}"
             )
         lengths.append(rank[a])
-        # coordinate of every carrier index: the rank of x ^ a in [0, a]
-        cols.append([rank[row[a]] for row in me])
+        # coordinate of every carrier index: the rank of x ^ a = x (.) a =
+        # (a- (+) x-)~ in [0, a]
+        row = op[ln[a]]
+        cols.append([rank[rn[row[lx]]] for lx in ln])
     coords = tuple(zip(*cols)) if cols else ((),) * n
     index = {c: x for x, c in enumerate(coords)}
     # a misplaced 0 needs no test of its own: on tables that pass the rest,

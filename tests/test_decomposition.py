@@ -10,9 +10,11 @@ through interval tables, a product and a homomorphism check
 the normal, prime and Boolean scans; the congruence-class quotient; the
 exhaustive root search ``sqrt_element_finite``, its restriction to a subset
 ``sqrt_in_subset`` and the element-level stage iteration with its
-subalgebra scan; and the cell-by-cell axiom check ``_verdict_cell_by_cell``
-of ``tests/test_pmv.py``, which rejects every altered table that the
-constructor rejects.
+subalgebra scan; the cut of ``interval`` from the meet table; and the
+cell-by-cell axiom check ``_verdict_cell_by_cell`` of ``tests/test_pmv.py``,
+which rejects every altered table that the constructor rejects.  The
+oracles on tables read the derived tables of ``derived_tables_of``, built
+from (+) and the negations in the tests, not ``pmv``'s operations.
 """
 
 import functools
@@ -26,7 +28,7 @@ from hypothesis import strategies as st
 from pmvroots import dsl, ideals, pmv, roots
 from pmvroots.errors import ParameterError, UnsupportedOperationError
 from pmvroots.scalars import format_value
-from test_pmv import _verdict_cell_by_cell, check_homomorphism
+from test_pmv import _verdict_cell_by_cell, check_homomorphism, derived_tables_of
 
 M = pmv.finite_mv_chain
 
@@ -76,9 +78,10 @@ def is_ideal(A, members):
     """``members`` (carrier indices) contains 0 and is downward and (+)-closed."""
     if A.zero_i not in members:
         return False
+    _, jo, _ = derived_tables_of(A)
     for x in members:
         for y in range(A.size):
-            if A.join_t[y][x] == x and y not in members:
+            if jo[y][x] == x and y not in members:
                 return False
         for y in members:
             if A.oplus_t[x][y] not in members:
@@ -89,7 +92,8 @@ def is_ideal(A, members):
 def ideal_flags_oracle(A, members):
     """(normal, prime, Boolean) of an ideal (carrier indices), by scanning the
     carrier: the scans ``enumerate_ideals`` ran on elements, on the tables."""
-    elems, op, me, ln = range(A.size), A.oplus_t, A.meet_t, A.lneg_t
+    elems, op, ln = range(A.size), A.oplus_t, A.lneg_t
+    _, _, me = derived_tables_of(A)
     normal = all({op[x][i] for i in members} == {op[i][x] for i in members} for x in elems)
     prime = all(
         me[x][y] not in members or x in members or y in members
@@ -97,6 +101,24 @@ def ideal_flags_oracle(A, members):
     )
     boolean_ideal = all(me[x][ln[x]] in members for x in elems)
     return normal, prime, boolean_ideal
+
+
+def interval_oracle(A, b):
+    """[0, b] cut from the tables: the carrier indices x with x v b == b, in
+    carrier order, with (+) and both negations met with b."""
+    _, jo, me = derived_tables_of(A)
+    bm = b.payload
+    keep = [i for i in range(A.size) if jo[i][bm] == bm]
+    pos = {i: k for k, i in enumerate(keep)}
+    op, ln, rn = A.oplus_t, A.lneg_t, A.rneg_t
+    return pmv.FiniteAlgebra(
+        [A.values[i] for i in keep],
+        [[pos[me[op[i][j]][bm]] for j in keep] for i in keep],
+        [pos[me[ln[i]][bm]] for i in keep],
+        [pos[me[rn[i]][bm]] for i in keep],
+        pos[A.zero_i],
+        pos[bm],
+    )
 
 
 def sqrt_in_subset(A, x, allowed):
@@ -251,10 +273,17 @@ def test_coordinates_of_a_product_are_its_factor_values():
 @pytest.mark.parametrize("A", [pytest.param(A, id=name) for name, A in OTHERS.items()])
 def test_coordinates_are_ranks_in_the_atomic_chains(A):
     dec = A.decomposition
+    _, jo, me = derived_tables_of(A)
     for x, c in enumerate(dec.coords):
         for atom, k in zip(dec.atoms, c):
-            m = A.meet_t[x][atom]
-            assert k == sum(A.join_t[y][m] == m for y in range(A.size)) - 1
+            m = me[x][atom]
+            assert k == sum(jo[y][m] == m for y in range(A.size)) - 1
+
+
+@pytest.mark.parametrize("A", CASES)
+def test_interval_by_coordinates_matches_the_table_cut(A):
+    for b in pmv.boolean_skeleton(A):
+        assert pmv.interval(A, b) == interval_oracle(A, b), pmv.value_of(b)
 
 
 @pytest.mark.parametrize("A", CASES)

@@ -1,5 +1,6 @@
 """Tests for the algebra layer: unit intervals, operations, products, intervals."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -499,15 +500,67 @@ def test_distinct_algebras_of_one_size_are_unequal():
             assert len({pmv.zero_elem(A), pmv.zero_elem(B)}) == 2
 
 
+class CountedValue:
+    """A carrier value that counts the calls of its ``__hash__``."""
+
+    calls = 0
+
+    def __init__(self, k):
+        self.k = k
+
+    def __eq__(self, other):
+        return isinstance(other, CountedValue) and self.k == other.k
+
+    def __hash__(self):
+        CountedValue.calls += 1
+        return hash(self.k)
+
+
+def test_a_construction_hashes_each_carrier_value_once():
+    op, neg = _chain_tables(5)
+    values = [CountedValue(k) for k in range(6)]
+    CountedValue.calls = 0
+    A = pmv.FiniteAlgebra(values, op, neg, neg, 0, 5)
+    assert CountedValue.calls == 6
+    B = pmv.FiniteAlgebra(range(6), op, neg, neg, 0, 5)
+    assert hash(A) == hash(B) and CountedValue.calls == 6
+    # the hash leaves the values out; equality still compares them
+    assert A != B and B != A
+    assert A == pmv.FiniteAlgebra([CountedValue(k) for k in range(6)], op, neg, neg, 0, 5)
+
+
+def derived_tables(op, ln, rn):
+    """The tables of (.), v and ^ from (+) and the negations, cell by cell:
+    x (.) y = (y- (+) x-)~, x v y = x (+) (x~ (.) y), x ^ y = x (.) (x- (+) y)."""
+    rng = range(len(op))
+    od = tuple(tuple(rn[op[ln[j]][ln[i]]] for j in rng) for i in rng)
+    jo = tuple(tuple(op[i][od[rn[i]][j]] for j in rng) for i in rng)
+    me = tuple(tuple(od[i][op[ln[i]][j]] for j in rng) for i in rng)
+    return od, jo, me
+
+
+@functools.cache
+def derived_tables_of(A):
+    """``derived_tables`` of a finite algebra, built once per algebra."""
+    return derived_tables(A.oplus_t, A.lneg_t, A.rneg_t)
+
+
+def operation_tables(A):
+    """The tables that ``pmv.odot``, ``join`` and ``meet`` give over the carrier."""
+    elems = pmv.carrier(A)
+    return tuple(
+        tuple(tuple(f(x, y).payload for y in elems) for x in elems)
+        for f in (pmv.odot, pmv.join, pmv.meet)
+    )
+
+
 def _verdict_cell_by_cell(op, ln, rn, zero, one):
     """The derived tables and the axiom checks cell by cell: the oracle.
 
     Returns ``(odot, join, meet)`` or the message of the first failed check.
     """
-    n, rng = len(op), range(len(op))
-    od = tuple(tuple(rn[op[ln[j]][ln[i]]] for j in rng) for i in rng)
-    jo = tuple(tuple(op[i][od[rn[i]][j]] for j in rng) for i in rng)
-    me = tuple(tuple(od[i][op[ln[i]][j]] for j in rng) for i in rng)
+    rng = range(len(op))
+    od, jo, me = derived_tables(op, ln, rn)
     for i in rng:
         if op[i][zero] != i or op[zero][i] != i:
             return f"0 is not neutral at index {i}"
@@ -533,12 +586,13 @@ def _verdict_cell_by_cell(op, ln, rn, zero, one):
 
 
 def _checked_tables(op, ln, rn, zero, one):
-    """The constructor's derived tables, or None when it rejects the tables."""
+    """The derived operations' tables of the constructed algebra, or None
+    when the constructor rejects the tables."""
     try:
         A = pmv.FiniteAlgebra(range(len(op)), op, ln, rn, zero, one)
     except ParameterError:
         return None
-    return A.odot_t, A.join_t, A.meet_t
+    return operation_tables(A)
 
 
 def _accepted(verdict):
@@ -569,15 +623,15 @@ def test_derived_tables_and_axiom_checks_match_the_cell_by_cell_oracle():
             "meet expressions disagree"} <= kinds
     # finite chains and products, with one-sided negations left equal
     for A in finite_algebras():
-        assert _verdict_cell_by_cell(A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i) == (
-            A.odot_t, A.join_t, A.meet_t)
+        tables = (A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i)
+        assert _verdict_cell_by_cell(*tables) == operation_tables(A)
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_every_chain_up_to_24_passes_the_cell_by_cell_oracle(n):
     A = pmv.finite_mv_chain(n)
-    assert _verdict_cell_by_cell(A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i) == (
-        A.odot_t, A.join_t, A.meet_t)
+    tables = (A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i)
+    assert _verdict_cell_by_cell(*tables) == operation_tables(A)
     assert A.decomposition.lengths == (n,)
 
 
