@@ -182,9 +182,10 @@ def _cmd_sqrt(args) -> Report:
 
 
 def _sqrtmap_finite(M: pmv.FiniteAlgebra) -> Report:
-    smap = roots.sqrt_map(M)
+    found = roots.finite_roots(M)
+    smap = roots.sqrt_map(M, found)
     if smap is None:
-        witness = pmv.Element(M, roots.finite_roots(M).index(None))
+        witness = pmv.Element(M, found.index(None))
         return Report(
             "absent",
             {"reason": "some element has no square root", "witness": _fmt(witness)},

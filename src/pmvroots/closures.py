@@ -205,7 +205,8 @@ def _claimed_exponent(base: og.GroupDescriptor, closed: og.GroupDescriptor, payl
             return 0
         if not (base.tag == "Z" and closed.tag == "D"):
             return None
-        # 2^n-fold sum is (2^n a, 2^n b, 2^n c, 2^n d + 2^(n-1)(2^n - 1) b c)
+        # the 2^n-fold sum is (2^n a, 2^n b, 2^n c, 2^n d + 2^(n-1)(2^n - 1) b c),
+        # Twist4._mul at k = 2^n
         exps = [dyadic_exponent(c) for c in payload]
         bc = payload[1] * payload[2]
         return max(*exps, (dyadic_exponent(bc) + 1) if bc else 0)
@@ -243,7 +244,9 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
 
     ``base`` may also be a :class:`ClosureDescriptor`, in which case its
     own pairing is checked.  The symbolic exponent certificate is
-    re-verified on pseudo-random elements by explicit repeated addition.
+    re-verified on pseudo-random elements: each sample's 2**n-fold sum is
+    the group's integer multiple, computed in closed form per family, and
+    must lie in the base group.
     """
     if isinstance(base, ClosureDescriptor):
         base, closed = base.base_descriptor(), base.closed_descriptor()
@@ -268,16 +271,19 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
             detail=f"no doubling of {h} lands in the base group",
             counterexample=h,
         )
+    # the samples stay payloads, the draws those of og.random_element; only a
+    # counterexample is boxed
     rng = random.Random(seed)
     max_seen = 0
     for _ in range(samples):
-        h = og.random_element(closed, rng, coord_bound=3, exp_bound=5)
-        n = _claimed_exponent(base, closed, h.payload)
+        h = closed._random(rng, 3, 5)
+        n = _claimed_exponent(base, closed, h)
         if n is None:
-            return CritResult(False, f"certificate has no exponent for {h}", h)
-        doubled = og.mul_int(2**n, h)
-        if not og.contains(base, doubled.payload):
-            return CritResult(False, f"2^{n} * {h} is not in the base group", h)
+            g = og.GroupElement(closed, h)
+            return CritResult(False, f"certificate has no exponent for {g}", g)
+        if not base._contains(closed._mul(2**n, h)):
+            g = og.GroupElement(closed, h)
+            return CritResult(False, f"2^{n} * {g} is not in the base group", g)
         max_seen = max(max_seen, n)
     return CritResult(
         ok=True,

@@ -28,8 +28,11 @@ Halving stays exact: an odd ``int`` halves to a ``Fraction``, never to a
 ``float``.
 
 Each family is one class that holds its payload laws as private methods
-(``_add``, ``_cmp``, ``_halve``, ...) and three flags (``_linear``,
+(``_add``, ``_mul``, ``_cmp``, ``_halve``, ...) and three flags (``_linear``,
 ``_abelian``, ``_two_divisible``); the module-level functions are the API.
+``_mul(k, p)`` is the k-fold sum of p for k >= 0 in closed form; for the
+twisted families it carries the binomial C(k, 2) = k * (k - 1) // 2, an
+exact integer.
 """
 
 from __future__ import annotations
@@ -118,6 +121,9 @@ class _Rank1(GroupDescriptor):
 
     def _add(self, p, q):
         return p + q
+
+    def _mul(self, k, p):
+        return k * p
 
     def _neg(self, p):
         return -p
@@ -220,6 +226,9 @@ class QuadLattice(GroupDescriptor):
     def _add(self, p, q):
         return (p[0] + q[0], p[1] + q[1])
 
+    def _mul(self, k, p):
+        return (k * p[0], k * p[1])
+
     def _neg(self, p):
         return (-p[0], -p[1])
 
@@ -319,6 +328,10 @@ class Twist3(_Twisted):
     def _add(self, p, q):
         return (p[0] + q[0], p[1] + q[1], p[2] + q[2] + p[0] * q[1])
 
+    def _mul(self, k, p):
+        # the i-th addition adds (i*a)*b to the last coordinate, C(k, 2)*a*b in all
+        return (k * p[0], k * p[1], k * p[2] + k * (k - 1) // 2 * p[0] * p[1])
+
     def _neg(self, p):
         return (-p[0], -p[1], -p[2] + p[0] * p[1])
 
@@ -337,6 +350,9 @@ class Twist4(_Twisted):
 
     def _add(self, p, q):
         return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3] + p[1] * q[2])
+
+    def _mul(self, k, p):
+        return (k * p[0], k * p[1], k * p[2], k * p[3] + k * (k - 1) // 2 * p[1] * p[2])
 
     def _neg(self, p):
         return (-p[0], -p[1], -p[2], -p[3] + p[1] * p[2])
@@ -374,6 +390,9 @@ class _Composite(GroupDescriptor):
 
     def _add(self, p, q):
         return tuple(f._add(a, b) for f, a, b in zip(self.parts, p, q))
+
+    def _mul(self, k, p):
+        return tuple(f._mul(k, a) for f, a in zip(self.parts, p))
 
     def _neg(self, p):
         return tuple(f._neg(a) for f, a in zip(self.parts, p))
@@ -560,19 +579,12 @@ def g_sub(x: GroupElement, y: GroupElement) -> GroupElement:
 
 
 def mul_int(k: int, x: GroupElement) -> GroupElement:
-    """k-fold sum of x with itself (valid in any group: x commutes with x)."""
+    """k-fold sum of x with itself, in closed form per family; (-k) x is
+    -(k x) (valid in any group: x commutes with x)."""
+    desc = x.desc
     if k < 0:
-        return g_neg(mul_int(-k, x))
-    # binary method: no term is added onto zero and nothing is doubled after
-    # the top bit, so k = 2**n costs n additions
-    acc = None
-    while k:
-        if k & 1:
-            acc = x if acc is None else g_add(acc, x)
-        k >>= 1
-        if k:
-            x = g_add(x, x)
-    return zero(x.desc) if acc is None else acc
+        return GroupElement(desc, desc._neg(desc._mul(-k, x.payload)))
+    return GroupElement(desc, desc._mul(k, x.payload))
 
 
 # ---------------------------------------------------------------------------

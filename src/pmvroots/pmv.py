@@ -165,9 +165,7 @@ def element_of(algebra: Algebra, value) -> Element:
     """Build a carrier element from a structured value."""
     if isinstance(algebra, GammaAlgebra):
         g = og.element(algebra.desc, value)
-        lo = og.g_cmp(algebra.zero, g)
-        hi = og.g_cmp(g, algebra.unit)
-        if lo is None or lo > 0 or hi is None or hi > 0:
+        if not _in_unit_interval_p(algebra, g.payload):
             raise CarrierError(f"{g} is outside the unit interval")
         return Element(algebra, g.payload)
     if isinstance(value, int):
@@ -207,8 +205,39 @@ def carrier(A: Algebra) -> list[Element]:
     return [Element(A, i) for i in range(A.size)]
 
 
-def _group(x: Element) -> og.GroupElement:
-    return og.GroupElement(x.algebra.desc, x.payload)
+# ---------------------------------------------------------------------------
+# the operations of a group interval on payloads; the boxed operations below
+# delegate to them, and loops that stay in one algebra call them directly
+
+
+def _oplus_p(A: GammaAlgebra, p, q):
+    """(p + q) ^ u."""
+    d = A.desc
+    return d._meet(d._add(p, q), A.unit.payload)
+
+
+def _odot_p(A: GammaAlgebra, p, q):
+    """(p - u + q) v 0."""
+    d = A.desc
+    return d._join(d._add(d._add(p, A.neg_unit.payload), q), A.zero.payload)
+
+
+def _join_p(A: GammaAlgebra, p, q):
+    return A.desc._join(p, q)
+
+
+def _meet_p(A: GammaAlgebra, p, q):
+    return A.desc._meet(p, q)
+
+
+def _leq_p(A: GammaAlgebra, p, q) -> bool:
+    c = A.desc._cmp(p, q)
+    return c is not None and c <= 0
+
+
+def _in_unit_interval_p(A: GammaAlgebra, p) -> bool:
+    """0 <= p <= u, for a payload of the carrier."""
+    return _leq_p(A, A.zero.payload, p) and _leq_p(A, p, A.unit.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +247,7 @@ def _group(x: Element) -> og.GroupElement:
 def oplus(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
-        s = og.g_add(_group(x), _group(y))
-        return Element(A, og.g_meet(s, A.unit).payload)
+        return Element(A, _oplus_p(A, x.payload, y.payload))
     return Element(A, A.oplus_t[x.payload][y.payload])
 
 
@@ -232,29 +260,28 @@ def _odot(A: FiniteAlgebra, i: int, j: int) -> int:
 def odot(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
-        s = og.g_add(og.g_add(_group(x), A.neg_unit), _group(y))
-        return Element(A, og.g_join(s, A.zero).payload)
+        return Element(A, _odot_p(A, x.payload, y.payload))
     return Element(A, _odot(A, x.payload, y.payload))
 
 
 def lneg(x: Element) -> Element:
     A = x.algebra
     if isinstance(A, GammaAlgebra):
-        return Element(A, og.g_sub(A.unit, _group(x)).payload)
+        return Element(A, A.desc._add(A.unit.payload, A.desc._neg(x.payload)))  # u - x
     return Element(A, A.lneg_t[x.payload])
 
 
 def rneg(x: Element) -> Element:
     A = x.algebra
     if isinstance(A, GammaAlgebra):
-        return Element(A, og.g_add(og.g_neg(_group(x)), A.unit).payload)
+        return Element(A, A.desc._add(A.desc._neg(x.payload), A.unit.payload))  # -x + u
     return Element(A, A.rneg_t[x.payload])
 
 
 def join(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
-        return Element(A, og.g_join(_group(x), _group(y)).payload)
+        return Element(A, _join_p(A, x.payload, y.payload))
     # x v y = x (+) (x~ (.) y)
     i = x.payload
     return Element(A, A.oplus_t[i][_odot(A, A.rneg_t[i], y.payload)])
@@ -263,7 +290,7 @@ def join(x: Element, y: Element) -> Element:
 def meet(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
-        return Element(A, og.g_meet(_group(x), _group(y)).payload)
+        return Element(A, _meet_p(A, x.payload, y.payload))
     # x ^ y = x (.) (x- (+) y)
     i = x.payload
     return Element(A, _odot(A, i, A.oplus_t[A.lneg_t[i]][y.payload]))
@@ -277,7 +304,7 @@ def arrow(x: Element, y: Element) -> Element:
 def leq(x: Element, y: Element) -> bool:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
-        return og.g_leq(_group(x), _group(y))
+        return _leq_p(A, x.payload, y.payload)
     return A.oplus_t[A.lneg_t[x.payload]][y.payload] == A.one_i  # x- (+) y == 1
 
 

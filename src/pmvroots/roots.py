@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 from . import ogroups as og
 from . import pmv
@@ -202,6 +202,25 @@ def _upper_pairs(bound: int) -> list[tuple[int, int]]:
     return [(b, c) for b in range(bound + 1) for c in range(-bound if b else 0, bound + 1)]
 
 
+def _twist3_box(A: GammaAlgebra, bound: int, heads=(0, 1)) -> list[tuple[int, int, int]]:
+    """The payloads (h, b, c) of [0, u] with h in ``heads`` and |b|, |c| <= bound.
+
+    They are built from the order: (h, b, c) lies in [0, u] = [(0,0,0),
+    (1,0,0)] exactly when h = 0 and (b, c) >= (0, 0) lexicographically, or
+    h = 1 and (b, c) <= (0, 0), that is (-b, -c) >= (0, 0).  Each point is
+    checked as ``element_of`` checks a value: in the carrier and in [0, u].
+    """
+    contains = A.desc._contains
+    box = []
+    for h in heads:
+        sign = 1 - 2 * h
+        for b, c in _upper_pairs(bound):
+            p = (h, sign * b, sign * c)
+            check(contains(p) and pmv._in_unit_interval_p(A, p), "a box point lies in [0, u]")
+            box.append(p)
+    return box
+
+
 def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     """Re-verify the twisted-Z^3 verdict against the definition on a box.
 
@@ -210,49 +229,41 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     out-of-box elements follows from the lexicographic comparison recorded
     in the procedure's note.
 
-    The box is built from the order: (h, b, c) lies in [0, u] = [(0,0,0),
-    (1,0,0)] exactly when h = 0 and (b, c) >= (0, 0) lexicographically, or
-    h = 1 and (b, c) <= (0, 0), so no point outside the interval is tried;
-    each point still goes through ``element_of``.  The order of Twist3 is
-    linear, so the interval is a chain, and "every in-box nilpotent is
-    exceeded in the enlarged box" holds exactly when the largest in-box
-    nilpotent lies strictly below the largest nilpotent of the enlarged box.
+    The box is built from the order (``_twist3_box``), so no point outside
+    the interval is tried, and it is squared and compared on payloads.  The
+    order of Twist3 is linear, so the interval is a chain, and "every in-box
+    nilpotent is exceeded in the enlarged box" holds exactly when the
+    largest in-box nilpotent lies strictly below the largest nilpotent of
+    the enlarged box.
     """
     if not 0 <= bound <= MAX_BOX_BOUND:
         raise ParameterError(f"the box bound must be between 0 and {MAX_BOX_BOUND}, not {bound}")
     res = sqrt_element_twist3(A, x)
-    zero = zero_elem(A)
-    upper = _upper_pairs(bound)
-    # each in-box element with its square; (b, c) <= (0, 0) is (-b, -c) >= (0, 0)
-    box = []
-    for h, sign in ((0, 1), (1, -1)):
-        for b, c in upper:
-            y = element_of(A, (h, sign * b, sign * c))
-            box.append((y, odot(y, y)))
+    odot_p, leq_p = pmv._odot_p, pmv._leq_p
+    xp, zero = x.payload, A.zero.payload
+    box = _twist3_box(A, bound)
+    squares = [odot_p(A, p, p) for p in box]
     agree = True
     detail = ""
     if res.exists:
-        a = res.value
-        dominated = [y for y, sq in box if leq(sq, x)]
-        bad = [y for y in dominated if not leq(y, a)]
-        agree = odot(a, a) == x and not bad
+        a = res.value.payload
+        dominated = [p for p, sq in zip(box, squares) if leq_p(A, sq, xp)]
+        bad = [p for p in dominated if not leq_p(A, p, a)]
+        agree = odot_p(A, a, a) == xp and not bad
         detail = f"verified against {len(dominated)} in-box dominated elements"
     elif res.reason == NO_CANDIDATE:
-        agree = not any(sq == x for _, sq in box)
+        agree = xp not in squares
         detail = f"no in-box candidate among {len(box)} elements"
     else:  # no max of nilpotents
         # a finite box in a total order always has a top, so widen by one
         # coordinate step: unboundedness shows as the in-box top being
         # beaten inside the enlarged box; 0 is in every box, so neither
         # list is empty
-        nil = [y for y, sq in box if sq == zero]
-        wider = [
-            w
-            for w in (element_of(A, (0, b, c)) for b, c in _upper_pairs(bound + 1))
-            if odot(w, w) == zero
-        ]
-        top, wider_top = reduce(join, nil), reduce(join, wider)
-        agree = leq(top, wider_top) and top != wider_top
+        nil = [p for p, sq in zip(box, squares) if sq == zero]
+        wider = [w for w in _twist3_box(A, bound + 1, heads=(0,)) if odot_p(A, w, w) == zero]
+        join_p = partial(pmv._join_p, A)
+        top, wider_top = reduce(join_p, nil), reduce(join_p, wider)
+        agree = leq_p(A, top, wider_top) and top != wider_top
         detail = "every in-box nilpotent is exceeded in the enlarged box"
     return {"agrees": agree, "result": res, "detail": detail, "bound": bound}
 
@@ -357,9 +368,13 @@ def finite_roots(M: FiniteAlgebra) -> list[Element | None]:
     return out
 
 
-def sqrt_map(M: FiniteAlgebra) -> SqrtMap | None:
-    """The total square root mapping of a finite algebra, or None."""
-    found = finite_roots(M)
+def sqrt_map(M: FiniteAlgebra, found: list[Element | None] | None = None) -> SqrtMap | None:
+    """The total square root mapping of a finite algebra, or None.
+
+    ``found`` is ``finite_roots(M)`` when the caller has it already.
+    """
+    if found is None:
+        found = finite_roots(M)
     if None in found:
         return None
     mapping = dict(zip(carrier(M), found))

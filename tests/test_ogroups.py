@@ -114,27 +114,56 @@ def test_twist_negation_formulas():
         assert og.g_add(og.element(t4, p), og.element(t4, got)) == og.zero(t4)
 
 
+def _leaf_types(payload):
+    return [type(c) for c in _leaves(payload)]
+
+
 def test_mul_int_matches_repeated_addition():
     rng = random.Random(19)
     for desc in all_descriptors():
-        for x in sample(desc, rng, 6):
+        for x in sample(desc, rng, 4):
             acc = og.zero(desc)
-            for k in range(21):
-                assert og.mul_int(k, x) == acc
-                assert og.mul_int(-k, x) == og.g_neg(acc)
+            for k in range(2**8 + 1):
+                for got, want in ((og.mul_int(k, x), acc), (og.mul_int(-k, x), og.g_neg(acc))):
+                    assert got == want, (desc, x.payload, k)
+                    # int coordinates for Z-tagged twisted groups, Fractions otherwise
+                    assert _leaf_types(got.payload) == _leaf_types(want.payload), (desc, k)
                 acc = og.g_add(acc, x)
 
 
-def test_doubling_costs_one_addition_per_step(monkeypatch):
+def binary_mul_int(k, x):
+    """The k-fold sum by the binary method: about log2(k) additions."""
+    if k < 0:
+        return og.g_neg(binary_mul_int(-k, x))
+    acc = None
+    while k:
+        if k & 1:
+            acc = x if acc is None else og.g_add(acc, x)
+        k >>= 1
+        if k:
+            x = og.g_add(x, x)
+    return og.zero(x.desc) if acc is None else acc
+
+
+def test_mul_int_matches_the_binary_method_at_large_k():
+    rng = random.Random(23)
+    for desc in all_descriptors():
+        for x in sample(desc, rng, 4):
+            for k in (2**40, 2**40 + 3, 3**30, -(2**33), -(5**20) - 1):
+                got, want = og.mul_int(k, x), binary_mul_int(k, x)
+                assert got == want, (desc, x.payload, k)
+                assert _leaf_types(got.payload) == _leaf_types(want.payload), (desc, k)
+
+
+def test_mul_int_makes_no_group_addition(monkeypatch):
     calls = []
     add = og.g_add
     monkeypatch.setattr(og, "g_add", lambda x, y: calls.append(1) or add(x, y))
-    for desc in (og.ScaledInt(3), og.Twist4("Z")):
+    for desc in all_descriptors():
         x = og.unit(desc)
-        for n in range(9):
-            calls.clear()
-            og.mul_int(2**n, x)
-            assert len(calls) == n, (desc, n)
+        for k in (0, 1, 2, 3, 2**8, 2**8 + 1, -(2**8)):
+            og.mul_int(k, x)
+    assert not calls
 
 
 # --- order and lattice laws -------------------------------------------------
@@ -422,7 +451,8 @@ def test_every_operation_keeps_payloads_exact(desc):
         # every double has its half, which must not pass through a float
         assert og.try_halve(og.g_add(x, x)) == x
         results = [og.element(desc, x.payload), og.g_add(x, y), og.g_neg(x),
-                   og.mul_int(3, x), og.mul_int(-2, x), og.try_halve(x)]
+                   og.mul_int(3, x), og.mul_int(-2, x), og.mul_int(2**8 + 1, x),
+                   og.mul_int(-(2**8), x), og.try_halve(x)]
         for g in results:
             if g is not None:
                 _assert_exact(g.payload)

@@ -247,6 +247,14 @@ def test_twist3_bounded_check_matches_the_oracle_at_bound_11(payload, reason):
     _assert_bounded_check_matches_oracle(A, x, 11)
 
 
+@pytest.mark.parametrize("bound", range(roots.MAX_BOX_BOUND + 1))
+def test_twist3_bounded_check_matches_the_oracle_at_every_bound(bound):
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    # one payload per verdict: a root, both kinds of no candidate, zero
+    for payload in ((1, -6, 4), (0, 3, -2), (1, -3, 5), (0, 0, 0)):
+        _assert_bounded_check_matches_oracle(A, pmv.element_of(A, payload), bound)
+
+
 # coordinates beyond 64 bits, as the benchmark draws them
 WIDE = 2**70 + 12345
 DEEP = -(3**45)
@@ -268,29 +276,28 @@ def test_twist3_bounded_check_matches_the_oracle_at_the_cap(payload, reason):
 
 
 @pytest.mark.parametrize("bound", [0, 1, 5, 16])
-def test_twist3_box_is_built_from_the_order(bound, monkeypatch):
+def test_twist3_box_is_built_from_the_order(bound):
     A = pmv.GammaAlgebra(og.Twist3("Z"))
-    built, refused = [], []
-
-    def element_of(algebra, value):
-        try:
-            y = pmv.element_of(algebra, value)
-        except CarrierError:
-            refused.append(value)
-            raise
-        built.append(value)
-        return y
-
-    monkeypatch.setattr(roots, "element_of", element_of)
+    box = roots._twist3_box(A, bound)
+    for p in box:
+        assert pmv.element_of(A, p).payload == p
     size = 2 * bound * (2 * bound + 1) + 2 * (bound + 1)
-    for payload in ((1, -6, 4), (0, 3, -2), (1, -3, 5), (0, 0, 0)):
-        built.clear()
+    assert len(box) == len(set(box)) == size
+    # no point of the cube that lies in [0, u] is left out
+    inside = set()
+    for p in itertools.product((0, 1), range(-bound, bound + 1), range(-bound, bound + 1)):
+        try:
+            pmv.element_of(A, p)
+        except CarrierError:
+            continue
+        inside.add(p)
+    assert set(box) == inside
+    # the enlarged box of the nilpotent verdict is the head-0 part
+    wider = roots._twist3_box(A, bound + 1, heads=(0,))
+    assert wider == [p for p in roots._twist3_box(A, bound + 1) if p[0] == 0]
+    for payload in ((0, 3, -2), (1, -3, 5)):
         report = roots.twist3_bounded_check(A, pmv.element_of(A, payload), bound=bound)
-        assert not refused, (payload, refused[:3])
-        if report["result"].reason == roots.NO_CANDIDATE:
-            # the box is every call: no root to build, no enlarged box
-            assert len(built) == len(set(built)) == size
-            assert report["detail"] == f"no in-box candidate among {size} elements"
+        assert report["detail"] == f"no in-box candidate among {size} elements"
 
 
 @pytest.mark.parametrize("bound", [-1, 17])
@@ -312,13 +319,14 @@ def test_twist3_bounded_check_accepts_the_ends_of_the_range():
 def test_twist3_bounded_check_lets_internal_errors_through(monkeypatch):
     A = pmv.GammaAlgebra(og.Twist3("Z"))
     x = pmv.element_of(A, (Fraction(1), Fraction(-2), Fraction(2)))
+    odot_p = pmv._odot_p
 
-    def element_of(algebra, value):
-        if value == (1, 0, 0):
+    def faulty(algebra, p, q):
+        if p == (1, 0, 0):
             raise TypeError("internal fault")
-        return pmv.element_of(algebra, value)
+        return odot_p(algebra, p, q)
 
-    monkeypatch.setattr(roots, "element_of", element_of)
+    monkeypatch.setattr(pmv, "_odot_p", faulty)
     with pytest.raises(TypeError, match="internal fault"):
         roots.twist3_bounded_check(A, x, bound=1)
 
