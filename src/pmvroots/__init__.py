@@ -7,151 +7,7 @@ square-root closures, over finite table-backed algebras and a catalog
 of unital lattice-ordered groups (scaled integer and dyadic chains,
 rationals, quadratic lattices, lexicographic and twisted products, and
 direct products), all in exact arithmetic.
+
+The modules are the import surface (``from pmvroots import dsl, roots``);
+the package root re-exports nothing.
 """
-
-from .closures import (
-    ClosureDescriptor,
-    CritResult,
-    FactorClosure,
-    OpenProblem,
-    RdpDecomposition,
-    closure_sqrt,
-    corrdp_decompose,
-    crit_check,
-    minimal_two_divisible_check,
-    sqrt_closure,
-    strict_closure,
-    strict_closure_idempotence_check,
-)
-from .errors import (
-    CarrierError,
-    DslError,
-    InternalError,
-    MismatchError,
-    ParameterError,
-    PmvError,
-    ResourceLimitError,
-    UnsupportedOperationError,
-)
-from .ideals import (
-    IdealInfo,
-    PrimePartition,
-    StrictIdealReport,
-    WDecomposition,
-    decomposition_by_w,
-    enumerate_ideals,
-    is_bsi,
-    nn12_element,
-    normal_primes,
-    partition_primes,
-    quotient,
-    strict_square_ideals,
-)
-from .ogroups import (
-    GroupDescriptor,
-    GroupElement,
-    Lex,
-    ProductGroup,
-    QuadLattice,
-    Rationals,
-    ScaledDyadic,
-    ScaledInt,
-    Twist3,
-    Twist4,
-)
-from .pmv import (
-    Algebra,
-    Element,
-    FiniteAlgebra,
-    GammaAlgebra,
-    element_of,
-    finite_mv_chain,
-    finite_product,
-    interval,
-    product,
-)
-from .roots import (
-    GreatestSqrtResult,
-    SqrtMap,
-    SqrtResult,
-    element_sqrt,
-    greatest_sqrt_subalgebra,
-    sqrt_boolean,
-    sqrt_element_finite,
-    sqrt_element_gamma,
-    sqrt_element_twist3,
-    sqrt_identities_check,
-    sqrt_map,
-    sqrt_zero,
-)
-from .scalars import QuadValue, Rational
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Algebra",
-    "CarrierError",
-    "ClosureDescriptor",
-    "CritResult",
-    "DslError",
-    "Element",
-    "FactorClosure",
-    "FiniteAlgebra",
-    "GammaAlgebra",
-    "GreatestSqrtResult",
-    "GroupDescriptor",
-    "GroupElement",
-    "IdealInfo",
-    "InternalError",
-    "Lex",
-    "MismatchError",
-    "OpenProblem",
-    "ParameterError",
-    "PmvError",
-    "PrimePartition",
-    "ProductGroup",
-    "QuadLattice",
-    "QuadValue",
-    "Rational",
-    "Rationals",
-    "RdpDecomposition",
-    "ResourceLimitError",
-    "ScaledDyadic",
-    "ScaledInt",
-    "SqrtMap",
-    "SqrtResult",
-    "StrictIdealReport",
-    "Twist3",
-    "Twist4",
-    "UnsupportedOperationError",
-    "WDecomposition",
-    "closure_sqrt",
-    "corrdp_decompose",
-    "crit_check",
-    "decomposition_by_w",
-    "element_of",
-    "element_sqrt",
-    "enumerate_ideals",
-    "finite_mv_chain",
-    "finite_product",
-    "greatest_sqrt_subalgebra",
-    "interval",
-    "is_bsi",
-    "minimal_two_divisible_check",
-    "nn12_element",
-    "normal_primes",
-    "partition_primes",
-    "product",
-    "quotient",
-    "sqrt_boolean",
-    "sqrt_closure",
-    "sqrt_element_finite",
-    "sqrt_element_gamma",
-    "sqrt_element_twist3",
-    "sqrt_identities_check",
-    "sqrt_map",
-    "sqrt_zero",
-    "strict_closure",
-    "strict_closure_idempotence_check",
-    "strict_square_ideals",
-]

@@ -157,13 +157,6 @@ def strict_closure(M) -> ClosureDescriptor:
     return ClosureDescriptor("strict", factors)
 
 
-def strict_closure_idempotence_check(M) -> bool:
-    """Closing twice changes nothing."""
-    once = strict_closure(M)
-    twice = strict_closure(once.closed_descriptor())
-    return tuple(f.closed for f in once.factors) == tuple(f.closed for f in twice.factors)
-
-
 # ---------------------------------------------------------------------------
 # the reachability criterion
 
@@ -471,6 +464,18 @@ def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
 # the twisted Z^4 closure is genuinely minimal
 
 
+def _twist4_reassembles(desc: og.Twist4, payload) -> bool:
+    """The four-part identity on payloads: x = (a,0,0,0) + (0,b,0,0) +
+    (0,0,c,0) + (0,0,0,d-bc), with every part in the carrier of ``desc``."""
+    a, b, c, d = payload
+    total = desc._zero()
+    for part in ((a, 0, 0, 0), (0, b, 0, 0), (0, 0, c, 0), (0, 0, 0, d - b * c)):
+        if not desc._contains(part):
+            return False
+        total = desc._add(total, part)
+    return total == payload
+
+
 def minimal_two_divisible_check(*, samples: int = 40, seed: int = 5) -> dict:
     """Replay the minimality argument for Twist4(Z) -> Twist4(D).
 
@@ -491,17 +496,7 @@ def minimal_two_divisible_check(*, samples: int = 40, seed: int = 5) -> dict:
     decomposition_ok = True
     for _ in range(samples):
         x = og.random_element(closed, rng, coord_bound=4, exp_bound=4)
-        a, b, c, d = x.payload
-        parts = [
-            og.element(closed, (a, 0, 0, 0)),
-            og.element(closed, (0, b, 0, 0)),
-            og.element(closed, (0, 0, c, 0)),
-            og.element(closed, (0, 0, 0, d - b * c)),
-        ]
-        total = og.zero(closed)
-        for p in parts:
-            total = og.g_add(total, p)
-        decomposition_ok = decomposition_ok and total == x
+        decomposition_ok = decomposition_ok and _twist4_reassembles(closed, x.payload)
     crit = crit_check(base, closed, samples=samples, seed=seed)
     return {
         "axis_halving_chains_in_closure": axes_ok,

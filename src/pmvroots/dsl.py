@@ -265,22 +265,3 @@ def parse_algebra(text: str) -> pmv.Algebra:
     algebra = _algebra(cur)
     cur.done()
     return algebra
-
-
-def format_algebra(A: pmv.Algebra) -> str:
-    """A canonical expression for Gamma algebras, chains and chain products."""
-    if isinstance(A, pmv.GammaAlgebra):
-        return f"gamma({format_group(A.desc)})"
-    values = A.values
-    if all(isinstance(v, Fraction) for v in values):
-        n = A.size - 1
-        if n >= 1 and A == pmv.finite_mv_chain(n):
-            return f"M({n})"
-    elif all(isinstance(v, tuple) for v in values) and values:
-        # recover the factor chains coordinate by coordinate
-        lengths = [len({v[i] for v in values}) - 1 for i in range(len(values[0]))]
-        if all(n >= 1 for n in lengths):
-            candidate = pmv.finite_product([pmv.finite_mv_chain(n) for n in lengths])
-            if A == candidate:
-                return "prod(" + ",".join(f"M({n})" for n in lengths) + ")"
-    raise DslError("this finite algebra has no canonical textual form")

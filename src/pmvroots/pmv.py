@@ -44,6 +44,7 @@ from .errors import (
     CarrierError,
     MismatchError,
     ParameterError,
+    ResourceLimitError,
     UnsupportedOperationError,
     check,
 )
@@ -75,9 +76,9 @@ class GammaAlgebra(Algebra):
         return og.g_neg(self.unit)
 
     def __str__(self) -> str:
-        from .dsl import format_algebra
+        from .dsl import format_group
 
-        return format_algebra(self)
+        return f"gamma({format_group(self.desc)})"
 
 
 class FiniteAlgebra(Algebra):
@@ -364,11 +365,24 @@ def boolean_skeleton(A: Algebra) -> list[Element]:
 # ---------------------------------------------------------------------------
 # constructions
 
+# the most elements a chain or a product builds; its (+) table has the
+# square of this many cells
+MAX_CARRIER = 1024
+
+
+def _check_carrier_size(size: int) -> None:
+    """Refuse a carrier above ``MAX_CARRIER`` before any table is built."""
+    if size > MAX_CARRIER:
+        raise ResourceLimitError(
+            f"carrier has {size} elements, above the limit {MAX_CARRIER}"
+        )
+
 
 def finite_mv_chain(n: int) -> FiniteAlgebra:
     """The MV chain {0, 1/n, ..., 1} with n+1 elements."""
     if n < 1:
         raise ParameterError("chain parameter must be >= 1")
+    _check_carrier_size(n + 1)
     values = [Fraction(k, n) for k in range(n + 1)]
     oplus_t = [[min(i + j, n) for j in range(n + 1)] for i in range(n + 1)]
     neg = [n - i for i in range(n + 1)]
@@ -384,6 +398,7 @@ def finite_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
     """
     if not factors:
         raise ParameterError("product needs at least one factor")
+    _check_carrier_size(math.prod(f.size for f in factors))
     first = factors[0]
     values = [(v,) for v in first.values]
     oplus_t, lneg_t, rneg_t = first.oplus_t, first.lneg_t, first.rneg_t
@@ -458,7 +473,7 @@ def _degenerate() -> FiniteAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# decomposition and comparison
+# decomposition
 
 
 def _check_shape(A: FiniteAlgebra) -> None:
@@ -571,8 +586,3 @@ def to_gamma_descriptor(A: FiniteAlgebra) -> og.GroupDescriptor:
     if len(lengths) == 1:
         return og.ScaledInt(lengths[0])
     return og.ProductGroup(tuple(og.ScaledInt(n) for n in lengths))
-
-
-def are_isomorphic(A: FiniteAlgebra, B: FiniteAlgebra) -> bool:
-    """Isomorphism of finite algebras via their chain length multisets."""
-    return A.size == B.size and chain_lengths(A) == chain_lengths(B)

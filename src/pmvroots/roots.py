@@ -9,11 +9,9 @@ The square root of ``x`` is the element ``a`` (unique when it exists) with
 worked-example ledger calls it, and it serves as the oracle for every
 family-specific procedure:
 
-* ``sqrt_element_gamma`` uses the halving formula ``(x + u) / 2`` on
-  Abelian group intervals whose unit is halvable; the halving step and
-  its check ``a (.) a == x`` live in one helper, ``_halving_root``, which
-  ``element_sqrt`` also takes for nonzero elements of chains whose unit
-  is central;
+* the halving formula ``(x + u) / 2`` and its check ``a (.) a == x``
+  live in one helper, ``_halving_root``, which ``element_sqrt`` takes for
+  nonzero elements of chains whose unit is central;
 * ``sqrt_element_twist3`` decides roots in the interval of the twisted
   ``Z^3`` group, where the unit is not central;
 * ``element_sqrt`` dispatches to the widest applicable procedure;
@@ -24,7 +22,8 @@ family-specific procedure:
   integer coordinates, for both quantifiers.
 
 The tests keep the element-level procedures these replaced as oracles: the
-relative quantifier ``sqrt_in_subset`` and the subalgebra scan.
+relative quantifier ``sqrt_in_subset`` and the subalgebra scan; the
+battery of the root identities lives in the tests too.
 
 Negative answers carry a machine-checkable reason code and, where
 meaningful, a witness element.
@@ -50,11 +49,8 @@ from .pmv import (
     join,
     leq,
     lneg,
-    meet,
     odot,
     one_elem,
-    oplus,
-    rneg,
     zero_elem,
 )
 
@@ -141,22 +137,6 @@ def _zero_root_payload(desc: og.GroupDescriptor):
 
 # ---------------------------------------------------------------------------
 # family procedures
-
-
-def sqrt_element_gamma(A: GammaAlgebra, x: Element) -> SqrtResult:
-    """Roots in Abelian group intervals with a halvable unit, via (x+u)/2."""
-    if not isinstance(A, GammaAlgebra):
-        raise UnsupportedOperationError("sqrt_element_gamma needs a group interval")
-    if not og.is_abelian(A.desc):
-        raise UnsupportedOperationError(
-            "the halving formula needs an Abelian group; use the family-specific "
-            "or the finite procedure instead"
-        )
-    if og.try_halve(A.unit) is None:
-        raise UnsupportedOperationError(
-            "the halving formula needs u/2 in the group; use the finite procedure"
-        )
-    return _halving_root(A, x)
 
 
 def _halving_root(A: GammaAlgebra, x: Element) -> SqrtResult:
@@ -381,113 +361,6 @@ def sqrt_map(M: FiniteAlgebra, found: list[Element | None] | None = None) -> Sqr
     r0 = mapping[zero_elem(M)]
     w = odot(lneg(r0), lneg(r0))
     return SqrtMap(M, mapping, strict=(r0 == lneg(r0)), r0=r0, w=w)
-
-
-# ---------------------------------------------------------------------------
-# identity suite
-
-
-@dataclass
-class IdentityStat:
-    checked: int = 0
-    violations: list[str] = field(default_factory=list)
-
-
-def sqrt_identities_check(A: pmv.Algebra, pairs) -> dict[str, IdentityStat]:
-    """Evaluate the root identities on the given element pairs.
-
-    Each identity is checked only where its guards hold (the roots it
-    mentions exist); the returned stats count the instances actually
-    exercised and list every violation.
-    """
-    stats = {
-        name: IdentityStat()
-        for name in (
-            "neg_arrow",
-            "join",
-            "meet",
-            "oplus",
-            "odot",
-            "square",
-            "double",
-            "monotone",
-            "bound",
-            "zero_bound",
-        )
-    }
-    r0 = sqrt_zero(A)
-    commutative = (
-        True
-        if isinstance(A, FiniteAlgebra)
-        else og.is_abelian(A.desc)
-    )
-
-    def record(name, ok, msg):
-        stats[name].checked += 1
-        if not ok:
-            stats[name].violations.append(msg)
-
-    if r0.exists:
-        z = r0.value
-        record(
-            "zero_bound",
-            leq(z, meet(lneg(z), rneg(z))),
-            f"sqrt(0)={z} exceeds the meet of its negations",
-        )
-    for x, y in pairs:
-        rx = element_sqrt(A, x)
-        ry = element_sqrt(A, y)
-        if rx.exists and r0.exists:
-            rn = element_sqrt(A, lneg(x))
-            record(
-                "neg_arrow",
-                rn.exists and rn.value == oplus(lneg(rx.value), r0.value),
-                f"sqrt(neg {x}) != sqrt({x}) -> sqrt(0)",
-            )
-            record(
-                "bound",
-                leq(rx.value, meet(oplus(x, r0.value), oplus(r0.value, x))),
-                f"sqrt({x}) escapes the additive bound",
-            )
-        if rx.exists and ry.exists:
-            rj = element_sqrt(A, join(x, y))
-            record(
-                "join",
-                rj.exists and rj.value == join(rx.value, ry.value),
-                f"sqrt({x} v {y}) != sqrt({x}) v sqrt({y})",
-            )
-            rm = element_sqrt(A, meet(x, y))
-            record(
-                "meet",
-                rm.exists and rm.value == meet(rx.value, ry.value),
-                f"sqrt({x} ^ {y}) != sqrt({x}) ^ sqrt({y})",
-            )
-            if leq(x, y):
-                record("monotone", leq(rx.value, ry.value), f"sqrt not monotone at {x} <= {y}")
-            if commutative and r0.exists:
-                ro = element_sqrt(A, oplus(x, y))
-                record(
-                    "oplus",
-                    ro.exists
-                    and ro.value == oplus(odot(rx.value, lneg(r0.value)), ry.value),
-                    f"additive identity fails at ({x},{y})",
-                )
-                rp = element_sqrt(A, odot(x, y))
-                record(
-                    "odot",
-                    rp.exists and rp.value == join(odot(rx.value, ry.value), r0.value),
-                    f"multiplicative identity fails at ({x},{y})",
-                )
-        if r0.exists:
-            rs = element_sqrt(A, odot(x, x))
-            record(
-                "square",
-                rs.exists and rs.value == join(x, r0.value),
-                f"sqrt({x} (.) {x}) != {x} v sqrt(0)",
-            )
-            rd = element_sqrt(A, oplus(x, x))
-            record("double", rd.exists, f"sqrt({x} (+) {x}) does not exist")
-    return stats
 
 
 # ---------------------------------------------------------------------------

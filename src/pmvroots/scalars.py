@@ -20,8 +20,6 @@ from fractions import Fraction
 
 from .errors import DslError, ParameterError
 
-Rational = Fraction
-
 
 def rational(value) -> Fraction:
     """Coerce an int, Fraction or ``p/q`` string to a canonical Fraction."""

@@ -7,6 +7,7 @@ anchor and is what the ``verify-paper`` command replays.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -166,24 +167,8 @@ def check_twist3_negation() -> CheckResult:
 
 def check_twist4_decomposition() -> CheckResult:
     desc = og.Twist4("Z")
-    bad = 0
-    rng = range(-2, 3)
-    for a in rng:
-        for b in rng:
-            for c in rng:
-                for d in rng:
-                    x = og.element(desc, (a, b, c, d))
-                    parts = [
-                        og.element(desc, (a, 0, 0, 0)),
-                        og.element(desc, (0, b, 0, 0)),
-                        og.element(desc, (0, 0, c, 0)),
-                        og.element(desc, (0, 0, 0, d - b * c)),
-                    ]
-                    total = og.zero(desc)
-                    for p in parts:
-                        total = og.g_add(total, p)
-                    if total != x:
-                        bad += 1
+    grid = itertools.product(range(-2, 3), repeat=4)
+    bad = sum(not cl._twist4_reassembles(desc, x) for x in grid)
     cross = og.g_add(og.element(desc, (0, 2, 0, 0)), og.element(desc, (0, 0, 3, 0)))
     ok = bad == 0 and cross.payload == (0, 2, 3, 6)
     return CheckResult(

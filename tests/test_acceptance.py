@@ -15,6 +15,7 @@ from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import roots
 from pmvroots import worked_examples
+from test_roots import sqrt_identities_check
 
 M = pmv.finite_mv_chain
 
@@ -148,7 +149,7 @@ def test_criterion_4_root_oracle_equivalence():
         for x in pmv.carrier(F_alg):
             v = pmv.value_of(x)
             rf = roots.sqrt_element_finite(F_alg, x)
-            rg = roots.sqrt_element_gamma(G_alg, pmv.element_of(G_alg, v))
+            rg = roots.element_sqrt(G_alg, pmv.element_of(G_alg, v))
             assert rf.status == rg.status, (2 * n, v)
             if rf.status == "exists":
                 assert pmv.value_of(rf.value) == pmv.value_of(rg.value)
@@ -158,7 +159,7 @@ def test_criterion_4_root_oracle_equivalence():
     dyadic = pmv.GammaAlgebra(og.ScaledDyadic(1))
     for k in range(65):
         v = Fraction(k, 64)
-        rg = roots.sqrt_element_gamma(dyadic, pmv.element_of(dyadic, v))
+        rg = roots.element_sqrt(dyadic, pmv.element_of(dyadic, v))
         rf = roots.sqrt_element_finite(chain, pmv.element_of(chain, v))
         assert rg.status == rf.status == "exists"
         assert pmv.value_of(rg.value) == pmv.value_of(rf.value) == (v + 1) / 2
@@ -175,7 +176,7 @@ def test_criterion_5_identity_battery():
     for n in (1, 2, 3, 4, 5, 6):
         A = M(2 * n)
         pairs = list(itertools.product(pmv.carrier(A), repeat=2))
-        stats = roots.sqrt_identities_check(A, pairs)
+        stats = sqrt_identities_check(A, pairs)
         for name, stat in stats.items():
             assert not stat.violations, (2 * n, name, stat.violations[:2])
             total_checked += stat.checked
@@ -190,7 +191,7 @@ def test_criterion_5_identity_battery():
     ]
     # feed both orientations so order-guarded identities see all 500 pairs
     pairs = seeds + [(y, x) for x, y in seeds]
-    stats = roots.sqrt_identities_check(dyadic, pairs)
+    stats = sqrt_identities_check(dyadic, pairs)
     for name, stat in stats.items():
         # zero_bound is a one-shot property of r(0); the rest are per pair
         floor = 1 if name == "zero_bound" else 500

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import pathlib
+import time
 
 import jsonschema
 import pytest
@@ -438,6 +439,22 @@ def test_deep_nesting_is_a_parse_error():
     assert out == "status: error\nmessage: nesting deeper than 64 levels (at column 514)\n"
     code, blob = run_json(["member", "gamma(Q)", "(" * 1000 + "1" + ")" * 1000])
     assert (code, blob["status"]) == (3, "error")
+
+
+@pytest.mark.parametrize("argv, size", [
+    (["analyze", "M(888888)"], 888889),
+    (["member", "prod(M(7),M(7),M(7),M(3))", "0"], 2048),
+])
+def test_a_carrier_above_the_limit_is_refused_before_its_tables(argv, size):
+    start = time.perf_counter()
+    message = f"carrier has {size} elements, above the limit 1024"
+    assert run(argv) == (3, f"status: error\nmessage: {message}\n")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_longest_chain_under_the_limit_still_builds():
+    code, blob = run_json(["analyze", "M(1023)"])
+    assert (code, blob["payload"]["size"]) == (0, 1024)
 
 
 def test_an_unexpected_exception_is_reported_as_an_error(monkeypatch):

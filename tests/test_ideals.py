@@ -10,6 +10,7 @@ from pmvroots import ideals
 from pmvroots import pmv
 from pmvroots import roots
 from pmvroots.errors import ParameterError, ResourceLimitError, UnsupportedOperationError
+from test_pmv import are_isomorphic
 
 M = pmv.finite_mv_chain
 
@@ -128,11 +129,11 @@ def test_quotient_shapes():
     P = pmv.finite_product([M(2), M(3)])
     by_top = {pmv.value_of(i.top): i for i in ideals.enumerate_ideals(P)}
     Q1, proj1 = ideals.quotient(P, by_top[(Fraction(1), Fraction(0))].members)
-    assert pmv.are_isomorphic(Q1, M(3))
+    assert are_isomorphic(Q1, M(3))
     Q2, _ = ideals.quotient(P, by_top[(Fraction(0), Fraction(1))].members)
-    assert pmv.are_isomorphic(Q2, M(2))
+    assert are_isomorphic(Q2, M(2))
     Qz, _ = ideals.quotient(P, by_top[(Fraction(0), Fraction(0))].members)
-    assert pmv.are_isomorphic(Qz, P)
+    assert are_isomorphic(Qz, P)
     Qf, _ = ideals.quotient(P, by_top[(Fraction(1), Fraction(1))].members)
     assert Qf.size == 1
     # projection is onto

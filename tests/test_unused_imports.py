@@ -1,7 +1,6 @@
 """Every name a module of the package imports is used in that module.
 
-``__init__.py`` only re-exports, and ``from __future__`` imports are
-directives, so both are left out.
+``from __future__`` imports are directives, so they are left out.
 """
 
 import ast
@@ -10,7 +9,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pmvroots"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
