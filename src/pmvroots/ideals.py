@@ -34,6 +34,8 @@ from .errors import ParameterError, ResourceLimitError, UnsupportedOperationErro
 from .pmv import (
     Element,
     FiniteAlgebra,
+    _compose,
+    boolean_skeleton,
     carrier,
     distance,
     element_of,
@@ -104,9 +106,7 @@ def enumerate_ideals(M: FiniteAlgebra, *, smap=_COMPUTE) -> list[IdealInfo]:
         smap = sqrt_map(M)
     dec = M.decomposition
     out = []
-    for b in elems:
-        if not is_boolean_elem(b):
-            continue
+    for b in boolean_skeleton(M):
         members = frozenset(x for x in elems if leq(x, b))
         # the lengths of the chains on which b is not full
         outside = [n for k, n in zip(dec.coords[b.payload], dec.lengths) if k != n]
@@ -199,11 +199,11 @@ def quotient(M: FiniteAlgebra, members: frozenset[Element]) -> tuple[FiniteAlgeb
 
     The ideal is [0, b] for an idempotent b, and every ideal of a finite
     algebra is normal.  Elements are congruent exactly when their
-    coordinates agree on the chains where b is not full.  Each class is
-    represented by its first element in carrier order, the tables are
-    gathered from the representatives' rows, and the constructor decomposes
-    them into chains, which checks them.  A set that is not an ideal raises
-    ``ParameterError``.
+    coordinates agree on the chains where b is not full, and the quotient
+    is the product of those chains, composed from ``M``'s decomposition
+    without a table.  Each class is represented by its first element in
+    carrier order, and the chains are put in the carrier order of their
+    atoms' classes.  A set that is not an ideal raises ``ParameterError``.
     """
     dec = M.decomposition
     top = dec.coords[ideal_top(M, members).payload]
@@ -216,14 +216,12 @@ def quotient(M: FiniteAlgebra, members: frozenset[Element]) -> tuple[FiniteAlgeb
             where[key] = len(reps)
             reps.append(x)
         cls.append(where[key])
-    op, ln, rn = M.oplus_t, M.lneg_t, M.rneg_t
-    Q = FiniteAlgebra(
+    outside.sort(key=lambda i: cls[dec.atoms[i]])
+    Q = _compose(
         [f"[{format_value(M.values[r])}]" for r in reps],
-        [[cls[op[a][b]] for b in reps] for a in reps],
-        [cls[ln[a]] for a in reps],
-        [cls[rn[a]] for a in reps],
-        cls[M.zero_i],
-        cls[M.one_i],
+        [cls[dec.atoms[i]] for i in outside],
+        [dec.lengths[i] for i in outside],
+        [tuple(dec.coords[r][i] for i in outside) for r in reps],
     )
     return Q, {x: Element(Q, cls[x.payload]) for x in carrier(M)}
 

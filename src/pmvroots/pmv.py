@@ -6,26 +6,35 @@ Two representations are supported:
   lattice-ordered group, with ``x (+) y = (x + y) ^ u``,
   ``x (.) y = (x - u + y) v 0``, left negation ``x- = u - x`` and right
   negation ``x~ = -x + u``;
-* :class:`FiniteAlgebra` -- an explicit finite carrier with the tables of
-  (+) and of both negations.
+* :class:`FiniteAlgebra` -- a finite carrier with its chain decomposition.
 
 A finite pseudo MV-algebra is an MV-algebra and a product of chains
 M(n_1) x ... x M(n_k) (Mundici's Gamma functor; Dvurecenskij for the
-non-commutative version).  So the constructor's one check is to find this
-chain decomposition (``FiniteAlgebra.decomposition``): the chain lengths and
-the integer coordinates of every element, checked by whole-row comparisons
-against Lukasiewicz tables.  Tables that are not a product of chains raise
-``ParameterError``; every construction (chains, products, intervals,
-quotients) goes through it.  The analyses of the whole carrier (chain
-lengths, ideals and quotients, intervals, square roots and the greatest
-subalgebra with roots) read the decomposition.  The tests keep the
-homomorphism check on ``Element`` maps, ``check_homomorphism``, as an
-oracle.
+non-commutative version).  A ``FiniteAlgebra`` is its carrier values, this
+chain decomposition (``FiniteAlgebra.decomposition``: the chain lengths and
+the integer coordinates of every element), 0 and 1.  It is built in one of
+two ways:
 
-Derived operations are defined uniformly from the primitive ones, and a
-finite algebra computes them from its three tables by these formulas:
-``x (.) y = (y- (+) x-)~``, ``x v y = x (+) (x~ (.) y)``,
-``x ^ y = (x (.) (x- (+) y))``, ``x -> y = x- (+) y``, and ``x <= y``
+* from the tables of (+) and of both negations on carrier indices, whose one
+  check is to find the decomposition, checked by whole-row comparisons
+  against Lukasiewicz tables; tables that are not a product of chains raise
+  ``ParameterError``.  Chains ``M(n)`` are built so.
+* by composing the decompositions of checked operands: a product puts its
+  factors' coordinates side by side, an interval [0, b] keeps the chains on
+  which b is full and a quotient by [0, b] those on which it is not.  No
+  table is built and nothing is decomposed again.
+
+The operations compute on coordinates, chain by chain as in M(n):
+x (+) y is min(c + d, n), both negations n - c, x (.) y max(c + d - n, 0),
+v and ^ max and min, x <= y is c <= d on every chain and x is idempotent
+when each c is 0 or n; ``x -> y = x- (+) y`` in every algebra.  The tables
+of (+) and of the negations are computed from the decomposition on first
+read.  The analyses of the whole carrier (chain lengths, ideals and
+quotients, intervals, square roots and the greatest subalgebra with roots)
+read the decomposition too.  The tests keep as oracles the homomorphism
+check on ``Element`` maps, ``check_homomorphism``, and the formulas of the
+derived operations in the tables: ``x (.) y = (y- (+) x-)~``,
+``x v y = x (+) (x~ (.) y)``, ``x ^ y = x (.) (x- (+) y)`` and ``x <= y``
 exactly when ``x- (+) y = 1``.
 """
 
@@ -36,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter, le, sub
+from operator import add, itemgetter, le, sub
 from typing import NamedTuple, Union
 
 from . import ogroups as og
@@ -82,12 +91,16 @@ class GammaAlgebra(Algebra):
 
 
 class FiniteAlgebra(Algebra):
-    """A finite pseudo MV-algebra given by the tables of (+) and of both
-    negations, on carrier indices; the derived operations are computed from
-    them.
+    """A finite pseudo MV-algebra: its carrier values, its chain
+    decomposition ``decomposition``, and 0 and 1 as carrier indices.
 
-    The tables pass the axioms exactly when they are a product of chains, so
-    the one check is to find that decomposition, kept as ``decomposition``.
+    The constructor takes the tables of (+) and of both negations on carrier
+    indices.  The tables pass the axioms exactly when they are a product of
+    chains, so the one check is to find that decomposition.  Products,
+    intervals and quotients compose theirs from checked ones instead
+    (``_compose``) and build no table.  The tables and ``index``, from
+    values to carrier indices, are computed on first read when the
+    constructor did not keep them.
     """
 
     def __init__(self, values, oplus, lneg, rneg, zero, one):
@@ -105,12 +118,37 @@ class FiniteAlgebra(Algebra):
         _check_shape(self)
         if len(self.index) != self.size:
             raise ParameterError("carrier values must be pairwise distinct")
-        self.decomposition = _decompose(self)
-        tables = (self.oplus_t, self.lneg_t, self.rneg_t, self.zero_i, self.one_i)
-        self._fingerprint = (self.values, *tables)
-        # elements hash their algebra on every set or dict operation; ``index``
-        # has hashed the values, so the hash takes the integer tables only
-        self._hash = hash(tables)
+        self._set_decomposition(_decompose(self))
+
+    def _set_decomposition(self, dec: ChainDecomposition) -> None:
+        self.decomposition = dec
+        # the lengths and the coordinates determine every table, 0 and 1;
+        # elements hash their algebra on every set or dict operation, and the
+        # hash leaves the values out
+        self._fingerprint = (self.values, dec.lengths, dec.coords)
+        self._hash = hash((dec.lengths, dec.coords))
+
+    @cached_property
+    def index(self) -> dict:
+        return {v: i for i, v in enumerate(self.values)}
+
+    @cached_property
+    def oplus_t(self) -> tuple[tuple[int, ...], ...]:
+        rng = range(self.size)
+        return tuple(tuple(_oplus_i(self, i, j) for j in rng) for i in rng)
+
+    @cached_property
+    def lneg_t(self) -> tuple[int, ...]:
+        return tuple(map(self._neg, range(self.size)))
+
+    @cached_property
+    def rneg_t(self) -> tuple[int, ...]:
+        return self.lneg_t
+
+    def _neg(self, i: int) -> int:
+        """Both negations of carrier index i: n - c on every chain."""
+        dec = self.decomposition
+        return dec.index[tuple(map(sub, dec.lengths, dec.coords[i]))]
 
     def __eq__(self, other):
         if self is other:
@@ -126,6 +164,21 @@ class FiniteAlgebra(Algebra):
 
     def __str__(self) -> str:
         return f"finite algebra ({self.size} elements)"
+
+
+def _compose(values, atoms, lengths, coords) -> FiniteAlgebra:
+    """The algebra on ``values`` with this chain decomposition, which the
+    caller composed from the checked decompositions of its operands: it runs
+    no check and builds no table."""
+    coords = tuple(coords)
+    index = {c: x for x, c in enumerate(coords)}
+    A = FiniteAlgebra.__new__(FiniteAlgebra)
+    A.values = tuple(values)
+    A.size = len(A.values)
+    A.zero_i = index[(0,) * len(lengths)]
+    A.one_i = index[tuple(lengths)]
+    A._set_decomposition(ChainDecomposition(tuple(atoms), tuple(lengths), coords, index))
+    return A
 
 
 class ChainDecomposition(NamedTuple):
@@ -245,56 +298,58 @@ def _in_unit_interval_p(A: GammaAlgebra, p) -> bool:
 # primitive and derived operations
 
 
+def _oplus_i(A: FiniteAlgebra, i: int, j: int) -> int:
+    """x (+) y on carrier indices: min(c + d, n) on every chain."""
+    dec = A.decomposition
+    cs = dec.coords
+    return dec.index[tuple(map(min, map(add, cs[i], cs[j]), dec.lengths))]
+
+
 def oplus(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         return Element(A, _oplus_p(A, x.payload, y.payload))
-    return Element(A, A.oplus_t[x.payload][y.payload])
-
-
-def _odot(A: FiniteAlgebra, i: int, j: int) -> int:
-    """x (.) y = (y- (+) x-)~ on carrier indices."""
-    ln = A.lneg_t
-    return A.rneg_t[A.oplus_t[ln[j]][ln[i]]]
+    return Element(A, _oplus_i(A, x.payload, y.payload))
 
 
 def odot(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         return Element(A, _odot_p(A, x.payload, y.payload))
-    return Element(A, _odot(A, x.payload, y.payload))
+    dec = A.decomposition
+    cs, n = dec.coords, dec.lengths
+    # max(c + d - n, 0), as max(c + d, n) - n
+    return Element(A, dec.index[tuple(map(sub, map(max, map(add, cs[x.payload], cs[y.payload]), n), n))])
 
 
 def lneg(x: Element) -> Element:
     A = x.algebra
     if isinstance(A, GammaAlgebra):
         return Element(A, A.desc._add(A.unit.payload, A.desc._neg(x.payload)))  # u - x
-    return Element(A, A.lneg_t[x.payload])
+    return Element(A, A._neg(x.payload))
 
 
 def rneg(x: Element) -> Element:
     A = x.algebra
     if isinstance(A, GammaAlgebra):
         return Element(A, A.desc._add(A.desc._neg(x.payload), A.unit.payload))  # -x + u
-    return Element(A, A.rneg_t[x.payload])
+    return Element(A, A._neg(x.payload))
 
 
 def join(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         return Element(A, _join_p(A, x.payload, y.payload))
-    # x v y = x (+) (x~ (.) y)
-    i = x.payload
-    return Element(A, A.oplus_t[i][_odot(A, A.rneg_t[i], y.payload)])
+    dec = A.decomposition
+    return Element(A, dec.index[tuple(map(max, dec.coords[x.payload], dec.coords[y.payload]))])
 
 
 def meet(x: Element, y: Element) -> Element:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         return Element(A, _meet_p(A, x.payload, y.payload))
-    # x ^ y = x (.) (x- (+) y)
-    i = x.payload
-    return Element(A, _odot(A, i, A.oplus_t[A.lneg_t[i]][y.payload]))
+    dec = A.decomposition
+    return Element(A, dec.index[tuple(map(min, dec.coords[x.payload], dec.coords[y.payload]))])
 
 
 def arrow(x: Element, y: Element) -> Element:
@@ -306,7 +361,8 @@ def leq(x: Element, y: Element) -> bool:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
         return _leq_p(A, x.payload, y.payload)
-    return A.oplus_t[A.lneg_t[x.payload]][y.payload] == A.one_i  # x- (+) y == 1
+    cs = A.decomposition.coords
+    return all(map(le, cs[x.payload], cs[y.payload]))
 
 
 def ominus(x: Element, y: Element) -> Element:
@@ -315,7 +371,11 @@ def ominus(x: Element, y: Element) -> Element:
 
 
 def is_boolean_elem(x: Element) -> bool:
-    return oplus(x, x) == x
+    A = x.algebra
+    if isinstance(A, GammaAlgebra):
+        return oplus(x, x) == x
+    dec = A.decomposition
+    return all(c == 0 or c == n for c, n in zip(dec.coords[x.payload], dec.lengths))
 
 
 def distance(x: Element, y: Element) -> Element:
@@ -328,7 +388,10 @@ def distance(x: Element, y: Element) -> Element:
 
 
 def is_symmetric(A: Algebra) -> tuple[bool, Element | None]:
-    """Whether the two negations coincide; a witness element otherwise."""
+    """Whether the two negations coincide; a witness element otherwise.
+
+    A finite algebra is symmetric: its decomposition gives both negations as
+    n - c on every chain."""
     if isinstance(A, GammaAlgebra):
         central, w = og.is_unit_central(A.desc)
         if central:
@@ -337,16 +400,17 @@ def is_symmetric(A: Algebra) -> tuple[bool, Element | None]:
         witness = element_of(A, w.payload)
         check(lneg(witness) != rneg(witness), "the witness has different negations")
         return False, witness
-    for i in range(A.size):
-        if A.lneg_t[i] != A.rneg_t[i]:
-            return False, Element(A, i)
     return True, None
 
 
 def boolean_skeleton(A: Algebra) -> list[Element]:
-    """All idempotent elements, when they are enumerable."""
+    """All idempotent elements, when they are enumerable; in carrier order
+    on a finite algebra, where they are the elements whose coordinates are
+    each 0 or n."""
     if isinstance(A, FiniteAlgebra):
-        return [x for x in carrier(A) if is_boolean_elem(x)]
+        dec = A.decomposition
+        corners = itertools.product(*((0, n) for n in dec.lengths))
+        return [Element(A, x) for x in sorted(map(dec.index.__getitem__, corners))]
     desc = A.desc
     if og.is_linear(desc):
         return [zero_elem(A), one_elem(A)]
@@ -392,28 +456,31 @@ def finite_mv_chain(n: int) -> FiniteAlgebra:
 def finite_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
     """The direct product, carrier in ``itertools.product`` order.
 
-    Factors are folded in one at a time: in that order the pair of indices
-    (s, t) of A x B sits at ``s * |B| + t``, so every table entry of the
-    product is index arithmetic on one entry of each factor.
+    Its chains are the factors' chains: the coordinates of a tuple are its
+    entries' coordinates side by side.  An atom is one factor's atom with
+    every other entry at 0; its carrier index is mixed-radix, the last
+    factor counting fastest, and the chains are put in that order of their
+    atoms, so a later factor's atom comes first.  No table is built.
     """
     if not factors:
         raise ParameterError("product needs at least one factor")
     _check_carrier_size(math.prod(f.size for f in factors))
-    first = factors[0]
-    values = [(v,) for v in first.values]
-    oplus_t, lneg_t, rneg_t = first.oplus_t, first.lneg_t, first.rneg_t
-    zero, one = first.zero_i, first.one_i
-    for f in factors[1:]:
-        m = f.size
-        values = [v + (w,) for v in values for w in f.values]
-        oplus_t = [
-            [x * m + y for x in row for y in frow] for row in oplus_t for frow in f.oplus_t
-        ]
-        lneg_t = [x * m + y for x in lneg_t for y in f.lneg_t]
-        rneg_t = [x * m + y for x in rneg_t for y in f.rneg_t]
-        zero = zero * m + f.zero_i
-        one = one * m + f.one_i
-    return FiniteAlgebra(values, oplus_t, lneg_t, rneg_t, zero, one)
+    decs = [f.decomposition for f in factors]
+    strides = [math.prod(f.size for f in factors[k + 1 :]) for k in range(len(factors))]
+    zero = sum(f.zero_i * m for f, m in zip(factors, strides))
+    atoms = [zero + (a - f.zero_i) * m for f, dec, m in zip(factors, decs, strides) for a in dec.atoms]
+    lengths = [n for dec in decs for n in dec.lengths]
+    order = sorted(range(len(atoms)), key=atoms.__getitem__)
+    side_by_side = (
+        tuple(itertools.chain.from_iterable(cs)) for cs in itertools.product(*(dec.coords for dec in decs))
+    )
+    coords = (tuple(map(c.__getitem__, order)) for c in side_by_side)
+    return _compose(
+        itertools.product(*(f.values for f in factors)),
+        [atoms[i] for i in order],
+        [lengths[i] for i in order],
+        coords,
+    )
 
 
 def product(algebras: list[Algebra]) -> Algebra:
@@ -432,23 +499,29 @@ def product(algebras: list[Algebra]) -> Algebra:
 
 
 def interval(A: Algebra, b: Element) -> Algebra:
-    """The relative algebra on [0, b] for an idempotent b."""
+    """The relative algebra on [0, b] for an idempotent b.
+
+    On a finite algebra it is the product of the chains on which b is full,
+    composed from ``A``'s decomposition without a table.
+    """
     if b.algebra != A:
         raise MismatchError("bound must belong to the algebra")
     if not is_boolean_elem(b):
         raise ParameterError("interval bound must be idempotent")
     if isinstance(A, FiniteAlgebra):
-        # [0, b] holds the coordinates up to those of b, in carrier order; it
-        # is closed under (+), and both of its negations are top - c
+        # [0, b] holds the coordinates up to those of b, in carrier order, and
+        # its chains are those on which b is full
         dec = A.decomposition
         top = dec.coords[b.payload]
+        full = [i for i, k in enumerate(top) if k]
         keep = [x for x, c in enumerate(dec.coords) if all(map(le, c, top))]
         pos = {x: k for k, x in enumerate(keep)}
-        op = A.oplus_t
-        values = [A.values[x] for x in keep]
-        oplus_t = [[pos[op[x][y]] for y in keep] for x in keep]
-        neg = [pos[dec.index[tuple(map(sub, top, dec.coords[x]))]] for x in keep]
-        return FiniteAlgebra(values, oplus_t, neg, neg, pos[A.zero_i], pos[b.payload])
+        return _compose(
+            [A.values[x] for x in keep],
+            [pos[dec.atoms[i]] for i in full],
+            [dec.lengths[i] for i in full],
+            [tuple(dec.coords[x][i] for i in full) for x in keep],
+        )
     desc = A.desc
     if b == one_elem(A):
         return A

@@ -88,9 +88,9 @@ def sqrt_element_finite(M: FiniteAlgebra, x: Element) -> SqrtResult:
     """Decide the defining conditions by exhaustive search."""
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("the exhaustive procedure needs a finite algebra")
-    elems = carrier(M)
-    dominated = [y for y in elems if leq(odot(y, y), x)]
-    candidates = [a for a in elems if odot(a, a) == x]
+    squares = [(y, odot(y, y)) for y in carrier(M)]
+    dominated = [y for y, s in squares if leq(s, x)]
+    candidates = [a for a, s in squares if s == x]
     if not candidates:
         return _not_exists(NO_CANDIDATE)
     best, best_misses = None, None

@@ -2,9 +2,14 @@
 
 ``FiniteAlgebra`` finds the chains of its tables at construction, by index
 arithmetic, and checks them with whole-row comparisons; that is its one
-check of the tables, and the ideal flags, the quotients, the roots, the
-w-split and both quantifiers of ``greatest_sqrt_subalgebra`` read it.  The
-procedures it replaced are kept as oracles: the atomic decomposition
+check of the tables.  Products, intervals and quotients compose their
+chains from their operands' instead, and the constructor is their oracle:
+given a composed algebra's tables it must build an equal algebra with
+exactly the same decomposition.  The element operations compute on the
+coordinates and are compared with their formulas in (+) and the
+negations.  The ideal flags, the quotients, the roots, the w-split and
+both quantifiers of ``greatest_sqrt_subalgebra`` read the decomposition.
+The procedures it replaced are kept as oracles: the atomic decomposition
 through interval tables, a product and a homomorphism check
 (``check_homomorphism`` of ``tests/test_pmv.py``); the ideal definition and
 the normal, prime and Boolean scans; the congruence-class quotient; the
@@ -17,7 +22,9 @@ oracles on tables read the derived tables of ``derived_tables_of``, built
 from (+) and the negations in the tests, not ``pmv``'s operations.
 """
 
+import contextlib
 import functools
+import io
 import itertools
 from fractions import Fraction
 
@@ -25,10 +32,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmvroots import dsl, ideals, pmv, roots
+from pmvroots import cli, dsl, ideals, pmv, roots
 from pmvroots.errors import ParameterError, UnsupportedOperationError
 from pmvroots.scalars import format_value
-from test_pmv import _verdict_cell_by_cell, check_homomorphism, derived_tables_of
+from test_pmv import _verdict_cell_by_cell, check_homomorphism, derived_tables_of, operation_tables
 
 M = pmv.finite_mv_chain
 
@@ -252,11 +259,45 @@ CASES = [pytest.param(product_of(t), id=str(t)) for t in ORDERED] + [
 # --- differential tests ------------------------------------------------------------
 
 
+def assert_composed_matches_checked(A):
+    """The table constructor, given the tables derived from a composed
+    algebra, builds an equal algebra, and ``pmv._decompose`` finds exactly
+    the composed decomposition in them: atoms, lengths, coords and index."""
+    checked = pmv.FiniteAlgebra(A.values, A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i)
+    assert checked == A and hash(checked) == hash(A)
+    assert pmv._decompose(checked) == A.decomposition
+
+
 @pytest.mark.parametrize("A", CASES)
 def test_decomposition_matches_the_atomic_procedure(A):
     assert pmv.chain_decomposition(A) == chain_decomposition_oracle(A)
     dec = A.decomposition
     assert [dec.index[c] for c in dec.coords] == list(range(A.size))
+    assert_composed_matches_checked(A)
+
+
+# every 20th ordered product and every other presentation
+FORMULA_CASES = CASES[: len(ORDERED) : 20] + CASES[len(ORDERED) :]
+
+
+def test_formula_cases_hold_at_least_20_algebras():
+    assert len(FORMULA_CASES) >= 20
+
+
+@pytest.mark.parametrize("A", FORMULA_CASES)
+def test_coordinate_operations_match_the_table_formulas(A):
+    # x (.) y = (y- (+) x-)~, x v y = x (+) (x~ (.) y), x ^ y = x (.) (x- (+) y),
+    # x <= y exactly when x- (+) y = 1, and x idempotent when x (+) x = x
+    op, ln, rn = A.oplus_t, A.lneg_t, A.rneg_t
+    elems, rng = pmv.carrier(A), range(A.size)
+    assert operation_tables(A) == derived_tables_of(A)
+    assert [[pmv.oplus(x, y).payload for y in elems] for x in elems] == [list(row) for row in op]
+    assert [pmv.lneg(x).payload for x in elems] == list(ln)
+    assert [pmv.rneg(x).payload for x in elems] == list(rn)
+    assert [[pmv.leq(x, y) for y in elems] for x in elems] == [
+        [op[ln[i]][j] == A.one_i for j in rng] for i in rng
+    ]
+    assert [pmv.is_boolean_elem(x) for x in elems] == [op[i][i] == i for i in rng]
 
 
 def test_coordinates_of_a_product_are_its_factor_values():
@@ -374,6 +415,36 @@ def test_quotient_by_coordinates_matches_the_congruence_classes(lengths):
         Q_oracle, projection_oracle = quotient_oracle(A, info.members)
         assert Q == Q_oracle
         assert projection == projection_oracle
+        assert_composed_matches_checked(Q)
+
+
+def test_composed_algebras_build_no_table_and_only_chains_are_decomposed(monkeypatch):
+    decompose, compose = pmv._decompose, pmv._compose
+    decomposed, composed = [], []
+
+    def counted(A):
+        decomposed.append(A.size)
+        return decompose(A)
+
+    def recorded(*args):
+        composed.append(compose(*args))
+        return composed[-1]
+
+    monkeypatch.setattr(pmv, "_decompose", counted)
+    monkeypatch.setattr(pmv, "_compose", recorded)
+    monkeypatch.setattr(ideals, "_compose", recorded)
+    cut = "interval(prod(M(7),M(7),M(3)),(1,1,0))"
+    dsl.parse_algebra(cut)
+    # once per chain M(n); the product and the interval are composed
+    assert decomposed == [8, 8, 4]
+    for target in ("prod(M(2),M(3))", cut):
+        for verb, *flags in (["ideals"], ["sqrtmap"], ["greatest"], ["analyze"], ["closure", "--kind", "sqrt"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                # 0 and 1 are answers ("ok", "absent"); 2 and 3 are errors
+                assert cli.main([verb, target, *flags]) in (0, 1), (verb, target)
+    assert len(composed) > 2
+    for A in composed:
+        assert not {"oplus_t", "lneg_t", "rneg_t"} & vars(A).keys(), A
 
 
 BOOLEAN = [product_of((1,) * k) for k in range(1, 7)] + [

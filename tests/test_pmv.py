@@ -398,7 +398,7 @@ def test_dyadic_gamma_axioms_property(a, b, c):
     assert pmv.meet(x, y) == pmv.odot(x, pmv.oplus(pmv.lneg(x), y))
 
 
-# --- finite products by index arithmetic, and the algebra hash ---------------------
+# --- finite products against the tables built from tuples, and the algebra hash ---
 
 
 def _product_by_tuples(factors):
