@@ -182,10 +182,9 @@ def _cmd_sqrt(args) -> Report:
 
 
 def _sqrtmap_finite(M: pmv.FiniteAlgebra) -> Report:
-    found = roots.finite_roots(M)
-    smap = roots.sqrt_map(M, found)
+    smap = roots.sqrt_map(M)
     if smap is None:
-        witness = pmv.Element(M, found.index(None))
+        witness = pmv.Element(M, roots.finite_roots(M).index(None))
         return Report(
             "absent",
             {"reason": "some element has no square root", "witness": _fmt(witness)},
@@ -293,9 +292,8 @@ def _cmd_ideals(args) -> Report:
     A = dsl.parse_algebra(args.target)
     if not isinstance(A, pmv.FiniteAlgebra):
         raise UnsupportedOperationError("ideal enumeration needs a finite algebra")
-    smap = roots.sqrt_map(A)
-    ideals = enumerate_ideals(A, smap=smap)
-    part = partition_primes(A, ideals=ideals)
+    ideals = enumerate_ideals(A)
+    part = partition_primes(A)
     payload: dict = {
         "ideals": [
             {
@@ -313,13 +311,13 @@ def _cmd_ideals(args) -> Report:
         "x2_tops": [_fmt(p.top) for p in part.x2],
         "i1_top": _fmt(ideal_top(A, part.i1)),
         "i2_top": _fmt(ideal_top(A, part.i2)),
-        "bsi": is_bsi(A, part=part),
+        "bsi": is_bsi(A),
+        "splitting_element": _fmt(nn12_element(A)),
     }
-    a = nn12_element(A, part=part)
-    payload["splitting_element"] = _fmt(a) if a is not None else None
+    smap = roots.sqrt_map(A)
     if smap is not None:
-        report = strict_square_ideals(A, smap=smap, ideals=ideals, part=part)
-        dec = decomposition_by_w(A, smap=smap)
+        report = strict_square_ideals(A)
+        dec = decomposition_by_w(A)
         payload["strict_map"] = smap.strict
         payload["least_strict_square_ideal_top"] = _fmt(report.least_strict.top)
         payload["least_boolean_ideal_top"] = _fmt(report.least_boolean.top)

@@ -172,20 +172,16 @@ class CritResult:
 
 def _claimed_exponent(base: og.GroupDescriptor, closed: og.GroupDescriptor, payload) -> int | None:
     """Symbolic certificate: an n with 2**n * h in the base, or None."""
+    if base == closed:
+        return 0
     if isinstance(base, og.ScaledInt) and isinstance(closed, og.ScaledDyadic):
         if odd_part(base.n) != closed.q:
             return None
         scaled = payload * closed.q
         return dyadic_exponent(scaled) if is_dyadic(scaled) else None
-    if isinstance(base, og.ScaledDyadic) and isinstance(closed, og.ScaledDyadic):
-        return 0 if base.q == closed.q else None
-    if isinstance(base, og.Rationals) and isinstance(closed, og.Rationals):
-        return 0
     if isinstance(base, og.QuadLattice) and isinstance(closed, og.QuadLattice):
         if base.alpha != closed.alpha or not closed.dyadic:
             return None
-        if base.dyadic:
-            return 0
         if not all(is_dyadic(c) for c in payload):
             return None
         return max(dyadic_exponent(c) for c in payload)
@@ -194,8 +190,6 @@ def _claimed_exponent(base: og.GroupDescriptor, closed: og.GroupDescriptor, payl
         e2 = _claimed_exponent(base.tail, closed.tail, payload[1])
         return None if e1 is None or e2 is None else max(e1, e2)
     if isinstance(base, og.Twist4) and isinstance(closed, og.Twist4):
-        if base.tag == closed.tag:
-            return 0
         if not (base.tag == "Z" and closed.tag == "D"):
             return None
         # the 2^n-fold sum is (2^n a, 2^n b, 2^n c, 2^n d + 2^(n-1)(2^n - 1) b c),

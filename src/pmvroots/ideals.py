@@ -1,17 +1,15 @@
 """Ideal theory of finite pseudo MV-algebras.
 
-An ideal is a downward-closed, (+)-closed subset containing 0.  In a
-finite algebra every ideal is the interval [0, b] of an idempotent b
-(the (+)-join of the ideal's members is idempotent and belongs to the
-ideal), so enumeration walks the Boolean skeleton instead of the power
-set, and a configurable cap bounds the carrier it walks.  The algebra is
-a product of chains, and an ideal [0, b] is the product of the chains on
-which b is full, so its flags follow from which chains those are, and its
-quotient identifies the elements whose coordinates agree on the other
-chains.  The w-split of an algebra with a total square root mapping is
-an isomorphism once ``interval`` has accepted w as idempotent, so it is
-checked only for 0, 1 and bijectivity.  The congruence-class quotient and
-the homomorphism check these replaced are oracles in the tests.
+A finite algebra is a product of chains M(n_1) x ... x M(n_k).  An ideal
+is a downward-closed, (+)-closed subset containing 0; each one is the
+interval [0, b] of an idempotent b (the (+)-join of its members), that is,
+the product of the chains on which b is full, so its members are listed
+from b's coordinates and its flags follow from which chains those are.
+Enumeration walks the Boolean skeleton, and a configurable cap bounds the
+carrier it walks.  The quotient by [0, b] identifies the elements whose
+coordinates agree on the other chains.  The w-split of an algebra with a
+total square root mapping is an isomorphism once ``interval`` has
+accepted w as idempotent, so it is checked only for 0, 1 and bijectivity.
 
 Normal prime ideals are partitioned into
 
@@ -19,13 +17,21 @@ Normal prime ideals are partitioned into
 * ``X2`` -- the rest,
 
 with ``I1`` and ``I2`` their intersections (the full carrier when the
-family is empty).  ``I2 == {0}`` characterizes Boolean subdirect
-irreducibility, and a total square root mapping is strict exactly in
-that case.
+family is empty).  All of it is read off one fact, which chains have
+length 1.  With e the idempotent that is full on those chains and 0 on the
+others, the proper primes are the k ideals that each leave out one chain,
+X1 holds those whose left-out chain has length 1, I2 = [0, e] and
+I1 = [0, e-].  So e is the splitting element (1 mod I1, 0 mod I2), which
+every algebra of at least 2 elements has, and I2 == {0}, Boolean subdirect
+irreducibility, holds exactly when no chain has length 1; a total square
+root mapping is strict exactly in that case.  The scans these replaced are
+oracles in the tests: members by the order, I1 and I2 by intersecting the
+primes, and the splitting element by its definition.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -37,7 +43,6 @@ from .pmv import (
     _compose,
     boolean_skeleton,
     carrier,
-    distance,
     element_of,
     finite_product,
     interval,
@@ -80,20 +85,34 @@ class IdealInfo:
         return x in self.members
 
 
-# default of ``smap`` below: compute the mapping (None means there is none)
-_COMPUTE = object()
+def _below(M: FiniteAlgebra, top: tuple[int, ...]) -> frozenset[Element]:
+    """The members of [0, b], listed from the coordinates ``top`` of b."""
+    index = M.decomposition.index
+    return frozenset(Element(M, index[c]) for c in itertools.product(*(range(k + 1) for k in top)))
 
 
-def enumerate_ideals(M: FiniteAlgebra, *, smap=_COMPUTE) -> list[IdealInfo]:
-    """All ideals of ``M`` with their classification flags.
+def _ideal(M: FiniteAlgebra, top: tuple[int, ...], smap: SqrtMap | None) -> IdealInfo:
+    """[0, b] with its flags, for the coordinates ``top`` of an idempotent b:
+    normal, prime when at most one chain lies outside the chains on which b
+    is full, and Boolean when every chain outside them has length 1."""
+    dec = M.decomposition
+    outside = [n for k, n in zip(top, dec.lengths) if k != n]
+    b = Element(M, dec.index[top])
+    return IdealInfo(
+        top=b,
+        members=_below(M, top),
+        is_proper=bool(outside),
+        is_normal=True,
+        is_prime=len(outside) <= 1,
+        is_boolean_ideal=all(n == 1 for n in outside),
+        is_strict_square_ideal=leq(smap.w, b) if smap is not None else None,
+    )
 
-    The flags are read off the chain decomposition: with S the chains on
-    which the top b is full, [0, b] is normal, prime when at most one chain
-    lies outside S, and Boolean when every chain outside S has length 1.
-    ``smap`` is ``sqrt_map(M)`` when the caller has it already, ``None``
-    included (no total mapping: the strict-square-ideal flags are None);
-    it is computed when not given.
-    """
+
+def enumerate_ideals(M: FiniteAlgebra) -> list[IdealInfo]:
+    """All ideals of ``M`` with their classification flags, in the carrier
+    order of their tops; the strict-square-ideal flags are None when ``M``
+    has no total square root mapping."""
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("ideal enumeration needs a finite algebra")
     cap = _cap()
@@ -101,39 +120,30 @@ def enumerate_ideals(M: FiniteAlgebra, *, smap=_COMPUTE) -> list[IdealInfo]:
         raise ResourceLimitError(
             f"carrier has {M.size} elements, above the cap {cap} (set {ENV_CAP} to raise)"
         )
-    elems = carrier(M)
-    if smap is _COMPUTE:
-        smap = sqrt_map(M)
-    dec = M.decomposition
-    out = []
-    for b in boolean_skeleton(M):
-        members = frozenset(x for x in elems if leq(x, b))
-        # the lengths of the chains on which b is not full
-        outside = [n for k, n in zip(dec.coords[b.payload], dec.lengths) if k != n]
-        out.append(
-            IdealInfo(
-                top=b,
-                members=members,
-                is_proper=len(members) < M.size,
-                is_normal=True,
-                is_prime=len(outside) <= 1,
-                is_boolean_ideal=all(n == 1 for n in outside),
-                is_strict_square_ideal=(smap.w in members) if smap is not None else None,
-            )
-        )
-    return out
+    smap = sqrt_map(M)
+    coords = M.decomposition.coords
+    return [_ideal(M, coords[b.payload], smap) for b in boolean_skeleton(M)]
 
 
-def normal_primes(M: FiniteAlgebra, *, ideals: list[IdealInfo] | None = None) -> list[IdealInfo]:
-    """The proper normal prime ideals of a non-degenerate finite algebra.
-
-    ``ideals`` is ``enumerate_ideals(M)`` when the caller has it already.
-    """
+def _splitting_coords(M: FiniteAlgebra) -> tuple[int, ...]:
+    """The coordinates of e: full (1) on the chains of length 1, 0 on the
+    others.  ``ParameterError`` on the one-element algebra."""
+    if not isinstance(M, FiniteAlgebra):
+        raise UnsupportedOperationError("the prime spectrum is computed on finite algebras")
     if M.size == 1:
         raise ParameterError("the one-element algebra has no prime spectrum")
-    if ideals is None:
-        ideals = enumerate_ideals(M)
-    return [i for i in ideals if i.is_proper and i.is_normal and i.is_prime]
+    return tuple(int(n == 1) for n in M.decomposition.lengths)
+
+
+def normal_primes(M: FiniteAlgebra) -> list[IdealInfo]:
+    """The proper normal prime ideals of a non-degenerate finite algebra:
+    for each chain, the ideal that leaves out that chain alone, in the
+    carrier order of their tops."""
+    k = len(_splitting_coords(M))
+    dec = M.decomposition
+    tops = [tuple(0 if i == j else n for i, n in enumerate(dec.lengths)) for j in range(k)]
+    smap = sqrt_map(M)
+    return [_ideal(M, top, smap) for top in sorted(tops, key=dec.index.__getitem__)]
 
 
 @dataclass(frozen=True)
@@ -144,32 +154,30 @@ class PrimePartition:
     i2: frozenset[Element]
 
 
-def partition_primes(M: FiniteAlgebra, *, ideals: list[IdealInfo] | None = None) -> PrimePartition:
+def partition_primes(M: FiniteAlgebra) -> PrimePartition:
     """Split normal primes by Boolean quotients; intersect each class.
 
-    A prime P yields a Boolean quotient exactly when x ^ x- lies in P for
-    every x.  An empty class intersects to the full carrier.  ``ideals``
-    is ``enumerate_ideals(M)`` when the caller has it already.
+    The quotient by a prime is its left-out chain, so the prime is in X1
+    exactly when that chain has length 1.  I2 = [0, e] and I1 = [0, e-].
     """
-    primes = normal_primes(M, ideals=ideals)
-    elems = carrier(M)
-    x1, x2 = [], []
-    for p in primes:
-        (x1 if p.is_boolean_ideal else x2).append(p)
-    full = frozenset(elems)
-    i1 = frozenset.intersection(*(p.members for p in x1)) if x1 else full
-    i2 = frozenset.intersection(*(p.members for p in x2)) if x2 else full
-    return PrimePartition(tuple(x1), tuple(x2), i1, i2)
+    primes = normal_primes(M)
+    return PrimePartition(
+        tuple(p for p in primes if p.is_boolean_ideal),
+        tuple(p for p in primes if not p.is_boolean_ideal),
+        *_intersections(M),
+    )
 
 
-def is_bsi(M: FiniteAlgebra, *, part: PrimePartition | None = None) -> bool:
-    """Boolean subdirect irreducibility: I2 == {0}.
+def _intersections(M: FiniteAlgebra) -> tuple[frozenset[Element], frozenset[Element]]:
+    """I1 = [0, e-] and I2 = [0, e]."""
+    e = _splitting_coords(M)
+    return _below(M, tuple(n - k for k, n in zip(e, M.decomposition.lengths))), _below(M, e)
 
-    ``part`` is ``partition_primes(M)`` when the caller has it already.
-    """
-    if part is None:
-        part = partition_primes(M)
-    return part.i2 == frozenset({zero_elem(M)})
+
+def is_bsi(M: FiniteAlgebra) -> bool:
+    """Boolean subdirect irreducibility: I2 = [0, e] == {0}, that is, no
+    chain has length 1."""
+    return not any(_splitting_coords(M))
 
 
 # ---------------------------------------------------------------------------
@@ -247,25 +255,12 @@ def _ideal_by_top(ideals: list[IdealInfo], top: Element) -> IdealInfo:
     raise ParameterError(f"no ideal with top {top}")
 
 
-def strict_square_ideals(
-    M: FiniteAlgebra,
-    *,
-    smap: SqrtMap | None = None,
-    ideals: list[IdealInfo] | None = None,
-    part: PrimePartition | None = None,
-) -> StrictIdealReport:
-    """Classify ideals by containment of w = r(0)- (.) r(0)-.
-
-    ``smap``, ``ideals`` and ``part`` are ``sqrt_map(M)``,
-    ``enumerate_ideals(M, smap=smap)`` and ``partition_primes(M)`` when the
-    caller has them already.
-    """
-    if smap is None:
-        smap = sqrt_map(M)
+def strict_square_ideals(M: FiniteAlgebra) -> StrictIdealReport:
+    """Classify ideals by containment of w = r(0)- (.) r(0)-."""
+    smap = sqrt_map(M)
     if smap is None:
         raise UnsupportedOperationError("the algebra has no total square root mapping")
-    if ideals is None:
-        ideals = enumerate_ideals(M, smap=smap)
+    ideals = enumerate_ideals(M)
     strict = tuple(i for i in ideals if i.is_strict_square_ideal)
     least_strict = _ideal_by_top(ideals, smap.w)
     check(all(least_strict.members <= i.members for i in strict), "[0, w] is the least strict square ideal")
@@ -275,15 +270,15 @@ def strict_square_ideals(
         all(least_boolean.members <= i.members for i in ideals if i.is_boolean_ideal),
         "the least Boolean ideal is below every Boolean ideal",
     )
-    if part is None and M.size > 1:
-        part = partition_primes(M, ideals=ideals)
+    # the one-element algebra has no primes, so no I1 and I2
+    i1, i2 = _intersections(M) if M.size > 1 else (None, None)
     return StrictIdealReport(
         smap=smap,
         strict_ideals=strict,
         least_strict=least_strict,
         least_boolean=least_boolean,
-        i1_equals_least_boolean=(part is not None and part.i1 == least_boolean.members),
-        i2_equals_least_strict=(part is not None and part.i2 == least_strict.members),
+        i1_equals_least_boolean=i1 == least_boolean.members,
+        i2_equals_least_strict=i2 == least_strict.members,
     )
 
 
@@ -298,18 +293,16 @@ class WDecomposition:
     induced_root_matches: bool
 
 
-def decomposition_by_w(M: FiniteAlgebra, *, smap: SqrtMap | None = None) -> WDecomposition:
+def decomposition_by_w(M: FiniteAlgebra) -> WDecomposition:
     """Split M as [0, w] x [0, w-] along x -> (x ^ w, x ^ w-).
 
     The first factor is a Boolean algebra, the second carries a strict
     square root mapping induced by r2(x) = r(x) ^ w-; all three claims
     are verified exhaustively.  For an idempotent w the map is an
     isomorphism, so it is checked only to send 0 and 1 to 0 and 1 and to
-    be a bijection.  ``smap`` is ``sqrt_map(M)`` when the caller has it
-    already.
+    be a bijection.
     """
-    if smap is None:
-        smap = sqrt_map(M)
+    smap = sqrt_map(M)
     if smap is None:
         raise UnsupportedOperationError("the algebra has no total square root mapping")
     w = smap.w
@@ -347,24 +340,9 @@ def decomposition_by_w(M: FiniteAlgebra, *, smap: SqrtMap | None = None) -> WDec
 # the splitting element
 
 
-def nn12_element(M: FiniteAlgebra, *, part: PrimePartition | None = None) -> Element | None:
-    """The unique a mapping to (1 mod I1, 0 mod I2), when it exists.
-
-    When present, a is idempotent with I2 = [0, a] and I1 = [0, a-];
-    these consequences are asserted.  ``part`` is ``partition_primes(M)``
-    when the caller has it already.
-    """
-    if part is None:
-        part = partition_primes(M)
-    one = one_elem(M)
-    found = [
-        a for a in carrier(M) if distance(a, one) in part.i1 and a in part.i2
-    ]
-    if not found:
-        return None
-    check(len(found) == 1, "the splitting element must be unique")
-    a = found[0]
-    check(is_boolean_elem(a), "the splitting element is idempotent")
-    check(part.i2 == frozenset(x for x in carrier(M) if leq(x, a)), "I2 = [0, a]")
-    check(part.i1 == frozenset(x for x in carrier(M) if leq(x, lneg(a))), "I1 = [0, a-]")
-    return a
+def nn12_element(M: FiniteAlgebra) -> Element:
+    """The splitting element a, the unique element that maps to
+    (1 mod I1, 0 mod I2): e, full on the chains of length 1 and 0 on the
+    others.  Every algebra of at least 2 elements has one; it is idempotent
+    with I2 = [0, a] and I1 = [0, a-]."""
+    return Element(M, M.decomposition.index[_splitting_coords(M)])

@@ -352,11 +352,6 @@ def meet(x: Element, y: Element) -> Element:
     return Element(A, dec.index[tuple(map(min, dec.coords[x.payload], dec.coords[y.payload]))])
 
 
-def arrow(x: Element, y: Element) -> Element:
-    """x -> y = x- (+) y."""
-    return oplus(lneg(x), y)
-
-
 def leq(x: Element, y: Element) -> bool:
     A = _same(x, y)
     if isinstance(A, GammaAlgebra):
@@ -365,22 +360,12 @@ def leq(x: Element, y: Element) -> bool:
     return all(map(le, cs[x.payload], cs[y.payload]))
 
 
-def ominus(x: Element, y: Element) -> Element:
-    """MV difference x (-) y = x (.) y-."""
-    return odot(x, lneg(y))
-
-
 def is_boolean_elem(x: Element) -> bool:
     A = x.algebra
     if isinstance(A, GammaAlgebra):
         return oplus(x, x) == x
     dec = A.decomposition
     return all(c == 0 or c == n for c, n in zip(dec.coords[x.payload], dec.lengths))
-
-
-def distance(x: Element, y: Element) -> Element:
-    """Symmetric difference d(x, y) = (x (-) y) (+) (y (-) x)."""
-    return oplus(ominus(x, y), ominus(y, x))
 
 
 # ---------------------------------------------------------------------------

@@ -247,16 +247,12 @@ def check_prime_partition_m3() -> CheckResult:
 
 
 def check_nn12_values() -> CheckResult:
-    got = {}
-    M3 = finite_mv_chain(3)
-    a = nn12_element(M3)
-    got["M(3)"] = format_element_value(pmv.value_of(a)) if a else "none"
-    M1 = finite_mv_chain(1)
-    a = nn12_element(M1)
-    got["M(1)"] = format_element_value(pmv.value_of(a)) if a else "none"
-    M = finite_product([finite_mv_chain(1), finite_mv_chain(4)])
-    a = nn12_element(M)
-    got["prod(M(1),M(4))"] = format_element_value(pmv.value_of(a)) if a else "none"
+    algebras = {
+        "M(3)": finite_mv_chain(3),
+        "M(1)": finite_mv_chain(1),
+        "prod(M(1),M(4))": finite_product([finite_mv_chain(1), finite_mv_chain(4)]),
+    }
+    got = {name: format_element_value(pmv.value_of(nn12_element(M))) for name, M in algebras.items()}
     want = {"M(3)": "0", "M(1)": "1", "prod(M(1),M(4))": "(1,0)"}
     return CheckResult("nn12-values", got == want, f"splitting elements {got}")
 

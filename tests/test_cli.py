@@ -263,22 +263,6 @@ def test_all_reports_schema_valid():
         run_json(args)
 
 
-# --- one analysis per ideals request ------------------------------------------------
-
-
-def test_ideals_report_is_the_same_without_precomputed_results(monkeypatch):
-    targets = ["M(1)", "M(3)", "M(4)", "prod(M(1),M(2))", "prod(M(1),M(1),M(3))",
-               "prod(M(2),M(4))", "interval(prod(M(1),M(4)),(1,0))"]
-    passed_down = [run(["ideals", t, "--json"]) for t in targets]
-    # each callee recomputes what _cmd_ideals would have passed it
-    for name in ("partition_primes", "is_bsi", "nn12_element",
-                 "strict_square_ideals", "decomposition_by_w"):
-        monkeypatch.setattr(cli, name, lambda M, _f=getattr(cli, name), **_: _f(M))
-    recomputed = [run(["ideals", t, "--json"]) for t in targets]
-    assert passed_down == recomputed
-    assert all(code == 0 for code, _ in passed_down)
-
-
 # --- messages --------------------------------------------------------------------------
 
 

@@ -143,6 +143,36 @@ def test_crit_positive(base, closed):
     assert res.max_exponent_seen >= 0
 
 
+@pytest.mark.parametrize("group", [
+    og.ScaledInt(1),
+    og.ScaledInt(6),
+    og.ScaledDyadic(3),
+    og.Rationals(),
+    og.QuadLattice(ALPHA, False),
+    og.QuadLattice(ALPHA, True),
+    og.Lex(og.ScaledInt(1), og.ScaledInt(3)),
+    og.Twist4("Z"),
+    og.Twist4("D"),
+    og.ProductGroup((og.ScaledInt(1), og.ScaledDyadic(3))),
+], ids=dsl.format_group)
+def test_crit_certifies_a_group_as_its_own_closure(group):
+    # every element is already in the base: exponent 0 on every sample
+    res = cl.crit_check(group, group)
+    assert res.ok, res.detail
+    assert (res.samples_checked, res.max_exponent_seen) == (60, 0)
+
+
+@pytest.mark.parametrize("target", ["M(1)", "prod(M(1),M(4))", "gamma(prod(Z/1,Z/3))"])
+def test_sqrt_closure_with_a_boolean_factor_is_certified(target):
+    # the identity factor Z/1 -> Z/1 of a Boolean chain is certified, not
+    # refused with 0 samples
+    C = cl.sqrt_closure(dsl.parse_algebra(target))
+    assert cl.IDENTITY in {f.root for f in C.factors}
+    res = cl.crit_check(C)
+    assert res.ok, res.detail
+    assert res.samples_checked == 60
+
+
 def test_crit_accepts_descriptor():
     res = cl.crit_check(cl.strict_closure(M(6)))
     assert res.ok
@@ -380,8 +410,7 @@ def sqrt_closure_by_partition(A):
     elif part.i2 == zero_only:
         case, a = "ii", pmv.zero_elem(A)
     else:
-        case, a = "iii", ideals.nn12_element(A, part=part)
-        assert a is not None, "a finite algebra always has a splitting element"
+        case, a = "iii", ideals.nn12_element(A)
     out = []
     for atom, n in pmv.chain_decomposition(A):
         if pmv.leq(atom, a):

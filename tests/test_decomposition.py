@@ -7,12 +7,15 @@ chains from their operands' instead, and the constructor is their oracle:
 given a composed algebra's tables it must build an equal algebra with
 exactly the same decomposition.  The element operations compute on the
 coordinates and are compared with their formulas in (+) and the
-negations.  The ideal flags, the quotients, the roots, the w-split and
-both quantifiers of ``greatest_sqrt_subalgebra`` read the decomposition.
-The procedures it replaced are kept as oracles: the atomic decomposition
-through interval tables, a product and a homomorphism check
-(``check_homomorphism`` of ``tests/test_pmv.py``); the ideal definition and
-the normal, prime and Boolean scans; the congruence-class quotient; the
+negations.  The ideals, their flags, the prime partition, the splitting
+element, the quotients, the roots, the w-split and both quantifiers of
+``greatest_sqrt_subalgebra`` read the decomposition.  The procedures it
+replaced are kept as oracles: the atomic decomposition through interval
+tables, a product and a homomorphism check (``check_homomorphism`` of
+``tests/test_pmv.py``); the ideal definition, the members found by the
+order, and the normal, prime and Boolean scans; I1 and I2 by intersecting
+the primes, and the splitting element by its definition, d(a, 1) in I1 and
+a in I2; the congruence-class quotient; the
 exhaustive root search ``sqrt_element_finite``, its restriction to a subset
 ``sqrt_in_subset`` and the element-level stage iteration with its
 subalgebra scan; the cut of ``interval`` from the meet table; and the
@@ -35,7 +38,14 @@ from hypothesis import strategies as st
 from pmvroots import cli, dsl, ideals, pmv, roots
 from pmvroots.errors import ParameterError, UnsupportedOperationError
 from pmvroots.scalars import format_value
-from test_pmv import _verdict_cell_by_cell, check_homomorphism, derived_tables_of, operation_tables
+from test_pmv import (
+    _verdict_cell_by_cell,
+    check_homomorphism,
+    derived_tables_of,
+    distance,
+    ominus,
+    operation_tables,
+)
 
 M = pmv.finite_mv_chain
 
@@ -110,6 +120,37 @@ def ideal_flags_oracle(A, members):
     return normal, prime, boolean_ideal
 
 
+def members_oracle(A, b):
+    """The members of [0, b]: the elements below b, by a scan of the carrier."""
+    return frozenset(x for x in pmv.carrier(A) if pmv.leq(x, b))
+
+
+def partition_oracle(A):
+    """The tops of the proper primes whose quotient is Boolean (X1) and of
+    the others (X2), in carrier order, and I1 and I2, the intersections of
+    each class's members (the full carrier when the class is empty).  Every
+    ideal is [0, b] for an idempotent b of the table, and its flags are
+    those of ``ideal_flags_oracle``."""
+    full = frozenset(pmv.carrier(A))
+    x1, x2 = {}, {}
+    for b in pmv.carrier(A):
+        if A.oplus_t[b.payload][b.payload] != b.payload:
+            continue
+        members = members_oracle(A, b)
+        _, prime, boolean = ideal_flags_oracle(A, {x.payload for x in members})
+        if prime and members != full:
+            (x1 if boolean else x2)[b] = members
+    i1 = frozenset.intersection(full, *x1.values())
+    i2 = frozenset.intersection(full, *x2.values())
+    return list(x1), list(x2), i1, i2
+
+
+def splitting_oracle(A, i1, i2):
+    """Every a that maps to (1 mod I1, 0 mod I2): d(a, 1) in I1 and a in I2."""
+    one = pmv.one_elem(A)
+    return [a for a in pmv.carrier(A) if distance(a, one) in i1 and a in i2]
+
+
 def interval_oracle(A, b):
     """[0, b] cut from the tables: the carrier indices x with x v b == b, in
     carrier order, with (+) and both negations met with b."""
@@ -179,7 +220,7 @@ def quotient_oracle(A, members):
     classes, where = [], {}
     for x in pmv.carrier(A):
         for k, cls in enumerate(classes):
-            if pmv.ominus(x, cls[0]) in members and pmv.ominus(cls[0], x) in members:
+            if ominus(x, cls[0]) in members and ominus(cls[0], x) in members:
                 cls.append(x)
                 where[x] = k
                 break
@@ -330,10 +371,30 @@ def test_interval_by_coordinates_matches_the_table_cut(A):
 @pytest.mark.parametrize("A", CASES)
 def test_ideal_flags_match_the_scans(A):
     for info in ideals.enumerate_ideals(A):
+        assert info.members == members_oracle(A, info.top)
         members = {x.payload for x in info.members}
         assert is_ideal(A, members)
         flags = (info.is_normal, info.is_prime, info.is_boolean_ideal)
         assert flags == ideal_flags_oracle(A, members), pmv.value_of(info.top)
+
+
+@pytest.mark.parametrize("A", CASES)
+def test_prime_partition_and_splitting_element_match_the_scans(A):
+    x1, x2, i1, i2 = partition_oracle(A)
+    part = ideals.partition_primes(A)
+    assert [p.top for p in part.x1] == x1 and [p.top for p in part.x2] == x2
+    primes = ideals.normal_primes(A)
+    assert [p.top for p in primes] == sorted(x1 + x2, key=lambda b: b.payload)
+    assert all(p.members == members_oracle(A, p.top) for p in primes)
+    assert (part.i1, part.i2) == (i1, i2)
+    assert ideals.is_bsi(A) == (i2 == frozenset({pmv.zero_elem(A)}))
+    # the splitting element exists, is unique and idempotent, and splits
+    # both intersections: I2 = [0, a] and I1 = [0, a-]
+    found = splitting_oracle(A, i1, i2)
+    assert found == [ideals.nn12_element(A)]
+    a = found[0]
+    assert A.oplus_t[a.payload][a.payload] == a.payload
+    assert i2 == members_oracle(A, a) and i1 == members_oracle(A, pmv.lneg(a))
 
 
 @pytest.mark.parametrize("A", CASES)

@@ -1,5 +1,6 @@
 """Tests for ideal enumeration, prime partitions, quotients, and w-splitting."""
 
+import inspect
 import itertools
 import re
 from fractions import Fraction
@@ -208,28 +209,32 @@ def test_normal_primes_rejects_degenerate():
     P = pmv.finite_product([M(1)])
     Q, _ = ideals.quotient(P, frozenset(pmv.carrier(P)))
     assert Q.size == 1
-    with pytest.raises(ParameterError):
-        ideals.normal_primes(Q)
+    for query in (ideals.normal_primes, ideals.partition_primes, ideals.is_bsi, ideals.nn12_element):
+        with pytest.raises(ParameterError):
+            query(Q)
+
+
+def test_ideal_queries_take_the_algebra_alone():
+    # each query reads what it needs off the algebra; none is passed a
+    # result its caller computed
+    for query in (roots.sqrt_map, ideals.enumerate_ideals, ideals.normal_primes, ideals.partition_primes,
+                  ideals.is_bsi, ideals.nn12_element, ideals.strict_square_ideals, ideals.decomposition_by_w):
+        assert list(inspect.signature(query).parameters) == ["M"], query.__name__
 
 
 # --- splitting element -------------------------------------------------------------------
 
 
 def test_nn12_values():
-    a3 = ideals.nn12_element(M(3))
-    assert a3 is not None and pmv.value_of(a3) == Fraction(0)
-    a1 = ideals.nn12_element(M(1))
-    assert a1 is not None and pmv.value_of(a1) == Fraction(1)
+    assert pmv.value_of(ideals.nn12_element(M(3))) == Fraction(0)
+    assert pmv.value_of(ideals.nn12_element(M(1))) == Fraction(1)
     P = pmv.finite_product([M(1), M(4)])
-    ap = ideals.nn12_element(P)
-    assert ap is not None and pmv.value_of(ap) == (Fraction(1), Fraction(0))
+    assert pmv.value_of(ideals.nn12_element(P)) == (Fraction(1), Fraction(0))
 
 
 def test_nn12_splits_both_intersections():
     for A in small_corpus():
         a = ideals.nn12_element(A)
-        if a is None:
-            continue
         part = ideals.partition_primes(A)
         assert part.i2 == frozenset(x for x in pmv.carrier(A) if pmv.leq(x, a))
         assert part.i1 == frozenset(

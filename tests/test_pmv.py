@@ -176,6 +176,21 @@ def test_pmv_axioms(A):
         assert pmv.odot(pmv.odot(x, y), z) == pmv.odot(x, pmv.odot(y, z))
 
 
+def arrow(x, y):
+    """x -> y = x- (+) y."""
+    return pmv.oplus(pmv.lneg(x), y)
+
+
+def ominus(x, y):
+    """MV difference x (-) y = x (.) y-."""
+    return pmv.odot(x, pmv.lneg(y))
+
+
+def distance(x, y):
+    """Symmetric difference d(x, y) = (x (-) y) (+) (y (-) x)."""
+    return pmv.oplus(ominus(x, y), ominus(y, x))
+
+
 @pytest.mark.parametrize("A", gamma_algebras() + finite_algebras(), ids=ids_for)
 def test_derived_operations(A):
     rng = random.Random(19)
@@ -183,14 +198,14 @@ def test_derived_operations(A):
     zero = pmv.zero_elem(A)
     one = pmv.one_elem(A)
     for x in elems:
-        assert pmv.distance(x, x) == zero
-        assert pmv.distance(x, zero) == x
-        assert pmv.arrow(x, x) == one
-        assert pmv.ominus(x, zero) == x
+        assert distance(x, x) == zero
+        assert distance(x, zero) == x
+        assert arrow(x, x) == one
+        assert ominus(x, zero) == x
     for x, y in itertools.combinations(elems, 2):
-        assert pmv.ominus(x, y) == pmv.odot(x, pmv.lneg(y))
-        assert pmv.arrow(x, y) == pmv.oplus(pmv.lneg(x), y)
-        assert pmv.distance(x, y) == pmv.distance(y, x)
+        assert distance(x, y) == distance(y, x)
+        # x <= y exactly when x -> y = 1, exactly when x (-) y = 0
+        assert pmv.leq(x, y) == (arrow(x, y) == one) == (ominus(x, y) == zero)
 
 
 def test_is_boolean_elem():
