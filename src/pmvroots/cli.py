@@ -184,7 +184,7 @@ def _cmd_sqrt(args) -> Report:
 def _sqrtmap_finite(M: pmv.FiniteAlgebra) -> Report:
     smap = roots.sqrt_map(M)
     if smap is None:
-        witness = pmv.Element(M, roots.finite_roots(M).index(None))
+        witness = next(x for x in pmv.carrier(M) if not roots.element_sqrt(M, x).exists)
         return Report(
             "absent",
             {"reason": "some element has no square root", "witness": _fmt(witness)},
@@ -314,11 +314,11 @@ def _cmd_ideals(args) -> Report:
         "bsi": is_bsi(A),
         "splitting_element": _fmt(nn12_element(A)),
     }
-    smap = roots.sqrt_map(A)
-    if smap is not None:
+    # the flags are None exactly when A has no total square root mapping
+    if ideals[0].is_strict_square_ideal is not None:
         report = strict_square_ideals(A)
         dec = decomposition_by_w(A)
-        payload["strict_map"] = smap.strict
+        payload["strict_map"] = report.smap.strict
         payload["least_strict_square_ideal_top"] = _fmt(report.least_strict.top)
         payload["least_boolean_ideal_top"] = _fmt(report.least_boolean.top)
         payload["i1_equals_least_boolean"] = report.i1_equals_least_boolean

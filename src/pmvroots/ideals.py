@@ -5,11 +5,12 @@ is a downward-closed, (+)-closed subset containing 0; each one is the
 interval [0, b] of an idempotent b (the (+)-join of its members), that is,
 the product of the chains on which b is full, so its members are listed
 from b's coordinates and its flags follow from which chains those are.
-Enumeration walks the Boolean skeleton, and a configurable cap bounds the
-carrier it walks.  The quotient by [0, b] identifies the elements whose
-coordinates agree on the other chains.  The w-split of an algebra with a
-total square root mapping is an isomorphism once ``interval`` has
-accepted w as idempotent, so it is checked only for 0, 1 and bijectivity.
+Enumeration walks the idempotents, whose coordinates are each 0 or full,
+and a configurable cap bounds the algebras it accepts.  The quotient by
+[0, b] identifies the elements whose coordinates agree on the other
+chains.  The w-split of an algebra with a total square root mapping is an
+isomorphism once ``interval`` has accepted w as idempotent, so it is
+checked only for 0, 1 and bijectivity.
 
 Normal prime ideals are partitioned into
 
@@ -23,10 +24,12 @@ others, the proper primes are the k ideals that each leave out one chain,
 X1 holds those whose left-out chain has length 1, I2 = [0, e] and
 I1 = [0, e-].  So e is the splitting element (1 mod I1, 0 mod I2), which
 every algebra of at least 2 elements has, and I2 == {0}, Boolean subdirect
-irreducibility, holds exactly when no chain has length 1; a total square
-root mapping is strict exactly in that case.  The scans these replaced are
-oracles in the tests: members by the order, I1 and I2 by intersecting the
-primes, and the splitting element by its definition.
+irreducibility, holds exactly when no chain has length 1.  A total square
+root mapping exists exactly when every chain has length 1; then r(0) = 0
+and w = 1, so the improper ideal is the only strict square ideal.  The
+scans these replaced are oracles in the tests: members by the order, I1
+and I2 by intersecting the primes, the splitting element by its
+definition, and the strict-square-ideal flags by w.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .pmv import (
     Element,
     FiniteAlgebra,
     _compose,
-    boolean_skeleton,
     carrier,
     element_of,
     finite_product,
@@ -91,21 +93,23 @@ def _below(M: FiniteAlgebra, top: tuple[int, ...]) -> frozenset[Element]:
     return frozenset(Element(M, index[c]) for c in itertools.product(*(range(k + 1) for k in top)))
 
 
-def _ideal(M: FiniteAlgebra, top: tuple[int, ...], smap: SqrtMap | None) -> IdealInfo:
+def _ideal(M: FiniteAlgebra, top: tuple[int, ...]) -> IdealInfo:
     """[0, b] with its flags, for the coordinates ``top`` of an idempotent b:
     normal, prime when at most one chain lies outside the chains on which b
-    is full, and Boolean when every chain outside them has length 1."""
+    is full, and Boolean when every chain outside them has length 1.  A
+    total square root mapping exists exactly when every chain has length 1,
+    and then r(0) = 0 and w = 1, so [0, b] is a strict square ideal exactly
+    when it is improper; the flag is None without such a mapping."""
     dec = M.decomposition
     outside = [n for k, n in zip(top, dec.lengths) if k != n]
-    b = Element(M, dec.index[top])
     return IdealInfo(
-        top=b,
+        top=Element(M, dec.index[top]),
         members=_below(M, top),
         is_proper=bool(outside),
         is_normal=True,
         is_prime=len(outside) <= 1,
         is_boolean_ideal=all(n == 1 for n in outside),
-        is_strict_square_ideal=leq(smap.w, b) if smap is not None else None,
+        is_strict_square_ideal=not outside if all(n == 1 for n in dec.lengths) else None,
     )
 
 
@@ -120,18 +124,24 @@ def enumerate_ideals(M: FiniteAlgebra) -> list[IdealInfo]:
         raise ResourceLimitError(
             f"carrier has {M.size} elements, above the cap {cap} (set {ENV_CAP} to raise)"
         )
-    smap = sqrt_map(M)
-    coords = M.decomposition.coords
-    return [_ideal(M, coords[b.payload], smap) for b in boolean_skeleton(M)]
+    dec = M.decomposition
+    # the idempotents: each coordinate 0 or full
+    tops = itertools.product(*((0, n) for n in dec.lengths))
+    return [_ideal(M, top) for top in sorted(tops, key=dec.index.__getitem__)]
 
 
-def _splitting_coords(M: FiniteAlgebra) -> tuple[int, ...]:
-    """The coordinates of e: full (1) on the chains of length 1, 0 on the
-    others.  ``ParameterError`` on the one-element algebra."""
+def _require_primes(M: FiniteAlgebra) -> None:
+    """``ParameterError`` on the one-element algebra, which has no primes."""
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("the prime spectrum is computed on finite algebras")
     if M.size == 1:
         raise ParameterError("the one-element algebra has no prime spectrum")
+
+
+def _splitting_coords(M: FiniteAlgebra) -> tuple[int, ...]:
+    """The coordinates of e: full (1) on the chains of length 1, 0 on the
+    others."""
+    _require_primes(M)
     return tuple(int(n == 1) for n in M.decomposition.lengths)
 
 
@@ -139,11 +149,11 @@ def normal_primes(M: FiniteAlgebra) -> list[IdealInfo]:
     """The proper normal prime ideals of a non-degenerate finite algebra:
     for each chain, the ideal that leaves out that chain alone, in the
     carrier order of their tops."""
-    k = len(_splitting_coords(M))
+    _require_primes(M)
     dec = M.decomposition
-    tops = [tuple(0 if i == j else n for i, n in enumerate(dec.lengths)) for j in range(k)]
-    smap = sqrt_map(M)
-    return [_ideal(M, top, smap) for top in sorted(tops, key=dec.index.__getitem__)]
+    n = dec.lengths
+    tops = [n[:j] + (0,) + n[j + 1 :] for j in range(len(n))]
+    return [_ideal(M, top) for top in sorted(tops, key=dec.index.__getitem__)]
 
 
 @dataclass(frozen=True)

@@ -330,13 +330,6 @@ def _finite_root(M: FiniteAlgebra, x: Element) -> SqrtResult:
     return _exists(a)
 
 
-def _chain_roots(M: FiniteAlgebra) -> list[list[int | None]]:
-    """The root of every k in every chain M(n) of ``M``, by ``_chain_root``."""
-    if not isinstance(M, FiniteAlgebra):
-        raise UnsupportedOperationError("total mappings are computed on finite algebras")
-    return [[_chain_root(n, k) for k in range(n + 1)] for n in M.decomposition.lengths]
-
-
 def finite_roots(M: FiniteAlgebra) -> list[Element | None]:
     """The square root of every carrier element, in carrier order; None
     where there is none.
@@ -344,8 +337,10 @@ def finite_roots(M: FiniteAlgebra) -> list[Element | None]:
     Read off the chain decomposition coordinate by coordinate with
     ``_chain_root``; ``sqrt_element_finite`` decides the same by search.
     """
-    per_chain = _chain_roots(M)
+    if not isinstance(M, FiniteAlgebra):
+        raise UnsupportedOperationError("total mappings are computed on finite algebras")
     dec = M.decomposition
+    per_chain = [[_chain_root(n, k) for k in range(n + 1)] for n in dec.lengths]
     out = []
     for c in dec.coords:
         r = tuple(roots_in[k] for roots_in, k in zip(per_chain, c))
@@ -356,9 +351,9 @@ def finite_roots(M: FiniteAlgebra) -> list[Element | None]:
 def sqrt_map(M: FiniteAlgebra) -> SqrtMap | None:
     """The total square root mapping of a finite algebra, or None: a product
     of chains has one exactly when each of its chains has one."""
-    if any(None in roots_in for roots_in in _chain_roots(M)):
-        return None
     found = finite_roots(M)
+    if None in found:
+        return None
     mapping = dict(zip(carrier(M), found))
     r0 = mapping[zero_elem(M)]
     w = odot(lneg(r0), lneg(r0))

@@ -9,7 +9,7 @@ import time
 import jsonschema
 import pytest
 
-from pmvroots import cli
+from pmvroots import cli, dsl, ideals
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -261,6 +261,30 @@ def test_all_reports_schema_valid():
         ["greatest", "M(2)"],
     ):
         run_json(args)
+
+
+# --- the ideals report against the library queries ----------------------------------
+
+
+def test_ideals_report_is_the_same_without_precomputed_results():
+    # each query takes the algebra alone, and the report carries what it returns
+    targets = ["M(1)", "M(3)", "M(4)", "prod(M(1),M(2))", "prod(M(1),M(1),M(3))",
+               "prod(M(2),M(4))", "interval(prod(M(1),M(4)),(1,0))"]
+    for t in targets:
+        code, blob = run_json(["ideals", t])
+        assert code == 0, t
+        A = dsl.parse_algebra(t)
+        part = ideals.partition_primes(A)
+        payload = blob["payload"]
+        assert payload["x1_tops"] == [dsl.format_element(p.top) for p in part.x1], t
+        assert payload["x2_tops"] == [dsl.format_element(p.top) for p in part.x2], t
+        assert payload["i1_top"] == dsl.format_element(ideals.ideal_top(A, part.i1)), t
+        assert payload["i2_top"] == dsl.format_element(ideals.ideal_top(A, part.i2)), t
+        assert payload["bsi"] == ideals.is_bsi(A), t
+        assert payload["splitting_element"] == dsl.format_element(ideals.nn12_element(A)), t
+        assert [i["top"] for i in payload["ideals"]] == [
+            dsl.format_element(i.top) for i in ideals.enumerate_ideals(A)
+        ], t
 
 
 # --- messages --------------------------------------------------------------------------

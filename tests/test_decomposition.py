@@ -370,12 +370,16 @@ def test_interval_by_coordinates_matches_the_table_cut(A):
 
 @pytest.mark.parametrize("A", CASES)
 def test_ideal_flags_match_the_scans(A):
+    smap = roots.sqrt_map(A)
     for info in ideals.enumerate_ideals(A):
         assert info.members == members_oracle(A, info.top)
         members = {x.payload for x in info.members}
         assert is_ideal(A, members)
         flags = (info.is_normal, info.is_prime, info.is_boolean_ideal)
         assert flags == ideal_flags_oracle(A, members), pmv.value_of(info.top)
+        # strict square ideals are those that contain w
+        strict = pmv.leq(smap.w, info.top) if smap is not None else None
+        assert info.is_strict_square_ideal == strict, pmv.value_of(info.top)
 
 
 @pytest.mark.parametrize("A", CASES)
