@@ -26,7 +26,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import closures as cl
 from . import dsl
@@ -40,15 +40,7 @@ from .errors import (
     PmvError,
     UnsupportedOperationError,
 )
-from .ideals import (
-    decomposition_by_w,
-    enumerate_ideals,
-    ideal_top,
-    is_bsi,
-    nn12_element,
-    partition_primes,
-    strict_square_ideals,
-)
+from .ideals import enumerate_ideals, is_bsi, nn12_element, partition_primes, root_map_ideals
 from .scalars import Fraction
 
 EXIT_CODES = {
@@ -294,6 +286,7 @@ def _cmd_ideals(args) -> Report:
         raise UnsupportedOperationError("ideal enumeration needs a finite algebra")
     ideals = enumerate_ideals(A)
     part = partition_primes(A)
+    e = nn12_element(A)
     payload: dict = {
         "ideals": [
             {
@@ -309,27 +302,23 @@ def _cmd_ideals(args) -> Report:
         ],
         "x1_tops": [_fmt(p.top) for p in part.x1],
         "x2_tops": [_fmt(p.top) for p in part.x2],
-        "i1_top": _fmt(ideal_top(A, part.i1)),
-        "i2_top": _fmt(ideal_top(A, part.i2)),
+        # I1 = [0, e-] and I2 = [0, e]
+        "i1_top": _fmt(pmv.lneg(e)),
+        "i2_top": _fmt(e),
         "bsi": is_bsi(A),
-        "splitting_element": _fmt(nn12_element(A)),
+        "splitting_element": _fmt(e),
     }
     # the flags are None exactly when A has no total square root mapping
     if ideals[0].is_strict_square_ideal is not None:
-        report = strict_square_ideals(A)
-        dec = decomposition_by_w(A)
-        payload["strict_map"] = report.smap.strict
-        payload["least_strict_square_ideal_top"] = _fmt(report.least_strict.top)
-        payload["least_boolean_ideal_top"] = _fmt(report.least_boolean.top)
-        payload["i1_equals_least_boolean"] = report.i1_equals_least_boolean
-        payload["i2_equals_least_strict"] = report.i2_equals_least_strict
-        payload["w_decomposition"] = {
-            "boolean_part_size": dec.boolean_part.size,
-            "strict_part_size": dec.strict_part.size,
-            "boolean_part_is_boolean": dec.boolean_part_is_boolean,
-            "strict_part_map_strict": dec.strict_part_map_strict,
-            "induced_root_matches": dec.induced_root_matches,
-        }
+        r = root_map_ideals(A)
+        payload.update(
+            strict_map=r.strict_map,
+            least_strict_square_ideal_top=_fmt(r.least_strict_top),
+            least_boolean_ideal_top=_fmt(r.least_boolean_top),
+            i1_equals_least_boolean=r.i1_equals_least_boolean,
+            i2_equals_least_strict=r.i2_equals_least_strict,
+            w_decomposition=asdict(r.w_split),
+        )
     return Report("ok", payload)
 
 

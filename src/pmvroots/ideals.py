@@ -8,9 +8,7 @@ from b's coordinates and its flags follow from which chains those are.
 Enumeration walks the idempotents, whose coordinates are each 0 or full,
 and a configurable cap bounds the algebras it accepts.  The quotient by
 [0, b] identifies the elements whose coordinates agree on the other
-chains.  The w-split of an algebra with a total square root mapping is an
-isomorphism once ``interval`` has accepted w as idempotent, so it is
-checked only for 0, 1 and bijectivity.
+chains.
 
 Normal prime ideals are partitioned into
 
@@ -25,11 +23,15 @@ X1 holds those whose left-out chain has length 1, I2 = [0, e] and
 I1 = [0, e-].  So e is the splitting element (1 mod I1, 0 mod I2), which
 every algebra of at least 2 elements has, and I2 == {0}, Boolean subdirect
 irreducibility, holds exactly when no chain has length 1.  A total square
-root mapping exists exactly when every chain has length 1; then r(0) = 0
-and w = 1, so the improper ideal is the only strict square ideal.  The
+root mapping exists exactly when every chain has length 1; then r is the
+identity, r(0) = 0 and w = 1, so the improper ideal M = I2 is the only,
+hence the least, strict square ideal, every ideal is Boolean, the least
+being {0} = I1, and the w-split [0, w] x [0, w-] is M x {0}.  The
 scans these replaced are oracles in the tests: members by the order, I1
 and I2 by intersecting the primes, the splitting element by its
-definition, and the strict-square-ideal flags by w.
+definition, the strict-square-ideal flags by w, the least strict and
+Boolean ideals by scanning the ideals, and the w-split by building it
+from the mapping.
 """
 
 from __future__ import annotations
@@ -37,26 +39,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import ParameterError, ResourceLimitError, UnsupportedOperationError, check
-from .pmv import (
-    Element,
-    FiniteAlgebra,
-    _compose,
-    carrier,
-    element_of,
-    finite_product,
-    interval,
-    is_boolean_elem,
-    leq,
-    lneg,
-    meet,
-    one_elem,
-    value_of,
-    zero_elem,
-)
-from .roots import SqrtMap, sqrt_map
+from .errors import ParameterError, ResourceLimitError, UnsupportedOperationError
+from .pmv import Element, FiniteAlgebra, _compose, carrier, one_elem, zero_elem
 from .scalars import format_value
 
 ENV_CAP = "PMVROOTS_IDEAL_CAP"
@@ -82,9 +68,6 @@ class IdealInfo:
     is_prime: bool
     is_boolean_ideal: bool
     is_strict_square_ideal: bool | None
-
-    def __contains__(self, x: Element) -> bool:
-        return x in self.members
 
 
 def _below(M: FiniteAlgebra, top: tuple[int, ...]) -> frozenset[Element]:
@@ -245,104 +228,53 @@ def quotient(M: FiniteAlgebra, members: frozenset[Element]) -> tuple[FiniteAlgeb
 
 
 # ---------------------------------------------------------------------------
-# strict square ideals and the w-decomposition
+# strict square ideals and the w-split
 
 
 @dataclass(frozen=True)
-class StrictIdealReport:
-    smap: SqrtMap
-    strict_ideals: tuple[IdealInfo, ...]
-    least_strict: IdealInfo
-    least_boolean: IdealInfo
-    i1_equals_least_boolean: bool
-    i2_equals_least_strict: bool
-
-
-def _ideal_by_top(ideals: list[IdealInfo], top: Element) -> IdealInfo:
-    for i in ideals:
-        if i.top == top:
-            return i
-    raise ParameterError(f"no ideal with top {top}")
-
-
-def strict_square_ideals(M: FiniteAlgebra) -> StrictIdealReport:
-    """Classify ideals by containment of w = r(0)- (.) r(0)-."""
-    smap = sqrt_map(M)
-    if smap is None:
-        raise UnsupportedOperationError("the algebra has no total square root mapping")
-    ideals = enumerate_ideals(M)
-    strict = tuple(i for i in ideals if i.is_strict_square_ideal)
-    least_strict = _ideal_by_top(ideals, smap.w)
-    check(all(least_strict.members <= i.members for i in strict), "[0, w] is the least strict square ideal")
-    # the improper ideal is Boolean, so the smallest Boolean ideal exists
-    least_boolean = min((i for i in ideals if i.is_boolean_ideal), key=lambda i: len(i.members))
-    check(
-        all(least_boolean.members <= i.members for i in ideals if i.is_boolean_ideal),
-        "the least Boolean ideal is below every Boolean ideal",
-    )
-    # the one-element algebra has no primes, so no I1 and I2
-    i1, i2 = _intersections(M) if M.size > 1 else (None, None)
-    return StrictIdealReport(
-        smap=smap,
-        strict_ideals=strict,
-        least_strict=least_strict,
-        least_boolean=least_boolean,
-        i1_equals_least_boolean=i1 == least_boolean.members,
-        i2_equals_least_strict=i2 == least_strict.members,
-    )
-
-
-@dataclass(frozen=True)
-class WDecomposition:
-    smap: SqrtMap
-    boolean_part: FiniteAlgebra
-    strict_part: FiniteAlgebra
-    mapping: dict[Element, Element] = field(compare=False)
+class WSplit:
+    boolean_part_size: int
+    strict_part_size: int
     boolean_part_is_boolean: bool
     strict_part_map_strict: bool
     induced_root_matches: bool
 
 
-def decomposition_by_w(M: FiniteAlgebra) -> WDecomposition:
-    """Split M as [0, w] x [0, w-] along x -> (x ^ w, x ^ w-).
+@dataclass(frozen=True)
+class RootMapIdeals:
+    strict_map: bool
+    least_strict_top: Element
+    least_boolean_top: Element
+    i1_equals_least_boolean: bool
+    i2_equals_least_strict: bool
+    w_split: WSplit
 
-    The first factor is a Boolean algebra, the second carries a strict
-    square root mapping induced by r2(x) = r(x) ^ w-; all three claims
-    are verified exhaustively.  For an idempotent w the map is an
-    isomorphism, so it is checked only to send 0 and 1 to 0 and 1 and to
-    be a bijection.
+
+def root_map_ideals(M: FiniteAlgebra) -> RootMapIdeals:
+    """The ideals that the total square root mapping r singles out, and the
+    split of M as [0, w] x [0, w-] with w = r(0)- (.) r(0)-, whose first
+    part is Boolean and whose second carries a strict mapping.
+
+    A total r exists exactly when every chain has length 1, and then r is
+    the identity, so r(0) = 0, w = 1 and r is not strict.  The strict square
+    ideals are those that contain w, so the least is [0, w] = M.  Every
+    ideal is Boolean, so the least Boolean ideal is {0}.  With e = 1,
+    I1 = [0, e-] = {0} and I2 = [0, e] = M, so I1 is the least Boolean and
+    I2 the least strict square ideal.  The w-split is M = M x {0}: parts of
+    sizes |M| and 1, the first Boolean, the second with its strict identity
+    mapping, which r induces.  ``UnsupportedOperationError`` when some chain
+    is longer than 1, ``ParameterError`` on the one-element algebra.
     """
-    smap = sqrt_map(M)
-    if smap is None:
+    _require_primes(M)
+    if any(n != 1 for n in M.decomposition.lengths):
         raise UnsupportedOperationError("the algebra has no total square root mapping")
-    w = smap.w
-    wc = lneg(w)
-    B = interval(M, w)
-    S = interval(M, wc)
-    P = finite_product([B, S])
-    mapping = {
-        x: element_of(P, (value_of(meet(x, w)), value_of(meet(x, wc)))) for x in carrier(M)
-    }
-    # interval accepted w as idempotent, so the map is an isomorphism
-    check(mapping[zero_elem(M)] == zero_elem(P), "the w-split maps 0 to 0")
-    check(mapping[one_elem(M)] == one_elem(P), "the w-split maps 1 to 1")
-    check(len(set(mapping.values())) == P.size == M.size, "the w-split is a bijection onto the product")
-    boolean_ok = all(is_boolean_elem(b) for b in carrier(B))
-    smap2 = sqrt_map(S)
-    strict_ok = smap2 is not None and smap2.strict
-    induced_ok = smap2 is not None and all(
-        element_of(S, value_of(meet(smap.mapping[x], wc))) == smap2.mapping[element_of(S, value_of(x))]
-        for x in carrier(M)
-        if leq(x, wc)
-    )
-    return WDecomposition(
-        smap=smap,
-        boolean_part=B,
-        strict_part=S,
-        mapping=mapping,
-        boolean_part_is_boolean=boolean_ok,
-        strict_part_map_strict=strict_ok,
-        induced_root_matches=induced_ok,
+    return RootMapIdeals(
+        strict_map=False,
+        least_strict_top=one_elem(M),
+        least_boolean_top=zero_elem(M),
+        i1_equals_least_boolean=True,
+        i2_equals_least_strict=True,
+        w_split=WSplit(M.size, 1, True, True, True),
     )
 
 

@@ -15,11 +15,8 @@ from . import closures as cl
 from . import ogroups as og
 from . import pmv
 from .dsl import format_element_value, format_group
-from .ideals import (
-    decomposition_by_w,
-    nn12_element,
-    partition_primes,
-)
+from .errors import check
+from .ideals import nn12_element, partition_primes
 from .pmv import (
     GammaAlgebra,
     element_of,
@@ -393,15 +390,44 @@ def check_even_chain_closures() -> CheckResult:
     )
 
 
+def w_split(M: pmv.FiniteAlgebra):
+    """Split ``M``, which has a total square root mapping r, as
+    [0, w] x [0, w-] along x -> (x ^ w, x ^ w-), w = r(0)- (.) r(0)-,
+    computing both parts from the algebra.  Returns the parts, the map and
+    three flags: the first part is Boolean, the second carries a strict
+    mapping r2, and r2(x) = r(x) ^ w- there.  For an idempotent w the map is
+    an isomorphism, so it is checked only to send 0 and 1 to 0 and 1 and to
+    be a bijection."""
+    r = sqrt_map(M)
+    w, wc = r.w, lneg(r.w)
+    B, S = pmv.interval(M, w), pmv.interval(M, wc)
+    P = finite_product([B, S])
+    mapping = {
+        x: element_of(P, (pmv.value_of(pmv.meet(x, w)), pmv.value_of(pmv.meet(x, wc))))
+        for x in pmv.carrier(M)
+    }
+    check(mapping[zero_elem(M)] == zero_elem(P), "the w-split maps 0 to 0")
+    check(mapping[one_elem(M)] == one_elem(P), "the w-split maps 1 to 1")
+    check(len(set(mapping.values())) == P.size == M.size, "the w-split is a bijection onto the product")
+    r2 = sqrt_map(S)
+    flags = (
+        all(pmv.is_boolean_elem(b) for b in pmv.carrier(B)),
+        r2 is not None and r2.strict,
+        r2 is not None
+        and all(
+            element_of(S, pmv.value_of(pmv.meet(r.mapping[x], wc)))
+            == r2.mapping[element_of(S, pmv.value_of(x))]
+            for x in pmv.carrier(M)
+            if pmv.leq(x, wc)
+        ),
+    )
+    return B, S, mapping, flags
+
+
 def check_w_decomposition() -> CheckResult:
     bad = []
     for M in (finite_mv_chain(1), finite_product([finite_mv_chain(1), finite_mv_chain(1)])):
-        dec = decomposition_by_w(M)
-        if not (
-            dec.boolean_part_is_boolean
-            and dec.strict_part_map_strict
-            and dec.induced_root_matches
-        ):
+        if not all(w_split(M)[3]):
             bad.append(str(M))
         m = sqrt_map(M)
         if m is None or m.strict or m.w != one_elem(M):

@@ -126,10 +126,10 @@ def test_criterion_3_strictness_vs_bsi():
             continue
         with_map += 1
         assert smap.strict == ideals.is_bsi(A), lengths
-        dec = ideals.decomposition_by_w(A)
-        assert dec.boolean_part_is_boolean
-        assert dec.strict_part_map_strict
-        assert dec.induced_root_matches
+        # the w-split computed from the algebra, and its closed form
+        B, S, _, flags = worked_examples.w_split(A)
+        assert all(flags)
+        assert ideals.root_map_ideals(A).w_split == ideals.WSplit(B.size, S.size, *flags)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"corpus sweep took {elapsed:.1f}s"
     assert with_map >= 5

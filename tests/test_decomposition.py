@@ -8,14 +8,17 @@ given a composed algebra's tables it must build an equal algebra with
 exactly the same decomposition.  The element operations compute on the
 coordinates and are compared with their formulas in (+) and the
 negations.  The ideals, their flags, the prime partition, the splitting
-element, the quotients, the roots, the w-split and both quantifiers of
-``greatest_sqrt_subalgebra`` read the decomposition.  The procedures it
+element, the quotients, the roots and both quantifiers of
+``greatest_sqrt_subalgebra`` read the decomposition, and the strict square
+ideals and the w-split its chain lengths.  The procedures it
 replaced are kept as oracles: the atomic decomposition through interval
 tables, a product and a homomorphism check (``check_homomorphism`` of
 ``tests/test_pmv.py``); the ideal definition, the members found by the
 order, and the normal, prime and Boolean scans; I1 and I2 by intersecting
 the primes, and the splitting element by its definition, d(a, 1) in I1 and
-a in I2; the congruence-class quotient; the
+a in I2; the least strict square and Boolean ideals by scanning the
+ideals, and the w-split computed from the mapping by the ledger's
+``worked_examples.w_split``; the congruence-class quotient; the
 exhaustive root search ``sqrt_element_finite``, its restriction to a subset
 ``sqrt_in_subset`` and the element-level stage iteration with its
 subalgebra scan; the cut of ``interval`` from the meet table; and the
@@ -35,7 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmvroots import cli, dsl, ideals, pmv, roots
+from pmvroots import cli, dsl, ideals, pmv, roots, worked_examples
 from pmvroots.errors import ParameterError, UnsupportedOperationError
 from pmvroots.scalars import format_value
 from test_pmv import (
@@ -149,6 +152,25 @@ def splitting_oracle(A, i1, i2):
     """Every a that maps to (1 mod I1, 0 mod I2): d(a, 1) in I1 and a in I2."""
     one = pmv.one_elem(A)
     return [a for a in pmv.carrier(A) if distance(a, one) in i1 and a in i2]
+
+
+def least_ideals_oracle(A):
+    """The tops of the least strict square ideal and of the least Boolean
+    ideal of an algebra with a total square root mapping, and whether the
+    members of each equal I1 and I2 of ``partition_oracle``: every ideal is
+    [0, b] for an idempotent b of the table, the strict square ones are
+    those that contain w, the Boolean ones are flagged by
+    ``ideal_flags_oracle``, and each least one is below all of its kind."""
+    w = roots.sqrt_map(A).w
+    found = {
+        b: members_oracle(A, b) for b in pmv.carrier(A) if A.oplus_t[b.payload][b.payload] == b.payload
+    }
+    strict = {b: m for b, m in found.items() if w in m}
+    boolean = {b: m for b, m in found.items() if ideal_flags_oracle(A, {x.payload for x in m})[2]}
+    (least_strict,) = [b for b, m in strict.items() if all(m <= n for n in strict.values())]
+    (least_boolean,) = [b for b, m in boolean.items() if all(m <= n for n in boolean.values())]
+    _, _, i1, i2 = partition_oracle(A)
+    return least_strict, least_boolean, i1 == found[least_boolean], i2 == found[least_strict]
 
 
 def interval_oracle(A, b):
@@ -483,6 +505,21 @@ def test_quotient_by_coordinates_matches_the_congruence_classes(lengths):
         assert_composed_matches_checked(Q)
 
 
+def counted_calls(monkeypatch, function):
+    """Wrap ``function`` under every name that a package module binds it
+    to; the returned list gets the arguments of each call."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    for module in (cli, dsl, ideals, pmv, roots, worked_examples):
+        for name in [name for name, value in vars(module).items() if value is function]:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_composed_algebras_build_no_table_and_only_chains_are_decomposed(monkeypatch):
     decompose, compose = pmv._decompose, pmv._compose
     decomposed, composed = [], []
@@ -523,14 +560,48 @@ BOOLEAN = [product_of((1,) * k) for k in range(1, 7)] + [
 ]
 
 
+def assert_root_map_ideals_match_the_oracles(A):
+    r = ideals.root_map_ideals(A)
+    assert (r.least_strict_top, r.least_boolean_top, r.i1_equals_least_boolean, r.i2_equals_least_strict) == (
+        least_ideals_oracle(A)
+    )
+    assert r.strict_map == roots.sqrt_map(A).strict
+    B, S, _, flags = worked_examples.w_split(A)
+    assert r.w_split == ideals.WSplit(B.size, S.size, *flags)
+
+
+@pytest.mark.parametrize("A", BOOLEAN, ids=lambda A: f"{A.size} elements, top {format_value(A.values[-1])}")
+def test_root_map_ideals_match_the_oracles(A):
+    assert_root_map_ideals_match_the_oracles(A)
+
+
+@pytest.mark.parametrize("A", CASES)
+def test_root_map_ideals_need_a_total_mapping(A):
+    # only Boolean algebras, some of the quotients among them, have one
+    if roots.sqrt_map(A) is None:
+        with pytest.raises(UnsupportedOperationError):
+            ideals.root_map_ideals(A)
+    else:
+        assert_root_map_ideals_match_the_oracles(A)
+
+
 @pytest.mark.parametrize("A", BOOLEAN, ids=lambda A: f"{A.size} elements, top {format_value(A.values[-1])}")
 def test_w_split_is_an_isomorphism(A):
-    dec = ideals.decomposition_by_w(A)
-    P = pmv.finite_product([dec.boolean_part, dec.strict_part])
-    ok, why = check_homomorphism(dec.mapping, A, P, require_injective=True)
+    B, S, mapping, flags = worked_examples.w_split(A)
+    P = pmv.finite_product([B, S])
+    ok, why = check_homomorphism(mapping, A, P, require_injective=True)
     assert ok, why
-    assert len(set(dec.mapping.values())) == P.size
-    assert dec.boolean_part_is_boolean and dec.strict_part_map_strict and dec.induced_root_matches
+    assert len(set(mapping.values())) == P.size
+    assert all(flags)
+
+
+def test_the_boolean_ideals_verb_computes_no_mapping_and_enumerates_once(monkeypatch):
+    # on a Boolean algebra the strict square ideals and the w-split are read
+    # off the chain lengths: no mapping, no second enumeration, no interval
+    calls = {f: counted_calls(monkeypatch, f) for f in (roots.sqrt_map, ideals.enumerate_ideals, pmv.interval)}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["ideals", "prod(M(1),M(1),M(1))"]) == 0
+    assert [len(c) for c in calls.values()] == [0, 1, 0]
 
 
 def altered(A, kind, cell, value):

@@ -11,6 +11,7 @@ from pmvroots import ideals
 from pmvroots import pmv
 from pmvroots import roots
 from pmvroots.errors import ParameterError, ResourceLimitError, UnsupportedOperationError
+from pmvroots.worked_examples import w_split
 from test_pmv import are_isomorphic
 
 M = pmv.finite_mv_chain
@@ -209,7 +210,8 @@ def test_normal_primes_rejects_degenerate():
     P = pmv.finite_product([M(1)])
     Q, _ = ideals.quotient(P, frozenset(pmv.carrier(P)))
     assert Q.size == 1
-    for query in (ideals.normal_primes, ideals.partition_primes, ideals.is_bsi, ideals.nn12_element):
+    for query in (ideals.normal_primes, ideals.partition_primes, ideals.is_bsi, ideals.nn12_element,
+                  ideals.root_map_ideals):
         with pytest.raises(ParameterError):
             query(Q)
 
@@ -218,7 +220,7 @@ def test_ideal_queries_take_the_algebra_alone():
     # each query reads what it needs off the algebra; none is passed a
     # result its caller computed
     for query in (roots.sqrt_map, ideals.enumerate_ideals, ideals.normal_primes, ideals.partition_primes,
-                  ideals.is_bsi, ideals.nn12_element, ideals.strict_square_ideals, ideals.decomposition_by_w):
+                  ideals.is_bsi, ideals.nn12_element, ideals.root_map_ideals):
         assert list(inspect.signature(query).parameters) == ["M"], query.__name__
 
 
@@ -248,33 +250,31 @@ def test_nn12_splits_both_intersections():
 
 def test_strict_square_ideals_boolean():
     B = pmv.finite_product([M(1), M(1)])
-    report = ideals.strict_square_ideals(B)
-    assert report.smap.w == pmv.one_elem(B)
-    assert report.least_strict.members == frozenset(pmv.carrier(B))
-    assert report.least_boolean.members == {pmv.zero_elem(B)}
+    report = ideals.root_map_ideals(B)
+    assert roots.sqrt_map(B).w == report.least_strict_top == pmv.one_elem(B)
+    assert report.least_boolean_top == pmv.zero_elem(B)
+    assert not report.strict_map
     assert report.i1_equals_least_boolean
     assert report.i2_equals_least_strict
 
 
 def test_strict_square_ideals_needs_map():
     with pytest.raises(UnsupportedOperationError):
-        ideals.strict_square_ideals(M(2))
+        ideals.root_map_ideals(M(2))
 
 
 def test_w_decomposition_boolean_algebras():
     for A in (M(1), pmv.finite_product([M(1), M(1)]), pmv.finite_product([M(1), M(1), M(1)])):
-        dec = ideals.decomposition_by_w(A)
-        assert dec.boolean_part_is_boolean
-        assert dec.strict_part_map_strict
-        assert dec.induced_root_matches
-        assert dec.boolean_part.size == A.size
-        assert dec.strict_part.size == 1
-        assert len(set(dec.mapping.values())) == A.size
+        assert ideals.root_map_ideals(A).w_split == ideals.WSplit(A.size, 1, True, True, True)
+        B, S, mapping, flags = w_split(A)
+        assert all(flags)
+        assert (B.size, S.size) == (A.size, 1)
+        assert len(set(mapping.values())) == A.size
 
 
 def test_w_decomposition_needs_map():
     with pytest.raises(UnsupportedOperationError):
-        ideals.decomposition_by_w(M(4))
+        ideals.root_map_ideals(M(4))
 
 
 # --- resource cap ----------------------------------------------------------------------------
