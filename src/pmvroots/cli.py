@@ -40,7 +40,7 @@ from .errors import (
     PmvError,
     UnsupportedOperationError,
 )
-from .ideals import enumerate_ideals, is_bsi, nn12_element, partition_primes, root_map_ideals
+from .ideals import enumerate_ideals, is_bsi, nn12_element, normal_primes, root_map_ideals
 from .scalars import Fraction
 
 EXIT_CODES = {
@@ -112,15 +112,15 @@ def _cmd_analyze(args) -> Report:
             {
                 "kind": "group_interval",
                 "group": dsl.format_group(desc),
-                "linear": og.is_linear(desc),
-                "abelian": og.is_abelian(desc),
-                "two_divisible": og.is_two_divisible(desc),
+                "linear": desc.linear,
+                "abelian": desc.abelian,
+                "two_divisible": desc.two_divisible,
                 "unit_central": central,
                 "symmetric": symmetric,
             }
         )
         if witness is not None:
-            payload["noncentral_witness"] = dsl.format_element_value(witness.payload)
+            payload["noncentral_witness"] = dsl.format_element_value(witness)
         if sym_witness is not None:
             payload["asymmetry_witness"] = _fmt(sym_witness)
         try:
@@ -266,17 +266,15 @@ def _rootless_payload(desc: og.GroupDescriptor):
     if isinstance(desc, og.Lex):
         head = _rootless_payload(desc.head)
         if head is not None:
-            return (head, og.zero(desc.tail).payload)
+            return (head, desc.tail.zero())
         if isinstance(desc.tail, og.ScaledInt):
-            return (og.zero(desc.head).payload, Fraction(1, desc.tail.n))
+            return (desc.head.zero(), Fraction(1, desc.tail.n))
         return None
     if isinstance(desc, og.ProductGroup):
         for i, f in enumerate(desc.factors):
             inner = _rootless_payload(f)
             if inner is not None:
-                return tuple(
-                    inner if j == i else og.zero(g).payload for j, g in enumerate(desc.factors)
-                )
+                return tuple(inner if j == i else g.zero() for j, g in enumerate(desc.factors))
     return None
 
 
@@ -285,7 +283,7 @@ def _cmd_ideals(args) -> Report:
     if not isinstance(A, pmv.FiniteAlgebra):
         raise UnsupportedOperationError("ideal enumeration needs a finite algebra")
     ideals = enumerate_ideals(A)
-    part = partition_primes(A)
+    primes = normal_primes(A)
     e = nn12_element(A)
     payload: dict = {
         "ideals": [
@@ -300,8 +298,9 @@ def _cmd_ideals(args) -> Report:
             }
             for info in ideals
         ],
-        "x1_tops": [_fmt(p.top) for p in part.x1],
-        "x2_tops": [_fmt(p.top) for p in part.x2],
+        # X1 holds the primes with a Boolean quotient, X2 the others
+        "x1_tops": [_fmt(p.top) for p in primes if p.is_boolean_ideal],
+        "x2_tops": [_fmt(p.top) for p in primes if not p.is_boolean_ideal],
         # I1 = [0, e-] and I2 = [0, e]
         "i1_top": _fmt(pmv.lneg(e)),
         "i2_top": _fmt(e),

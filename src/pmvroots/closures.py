@@ -153,7 +153,7 @@ def strict_closure(M) -> ClosureDescriptor:
         for d in _flatten(_as_descriptor(M))
     )
     for f in factors:
-        check(og.is_two_divisible(f.closed), "every strict closure factor is two-divisible")
+        check(f.closed.two_divisible, "every strict closure factor is two-divisible")
     return ClosureDescriptor("strict", factors)
 
 
@@ -165,7 +165,7 @@ def strict_closure(M) -> ClosureDescriptor:
 class CritResult:
     ok: bool
     detail: str
-    counterexample: og.GroupElement | None = None
+    counterexample: og.Payload | None = None
     samples_checked: int = 0
     max_exponent_seen: int = 0
 
@@ -193,7 +193,7 @@ def _claimed_exponent(base: og.GroupDescriptor, closed: og.GroupDescriptor, payl
         if not (base.tag == "Z" and closed.tag == "D"):
             return None
         # the 2^n-fold sum is (2^n a, 2^n b, 2^n c, 2^n d + 2^(n-1)(2^n - 1) b c),
-        # Twist4._mul at k = 2^n
+        # Twist4.mul at k = 2^n
         exps = [dyadic_exponent(c) for c in payload]
         bc = payload[1] * payload[2]
         return max(*exps, (dyadic_exponent(bc) + 1) if bc else 0)
@@ -206,23 +206,19 @@ def _claimed_exponent(base: og.GroupDescriptor, closed: og.GroupDescriptor, payl
     return None
 
 
-def _containment_counterexample(base, closed) -> og.GroupElement | None:
+def _containment_counterexample(base, closed) -> og.Payload | None:
     """An element of the base group missing from the claimed closure."""
     if isinstance(base, (og.ScaledInt, og.ScaledDyadic)):
         scale = base.n if isinstance(base, og.ScaledInt) else base.q
         probe = Fraction(1, scale)
-        if not og.contains(closed, probe):
-            return og.GroupElement(base, probe)
+        if not closed.contains(probe):
+            return probe
     if isinstance(base, og.ProductGroup) and isinstance(closed, og.ProductGroup):
         if len(base.factors) == len(closed.factors):
             for i, (b, c) in enumerate(zip(base.factors, closed.factors)):
                 inner = _containment_counterexample(b, c)
                 if inner is not None:
-                    payload = tuple(
-                        inner.payload if j == i else og.zero(f).payload
-                        for j, f in enumerate(base.factors)
-                    )
-                    return og.GroupElement(base, payload)
+                    return tuple(inner if j == i else f.zero() for j, f in enumerate(base.factors))
     return None
 
 
@@ -241,13 +237,12 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
     if bad is not None:
         return CritResult(
             ok=False,
-            detail=f"{bad} lies in the base group but not in the claimed closure",
+            detail=f"{base.format(bad)} lies in the base group but not in the claimed closure",
             counterexample=bad,
         )
-    probe = og.unit(closed).payload
-    if _claimed_exponent(base, closed, probe) is None:
+    if _claimed_exponent(base, closed, closed.unit()) is None:
         h = _criterion_counterexample(base, closed)
-        reachable = any(og.contains(base, d.payload) for d in _doublings(h, 41))
+        reachable = any(map(base.contains, _doublings(closed, h, 41)))
         if reachable:
             return CritResult(
                 ok=False,
@@ -255,22 +250,18 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
             )
         return CritResult(
             ok=False,
-            detail=f"no doubling of {h} lands in the base group",
+            detail=f"no doubling of {closed.format(h)} lands in the base group",
             counterexample=h,
         )
-    # the samples stay payloads, the draws those of og.random_element; only a
-    # counterexample is boxed
     rng = random.Random(seed)
     max_seen = 0
     for _ in range(samples):
-        h = closed._random(rng, 3, 5)
+        h = closed.random(rng, 3, 5)
         n = _claimed_exponent(base, closed, h)
         if n is None:
-            g = og.GroupElement(closed, h)
-            return CritResult(False, f"certificate has no exponent for {g}", g)
-        if not base._contains(closed._mul(2**n, h)):
-            g = og.GroupElement(closed, h)
-            return CritResult(False, f"2^{n} * {g} is not in the base group", g)
+            return CritResult(False, f"certificate has no exponent for {closed.format(h)}", h)
+        if not base.contains(closed.mul(2**n, h)):
+            return CritResult(False, f"2^{n} * {closed.format(h)} is not in the base group", h)
         max_seen = max(max_seen, n)
     return CritResult(
         ok=True,
@@ -280,24 +271,21 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
     )
 
 
-def _doublings(h: og.GroupElement, count: int):
-    """h, 2h, 4h, ..., 2**(count - 1) h, one addition per step."""
-    return itertools.accumulate(range(count - 1), lambda d, _: og.g_add(d, d), initial=h)
+def _doublings(desc: og.GroupDescriptor, h, count: int):
+    """h, 2h, 4h, ..., 2**(count - 1) h in ``desc``, one addition per step."""
+    return itertools.accumulate(range(count - 1), lambda d, _: desc.add(d, d), initial=h)
 
 
-def _criterion_counterexample(base, closed) -> og.GroupElement:
+def _criterion_counterexample(base, closed) -> og.Payload:
     """A closure element no doubling of which lands in the base group."""
     if isinstance(closed, og.ScaledDyadic):
-        return og.GroupElement(closed, Fraction(1, closed.q))
+        return Fraction(1, closed.q)
     if isinstance(closed, og.ProductGroup):
         for b, c in zip(base.factors, closed.factors):
-            if _claimed_exponent(b, c, og.unit(c).payload) is None:
+            if _claimed_exponent(b, c, c.unit()) is None:
                 inner = _criterion_counterexample(b, c)
-                payload = tuple(
-                    inner.payload if f is c else og.zero(f).payload for f in closed.factors
-                )
-                return og.GroupElement(closed, payload)
-    return og.unit(closed)
+                return tuple(inner if f is c else f.zero() for f in closed.factors)
+    return closed.unit()
 
 
 # ---------------------------------------------------------------------------
@@ -321,30 +309,29 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
     base_desc = C.base_descriptor()
     if x.algebra != closed_alg:
         raise ParameterError("element does not live in the closed algebra")
-    if not og.is_abelian(base_desc):
+    if not base_desc.abelian:
         raise UnsupportedOperationError("the decomposition needs a commutative group")
     half = None  # 2**(n - 1) * x
-    for n, doubled in enumerate(_doublings(og.GroupElement(closed_alg.desc, x.payload), 129)):
-        if og.contains(base_desc, doubled.payload):
+    for n, doubled in enumerate(_doublings(closed_alg.desc, x.payload, 129)):
+        if base_desc.contains(doubled):
             break
         half = doubled
     else:
         raise ParameterError(f"{x} never reaches the base group by doubling")
-    doubled = og.GroupElement(base_desc, doubled.payload)
     base_alg = C.base_algebra()
-    u = og.unit(base_desc)
+    u = base_desc.unit()
     parts = []
     remaining = doubled
     for _ in range(2**n):
-        p = og.g_meet(remaining, u)
-        parts.append(element_of(base_alg, p.payload))
-        remaining = og.g_sub(remaining, p)
-    check(remaining == og.zero(base_desc), "the parts use up the doubled element")
-    total = og.zero(base_desc)
+        p = base_desc.meet(remaining, u)
+        parts.append(element_of(base_alg, p))
+        remaining = base_desc.add(remaining, base_desc.neg(p))
+    check(remaining == base_desc.zero(), "the parts use up the doubled element")
+    total = base_desc.zero()
     for p in parts:
-        total = og.g_add(total, og.GroupElement(base_desc, p.payload))
+        total = base_desc.add(total, p.payload)
     check(total == doubled, "the parts sum to the doubled element")
-    minimal = n == 0 or not og.contains(base_desc, half.payload)
+    minimal = n == 0 or not base_desc.contains(half)
     return RdpDecomposition(n=n, parts=tuple(parts), minimal=minimal)
 
 
@@ -363,10 +350,9 @@ def closure_sqrt(C: ClosureDescriptor, x: Element) -> Element:
         if f.root == IDENTITY:
             out.append(p)
             continue
-        ge = og.GroupElement(f.closed, p)
-        h = og.try_halve(og.g_add(ge, og.unit(f.closed)))
+        h = og.try_halve(f.closed, f.closed.add(p, f.closed.unit()))
         check(h is not None, "closed factors are two-divisible")
-        out.append(h.payload)
+        out.append(h)
     r = element_of(closed_alg, out[0] if len(out) == 1 else tuple(out))
     check(odot(r, r) == x, "the closure root r has r (.) r == x")
     return r
@@ -462,11 +448,11 @@ def _twist4_reassembles(desc: og.Twist4, payload) -> bool:
     """The four-part identity on payloads: x = (a,0,0,0) + (0,b,0,0) +
     (0,0,c,0) + (0,0,0,d-bc), with every part in the carrier of ``desc``."""
     a, b, c, d = payload
-    total = desc._zero()
+    total = desc.zero()
     for part in ((a, 0, 0, 0), (0, b, 0, 0), (0, 0, c, 0), (0, 0, 0, d - b * c)):
-        if not desc._contains(part):
+        if not desc.contains(part):
             return False
-        total = desc._add(total, part)
+        total = desc.add(total, part)
     return total == payload
 
 
@@ -481,16 +467,15 @@ def minimal_two_divisible_check(*, samples: int = 40, seed: int = 5) -> dict:
     base, closed = og.Twist4("Z"), og.Twist4("D")
     axes_ok = True
     for i in range(4):
-        g = og.element(closed, tuple(Fraction(int(j == i)) for j in range(4)))
+        g = og.member(closed, tuple(Fraction(int(j == i)) for j in range(4)))
         for _ in range(6):
-            h = og.try_halve(g)
-            axes_ok = axes_ok and h is not None and og.contains(closed, h.payload)
+            h = og.try_halve(closed, g)
+            axes_ok = axes_ok and h is not None and closed.contains(h)
             g = h
     rng = random.Random(seed)
     decomposition_ok = True
     for _ in range(samples):
-        x = og.random_element(closed, rng, coord_bound=4, exp_bound=4)
-        decomposition_ok = decomposition_ok and _twist4_reassembles(closed, x.payload)
+        decomposition_ok = decomposition_ok and _twist4_reassembles(closed, closed.random(rng, 4, 4))
     crit = crit_check(base, closed, samples=samples, seed=seed)
     return {
         "axis_halving_chains_in_closure": axes_ok,

@@ -1,8 +1,8 @@
 """Unital lattice-ordered groups, given by structural descriptors.
 
-A group is described by a small algebraic term (a *descriptor*); elements
-carry their descriptor plus a payload of exact scalars.  All operations
-are recursive over the descriptor shape:
+A group is described by a small algebraic term (a *descriptor*); an element
+is a bare payload of exact scalars, read through its descriptor.  All
+operations are recursive over the descriptor shape:
 
 * ``ScaledInt(n)``     -- (1/n) * Z inside Q, unit 1
 * ``ScaledDyadic(q)``  -- (1/q) * D (D the dyadic rationals), q odd, unit 1
@@ -27,12 +27,20 @@ Scalar tags for the twisted families are ``"Z"`` (integers), ``"D"``
 Halving stays exact: an odd ``int`` halves to a ``Fraction``, never to a
 ``float``.
 
-Each family is one class that holds its payload laws as private methods
-(``_add``, ``_mul``, ``_cmp``, ``_halve``, ...) and three flags (``_linear``,
-``_abelian``, ``_two_divisible``); the module-level functions are the API.
-``_mul(k, p)`` is the k-fold sum of p for k >= 0 in closed form; for the
-twisted families it carries the binomial C(k, 2) = k * (k - 1) // 2, an
-exact integer.
+Each family is one class whose public methods are its payload laws:
+``add``, ``neg``, ``mul``, ``cmp`` (-1, 0, 1, or None for incomparable
+payloads), ``join``, ``meet``, ``halve``, ``contains``, ``normalize``,
+``zero``, ``unit``, ``witness`` (a payload that does not commute with the
+unit, or None), ``bound``, ``random`` and ``format``; three flags,
+``linear``, ``abelian`` and ``two_divisible``, describe the family.  The
+laws take and return payloads and check nothing.  ``mul(k, p)`` is the
+k-fold sum of p for k >= 0 in closed form; for the twisted families it
+carries the binomial C(k, 2) = k * (k - 1) // 2, an exact integer.
+
+The module functions take payloads too and check what the laws do not:
+``member`` validates a raw value, ``try_halve`` halves inside the carrier,
+``is_unit_central`` returns the witness and ``strong_unit_bound`` an n with
+|p| <= n * u.  Each checks its own result with ``errors.check``.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .errors import CarrierError, MismatchError, ParameterError, check
+from .errors import CarrierError, ParameterError, check
 from .scalars import QuadValue, format_rational, format_value, is_dyadic, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
@@ -87,21 +95,21 @@ def _random_scalar(tag: str, rng, bound: int, exp: int) -> Fraction:
 class GroupDescriptor:
     """Base class for group descriptors; instances are immutable.
 
-    Defaults: a linear, Abelian order, join and meet from ``_cmp``, and a
+    Defaults: a linear, Abelian order, join and meet from ``cmp``, and a
     central unit (no non-centrality witness).
     """
 
     __slots__ = ()
-    _linear = True
-    _abelian = True
+    linear = True
+    abelian = True
 
-    def _join(self, p, q):
-        return p if self._cmp(p, q) >= 0 else q
+    def join(self, p, q):
+        return p if self.cmp(p, q) >= 0 else q
 
-    def _meet(self, p, q):
-        return p if self._cmp(p, q) <= 0 else q
+    def meet(self, p, q):
+        return p if self.cmp(p, q) <= 0 else q
 
-    def _witness(self):
+    def witness(self):
         return None
 
 
@@ -110,69 +118,69 @@ class _Rank1(GroupDescriptor):
 
     __slots__ = ()
 
-    def _normalize(self, raw):
+    def normalize(self, raw):
         return rational(raw)
 
-    def _zero(self):
+    def zero(self):
         return Fraction(0)
 
-    def _unit(self):
+    def unit(self):
         return Fraction(1)
 
-    def _add(self, p, q):
+    def add(self, p, q):
         return p + q
 
-    def _mul(self, k, p):
+    def mul(self, k, p):
         return k * p
 
-    def _neg(self, p):
+    def neg(self, p):
         return -p
 
-    def _cmp(self, p, q):
+    def cmp(self, p, q):
         return (p > q) - (p < q)
 
-    def _halve(self, p):
+    def halve(self, p):
         return p / 2
 
-    def _bound(self, p):
+    def bound(self, p):
         return math.ceil(p)
 
-    def _format(self, p):
+    def format(self, p):
         return format_rational(p)
 
 
 @dataclass(frozen=True)
 class ScaledInt(_Rank1):
     n: int
-    _two_divisible = False
+    two_divisible = False
 
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError("ScaledInt needs n >= 1")
 
-    def _contains(self, p):
+    def contains(self, p):
         return isinstance(p, Fraction) and (p * self.n).denominator == 1
 
-    def _random(self, rng, bound, exp):
+    def random(self, rng, bound, exp):
         return Fraction(rng.randint(-bound * self.n, bound * self.n), self.n)
 
 
 @dataclass(frozen=True)
 class ScaledDyadic(_Rank1):
     q: int
-    _two_divisible = True
+    two_divisible = True
 
     def __post_init__(self):
         if self.q < 1 or self.q % 2 == 0:
             raise ParameterError("ScaledDyadic needs odd q >= 1")
 
-    def _contains(self, p):
+    def contains(self, p):
         if not isinstance(p, Fraction):
             return False
         den = p.denominator
         return self.q % (den >> ((den & -den).bit_length() - 1)) == 0
 
-    def _random(self, rng, bound, exp):
+    def random(self, rng, bound, exp):
         k = rng.randint(0, exp)
         den = self.q * 2**k
         return Fraction(rng.randint(-bound * den, bound * den), den)
@@ -180,12 +188,12 @@ class ScaledDyadic(_Rank1):
 
 @dataclass(frozen=True)
 class Rationals(_Rank1):
-    _two_divisible = True
+    two_divisible = True
 
-    def _contains(self, p):
+    def contains(self, p):
         return isinstance(p, Fraction)
 
-    def _random(self, rng, bound, exp):
+    def random(self, rng, bound, exp):
         return _random_scalar("Q", rng, bound, exp)
 
 
@@ -201,53 +209,53 @@ class QuadLattice(GroupDescriptor):
             raise ParameterError("QuadLattice needs 0 < alpha < 1")
 
     @property
-    def _two_divisible(self):
+    def two_divisible(self):
         return self.dyadic
 
     def _value(self, p) -> QuadValue:
         return QuadValue.make(p[0] + p[1] * self.alpha.a, p[1] * self.alpha.b, self.alpha.d if p[1] else 0)
 
-    def _contains(self, p):
+    def contains(self, p):
         if not (isinstance(p, tuple) and len(p) == 2):
             return False
         tag = "D" if self.dyadic else "Z"
         return all(isinstance(c, Fraction) and _tag_member(tag, c) for c in p)
 
-    def _normalize(self, raw):
+    def normalize(self, raw):
         a, b = raw
         return (rational(a), rational(b))
 
-    def _zero(self):
+    def zero(self):
         return (Fraction(0), Fraction(0))
 
-    def _unit(self):
+    def unit(self):
         return (Fraction(1), Fraction(0))
 
-    def _add(self, p, q):
+    def add(self, p, q):
         return (p[0] + q[0], p[1] + q[1])
 
-    def _mul(self, k, p):
+    def mul(self, k, p):
         return (k * p[0], k * p[1])
 
-    def _neg(self, p):
+    def neg(self, p):
         return (-p[0], -p[1])
 
-    def _cmp(self, p, q):
+    def cmp(self, p, q):
         return self._value((p[0] - q[0], p[1] - q[1])).sign()
 
-    def _halve(self, p):
+    def halve(self, p):
         return (p[0] / 2, p[1] / 2)
 
-    def _bound(self, p):
+    def bound(self, p):
         v = self._value(p)
         f = v.floor()
         return f if (v - QuadValue.make(f)).sign() == 0 else f + 1
 
-    def _random(self, rng, bound, exp):
+    def random(self, rng, bound, exp):
         tag = "D" if self.dyadic else "Z"
         return (_random_scalar(tag, rng, bound, exp), _random_scalar(tag, rng, bound, exp))
 
-    def _format(self, p):
+    def format(self, p):
         m, n = p
         if n == 0:
             return format_rational(m)
@@ -268,21 +276,21 @@ class _Twisted(GroupDescriptor):
     """
 
     tag: str = "Z"
-    _abelian = False
+    abelian = False
 
     def __post_init__(self):
         if self.tag not in SCALAR_TAGS:
             raise ParameterError(f"scalar tag must be one of {SCALAR_TAGS}")
 
     @property
-    def _two_divisible(self):
+    def two_divisible(self):
         return self.tag in ("D", "Q")
 
     @property
     def _scalar(self):
         return int if self.tag == "Z" else Fraction
 
-    def _contains(self, p):
+    def contains(self, p):
         return (
             isinstance(p, tuple)
             and len(p) == self.arity
@@ -290,33 +298,33 @@ class _Twisted(GroupDescriptor):
             and all((type(c) is int or isinstance(c, Fraction)) and _tag_member(self.tag, c) for c in p)
         )
 
-    def _normalize(self, raw):
+    def normalize(self, raw):
         if len(raw) != self.arity:
             raise ValueError("wrong arity")
         return tuple(map(_int_if_integral if self.tag == "Z" else rational, raw))
 
-    def _zero(self):
+    def zero(self):
         return (self._scalar(0),) * self.arity
 
-    def _unit(self):
+    def unit(self):
         s = self._scalar
         return (s(1),) + (s(0),) * (self.arity - 1)
 
-    def _cmp(self, p, q):
+    def cmp(self, p, q):
         for a, b in zip(p, q):
             if a != b:
                 return 1 if a > b else -1
         return 0
 
-    def _bound(self, p):
+    def bound(self, p):
         return math.floor(abs(p[0])) + 1
 
-    def _random(self, rng, bound, exp):
+    def random(self, rng, bound, exp):
         if self.tag == "Z":
             return tuple(rng.randint(-bound, bound) for _ in range(self.arity))
         return tuple(_random_scalar(self.tag, rng, bound, exp) for _ in range(self.arity))
 
-    def _format(self, p):
+    def format(self, p):
         return "(" + ",".join(format_rational(c) for c in p) + ")"
 
 
@@ -325,21 +333,21 @@ class _Twisted(GroupDescriptor):
 class Twist3(_Twisted):
     arity = 3
 
-    def _add(self, p, q):
+    def add(self, p, q):
         return (p[0] + q[0], p[1] + q[1], p[2] + q[2] + p[0] * q[1])
 
-    def _mul(self, k, p):
+    def mul(self, k, p):
         # the i-th addition adds (i*a)*b to the last coordinate, C(k, 2)*a*b in all
         return (k * p[0], k * p[1], k * p[2] + k * (k - 1) // 2 * p[0] * p[1])
 
-    def _neg(self, p):
+    def neg(self, p):
         return (-p[0], -p[1], -p[2] + p[0] * p[1])
 
-    def _halve(self, p):
+    def halve(self, p):
         # h + h = (2h1, 2h2, 2h3 + h1*h2)
         return (_half(p[0]), _half(p[1]), _half(p[2] - _half(_half(p[0] * p[1]))))
 
-    def _witness(self):
+    def witness(self):
         # u + (0,1,0) = (1,1,1) but (0,1,0) + u = (1,1,0)
         s = self._scalar
         return (s(0), s(1), s(0))
@@ -348,16 +356,16 @@ class Twist3(_Twisted):
 class Twist4(_Twisted):
     arity = 4
 
-    def _add(self, p, q):
+    def add(self, p, q):
         return (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3] + p[1] * q[2])
 
-    def _mul(self, k, p):
+    def mul(self, k, p):
         return (k * p[0], k * p[1], k * p[2], k * p[3] + k * (k - 1) // 2 * p[1] * p[2])
 
-    def _neg(self, p):
+    def neg(self, p):
         return (-p[0], -p[1], -p[2], -p[3] + p[1] * p[2])
 
-    def _halve(self, p):
+    def halve(self, p):
         # h + h = (2h1, 2h2, 2h3, 2h4 + h2*h3)
         return (_half(p[0]), _half(p[1]), _half(p[2]), _half(p[3] - _half(_half(p[1] * p[2]))))
 
@@ -371,40 +379,40 @@ class _Composite(GroupDescriptor):
     __slots__ = ()
 
     @property
-    def _abelian(self):
-        return all(f._abelian for f in self.parts)
+    def abelian(self):
+        return all(f.abelian for f in self.parts)
 
     @property
-    def _two_divisible(self):
-        return all(f._two_divisible for f in self.parts)
+    def two_divisible(self):
+        return all(f.two_divisible for f in self.parts)
 
-    def _contains(self, p):
+    def contains(self, p):
         return (
             isinstance(p, tuple)
             and len(p) == len(self.parts)
-            and all(f._contains(a) for f, a in zip(self.parts, p))
+            and all(f.contains(a) for f, a in zip(self.parts, p))
         )
 
-    def _zero(self):
-        return tuple(f._zero() for f in self.parts)
+    def zero(self):
+        return tuple(f.zero() for f in self.parts)
 
-    def _add(self, p, q):
-        return tuple(f._add(a, b) for f, a, b in zip(self.parts, p, q))
+    def add(self, p, q):
+        return tuple(f.add(a, b) for f, a, b in zip(self.parts, p, q))
 
-    def _mul(self, k, p):
-        return tuple(f._mul(k, a) for f, a in zip(self.parts, p))
+    def mul(self, k, p):
+        return tuple(f.mul(k, a) for f, a in zip(self.parts, p))
 
-    def _neg(self, p):
-        return tuple(f._neg(a) for f, a in zip(self.parts, p))
+    def neg(self, p):
+        return tuple(f.neg(a) for f, a in zip(self.parts, p))
 
-    def _halve(self, p):
-        return tuple(f._halve(a) for f, a in zip(self.parts, p))
+    def halve(self, p):
+        return tuple(f.halve(a) for f, a in zip(self.parts, p))
 
-    def _random(self, rng, bound, exp):
-        return tuple(f._random(rng, bound, exp) for f in self.parts)
+    def random(self, rng, bound, exp):
+        return tuple(f.random(rng, bound, exp) for f in self.parts)
 
-    def _format(self, p):
-        return "(" + ",".join(f._format(a) for f, a in zip(self.parts, p)) + ")"
+    def format(self, p):
+        return "(" + ",".join(f.format(a) for f, a in zip(self.parts, p)) + ")"
 
 
 @dataclass(frozen=True)
@@ -413,44 +421,44 @@ class Lex(_Composite):
     tail: GroupDescriptor
 
     def __post_init__(self):
-        if not self.head._linear:
+        if not self.head.linear:
             raise ParameterError("lexicographic head must be linearly ordered")
         object.__setattr__(self, "parts", (self.head, self.tail))
 
     @property
-    def _linear(self):
-        return self.tail._linear
+    def linear(self):
+        return self.tail.linear
 
-    def _normalize(self, raw):
+    def normalize(self, raw):
         h, t = raw
-        return (self.head._normalize(h), self.tail._normalize(t))
+        return (self.head.normalize(h), self.tail.normalize(t))
 
-    def _unit(self):
-        return (self.head._unit(), self.tail._zero())
+    def unit(self):
+        return (self.head.unit(), self.tail.zero())
 
-    def _cmp(self, p, q):
-        return self.head._cmp(p[0], q[0]) or self.tail._cmp(p[1], q[1])
+    def cmp(self, p, q):
+        return self.head.cmp(p[0], q[0]) or self.tail.cmp(p[1], q[1])
 
-    def _join(self, p, q):
-        c = self.head._cmp(p[0], q[0])
+    def join(self, p, q):
+        c = self.head.cmp(p[0], q[0])
         if c:
             return p if c > 0 else q
-        return (p[0], self.tail._join(p[1], q[1]))
+        return (p[0], self.tail.join(p[1], q[1]))
 
-    def _meet(self, p, q):
-        c = self.head._cmp(p[0], q[0])
+    def meet(self, p, q):
+        c = self.head.cmp(p[0], q[0])
         if c:
             return q if c > 0 else p
-        return (p[0], self.tail._meet(p[1], q[1]))
+        return (p[0], self.tail.meet(p[1], q[1]))
 
-    def _witness(self):
-        w = self.head._witness()
-        return None if w is None else (w, self.tail._zero())
+    def witness(self):
+        w = self.head.witness()
+        return None if w is None else (w, self.tail.zero())
 
-    def _bound(self, p):
+    def bound(self, p):
         # (n+1)*u = ((n+1)*u_head, 0) exceeds |x| strictly in the head.
         h = self.head
-        return h._bound(h._join(p[0], h._neg(p[0]))) + 1
+        return h.bound(h.join(p[0], h.neg(p[0]))) + 1
 
 
 @dataclass(frozen=True)
@@ -464,19 +472,19 @@ class ProductGroup(_Composite):
         object.__setattr__(self, "parts", self.factors)
 
     @property
-    def _linear(self):
-        return len(self.factors) == 1 and self.factors[0]._linear
+    def linear(self):
+        return len(self.factors) == 1 and self.factors[0].linear
 
-    def _normalize(self, raw):
-        return tuple(f._normalize(p) for f, p in zip(self.factors, raw, strict=True))
+    def normalize(self, raw):
+        return tuple(f.normalize(p) for f, p in zip(self.factors, raw, strict=True))
 
-    def _unit(self):
-        return tuple(f._unit() for f in self.factors)
+    def unit(self):
+        return tuple(f.unit() for f in self.factors)
 
-    def _cmp(self, p, q):
+    def cmp(self, p, q):
         seen_lt = seen_gt = False
         for f, a, b in zip(self.factors, p, q):
-            c = f._cmp(a, b)
+            c = f.cmp(a, b)
             if c is None:
                 return None
             seen_lt |= c < 0
@@ -485,177 +493,63 @@ class ProductGroup(_Composite):
             return None
         return 1 if seen_gt else (-1 if seen_lt else 0)
 
-    def _join(self, p, q):
-        return tuple(f._join(a, b) for f, a, b in zip(self.factors, p, q))
+    def join(self, p, q):
+        return tuple(f.join(a, b) for f, a, b in zip(self.factors, p, q))
 
-    def _meet(self, p, q):
-        return tuple(f._meet(a, b) for f, a, b in zip(self.factors, p, q))
+    def meet(self, p, q):
+        return tuple(f.meet(a, b) for f, a, b in zip(self.factors, p, q))
 
-    def _witness(self):
+    def witness(self):
         for i, f in enumerate(self.factors):
-            w = f._witness()
+            w = f.witness()
             if w is not None:
-                return tuple(w if j == i else g._zero() for j, g in enumerate(self.factors))
+                return tuple(w if j == i else g.zero() for j, g in enumerate(self.factors))
         return None
 
-    def _bound(self, p):
-        return max(f._bound(a) for f, a in zip(self.factors, p))
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    desc: GroupDescriptor
-    payload: Payload
-
-    def __str__(self) -> str:
-        return format_payload(self.desc, self.payload)
+    def bound(self, p):
+        return max(f.bound(a) for f, a in zip(self.factors, p))
 
 
 # ---------------------------------------------------------------------------
-# structural predicates
+# functions on payloads
 
 
-def is_linear(desc: GroupDescriptor) -> bool:
-    """True when the descriptor's order is total."""
-    return desc._linear
-
-
-def is_abelian(desc: GroupDescriptor) -> bool:
-    return desc._abelian
-
-
-def is_two_divisible(desc: GroupDescriptor) -> bool:
-    """True when every element has a (necessarily unique) half."""
-    return desc._two_divisible
-
-
-def contains(desc: GroupDescriptor, payload) -> bool:
-    """Carrier membership test; also checks the payload shape."""
-    return desc._contains(payload)
-
-
-def element(desc: GroupDescriptor, raw) -> GroupElement:
-    """Build a validated element of the group described by ``desc``."""
+def member(desc: GroupDescriptor, raw) -> Payload:
+    """The validated payload of ``raw`` in the group described by ``desc``."""
     try:
-        payload = desc._normalize(raw)
+        payload = desc.normalize(raw)
     except (TypeError, ValueError, ParameterError):
         # a tuple where a scalar belongs (rational() raises ParameterError),
         # a scalar where a tuple belongs, or a tuple of the wrong length
         raise CarrierError(f"payload {format_value(raw)} has the wrong shape") from None
-    if not contains(desc, payload):
-        raise CarrierError(f"{format_payload(desc, payload)} is not in the carrier")
-    return GroupElement(desc, payload)
+    if not desc.contains(payload):
+        raise CarrierError(f"{desc.format(payload)} is not in the carrier")
+    return payload
 
 
-# ---------------------------------------------------------------------------
-# group structure
-
-
-def zero(desc: GroupDescriptor) -> GroupElement:
-    return GroupElement(desc, desc._zero())
-
-
-def unit(desc: GroupDescriptor) -> GroupElement:
-    """The distinguished strong unit of the family."""
-    return GroupElement(desc, desc._unit())
-
-
-def _require_same(x: GroupElement, y: GroupElement):
-    if x.desc is not y.desc and x.desc != y.desc:
-        raise MismatchError(f"elements of different groups: {x.desc!r} vs {y.desc!r}")
-
-
-def g_add(x: GroupElement, y: GroupElement) -> GroupElement:
-    _require_same(x, y)
-    return GroupElement(x.desc, x.desc._add(x.payload, y.payload))
-
-
-def g_neg(x: GroupElement) -> GroupElement:
-    return GroupElement(x.desc, x.desc._neg(x.payload))
-
-
-def g_sub(x: GroupElement, y: GroupElement) -> GroupElement:
-    return g_add(x, g_neg(y))
-
-
-def mul_int(k: int, x: GroupElement) -> GroupElement:
-    """k-fold sum of x with itself, in closed form per family; (-k) x is
-    -(k x) (valid in any group: x commutes with x)."""
-    desc = x.desc
-    if k < 0:
-        return GroupElement(desc, desc._neg(desc._mul(-k, x.payload)))
-    return GroupElement(desc, desc._mul(k, x.payload))
-
-
-# ---------------------------------------------------------------------------
-# order structure
-
-
-def g_cmp(x: GroupElement, y: GroupElement) -> int | None:
-    """-1, 0 or 1; None when the elements are incomparable."""
-    _require_same(x, y)
-    return x.desc._cmp(x.payload, y.payload)
-
-
-def g_leq(x: GroupElement, y: GroupElement) -> bool:
-    c = g_cmp(x, y)
-    return c is not None and c <= 0
-
-
-def g_join(x: GroupElement, y: GroupElement) -> GroupElement:
-    _require_same(x, y)
-    return GroupElement(x.desc, x.desc._join(x.payload, y.payload))
-
-
-def g_meet(x: GroupElement, y: GroupElement) -> GroupElement:
-    _require_same(x, y)
-    return GroupElement(x.desc, x.desc._meet(x.payload, y.payload))
-
-
-def g_abs(x: GroupElement) -> GroupElement:
-    return g_join(x, g_neg(x))
-
-
-# ---------------------------------------------------------------------------
-# halving, centrality, strong unit bounds
-
-
-def try_halve(x: GroupElement) -> GroupElement | None:
-    """The unique h with h + h == x, or None when no such h is in the carrier."""
-    h = x.desc._halve(x.payload)
-    if not contains(x.desc, h):
+def try_halve(desc: GroupDescriptor, p) -> Payload | None:
+    """The unique h with h + h == p, or None when no such h is in the carrier."""
+    h = desc.halve(p)
+    if not desc.contains(h):
         return None
-    half = GroupElement(x.desc, h)
-    check(g_add(half, half) == x, "a half h of x has h + h == x")
-    return half
+    check(desc.add(h, h) == p, "a half h of x has h + h == x")
+    return h
 
 
-def is_unit_central(desc: GroupDescriptor) -> tuple[bool, GroupElement | None]:
-    """Whether the strong unit commutes with every element; witness otherwise."""
-    witness_payload = desc._witness()
-    if witness_payload is None:
+def is_unit_central(desc: GroupDescriptor) -> tuple[bool, Payload | None]:
+    """Whether the strong unit commutes with every element; a witness otherwise."""
+    w = desc.witness()
+    if w is None:
         return True, None
-    w = GroupElement(desc, witness_payload)
-    u = unit(desc)
-    check(g_add(u, w) != g_add(w, u), "the non-centrality witness does not commute with u")
+    u = desc.unit()
+    check(desc.add(u, w) != desc.add(w, u), "the non-centrality witness does not commute with u")
     return False, w
 
 
-def strong_unit_bound(x: GroupElement) -> int:
-    """Some n >= 1 with |x| <= n * u; the defining property is asserted."""
-    n = max(1, x.desc._bound(g_abs(x).payload))
-    check(g_leq(g_abs(x), mul_int(n, unit(x.desc))), "the strong unit bound n has |x| <= n * u")
+def strong_unit_bound(desc: GroupDescriptor, p) -> int:
+    """Some n >= 1 with |p| <= n * u; the defining property is checked."""
+    a = desc.join(p, desc.neg(p))
+    n = max(1, desc.bound(a))
+    c = desc.cmp(a, desc.mul(n, desc.unit()))
+    check(c is not None and c <= 0, "the strong unit bound n has |x| <= n * u")
     return n
-
-
-# ---------------------------------------------------------------------------
-# sampling and display
-
-
-def random_element(desc: GroupDescriptor, rng, *, coord_bound: int = 8, exp_bound: int = 6) -> GroupElement:
-    """A pseudo-random carrier element, used by randomized certificates."""
-    return GroupElement(desc, desc._random(rng, coord_bound, exp_bound))
-
-
-def format_payload(desc: GroupDescriptor, p) -> str:
-    return desc._format(p)

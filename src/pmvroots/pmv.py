@@ -70,19 +70,20 @@ class GammaAlgebra(Algebra):
 
     desc: og.GroupDescriptor
 
-    # u, 0 and -u enter every operation: each instance builds them once, on
-    # first use (not fields, so equality and hashing still see desc only)
+    # the payloads u, 0 and -u enter every operation: each instance builds
+    # them once, on first use (not fields, so equality and hashing still see
+    # desc only)
     @cached_property
-    def unit(self) -> og.GroupElement:
-        return og.unit(self.desc)
+    def unit(self) -> og.Payload:
+        return self.desc.unit()
 
     @cached_property
-    def zero(self) -> og.GroupElement:
-        return og.zero(self.desc)
+    def zero(self) -> og.Payload:
+        return self.desc.zero()
 
     @cached_property
-    def neg_unit(self) -> og.GroupElement:
-        return og.g_neg(self.unit)
+    def neg_unit(self) -> og.Payload:
+        return self.desc.neg(self.unit)
 
     def __str__(self) -> str:
         from .dsl import format_group
@@ -199,7 +200,7 @@ class ChainDecomposition(NamedTuple):
 Value = Union[Fraction, tuple, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Element:
     algebra: Algebra
     payload: Union[int, Fraction, tuple]
@@ -218,10 +219,10 @@ def _same(x: Element, y: Element) -> Algebra:
 def element_of(algebra: Algebra, value) -> Element:
     """Build a carrier element from a structured value."""
     if isinstance(algebra, GammaAlgebra):
-        g = og.element(algebra.desc, value)
-        if not _in_unit_interval_p(algebra, g.payload):
-            raise CarrierError(f"{g} is outside the unit interval")
-        return Element(algebra, g.payload)
+        p = og.member(algebra.desc, value)
+        if not _in_unit_interval_p(algebra, p):
+            raise CarrierError(f"{algebra.desc.format(p)} is outside the unit interval")
+        return Element(algebra, p)
     if isinstance(value, int):
         value = Fraction(value)
     if value not in algebra.index:
@@ -237,19 +238,19 @@ def value_of(x: Element):
 
 def format_element(x: Element) -> str:
     if isinstance(x.algebra, GammaAlgebra):
-        return og.format_payload(x.algebra.desc, x.payload)
+        return x.algebra.desc.format(x.payload)
     return format_value(value_of(x))
 
 
 def zero_elem(A: Algebra) -> Element:
     if isinstance(A, GammaAlgebra):
-        return Element(A, A.zero.payload)
+        return Element(A, A.zero)
     return Element(A, A.zero_i)
 
 
 def one_elem(A: Algebra) -> Element:
     if isinstance(A, GammaAlgebra):
-        return Element(A, A.unit.payload)
+        return Element(A, A.unit)
     return Element(A, A.one_i)
 
 
@@ -267,31 +268,31 @@ def carrier(A: Algebra) -> list[Element]:
 def _oplus_p(A: GammaAlgebra, p, q):
     """(p + q) ^ u."""
     d = A.desc
-    return d._meet(d._add(p, q), A.unit.payload)
+    return d.meet(d.add(p, q), A.unit)
 
 
 def _odot_p(A: GammaAlgebra, p, q):
     """(p - u + q) v 0."""
     d = A.desc
-    return d._join(d._add(d._add(p, A.neg_unit.payload), q), A.zero.payload)
+    return d.join(d.add(d.add(p, A.neg_unit), q), A.zero)
 
 
 def _join_p(A: GammaAlgebra, p, q):
-    return A.desc._join(p, q)
+    return A.desc.join(p, q)
 
 
 def _meet_p(A: GammaAlgebra, p, q):
-    return A.desc._meet(p, q)
+    return A.desc.meet(p, q)
 
 
 def _leq_p(A: GammaAlgebra, p, q) -> bool:
-    c = A.desc._cmp(p, q)
+    c = A.desc.cmp(p, q)
     return c is not None and c <= 0
 
 
 def _in_unit_interval_p(A: GammaAlgebra, p) -> bool:
     """0 <= p <= u, for a payload of the carrier."""
-    return _leq_p(A, A.zero.payload, p) and _leq_p(A, p, A.unit.payload)
+    return _leq_p(A, A.zero, p) and _leq_p(A, p, A.unit)
 
 
 # ---------------------------------------------------------------------------
@@ -325,14 +326,14 @@ def odot(x: Element, y: Element) -> Element:
 def lneg(x: Element) -> Element:
     A = x.algebra
     if isinstance(A, GammaAlgebra):
-        return Element(A, A.desc._add(A.unit.payload, A.desc._neg(x.payload)))  # u - x
+        return Element(A, A.desc.add(A.unit, A.desc.neg(x.payload)))  # u - x
     return Element(A, A._neg(x.payload))
 
 
 def rneg(x: Element) -> Element:
     A = x.algebra
     if isinstance(A, GammaAlgebra):
-        return Element(A, A.desc._add(A.desc._neg(x.payload), A.unit.payload))  # -x + u
+        return Element(A, A.desc.add(A.desc.neg(x.payload), A.unit))  # -x + u
     return Element(A, A._neg(x.payload))
 
 
@@ -382,7 +383,7 @@ def is_symmetric(A: Algebra) -> tuple[bool, Element | None]:
         if central:
             return True, None
         # the non-centrality witness lies in [0, u] for every supported family
-        witness = element_of(A, w.payload)
+        witness = element_of(A, w)
         check(lneg(witness) != rneg(witness), "the witness has different negations")
         return False, witness
     return True, None
@@ -397,15 +398,12 @@ def boolean_skeleton(A: Algebra) -> list[Element]:
         corners = itertools.product(*((0, n) for n in dec.lengths))
         return [Element(A, x) for x in sorted(map(dec.index.__getitem__, corners))]
     desc = A.desc
-    if og.is_linear(desc):
+    if desc.linear:
         return [zero_elem(A), one_elem(A)]
-    if isinstance(desc, og.ProductGroup) and all(og.is_linear(f) for f in desc.factors):
+    if isinstance(desc, og.ProductGroup) and all(f.linear for f in desc.factors):
         out = []
         for bits in itertools.product((0, 1), repeat=len(desc.factors)):
-            payload = tuple(
-                (og.unit(f) if b else og.zero(f)).payload
-                for f, b in zip(desc.factors, bits)
-            )
+            payload = tuple(f.unit() if b else f.zero() for f, b in zip(desc.factors, bits))
             out.append(Element(A, payload))
         return out
     raise UnsupportedOperationError(f"cannot enumerate idempotents of {desc!r}")
@@ -510,12 +508,8 @@ def interval(A: Algebra, b: Element) -> Algebra:
     desc = A.desc
     if b == one_elem(A):
         return A
-    if isinstance(desc, og.ProductGroup) and all(og.is_linear(f) for f in desc.factors):
-        keep = [
-            f
-            for f, c, z in zip(desc.factors, b.payload, og.zero(desc).payload)
-            if c != z
-        ]
+    if isinstance(desc, og.ProductGroup) and all(f.linear for f in desc.factors):
+        keep = [f for f, c, z in zip(desc.factors, b.payload, A.zero) if c != z]
         if not keep:
             return _degenerate()
         if len(keep) == 1:

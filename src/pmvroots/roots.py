@@ -119,9 +119,9 @@ def sqrt_zero(A: pmv.Algebra) -> SqrtResult:
 
 
 def _zero_root_payload(desc: og.GroupDescriptor):
-    half = og.try_halve(og.unit(desc))
+    half = og.try_halve(desc, desc.unit())
     if half is not None:
-        return half.payload
+        return half
     if isinstance(desc, og.ScaledInt):
         return Fraction(desc.n // 2, desc.n)
     if isinstance(desc, og.ProductGroup):
@@ -141,10 +141,10 @@ def _zero_root_payload(desc: og.GroupDescriptor):
 
 def _halving_root(A: GammaAlgebra, x: Element) -> SqrtResult:
     """The root (x + u)/2, checked; no candidate when x + u does not halve."""
-    h = og.try_halve(og.g_add(og.GroupElement(A.desc, x.payload), A.unit))
+    h = og.try_halve(A.desc, A.desc.add(x.payload, A.unit))
     if h is None:
         return _not_exists(NO_CANDIDATE)
-    a = Element(A, h.payload)
+    a = Element(A, h)
     check(odot(a, a) == x, "the halving root a has a (.) a == x")
     return _exists(a)
 
@@ -161,7 +161,7 @@ def sqrt_element_twist3(A: GammaAlgebra, x: Element) -> SqrtResult:
     if not isinstance(A, GammaAlgebra) or A.desc != og.Twist3("Z"):
         raise ParameterError("this procedure is specific to the twisted Z^3 interval")
     p = x.payload
-    if p == A.zero.payload:
+    if p == A.zero:
         return _not_exists(NO_MAX, note="nilpotents (0,p,q) are unbounded in p")
     if p[0] == 0:
         return _not_exists(NO_CANDIDATE, note="only 0 and head-1 pairs are squares")
@@ -190,7 +190,7 @@ def _twist3_box(A: GammaAlgebra, bound: int, heads=(0, 1)) -> list[tuple[int, in
     h = 1 and (b, c) <= (0, 0), that is (-b, -c) >= (0, 0).  Each point is
     checked as ``element_of`` checks a value: in the carrier and in [0, u].
     """
-    contains = A.desc._contains
+    contains = A.desc.contains
     box = []
     for h in heads:
         sign = 1 - 2 * h
@@ -220,7 +220,7 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
         raise ParameterError(f"the box bound must be between 0 and {MAX_BOX_BOUND}, not {bound}")
     res = sqrt_element_twist3(A, x)
     odot_p, leq_p = pmv._odot_p, pmv._leq_p
-    xp, zero = x.payload, A.zero.payload
+    xp, zero = x.payload, A.zero
     box = _twist3_box(A, bound)
     squares = [odot_p(A, p, p) for p in box]
     agree = True
@@ -266,7 +266,7 @@ def element_sqrt(A: pmv.Algebra, x: Element) -> SqrtResult:
             "general roots over twisted Z^3 carriers are only decided for the integer tag"
         )
     central, _ = og.is_unit_central(desc)
-    if central and og.is_linear(desc):
+    if central and desc.linear:
         if x == zero_elem(A):
             return sqrt_zero(A)
         # in a chain with central unit, a (.) a = x > 0 forces 2a = x + u

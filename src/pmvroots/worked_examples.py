@@ -156,8 +156,8 @@ def check_stage_one_subalgebra() -> CheckResult:
 
 
 def check_twist3_negation() -> CheckResult:
-    g = og.element(og.Twist3("Z"), (1, 2, 3))
-    got = og.g_neg(g).payload
+    desc = og.Twist3("Z")
+    got = desc.neg(og.member(desc, (1, 2, 3)))
     ok = got == (-1, -2, -1)
     return CheckResult("twist3-negation", ok, f"-(1,2,3) = {format_element_value(got)}")
 
@@ -166,12 +166,12 @@ def check_twist4_decomposition() -> CheckResult:
     desc = og.Twist4("Z")
     grid = itertools.product(range(-2, 3), repeat=4)
     bad = sum(not cl._twist4_reassembles(desc, x) for x in grid)
-    cross = og.g_add(og.element(desc, (0, 2, 0, 0)), og.element(desc, (0, 0, 3, 0)))
-    ok = bad == 0 and cross.payload == (0, 2, 3, 6)
+    cross = desc.add(og.member(desc, (0, 2, 0, 0)), og.member(desc, (0, 0, 3, 0)))
+    ok = bad == 0 and cross == (0, 2, 3, 6)
     return CheckResult(
         "twist4-decomposition",
         ok,
-        f"identity holds on [-2,2]^4; (0,2,0,0)+(0,0,3,0) = {format_element_value(cross.payload)}",
+        f"identity holds on [-2,2]^4; (0,2,0,0)+(0,0,3,0) = {format_element_value(cross)}",
     )
 
 
@@ -326,11 +326,7 @@ def check_lex_closure_analysis() -> CheckResult:
 
 def check_crit_planted_negative() -> CheckResult:
     r = cl.crit_check(og.ScaledInt(2), og.ScaledDyadic(3))
-    ok = (
-        not r.ok
-        and r.counterexample is not None
-        and r.counterexample.payload == Fraction(1, 3)
-    )
+    ok = not r.ok and r.counterexample == Fraction(1, 3)
     positives = [
         cl.crit_check(cl.strict_closure(og.ScaledInt(n))) for n in (1, 2, 3, 5, 6, 7)
     ]
@@ -338,7 +334,7 @@ def check_crit_planted_negative() -> CheckResult:
     return CheckResult(
         "crit-planted-negative",
         ok,
-        f"counterexample h = {r.counterexample} for (Z/2, D/3); catalog outputs pass",
+        f"counterexample h = {format_element_value(r.counterexample)} for (Z/2, D/3); catalog outputs pass",
     )
 
 
@@ -459,10 +455,9 @@ def check_quad_closure() -> CheckResult:
 
 def check_twist3_halving() -> CheckResult:
     desc = og.Twist3("Z")
-    h = og.try_halve(og.element(desc, (2, -2, 3)))
-    ok = h is not None and h.payload == (1, -1, 2)
-    missing = og.try_halve(og.element(desc, (2, -2, 4)))
-    ok = ok and missing is None
+    h = og.try_halve(desc, og.member(desc, (2, -2, 3)))
+    missing = og.try_halve(desc, og.member(desc, (2, -2, 4)))
+    ok = h == (1, -1, 2) and missing is None
     return CheckResult(
         "twist3-halving",
         ok,
@@ -473,9 +468,8 @@ def check_twist3_halving() -> CheckResult:
 def check_noncentral_witness() -> CheckResult:
     desc = og.Twist3("Z")
     central, witness = og.is_unit_central(desc)
-    g = og.element(desc, (0, 1, 0))
-    left = og.g_add(og.unit(desc), g).payload
-    right = og.g_add(g, og.unit(desc)).payload
+    g, u = og.member(desc, (0, 1, 0)), desc.unit()
+    left, right = desc.add(u, g), desc.add(g, u)
     ok = not central and witness is not None and left == (1, 1, 1) and right == (1, 1, 0)
     return CheckResult(
         "noncentral-witness",
@@ -486,7 +480,8 @@ def check_noncentral_witness() -> CheckResult:
 
 
 def check_strong_unit_bound() -> CheckResult:
-    n = og.strong_unit_bound(og.element(og.Twist3("Z"), (2, -5, 9)))
+    desc = og.Twist3("Z")
+    n = og.strong_unit_bound(desc, og.member(desc, (2, -5, 9)))
     return CheckResult("strong-unit-bound", n == 3, f"|(2,-5,9)| <= {n}u")
 
 

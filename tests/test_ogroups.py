@@ -1,4 +1,5 @@
-"""Tests for the ordered-group layer: arithmetic, order, halving, units."""
+"""Tests for the ordered-group layer: the payload laws of each descriptor
+(arithmetic, order, halving, units) and the module functions on payloads."""
 
 import itertools
 import random
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError, PmvError
+from pmvroots.errors import CarrierError, InternalError, PmvError
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)  # sqrt(2) - 1
 
@@ -36,8 +37,17 @@ def all_descriptors():
     ]
 
 
+def desc_id(desc):
+    return type(desc).__name__ + repr(getattr(desc, "n", getattr(desc, "q", "")))
+
+
 def sample(desc, rng, count=40):
-    return [og.random_element(desc, rng, coord_bound=5, exp_bound=4) for _ in range(count)]
+    return [desc.random(rng, 5, 4) for _ in range(count)]
+
+
+def leq(desc, p, q):
+    c = desc.cmp(p, q)
+    return c is not None and c <= 0
 
 
 def box3(radius):
@@ -53,31 +63,29 @@ def box4(radius):
 # --- group axioms -----------------------------------------------------------
 
 
-@pytest.mark.parametrize("desc", all_descriptors(), ids=lambda d: type(d).__name__ + repr(getattr(d, "n", getattr(d, "q", ""))))
+@pytest.mark.parametrize("desc", all_descriptors(), ids=desc_id)
 def test_group_axioms_random(desc):
     rng = random.Random(7)
     elems = sample(desc, rng, 25)
-    z = og.zero(desc)
+    z = desc.zero()
     for x in elems:
-        assert og.g_add(x, z) == x
-        assert og.g_add(z, x) == x
-        assert og.g_add(x, og.g_neg(x)) == z
-        assert og.g_add(og.g_neg(x), x) == z
+        assert desc.add(x, z) == x
+        assert desc.add(z, x) == x
+        assert desc.add(x, desc.neg(x)) == z
+        assert desc.add(desc.neg(x), x) == z
     for x, y, w in zip(elems, elems[1:], elems[2:]):
-        assert og.g_add(og.g_add(x, y), w) == og.g_add(x, og.g_add(y, w))
-        assert og.g_sub(x, y) == og.g_add(x, og.g_neg(y))
+        assert desc.add(desc.add(x, y), w) == desc.add(x, desc.add(y, w))
 
 
 def test_abelian_flags_and_witnesses():
     rng = random.Random(13)
     for desc in all_descriptors():
-        flag = og.is_abelian(desc)
         elems = sample(desc, rng, 30)
         found_noncomm = any(
-            og.g_add(x, y) != og.g_add(y, x)
+            desc.add(x, y) != desc.add(y, x)
             for x, y in itertools.combinations(elems, 2)
         )
-        if flag:
+        if desc.abelian:
             assert not found_noncomm
         else:
             assert found_noncomm, f"{desc} marked non-abelian but no witness found"
@@ -87,7 +95,7 @@ def test_twist3_cocycle_formula():
     desc = og.Twist3("Z")
     for p in box3(2):
         for q in box3(1):
-            got = og.g_add(og.element(desc, p), og.element(desc, q)).payload
+            got = desc.add(og.member(desc, p), og.member(desc, q))
             expected = (p[0] + q[0], p[1] + q[1], p[2] + q[2] + p[0] * q[1])
             assert got == expected
 
@@ -96,7 +104,7 @@ def test_twist4_cocycle_formula():
     desc = og.Twist4("Z")
     for p in box4(1):
         for q in box4(1):
-            got = og.g_add(og.element(desc, p), og.element(desc, q)).payload
+            got = desc.add(og.member(desc, p), og.member(desc, q))
             expected = (p[0] + q[0], p[1] + q[1], p[2] + q[2], p[3] + q[3] + p[1] * q[2])
             assert got == expected
 
@@ -104,66 +112,68 @@ def test_twist4_cocycle_formula():
 def test_twist_negation_formulas():
     t3 = og.Twist3("Z")
     for p in box3(2):
-        got = og.g_neg(og.element(t3, p)).payload
+        got = t3.neg(og.member(t3, p))
         assert got == (-p[0], -p[1], -p[2] + p[0] * p[1])
-        assert og.g_add(og.element(t3, p), og.element(t3, got)) == og.zero(t3)
+        assert t3.add(og.member(t3, p), og.member(t3, got)) == t3.zero()
     t4 = og.Twist4("Z")
     for p in box4(1):
-        got = og.g_neg(og.element(t4, p)).payload
+        got = t4.neg(og.member(t4, p))
         assert got == (-p[0], -p[1], -p[2], -p[3] + p[1] * p[2])
-        assert og.g_add(og.element(t4, p), og.element(t4, got)) == og.zero(t4)
+        assert t4.add(og.member(t4, p), og.member(t4, got)) == t4.zero()
 
 
 def _leaf_types(payload):
     return [type(c) for c in _leaves(payload)]
 
 
-def test_mul_int_matches_repeated_addition():
+def test_mul_matches_repeated_addition():
     rng = random.Random(19)
     for desc in all_descriptors():
         for x in sample(desc, rng, 4):
-            acc = og.zero(desc)
+            acc = desc.zero()
             for k in range(2**8 + 1):
-                for got, want in ((og.mul_int(k, x), acc), (og.mul_int(-k, x), og.g_neg(acc))):
-                    assert got == want, (desc, x.payload, k)
-                    # int coordinates for Z-tagged twisted groups, Fractions otherwise
-                    assert _leaf_types(got.payload) == _leaf_types(want.payload), (desc, k)
-                acc = og.g_add(acc, x)
+                got = desc.mul(k, x)
+                assert got == acc, (desc, x, k)
+                # int coordinates for Z-tagged twisted groups, Fractions otherwise
+                assert _leaf_types(got) == _leaf_types(acc), (desc, k)
+                acc = desc.add(acc, x)
 
 
-def binary_mul_int(k, x):
-    """The k-fold sum by the binary method: about log2(k) additions."""
-    if k < 0:
-        return og.g_neg(binary_mul_int(-k, x))
+def binary_mul(desc, k, x):
+    """The k-fold sum, k >= 0, by the binary method: about log2(k) additions."""
     acc = None
     while k:
         if k & 1:
-            acc = x if acc is None else og.g_add(acc, x)
+            acc = x if acc is None else desc.add(acc, x)
         k >>= 1
         if k:
-            x = og.g_add(x, x)
-    return og.zero(x.desc) if acc is None else acc
+            x = desc.add(x, x)
+    return desc.zero() if acc is None else acc
 
 
-def test_mul_int_matches_the_binary_method_at_large_k():
+def test_mul_matches_the_binary_method_at_large_k():
     rng = random.Random(23)
     for desc in all_descriptors():
         for x in sample(desc, rng, 4):
-            for k in (2**40, 2**40 + 3, 3**30, -(2**33), -(5**20) - 1):
-                got, want = og.mul_int(k, x), binary_mul_int(k, x)
-                assert got == want, (desc, x.payload, k)
-                assert _leaf_types(got.payload) == _leaf_types(want.payload), (desc, k)
+            for k in (2**40, 2**40 + 3, 3**30, 2**33, 5**20 + 1):
+                got, want = desc.mul(k, x), binary_mul(desc, k, x)
+                assert got == want, (desc, x, k)
+                assert _leaf_types(got) == _leaf_types(want), (desc, k)
 
 
-def test_mul_int_makes_no_group_addition(monkeypatch):
+def test_mul_makes_no_group_addition(monkeypatch):
     calls = []
-    add = og.g_add
-    monkeypatch.setattr(og, "g_add", lambda x, y: calls.append(1) or add(x, y))
+    laws = [c for c in vars(og).values() if isinstance(c, type) and issubclass(c, og.GroupDescriptor)]
+    for cls in [c for c in laws if "add" in vars(c)]:
+        add = vars(cls)["add"]
+        monkeypatch.setattr(cls, "add", lambda self, p, q, add=add: calls.append(1) or add(self, p, q))
     for desc in all_descriptors():
-        x = og.unit(desc)
-        for k in (0, 1, 2, 3, 2**8, 2**8 + 1, -(2**8)):
-            og.mul_int(k, x)
+        u = desc.unit()
+        for k in (0, 1, 2, 3, 2**8, 2**8 + 1):
+            desc.mul(k, u)
     assert not calls
+    og.Rationals().add(Fraction(1), Fraction(2))
+    assert calls  # the patch took
 
 
 # --- order and lattice laws -------------------------------------------------
@@ -171,60 +181,58 @@ def test_mul_int_makes_no_group_addition(monkeypatch):
 
 def test_linear_flags():
     for desc in all_descriptors():
-        expected = not isinstance(desc, og.ProductGroup)
-        assert og.is_linear(desc) == expected
+        assert desc.linear == (not isinstance(desc, og.ProductGroup))
 
 
-@pytest.mark.parametrize("desc", all_descriptors(), ids=lambda d: type(d).__name__ + repr(getattr(d, "n", getattr(d, "q", ""))))
+@pytest.mark.parametrize("desc", all_descriptors(), ids=desc_id)
 def test_order_translation_invariance(desc):
     rng = random.Random(23)
     elems = sample(desc, rng, 15)
     for x, y in itertools.combinations(elems, 2):
-        if og.g_leq(x, y):
+        if leq(desc, x, y):
             for a in elems[:5]:
-                assert og.g_leq(og.g_add(a, x), og.g_add(a, y))
-                assert og.g_leq(og.g_add(x, a), og.g_add(y, a))
+                assert leq(desc, desc.add(a, x), desc.add(a, y))
+                assert leq(desc, desc.add(x, a), desc.add(y, a))
 
 
-@pytest.mark.parametrize("desc", all_descriptors(), ids=lambda d: type(d).__name__ + repr(getattr(d, "n", getattr(d, "q", ""))))
+@pytest.mark.parametrize("desc", all_descriptors(), ids=desc_id)
 def test_meet_join_are_bounds(desc):
     rng = random.Random(29)
     elems = sample(desc, rng, 12)
     for x, y in itertools.combinations(elems, 2):
-        m = og.g_meet(x, y)
-        j = og.g_join(x, y)
-        assert og.g_leq(m, x) and og.g_leq(m, y)
-        assert og.g_leq(x, j) and og.g_leq(y, j)
+        m = desc.meet(x, y)
+        j = desc.join(x, y)
+        assert leq(desc, m, x) and leq(desc, m, y)
+        assert leq(desc, x, j) and leq(desc, y, j)
         # greatest lower / least upper among sampled candidates
         for c in elems:
-            if og.g_leq(c, x) and og.g_leq(c, y):
-                assert og.g_leq(c, m)
-            if og.g_leq(x, c) and og.g_leq(y, c):
-                assert og.g_leq(j, c)
-        assert og.g_abs(x) == og.g_join(x, og.g_neg(x))
+            if leq(desc, c, x) and leq(desc, c, y):
+                assert leq(desc, c, m)
+            if leq(desc, x, c) and leq(desc, y, c):
+                assert leq(desc, j, c)
 
 
 def test_cmp_trichotomy_linear():
     rng = random.Random(31)
     for desc in all_descriptors():
-        if not og.is_linear(desc):
+        if not desc.linear:
             continue
         elems = sample(desc, rng, 15)
         for x, y in itertools.combinations(elems, 2):
-            c = og.g_cmp(x, y)
+            c = desc.cmp(x, y)
             assert c in (-1, 0, 1)
             assert (c == 0) == (x == y)
-            assert og.g_leq(x, y) == (c <= 0)
+            assert leq(desc, x, y) == (c <= 0)
 
 
 def test_product_incomparable_pairs():
     desc = og.ProductGroup((og.ScaledInt(1), og.ScaledInt(1)))
-    x = og.element(desc, (Fraction(1), Fraction(0)))
-    y = og.element(desc, (Fraction(0), Fraction(1)))
-    assert og.g_cmp(x, y) is None
-    assert not og.g_leq(x, y) and not og.g_leq(y, x)
-    assert og.g_meet(x, y) == og.zero(desc)
-    assert og.g_join(x, y) == og.element(desc, (Fraction(1), Fraction(1)))
+    x = og.member(desc, (Fraction(1), Fraction(0)))
+    y = og.member(desc, (Fraction(0), Fraction(1)))
+    assert desc.cmp(x, y) is None
+    assert not leq(desc, x, y) and not leq(desc, y, x)
+    assert desc.meet(x, y) == desc.zero()
+    assert desc.join(x, y) == og.member(desc, (Fraction(1), Fraction(1)))
 
 
 def test_lex_order_oracle():
@@ -233,7 +241,7 @@ def test_lex_order_oracle():
     for p in vals:
         for q in vals:
             expected = p[0] < q[0] or (p[0] == q[0] and p[1] <= q[1])
-            assert og.g_leq(og.element(desc, p), og.element(desc, q)) == expected
+            assert leq(desc, og.member(desc, p), og.member(desc, q)) == expected
 
 
 def test_twist3_order_oracle():
@@ -243,13 +251,13 @@ def test_twist3_order_oracle():
     desc = og.Twist3("Z")
     for p in box3(1):
         for q in box3(1):
-            d = og.g_sub(og.element(desc, q), og.element(desc, p)).payload
+            d = desc.add(og.member(desc, q), desc.neg(og.member(desc, p)))
             expected = (
                 d[0] > 0
                 or (d[0] == 0 and d[1] > 0)
                 or (d[0] == 0 and d[1] == 0 and d[2] >= 0)
             )
-            assert og.g_leq(og.element(desc, p), og.element(desc, q)) == expected
+            assert leq(desc, og.member(desc, p), og.member(desc, q)) == expected
 
 
 def test_quad_lattice_order_oracle():
@@ -259,7 +267,7 @@ def test_quad_lattice_order_oracle():
         for q in coords:
             lhs = S.QuadValue.make(p[0]) + ALPHA.scale(p[1])
             rhs = S.QuadValue.make(q[0]) + ALPHA.scale(q[1])
-            assert og.g_leq(og.element(desc, p), og.element(desc, q)) == (lhs <= rhs)
+            assert leq(desc, og.member(desc, p), og.member(desc, q)) == (lhs <= rhs)
 
 
 # --- units, halving, bounds ---------------------------------------------------
@@ -270,8 +278,8 @@ def test_unit_centrality():
         central, witness = og.is_unit_central(desc)
         if isinstance(desc, og.Twist3):
             assert not central and witness is not None
-            u = og.unit(desc)
-            assert og.g_add(u, witness) != og.g_add(witness, u)
+            u = desc.unit()
+            assert desc.add(u, witness) != desc.add(witness, u)
         else:
             assert central and witness is None
 
@@ -287,16 +295,16 @@ def test_noncentral_witness_through_composites():
     ]
     for desc, expected in cases:
         central, witness = og.is_unit_central(desc)
-        assert (central, None if witness is None else str(witness)) == (expected is None, expected)
-        assert not og.is_abelian(desc)
+        assert (central, None if witness is None else desc.format(witness)) == (expected is None, expected)
+        assert not desc.abelian
 
 
 def test_twist3_noncentral_unit_value():
     desc = og.Twist3("Z")
-    u = og.unit(desc)
-    w = og.element(desc, (0, 1, 0))
-    assert og.g_add(u, w).payload == (1, 1, 1)
-    assert og.g_add(w, u).payload == (1, 1, 0)
+    u = desc.unit()
+    w = og.member(desc, (0, 1, 0))
+    assert desc.add(u, w) == (1, 1, 1)
+    assert desc.add(w, u) == (1, 1, 0)
 
 
 def test_two_divisibility_table():
@@ -318,41 +326,41 @@ def test_two_divisibility_table():
         og.ProductGroup((og.ScaledDyadic(1), og.Rationals())): True,
     }
     for desc, expected in expectations.items():
-        assert og.is_two_divisible(desc) == expected, desc
+        assert desc.two_divisible == expected, desc
 
 
 def test_try_halve_soundness_random():
     rng = random.Random(37)
     for desc in all_descriptors():
         for x in sample(desc, rng, 20):
-            h = og.try_halve(x)
+            h = og.try_halve(desc, x)
             if h is not None:
-                assert og.g_add(h, h) == x
-            if og.is_two_divisible(desc):
+                assert desc.add(h, h) == x
+            if desc.two_divisible:
                 assert h is not None
 
 
 def test_try_halve_completeness_twist3_box():
     desc = og.Twist3("Z")
-    candidates = [og.element(desc, p) for p in box3(3)]
+    candidates = [og.member(desc, p) for p in box3(3)]
     for p in box3(2):
-        x = og.element(desc, p)
-        h = og.try_halve(x)
-        brute = [c for c in candidates if og.g_add(c, c) == x]
+        x = og.member(desc, p)
+        h = og.try_halve(desc, x)
+        brute = [c for c in candidates if desc.add(c, c) == x]
         if h is None:
-            assert not brute, f"halver missed {p}: {brute[0].payload}"
+            assert not brute, f"halver missed {p}: {brute[0]}"
         else:
-            assert og.g_add(h, h) == x
+            assert desc.add(h, h) == x
             assert h in brute
 
 
 def test_try_halve_completeness_twist4_box():
     desc = og.Twist4("Z")
-    candidates = [og.element(desc, p) for p in box4(2)]
+    candidates = [og.member(desc, p) for p in box4(2)]
     for p in box4(1):
-        x = og.element(desc, p)
-        h = og.try_halve(x)
-        brute = [c for c in candidates if og.g_add(c, c) == x]
+        x = og.member(desc, p)
+        h = og.try_halve(desc, x)
+        brute = [c for c in candidates if desc.add(c, c) == x]
         if h is None:
             assert not brute
         else:
@@ -361,34 +369,50 @@ def test_try_halve_completeness_twist4_box():
 
 def test_twist3_halving_spot_values():
     desc = og.Twist3("Z")
-    h = og.try_halve(og.element(desc, (2, -2, 3)))
-    assert h is not None and h.payload == (1, -1, 2)
-    assert og.try_halve(og.element(desc, (2, -2, 4))) is None
+    assert og.try_halve(desc, og.member(desc, (2, -2, 3))) == (1, -1, 2)
+    assert og.try_halve(desc, og.member(desc, (2, -2, 4))) is None
 
 
 def test_strong_unit_bound_property():
     rng = random.Random(41)
     for desc in all_descriptors():
-        u = og.unit(desc)
-        assert og.strong_unit_bound(og.zero(desc)) >= 1
+        u = desc.unit()
+        assert og.strong_unit_bound(desc, desc.zero()) >= 1
         for x in sample(desc, rng, 15):
-            n = og.strong_unit_bound(x)
+            n = og.strong_unit_bound(desc, x)
             assert n >= 1
-            assert og.g_leq(og.g_neg(og.mul_int(n, u)), x)
-            assert og.g_leq(x, og.mul_int(n, u))
+            assert leq(desc, desc.neg(desc.mul(n, u)), x)
+            assert leq(desc, x, desc.mul(n, u))
 
 
 def test_strong_unit_bound_spot_value():
     desc = og.Twist3("Z")
-    assert og.strong_unit_bound(og.element(desc, (2, -5, 9))) == 3
+    assert og.strong_unit_bound(desc, og.member(desc, (2, -5, 9))) == 3
 
 
 def test_strong_unit_bound_beyond_float_range():
     for alpha in (ALPHA, S.QuadValue.make(0, Fraction(1, 2), 2)):
-        x = og.element(og.QuadLattice(alpha, False), (10**400, 0))
-        assert og.strong_unit_bound(x) == 10**400
-        y = og.element(og.QuadLattice(alpha, False), (0, 10**400))
-        assert og.strong_unit_bound(y) == alpha.scale(10**400).floor() + 1
+        desc = og.QuadLattice(alpha, False)
+        assert og.strong_unit_bound(desc, og.member(desc, (10**400, 0))) == 10**400
+        y = og.member(desc, (0, 10**400))
+        assert og.strong_unit_bound(desc, y) == alpha.scale(10**400).floor() + 1
+
+
+@pytest.mark.parametrize(
+    "law, broken, call",
+    [
+        ("halve", lambda self, p: p, lambda d: og.try_halve(d, Fraction(3))),
+        # 1 commutes with u, so it cannot witness a non-central unit
+        ("witness", lambda self: Fraction(1), og.is_unit_central),
+        ("bound", lambda self, p: 1, lambda d: og.strong_unit_bound(d, Fraction(7, 2))),
+    ],
+)
+def test_each_payload_function_checks_its_result(monkeypatch, law, broken, call):
+    desc = og.Rationals()
+    call(desc)  # the intact laws pass the check
+    monkeypatch.setattr(og.Rationals, law, broken)
+    with pytest.raises(InternalError, match="internal check failed"):
+        call(desc)
 
 
 # --- carriers, formatting, sampling -------------------------------------------
@@ -396,35 +420,34 @@ def test_strong_unit_bound_beyond_float_range():
 
 def test_carrier_validation():
     with pytest.raises(CarrierError):
-        og.element(og.ScaledInt(4), Fraction(1, 3))
+        og.member(og.ScaledInt(4), Fraction(1, 3))
     with pytest.raises(CarrierError):
-        og.element(og.ScaledDyadic(3), Fraction(1, 5))
+        og.member(og.ScaledDyadic(3), Fraction(1, 5))
     with pytest.raises(CarrierError):
-        og.element(og.QuadLattice(ALPHA, False), (Fraction(1, 2), Fraction(0)))
+        og.member(og.QuadLattice(ALPHA, False), (Fraction(1, 2), Fraction(0)))
     with pytest.raises(CarrierError):
-        og.element(og.Twist3("Z"), (Fraction(1, 2), Fraction(0), Fraction(0)))
+        og.member(og.Twist3("Z"), (Fraction(1, 2), Fraction(0), Fraction(0)))
     with pytest.raises(CarrierError):
-        og.element(og.Twist3("Z"), (1, 2))
-    assert og.element(og.ScaledInt(4), Fraction(3, 4)).payload == Fraction(3, 4)
-    assert og.element(og.ScaledDyadic(3), Fraction(5, 6)).payload == Fraction(5, 6)
+        og.member(og.Twist3("Z"), (1, 2))
+    assert og.member(og.ScaledInt(4), Fraction(3, 4)) == Fraction(3, 4)
+    assert og.member(og.ScaledDyadic(3), Fraction(5, 6)) == Fraction(5, 6)
 
 
 def test_integer_twisted_carriers_hold_ints_by_value():
     t3, t4 = og.Twist3("Z"), og.Twist4("Z")
-    assert og.contains(t3, (1, 2, 3))
-    assert og.contains(t3, (Fraction(1), Fraction(2), Fraction(3)))
-    assert not og.contains(t3, (1, Fraction(1, 2), 0))
-    assert not og.contains(t3, (1.0, 0, 0))
-    assert not og.contains(t3, (True, 0, 0))
+    assert t3.contains((1, 2, 3))
+    assert t3.contains((Fraction(1), Fraction(2), Fraction(3)))
+    assert not t3.contains((1, Fraction(1, 2), 0))
+    assert not t3.contains((1.0, 0, 0))
+    assert not t3.contains((True, 0, 0))
     with pytest.raises(CarrierError, match=r"^\(1,1/2,0\) is not in the carrier$"):
-        og.element(t3, (1, Fraction(1, 2), 0))
+        og.member(t3, (1, Fraction(1, 2), 0))
     for desc, raw in ((t3, (1, -2, 3)), (t4, (1, -2, 3, -4))):
-        x = og.element(desc, tuple(map(Fraction, raw)))
-        y = og.element(desc, raw)
+        x = og.member(desc, tuple(map(Fraction, raw)))
+        y = og.member(desc, raw)
         assert x == y and hash(x) == hash(y)
-        for g in (x, og.zero(desc), og.unit(desc), og.g_add(x, y), og.g_neg(x),
-                  og.mul_int(5, x), og.mul_int(-3, x)):
-            assert all(type(c) is int for c in g.payload), g.payload
+        for g in (x, desc.zero(), desc.unit(), desc.add(x, y), desc.neg(x), desc.mul(5, x)):
+            assert all(type(c) is int for c in g), g
 
 
 def _leaves(payload):
@@ -441,23 +464,23 @@ def _assert_exact(payload):
         assert type(c) is int or isinstance(c, Fraction), (payload, type(c).__name__)
 
 
-@pytest.mark.parametrize("desc", all_descriptors(), ids=lambda d: type(d).__name__ + repr(getattr(d, "n", getattr(d, "q", ""))))
+@pytest.mark.parametrize("desc", all_descriptors(), ids=desc_id)
 def test_every_operation_keeps_payloads_exact(desc):
     rng = random.Random(53)
     A = pmv.GammaAlgebra(desc)
     xs = sample(desc, rng, 12)
     for x, y in zip(xs, xs[1:]):
-        _assert_exact(x.payload)
+        _assert_exact(x)
         # every double has its half, which must not pass through a float
-        assert og.try_halve(og.g_add(x, x)) == x
-        results = [og.element(desc, x.payload), og.g_add(x, y), og.g_neg(x),
-                   og.mul_int(3, x), og.mul_int(-2, x), og.mul_int(2**8 + 1, x),
-                   og.mul_int(-(2**8), x), og.try_halve(x)]
+        assert og.try_halve(desc, desc.add(x, x)) == x
+        results = [og.member(desc, x), desc.add(x, y), desc.neg(x),
+                   desc.mul(3, x), desc.mul(2, x), desc.mul(2**8 + 1, x),
+                   desc.mul(2**8, x), og.try_halve(desc, x)]
         for g in results:
             if g is not None:
-                _assert_exact(g.payload)
+                _assert_exact(g)
         # into [0, u], then the algebra operations
-        a, b = (pmv.element_of(A, og.g_join(og.g_meet(g, A.unit), A.zero).payload) for g in (x, y))
+        a, b = (pmv.element_of(A, desc.join(desc.meet(g, A.unit), A.zero)) for g in (x, y))
         for z in (a, b, pmv.odot(a, b), pmv.oplus(a, b)):
             _assert_exact(z.payload)
 
@@ -465,25 +488,85 @@ def test_every_operation_keeps_payloads_exact(desc):
 def test_odd_integer_twisted_coordinates_have_no_half():
     desc = og.Twist3("Z")
     for raw in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 2, 0), (-4, 6, 5)):
-        assert og.try_halve(og.element(desc, raw)) is None, raw
-    half = og.try_halve(og.element(desc, (-4, 6, -10))).payload
+        assert og.try_halve(desc, og.member(desc, raw)) is None, raw
+    half = og.try_halve(desc, og.member(desc, (-4, 6, -10)))
     assert half == (-2, 3, -2) and all(type(c) is int for c in half)
 
 
-def test_contains_matches_element():
+def test_contains_matches_member():
     rng = random.Random(43)
     for desc in all_descriptors():
         for x in sample(desc, rng, 10):
-            assert og.contains(desc, x.payload)
+            assert desc.contains(x)
+            assert og.member(desc, x) == x
+
+
+# --- properties of the module functions, over every family --------------------
+
+DESCRIPTORS = all_descriptors()
+payload_draws = given(st.sampled_from(DESCRIPTORS), st.randoms(use_true_random=False))
+
+
+@settings(max_examples=150, deadline=None)
+@payload_draws
+def test_member_validates_exactly_the_carrier(desc, rng):
+    p = desc.random(rng, 6, 5)
+    assert og.member(desc, p) == p
+    # a half outside the carrier is refused with the message that names it
+    h = desc.halve(p)
+    if desc.contains(h):
+        assert og.member(desc, h) == h
+    else:
+        with pytest.raises(CarrierError, match=r"is not in the carrier$"):
+            og.member(desc, h)
+
+
+@settings(max_examples=150, deadline=None)
+@payload_draws
+def test_try_halve_is_the_carrier_half(desc, rng):
+    p = desc.random(rng, 6, 5)
+    assert og.try_halve(desc, desc.add(p, p)) == p
+    h = og.try_halve(desc, p)
+    if h is None:
+        assert not desc.two_divisible and not desc.contains(desc.halve(p))
+    else:
+        assert desc.contains(h) and desc.add(h, h) == p
+
+
+@settings(max_examples=150, deadline=None)
+@payload_draws
+def test_is_unit_central_agrees_with_the_drawn_elements(desc, rng):
+    central, witness = og.is_unit_central(desc)
+    u = desc.unit()
+    assert central == (witness is None)
+    assert central or not desc.abelian
+    if central:
+        p = desc.random(rng, 6, 5)
+        assert desc.add(u, p) == desc.add(p, u)
+    else:
+        assert desc.contains(witness) and desc.add(u, witness) != desc.add(witness, u)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DESCRIPTORS), st.randoms(use_true_random=False), st.integers(1, 40))
+def test_strong_unit_bound_bounds_both_signs(desc, rng, k):
+    p = desc.random(rng, 6, 5)
+    n = og.strong_unit_bound(desc, p)
+    nu = desc.mul(n, desc.unit())
+    assert n >= 1 and leq(desc, desc.neg(nu), p) and leq(desc, p, nu)
+    assert og.strong_unit_bound(desc, desc.neg(p)) == n
+    # |k u| = k u <= n u forces k <= n
+    assert og.strong_unit_bound(desc, desc.mul(k, desc.unit())) >= k
 
 
 # Each family's behaviour, one row per descriptor of all_descriptors(), as
 # the families behaved when every law was an isinstance switch:
 # (unit, zero, linear, abelian, two-divisible, non-centrality witness,
-#  the first 3 random_element draws at seed 99, their strong unit bounds,
-#  element(desc, 1/2), element(desc, (1,2,3))).  The last two were
-# re-recorded when every family came to report a payload of the wrong
-# shape as one CarrierError that names the value.
+#  the first 3 draws of desc.random(rng, 8, 6) at seed 99, their strong unit
+#  bounds, member(desc, 1/2), member(desc, (1,2,3))), payloads formatted
+# with desc.format.  The last two were re-recorded when every family came
+# to report a payload of the wrong shape as one CarrierError that names
+# the value.
 PINNED = [
     ('1', '0', True, True, False, None, ('4', '4', '-2'), (4, 4, 2), 'CarrierError: 1/2 is not in the carrier', 'CarrierError: payload (1,2,3) has the wrong shape'),
     ('1', '0', True, True, False, None, ('19/4', '4', '-7/4'), (5, 4, 2), '1/2', 'CarrierError: payload (1,2,3) has the wrong shape'),
@@ -505,7 +588,7 @@ PINNED = [
 
 def outcome(desc, raw):
     try:
-        return str(og.element(desc, raw))
+        return desc.format(og.member(desc, raw))
     except PmvError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -517,9 +600,9 @@ def test_each_family_is_pinned():
         central, witness = og.is_unit_central(desc)
         assert central == (witness is None)
         got = (
-            str(og.unit(desc)), str(og.zero(desc)),
-            og.is_linear(desc), og.is_abelian(desc), og.is_two_divisible(desc),
-            None if witness is None else str(witness),
+            desc.format(desc.unit()), desc.format(desc.zero()),
+            desc.linear, desc.abelian, desc.two_divisible,
+            None if witness is None else desc.format(witness),
         )
         assert got == row[:6], desc
         assert (outcome(desc, Fraction(1, 2)), outcome(desc, (1, 2, 3))) == row[8:], desc
@@ -537,20 +620,20 @@ def test_descriptor_equality_hash_and_repr():
     assert len({og.ScaledInt(1), og.ScaledInt(1), og.ScaledDyadic(1), og.Twist3(), og.Twist4()}) == 4
 
 
-def test_random_element_reproducible():
+def test_random_draws_reproducible():
     for desc, row in zip(all_descriptors(), PINNED):
-        a = [og.random_element(desc, random.Random(99)) for _ in range(5)]
-        b = [og.random_element(desc, random.Random(99)) for _ in range(5)]
+        a = [desc.random(random.Random(99), 8, 6) for _ in range(5)]
+        b = [desc.random(random.Random(99), 8, 6) for _ in range(5)]
         assert a == b
         rng = random.Random(99)
-        draws = [og.random_element(desc, rng) for _ in range(3)]
-        assert tuple(str(x) for x in draws) == row[6], desc
-        assert tuple(og.strong_unit_bound(x) for x in draws) == row[7], desc
+        draws = [desc.random(rng, 8, 6) for _ in range(3)]
+        assert tuple(desc.format(x) for x in draws) == row[6], desc
+        assert tuple(og.strong_unit_bound(desc, x) for x in draws) == row[7], desc
 
 
-def test_format_payload_strings():
-    assert og.format_payload(og.ScaledInt(2), Fraction(1, 2)) == "1/2"
-    t3 = og.format_payload(og.Twist3("Z"), (Fraction(1), Fraction(-2), Fraction(3)))
+def test_format_strings():
+    assert og.ScaledInt(2).format(Fraction(1, 2)) == "1/2"
+    t3 = og.Twist3("Z").format((Fraction(1), Fraction(-2), Fraction(3)))
     assert "1" in t3 and "-2" in t3 and "3" in t3
 
 
@@ -558,8 +641,8 @@ def test_format_payload_strings():
 @given(st.integers(-200, 200), st.integers(-200, 200), st.integers(1, 10))
 def test_scaled_int_is_plain_arithmetic(a, b, n):
     desc = og.ScaledInt(n)
-    x = og.element(desc, Fraction(a, n))
-    y = og.element(desc, Fraction(b, n))
-    assert og.g_add(x, y).payload == Fraction(a + b, n)
-    assert og.g_leq(x, y) == (a <= b)
-    assert og.g_meet(x, y).payload == min(Fraction(a, n), Fraction(b, n))
+    x = og.member(desc, Fraction(a, n))
+    y = og.member(desc, Fraction(b, n))
+    assert desc.add(x, y) == Fraction(a + b, n)
+    assert leq(desc, x, y) == (a <= b)
+    assert desc.meet(x, y) == min(Fraction(a, n), Fraction(b, n))

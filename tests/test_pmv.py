@@ -1,5 +1,6 @@
 """Tests for the algebra layer: unit intervals, operations, products, intervals."""
 
+import dataclasses
 import functools
 import itertools
 import random
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError, ParameterError, ResourceLimitError
+from pmvroots.errors import CarrierError, MismatchError, ParameterError, ResourceLimitError
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 
@@ -45,9 +46,9 @@ def finite_algebras():
 
 
 def rand_in_interval(A, rng):
-    g = og.random_element(A.desc, rng, coord_bound=4, exp_bound=4)
-    p = og.g_meet(og.g_abs(g), og.unit(A.desc))
-    return pmv.element_of(A, p.payload)
+    d = A.desc
+    g = d.random(rng, 4, 4)
+    return pmv.element_of(A, d.meet(d.join(g, d.neg(g)), A.unit))  # |g| ^ u
 
 
 def elements_for(A, rng, count=20):
@@ -119,23 +120,23 @@ def test_value_of_round_trip():
 def test_gamma_operations_match_group_formulas(A):
     rng = random.Random(11)
     desc = A.desc
-    u = og.unit(desc)
-    zero = og.zero(desc)
+    u = desc.unit()
+    zero = desc.zero()
     elems = elements_for(A, rng, 15)
     for xe in elems:
-        x = og.element(desc, pmv.value_of(xe))
-        assert pmv.value_of(pmv.lneg(xe)) == og.g_add(u, og.g_neg(x)).payload
-        assert pmv.value_of(pmv.rneg(xe)) == og.g_add(og.g_neg(x), u).payload
+        x = og.member(desc, pmv.value_of(xe))
+        assert pmv.value_of(pmv.lneg(xe)) == desc.add(u, desc.neg(x))
+        assert pmv.value_of(pmv.rneg(xe)) == desc.add(desc.neg(x), u)
         for ye in elems[:8]:
-            y = og.element(desc, pmv.value_of(ye))
-            assert pmv.value_of(pmv.oplus(xe, ye)) == og.g_meet(og.g_add(x, y), u).payload
+            y = og.member(desc, pmv.value_of(ye))
+            assert pmv.value_of(pmv.oplus(xe, ye)) == desc.meet(desc.add(x, y), u)
             assert (
                 pmv.value_of(pmv.odot(xe, ye))
-                == og.g_join(og.g_add(og.g_add(x, og.g_neg(u)), y), zero).payload
+                == desc.join(desc.add(desc.add(x, desc.neg(u)), y), zero)
             )
-            assert pmv.value_of(pmv.meet(xe, ye)) == og.g_meet(x, y).payload
-            assert pmv.value_of(pmv.join(xe, ye)) == og.g_join(x, y).payload
-            assert pmv.leq(xe, ye) == og.g_leq(x, y)
+            assert pmv.value_of(pmv.meet(xe, ye)) == desc.meet(x, y)
+            assert pmv.value_of(pmv.join(xe, ye)) == desc.join(x, y)
+            assert pmv.leq(xe, ye) == (desc.cmp(x, y) in (-1, 0))
 
 
 # --- axioms ---------------------------------------------------------------------
@@ -503,7 +504,7 @@ def test_gamma_algebras_stay_equal_after_their_cached_values_are_read():
         A, B = pmv.GammaAlgebra(desc), pmv.GammaAlgebra(desc)
         before = hash(A)
         # A builds u, 0 and -u; B builds none of them
-        assert (A.unit, A.zero, A.neg_unit) == (og.unit(desc), og.zero(desc), og.g_neg(og.unit(desc)))
+        assert (A.unit, A.zero, A.neg_unit) == (desc.unit(), desc.zero(), desc.neg(desc.unit()))
         assert A == B and B == A and hash(A) == hash(B) == before
         assert len({A, B}) == 1
         assert repr(A) == repr(B)
@@ -511,6 +512,34 @@ def test_gamma_algebras_stay_equal_after_their_cached_values_are_read():
         assert x == y and hash(x) == hash(y)
         assert pmv.odot(x, pmv.zero_elem(B)) == pmv.zero_elem(A)
         assert pmv.oplus(pmv.lneg(y), x) == x and pmv.rneg(x) == pmv.zero_elem(B)
+
+
+def test_elements_are_frozen_values_without_a_dict():
+    A = pmv.finite_mv_chain(3)
+    G = pmv.GammaAlgebra(og.Twist3("Z"))
+    x, g = pmv.element_of(A, Fraction(1, 3)), pmv.element_of(G, (1, -1, 1))
+    assert x == pmv.element_of(A, Fraction(1, 3)) and hash(x) == hash(pmv.element_of(A, Fraction(1, 3)))
+    assert x != pmv.element_of(A, Fraction(2, 3)) and g != pmv.one_elem(G)
+    assert g == pmv.Element(G, (Fraction(1), Fraction(-1), Fraction(1))) and len({x, g, pmv.Element(A, 1)}) == 2
+    assert repr(x) == f"Element(algebra={A!r}, payload=1)"
+    assert repr(g) == "Element(algebra=GammaAlgebra(desc=Twist3(tag='Z')), payload=(1, -1, 1))"
+    assert (str(x), str(g)) == ("1/3", "(1,-1,1)")
+    for e in (x, g):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            e.payload = 0
+        assert not hasattr(e, "__dict__")
+
+
+def test_elements_of_different_algebras_do_not_mix():
+    for A, B in (
+        (pmv.GammaAlgebra(og.ScaledInt(1)), pmv.GammaAlgebra(og.ScaledInt(2))),
+        (pmv.GammaAlgebra(og.Twist3("Z")), pmv.GammaAlgebra(og.Twist3("D"))),
+        (pmv.finite_mv_chain(2), pmv.GammaAlgebra(og.ScaledInt(2))),
+    ):
+        x, y = pmv.one_elem(A), pmv.zero_elem(B)
+        for op in (pmv.oplus, pmv.odot, pmv.join, pmv.meet, pmv.leq):
+            with pytest.raises(MismatchError, match="^elements of different algebras$"):
+                op(x, y)
 
 
 def test_distinct_algebras_of_one_size_are_unequal():
