@@ -23,7 +23,12 @@ written as ``Gamma(prod (1/n_i) Z, u)`` from its chain decomposition, so
 its closures are decided by the same case analysis as its l-group's.
 
 ``crit_check`` certifies that a closed group really is a closure base:
-every element must reach the base group under repeated doubling.
+every element must reach the base group under repeated doubling.  Its
+certificate is one recursion over (base, closed), built once per call,
+that works on the integers of each seeded draw (``desc.draw``): per family
+it gives the exponent n and decides whether 2**n * h lies in the base by
+divisibility.  Identity factors (``base == closed``) take their draws and
+are not re-checked, since a draw of a group is a member of it.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from . import ogroups as og
 from . import pmv
 from .errors import ParameterError, UnsupportedOperationError, check
 from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of, odot
-from .scalars import dyadic_exponent, is_dyadic, odd_part
+from .scalars import odd_part
 
 HALF_SHIFT = "half_shift"
 IDENTITY = "identity"
@@ -170,44 +175,79 @@ class CritResult:
     max_exponent_seen: int = 0
 
 
-def _claimed_exponent(base: og.GroupDescriptor, closed: og.GroupDescriptor, payload) -> int | None:
-    """Symbolic certificate: an n with 2**n * h in the base, or None."""
+def _exponent(m: int, d: int) -> int:
+    """The least n >= 0 that makes 2**n * m/d's denominator odd."""
+    return max(0, (d & -d).bit_length() - (m & -m).bit_length()) if m else 0
+
+
+def _integral(draw) -> tuple[int, bool]:
+    """Scalars (m, d) of a dyadic closure over an integral base: the largest
+    exponent n, and whether 2**n makes every m/d an integer."""
+    n = max(_exponent(m, d) for m, d in draw)
+    return n, all((m << n) % d == 0 for m, d in draw)
+
+
+def _twist4_doubling(draw) -> tuple[int, bool]:
+    # the 2**n-fold sum is (N a, N b, N c, N d + C(N, 2) b c) with N = 2**n,
+    # Twist4.mul at k = N; N a, N b and N c stay integers as n grows
+    _, (mb, db), (mc, dc), (md, dd) = draw
+    n, lands = _integral(draw[:3])
+    n = max(n, _exponent(md, dd), _exponent(mb * mc, db * dc) + 1 if mb * mc else 0)
+    N = 1 << n
+    return n, lands and (N * md * db * dc + N * (N - 1) // 2 * mb * mc * dd) % (dd * db * dc) == 0
+
+
+def _certificate(base: og.GroupDescriptor, closed: og.GroupDescriptor):
+    """The doubling certificate of ``closed`` over ``base``, or None when no
+    family rule covers the pair.
+
+    The certificate reads an integer draw of ``closed`` (``closed.draw``,
+    a pair (m, d) for each scalar m/d) and returns (n, whether 2**n * h lies
+    in ``base``), with h the draw's payload and n its claimed exponent.
+    Identity factors (``base == closed``) have exponent 0 and are members
+    already; lexicographic and product pairs go componentwise, n is the
+    largest component exponent, and a product of the wrong length is no
+    member.
+    """
     if base == closed:
-        return 0
+        return lambda draw: (0, True)
     if isinstance(base, og.ScaledInt) and isinstance(closed, og.ScaledDyadic):
         if odd_part(base.n) != closed.q:
             return None
-        scaled = payload * closed.q
-        return dyadic_exponent(scaled) if is_dyadic(scaled) else None
+        scale = base.n
+
+        def scaled(draw):
+            # h = m/d with d = q 2**k lies in (1/N) Z once 2**n m N / d is an integer
+            m, d = draw
+            n = _exponent(m, d)
+            return n, (m * scale << n) % d == 0
+
+        return scaled
     if isinstance(base, og.QuadLattice) and isinstance(closed, og.QuadLattice):
-        if base.alpha != closed.alpha or not closed.dyadic:
-            return None
-        if not all(is_dyadic(c) for c in payload):
-            return None
-        return max(dyadic_exponent(c) for c in payload)
-    if isinstance(base, og.Lex) and isinstance(closed, og.Lex):
-        e1 = _claimed_exponent(base.head, closed.head, payload[0])
-        e2 = _claimed_exponent(base.tail, closed.tail, payload[1])
-        return None if e1 is None or e2 is None else max(e1, e2)
+        return _integral if base.alpha == closed.alpha and closed.dyadic else None
     if isinstance(base, og.Twist4) and isinstance(closed, og.Twist4):
-        if not (base.tag == "Z" and closed.tag == "D"):
-            return None
-        # the 2^n-fold sum is (2^n a, 2^n b, 2^n c, 2^n d + 2^(n-1)(2^n - 1) b c),
-        # Twist4.mul at k = 2^n
-        exps = [dyadic_exponent(c) for c in payload]
-        bc = payload[1] * payload[2]
-        return max(*exps, (dyadic_exponent(bc) + 1) if bc else 0)
-    if isinstance(base, og.ProductGroup) and isinstance(closed, og.ProductGroup):
-        es = [
-            _claimed_exponent(b, c, p)
-            for b, c, p in zip(base.factors, closed.factors, payload)
-        ]
-        return None if any(e is None for e in es) else max(es)
-    return None
+        return _twist4_doubling if (base.tag, closed.tag) == ("Z", "D") else None
+    if not (isinstance(base, (og.Lex, og.ProductGroup)) and type(base) is type(closed)):
+        return None
+    certs = [_certificate(b, c) for b, c in zip(base.parts, closed.parts)]
+    if None in certs:
+        return None
+    same_shape = len(base.parts) == len(closed.parts)
+
+    def componentwise(draw):
+        n, lands = 0, same_shape
+        for cert, x in zip(certs, draw):
+            k, ok = cert(x)
+            n, lands = max(n, k), lands and ok
+        return n, lands
+
+    return componentwise
 
 
 def _containment_counterexample(base, closed) -> og.Payload | None:
     """An element of the base group missing from the claimed closure."""
+    if base == closed:
+        return None
     if isinstance(base, (og.ScaledInt, og.ScaledDyadic)):
         scale = base.n if isinstance(base, og.ScaledInt) else base.q
         probe = Fraction(1, scale)
@@ -227,9 +267,13 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
 
     ``base`` may also be a :class:`ClosureDescriptor`, in which case its
     own pairing is checked.  The symbolic exponent certificate is
-    re-verified on pseudo-random elements: each sample's 2**n-fold sum is
-    the group's integer multiple, computed in closed form per family, and
-    must lie in the base group.
+    re-verified on ``samples`` seeded draws of ``closed``, each read as
+    the integers of ``closed.draw(rng, 3, 5)``: the certificate gives the
+    sample's exponent n and whether its 2**n-fold sum (``closed.mul`` at
+    2**n, in closed form per family) lies in the base group, by integer
+    divisibility.  Identity factors consume their draws and are not
+    re-checked.  A failing sample is reported as the payload that
+    ``closed.random`` draws at that point.
     """
     if isinstance(base, ClosureDescriptor):
         base, closed = base.base_descriptor(), base.closed_descriptor()
@@ -240,7 +284,8 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
             detail=f"{base.format(bad)} lies in the base group but not in the claimed closure",
             counterexample=bad,
         )
-    if _claimed_exponent(base, closed, closed.unit()) is None:
+    cert = _certificate(base, closed)
+    if cert is None:
         h = _criterion_counterexample(base, closed)
         reachable = any(map(base.contains, _doublings(closed, h, 41)))
         if reachable:
@@ -256,11 +301,10 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
     rng = random.Random(seed)
     max_seen = 0
     for _ in range(samples):
-        h = closed.random(rng, 3, 5)
-        n = _claimed_exponent(base, closed, h)
-        if n is None:
-            return CritResult(False, f"certificate has no exponent for {closed.format(h)}", h)
-        if not base.contains(closed.mul(2**n, h)):
+        draw = closed.draw(rng, 3, 5)
+        n, lands = cert(draw)
+        if not lands:
+            h = closed.from_draw(draw)
             return CritResult(False, f"2^{n} * {closed.format(h)} is not in the base group", h)
         max_seen = max(max_seen, n)
     return CritResult(
@@ -280,9 +324,9 @@ def _criterion_counterexample(base, closed) -> og.Payload:
     """A closure element no doubling of which lands in the base group."""
     if isinstance(closed, og.ScaledDyadic):
         return Fraction(1, closed.q)
-    if isinstance(closed, og.ProductGroup):
+    if isinstance(base, og.ProductGroup) and isinstance(closed, og.ProductGroup):
         for b, c in zip(base.factors, closed.factors):
-            if _claimed_exponent(b, c, c.unit()) is None:
+            if _certificate(b, c) is None:
                 inner = _criterion_counterexample(b, c)
                 return tuple(inner if f is c else f.zero() for f in closed.factors)
     return closed.unit()

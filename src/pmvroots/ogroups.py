@@ -36,6 +36,10 @@ unit, or None), ``bound``, ``random`` and ``format``; three flags,
 laws take and return payloads and check nothing.  ``mul(k, p)`` is the
 k-fold sum of p for k >= 0 in closed form; for the twisted families it
 carries the binomial C(k, 2) = k * (k - 1) // 2, an exact integer.
+``random(rng, bound, exp)`` is ``from_draw(draw(rng, bound, exp))``:
+``draw`` makes the seeded ``randint`` calls and returns the drawn integers,
+a pair (m, d) for each scalar m/d in payload order, and ``from_draw``
+builds the payload from them.
 
 The module functions take payloads too and check what the laws do not:
 ``member`` validates a raw value, ``try_halve`` halves inside the carrier,
@@ -82,14 +86,16 @@ def _half(c):
     return Fraction(c, 2)
 
 
-def _random_scalar(tag: str, rng, bound: int, exp: int) -> Fraction:
+def _draw_scalar(tag: str, rng, bound: int, exp: int, scale: int = 1) -> tuple[int, int]:
+    """(m, d) for a scalar m/d of (1/scale) * tag with |m/d| <= bound; a
+    dyadic denominator is scale * 2**k with 0 <= k <= exp."""
     if tag == "Z":
-        return Fraction(rng.randint(-bound, bound))
-    if tag == "D":
-        k = rng.randint(0, exp)
-        return Fraction(rng.randint(-bound * 2**k, bound * 2**k), 2**k)
-    den = rng.randint(1, 12)
-    return Fraction(rng.randint(-bound * den, bound * den), den)
+        d = scale
+    elif tag == "D":
+        d = scale << rng.randint(0, exp)
+    else:
+        d = rng.randint(1, 12)
+    return rng.randint(-bound * d, bound * d), d
 
 
 class GroupDescriptor:
@@ -111,6 +117,9 @@ class GroupDescriptor:
 
     def witness(self):
         return None
+
+    def random(self, rng, bound, exp):
+        return self.from_draw(self.draw(rng, bound, exp))
 
 
 class _Rank1(GroupDescriptor):
@@ -148,6 +157,9 @@ class _Rank1(GroupDescriptor):
     def format(self, p):
         return format_rational(p)
 
+    def from_draw(self, draw):
+        return Fraction(*draw)
+
 
 @dataclass(frozen=True)
 class ScaledInt(_Rank1):
@@ -161,8 +173,8 @@ class ScaledInt(_Rank1):
     def contains(self, p):
         return isinstance(p, Fraction) and (p * self.n).denominator == 1
 
-    def random(self, rng, bound, exp):
-        return Fraction(rng.randint(-bound * self.n, bound * self.n), self.n)
+    def draw(self, rng, bound, exp):
+        return _draw_scalar("Z", rng, bound, exp, self.n)
 
 
 @dataclass(frozen=True)
@@ -180,10 +192,8 @@ class ScaledDyadic(_Rank1):
         den = p.denominator
         return self.q % (den >> ((den & -den).bit_length() - 1)) == 0
 
-    def random(self, rng, bound, exp):
-        k = rng.randint(0, exp)
-        den = self.q * 2**k
-        return Fraction(rng.randint(-bound * den, bound * den), den)
+    def draw(self, rng, bound, exp):
+        return _draw_scalar("D", rng, bound, exp, self.q)
 
 
 @dataclass(frozen=True)
@@ -193,8 +203,8 @@ class Rationals(_Rank1):
     def contains(self, p):
         return isinstance(p, Fraction)
 
-    def random(self, rng, bound, exp):
-        return _random_scalar("Q", rng, bound, exp)
+    def draw(self, rng, bound, exp):
+        return _draw_scalar("Q", rng, bound, exp)
 
 
 @dataclass(frozen=True)
@@ -251,9 +261,12 @@ class QuadLattice(GroupDescriptor):
         f = v.floor()
         return f if (v - QuadValue.make(f)).sign() == 0 else f + 1
 
-    def random(self, rng, bound, exp):
+    def draw(self, rng, bound, exp):
         tag = "D" if self.dyadic else "Z"
-        return (_random_scalar(tag, rng, bound, exp), _random_scalar(tag, rng, bound, exp))
+        return (_draw_scalar(tag, rng, bound, exp), _draw_scalar(tag, rng, bound, exp))
+
+    def from_draw(self, draw):
+        return tuple(Fraction(m, d) for m, d in draw)
 
     def format(self, p):
         m, n = p
@@ -319,10 +332,11 @@ class _Twisted(GroupDescriptor):
     def bound(self, p):
         return math.floor(abs(p[0])) + 1
 
-    def random(self, rng, bound, exp):
-        if self.tag == "Z":
-            return tuple(rng.randint(-bound, bound) for _ in range(self.arity))
-        return tuple(_random_scalar(self.tag, rng, bound, exp) for _ in range(self.arity))
+    def draw(self, rng, bound, exp):
+        return tuple(_draw_scalar(self.tag, rng, bound, exp) for _ in range(self.arity))
+
+    def from_draw(self, draw):
+        return tuple(m if self.tag == "Z" else Fraction(m, d) for m, d in draw)
 
     def format(self, p):
         return "(" + ",".join(format_rational(c) for c in p) + ")"
@@ -408,8 +422,11 @@ class _Composite(GroupDescriptor):
     def halve(self, p):
         return tuple(f.halve(a) for f, a in zip(self.parts, p))
 
-    def random(self, rng, bound, exp):
-        return tuple(f.random(rng, bound, exp) for f in self.parts)
+    def draw(self, rng, bound, exp):
+        return tuple(f.draw(rng, bound, exp) for f in self.parts)
+
+    def from_draw(self, draw):
+        return tuple(f.from_draw(x) for f, x in zip(self.parts, draw))
 
     def format(self, p):
         return "(" + ",".join(f.format(a) for f, a in zip(self.parts, p)) + ")"

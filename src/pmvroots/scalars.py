@@ -74,13 +74,6 @@ def is_dyadic(x: Fraction) -> bool:
     return d & (d - 1) == 0
 
 
-def dyadic_exponent(x: Fraction) -> int:
-    """Least ``k >= 0`` with ``x * 2**k`` integral; requires ``x`` dyadic."""
-    if not is_dyadic(x):
-        raise ParameterError(f"{x} is not a dyadic rational")
-    return x.denominator.bit_length() - 1
-
-
 def two_adic_valuation(n: int) -> int:
     if n == 0:
         raise ParameterError("0 has no 2-adic valuation")

@@ -1,17 +1,22 @@
 """Tests for strict and square-root closures, the reachability criterion,
 and the doubled-decomposition."""
 
+import itertools
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmvroots import closures as cl
 from pmvroots import dsl
 from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError, ParameterError, UnsupportedOperationError
+from pmvroots.errors import CarrierError, ParameterError, PmvError, UnsupportedOperationError
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 M = pmv.finite_mv_chain
@@ -225,6 +230,291 @@ def test_twist4_doubling_exponent_oracle():
     res = cl.crit_check(base, closed, samples=50, seed=12)
     assert res.ok
     assert res.max_exponent_seen >= 1
+
+
+# --- the integer certificate against the Fraction procedure ------------------------
+
+
+def dyadic_exponent(x):
+    """Least k >= 0 with x * 2**k integral; x must be dyadic."""
+    if not S.is_dyadic(x):
+        raise ValueError(f"{x} is not a dyadic rational")
+    return x.denominator.bit_length() - 1
+
+
+def claimed_exponent(base, closed, payload):
+    """The symbolic certificate on a Fraction payload: an n with 2**n * h
+    in the base, or None."""
+    if base == closed:
+        return 0
+    if isinstance(base, og.ScaledInt) and isinstance(closed, og.ScaledDyadic):
+        if S.odd_part(base.n) != closed.q:
+            return None
+        scaled = payload * closed.q
+        return dyadic_exponent(scaled) if S.is_dyadic(scaled) else None
+    if isinstance(base, og.QuadLattice) and isinstance(closed, og.QuadLattice):
+        if base.alpha != closed.alpha or not closed.dyadic:
+            return None
+        if not all(S.is_dyadic(c) for c in payload):
+            return None
+        return max(dyadic_exponent(c) for c in payload)
+    if isinstance(base, og.Lex) and isinstance(closed, og.Lex):
+        e1 = claimed_exponent(base.head, closed.head, payload[0])
+        e2 = claimed_exponent(base.tail, closed.tail, payload[1])
+        return None if e1 is None or e2 is None else max(e1, e2)
+    if isinstance(base, og.Twist4) and isinstance(closed, og.Twist4):
+        if not (base.tag == "Z" and closed.tag == "D"):
+            return None
+        exps = [dyadic_exponent(c) for c in payload]
+        bc = payload[1] * payload[2]
+        return max(*exps, (dyadic_exponent(bc) + 1) if bc else 0)
+    if isinstance(base, og.ProductGroup) and isinstance(closed, og.ProductGroup):
+        es = [claimed_exponent(b, c, p) for b, c, p in zip(base.factors, closed.factors, payload)]
+        return None if any(e is None for e in es) else max(es)
+    return None
+
+
+def containment_counterexample(base, closed):
+    if isinstance(base, (og.ScaledInt, og.ScaledDyadic)):
+        probe = Fraction(1, base.n if isinstance(base, og.ScaledInt) else base.q)
+        if not closed.contains(probe):
+            return probe
+    if isinstance(base, og.ProductGroup) and isinstance(closed, og.ProductGroup):
+        if len(base.factors) == len(closed.factors):
+            for i, (b, c) in enumerate(zip(base.factors, closed.factors)):
+                inner = containment_counterexample(b, c)
+                if inner is not None:
+                    return tuple(inner if j == i else f.zero() for j, f in enumerate(base.factors))
+    return None
+
+
+def criterion_counterexample(base, closed):
+    if isinstance(closed, og.ScaledDyadic):
+        return Fraction(1, closed.q)
+    if isinstance(base, og.ProductGroup) and isinstance(closed, og.ProductGroup):
+        for b, c in zip(base.factors, closed.factors):
+            if claimed_exponent(b, c, c.unit()) is None:
+                inner = criterion_counterexample(b, c)
+                return tuple(inner if f is c else f.zero() for f in closed.factors)
+    return closed.unit()
+
+
+def fraction_crit_check(base, closed, samples=60, seed=2):
+    """The certificate computed on Fractions: each sample is drawn with
+    ``closed.random``, given its claimed exponent n, and 2**n * h is formed
+    with ``closed.mul`` and tested with ``base.contains``.  Returns (ok,
+    detail, counterexample, samples_checked, max_exponent_seen)."""
+    bad = containment_counterexample(base, closed)
+    if bad is not None:
+        return False, f"{base.format(bad)} lies in the base group but not in the claimed closure", bad, 0, 0
+    if claimed_exponent(base, closed, closed.unit()) is None:
+        h = criterion_counterexample(base, closed)
+        d = h
+        for _ in range(41):
+            if base.contains(d):
+                return False, "no symbolic certificate covers this base/closure pair", None, 0, 0
+            d = closed.add(d, d)
+        return False, f"no doubling of {closed.format(h)} lands in the base group", h, 0, 0
+    rng = random.Random(seed)
+    max_seen = 0
+    for _ in range(samples):
+        h = closed.random(rng, 3, 5)
+        n = claimed_exponent(base, closed, h)
+        if n is None:
+            return False, f"certificate has no exponent for {closed.format(h)}", h, 0, 0
+        if not base.contains(closed.mul(2**n, h)):
+            return False, f"2^{n} * {closed.format(h)} is not in the base group", h, 0, 0
+        max_seen = max(max_seen, n)
+    return True, "every sampled element reached the base group under doubling", None, samples, max_seen
+
+
+def crit_outcome(base, closed, **kw):
+    res = cl.crit_check(base, closed, **kw)
+    return res.ok, res.detail, res.counterexample, res.samples_checked, res.max_exponent_seen
+
+
+def assert_matches_the_oracle(base, closed, **kw):
+    got, want = crit_outcome(base, closed, **kw), fraction_crit_check(base, closed, **kw)
+    # repr also tells an int coordinate from an integral Fraction
+    assert (got, repr(got[2])) == (want, repr(want[2])), (base, closed)
+
+
+def test_dyadic_exponent_oracle():
+    rng = random.Random(3)
+    for _ in range(300):
+        e = rng.randint(0, 10)
+        num = rng.randint(-80, 80)
+        x = Fraction(num, 2**e)
+        # smallest k with (2**k) * x integral
+        k = 0
+        while (x * 2**k).denominator != 1:
+            k += 1
+        assert S.is_dyadic(x)
+        assert dyadic_exponent(x) == k
+
+
+def test_dyadic_exponent_rejects_non_dyadic():
+    for x in (Fraction(1, 3), Fraction(5, 6), Fraction(-2, 7)):
+        assert not S.is_dyadic(x)
+        with pytest.raises(ValueError):
+            dyadic_exponent(x)
+
+
+def golden_closure_pairs():
+    """The (base, closed) pair of every closure that a golden ``closure``
+    argv builds."""
+    blob = json.loads((pathlib.Path(__file__).parent / "golden_reports.json").read_text(encoding="utf-8"))
+    pairs = {}
+    for case in blob:
+        argv = case["argv"]
+        if argv[:1] != ["closure"] or len(argv) < 2 or argv[1].startswith("-"):
+            continue
+        closure = cl.sqrt_closure if "sqrt" in argv else cl.strict_closure
+        try:
+            C = closure(dsl.parse_algebra(argv[1]))
+        except PmvError:
+            continue
+        if isinstance(C, cl.ClosureDescriptor):
+            pairs[(C.base_descriptor(), C.closed_descriptor())] = None
+    return list(pairs)
+
+
+def test_the_certificate_matches_the_oracle_on_the_golden_closures():
+    pairs = golden_closure_pairs()
+    assert len(pairs) >= 20
+    for base, closed in pairs:
+        assert_matches_the_oracle(base, closed)
+
+
+# 19 descriptors of every family and shape; the 361 ordered pairs include
+# bases and closures of different families and products of different lengths
+GRID = [dsl.parse_group(t) for t in (
+    "Z/1", "Z/6", "D/1", "D/3", "Q", "quad(1/2*sqrt(2))", "dquad(1/2*sqrt(2))",
+    "lex(Z/1,Z/3)", "lex(D/1,D/3)", "twist3(Z)", "twist3(D)", "twist4(Z)", "twist4(D)",
+    "twist4(Q)", "prod(Z/2,Z/3)", "prod(D/1,D/3)", "prod(Q,Q)", "prod(Q)", "prod(twist4(D))",
+)]
+
+
+def test_crit_check_on_any_pair_of_descriptors_raises_no_untyped_error():
+    outcomes = set()
+    for base, closed in itertools.product(GRID, repeat=2):
+        try:
+            outcomes.add(cl.crit_check(base, closed).ok)
+        except PmvError:
+            outcomes.add("typed error")
+    assert True in outcomes and False in outcomes
+
+
+def test_the_certificate_matches_the_oracle_on_every_pair_of_descriptors():
+    for base, closed in itertools.product(GRID, repeat=2):
+        assert_matches_the_oracle(base, closed)
+
+
+def test_a_product_of_the_wrong_length_fails_on_its_first_draw():
+    one_factor = og.ProductGroup((og.ScaledInt(2),))
+    for base, closed in [(GRID[17], GRID[16]), (GRID[16], GRID[17]), (one_factor, GRID[15])]:
+        res = cl.crit_check(base, closed, seed=7)
+        first = closed.random(random.Random(7), 3, 5)
+        assert not res.ok and res.detail.endswith(f"* {closed.format(first)} is not in the base group")
+        assert (res.counterexample, repr(res.counterexample)) == (first, repr(first))
+
+
+CERTIFIED_LEAVES = [
+    (og.ScaledInt(1), og.ScaledDyadic(1)),
+    (og.ScaledInt(6), og.ScaledDyadic(3)),
+    (og.ScaledInt(12), og.ScaledDyadic(3)),
+    (og.ScaledInt(5), og.ScaledDyadic(5)),
+    (og.ScaledInt(3), og.ScaledInt(3)),
+    (og.ScaledDyadic(3), og.ScaledDyadic(3)),
+    (og.Rationals(), og.Rationals()),
+    (og.QuadLattice(ALPHA, False), og.QuadLattice(ALPHA, True)),
+    (og.QuadLattice(ALPHA, True), og.QuadLattice(ALPHA, True)),
+    (og.QuadLattice(ALPHA, False), og.QuadLattice(ALPHA, False)),
+    (og.Twist4("Z"), og.Twist4("D")),
+    (og.Twist4("D"), og.Twist4("D")),
+    (og.Twist4("Z"), og.Twist4("Z")),
+    (og.Twist3("Z"), og.Twist3("Z")),
+]
+UNCERTIFIED_LEAVES = [
+    (og.ScaledInt(6), og.ScaledDyadic(1)),
+    (og.Rationals(), og.ScaledDyadic(1)),
+    (og.Twist4("Z"), og.Twist4("Q")),
+    (og.Twist3("Z"), og.Twist3("D")),
+]
+# mostly certified leaves, so that most drawn pairs reach the samples
+LEAF_PAIRS = CERTIFIED_LEAVES * 4 + UNCERTIFIED_LEAVES
+
+
+def _lex_pair(head, tail):
+    return og.Lex(head[0], tail[0]), og.Lex(head[1], tail[1])
+
+
+def _product_pair(pairs, skew):
+    """Factorwise pairs; skew 1 gives the closure one more factor, -1 the base."""
+    bases, closeds = [b for b, _ in pairs], [c for _, c in pairs]
+    if skew == 1:
+        closeds.append(closeds[0])
+    elif skew == -1:
+        bases.append(bases[0])
+    return og.ProductGroup(bases), og.ProductGroup(closeds)
+
+
+closure_pairs = st.recursive(
+    st.sampled_from(LEAF_PAIRS),
+    lambda inner: st.one_of(
+        st.builds(_lex_pair, st.sampled_from(LEAF_PAIRS), inner),
+        st.builds(_product_pair, st.lists(inner, min_size=1, max_size=3),
+                  st.sampled_from([0, 0, 0, 1, -1])),
+    ),
+    max_leaves=5,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(closure_pairs, st.integers(0, 2**16), st.integers(0, 80))
+def test_the_certificate_matches_the_oracle_on_drawn_pairs(pair, seed, samples):
+    base, closed = pair
+    assert_matches_the_oracle(base, closed, samples=samples, seed=seed)
+
+
+@pytest.mark.parametrize("pair", [(g, g) for g in GRID] + catalog_pairs(),
+                         ids=lambda p: f"{dsl.format_group(p[0])}->{dsl.format_group(p[1])}")
+def test_the_certificate_draws_what_random_draws(monkeypatch, pair):
+    # the rng state after each sample is the state after one closed.random
+    base, closed = pair
+    cls = type(closed)
+    draw = cls.draw
+    states = []
+
+    def recording(self, rng, bound, exp):
+        out = draw(self, rng, bound, exp)
+        if self is closed:
+            states.append(rng.getstate())
+        return out
+
+    monkeypatch.setattr(cls, "draw", recording)
+    res = cl.crit_check(base, closed, samples=25, seed=31)
+    monkeypatch.undo()
+    assert res.ok and res.samples_checked == 25
+    rng = random.Random(31)
+    assert states == [(closed.random(rng, 3, 5), rng.getstate())[1] for _ in range(25)]
+
+
+def test_an_identity_pair_is_certified_without_group_arithmetic(monkeypatch):
+    calls = []
+    laws = [c for c in vars(og).values() if isinstance(c, type) and issubclass(c, og.GroupDescriptor)]
+    for cls in laws:
+        for name in ("contains", "mul"):
+            if name in vars(cls):
+                law = vars(cls)[name]
+                monkeypatch.setattr(cls, name, lambda self, *a, law=law, name=name: calls.append(name) or law(self, *a))
+    for group in GRID:
+        res = cl.crit_check(group, group)
+        assert (res.ok, res.samples_checked, res.max_exponent_seen) == (True, 60, 0)
+    assert not calls
+    og.Rationals().contains(Fraction(1))
+    og.Twist4("Z").mul(2, (1, 0, 0, 0))
+    assert calls == ["contains", "mul"]  # the patches took
 
 
 # --- doubled decomposition ------------------------------------------------------------

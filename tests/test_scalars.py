@@ -126,27 +126,6 @@ def test_two_adic_valuation_oracle():
         assert n == m * 2**v
 
 
-def test_dyadic_exponent_oracle():
-    rng = random.Random(3)
-    for _ in range(300):
-        e = rng.randint(0, 10)
-        num = rng.randint(-80, 80)
-        x = Fraction(num, 2**e)
-        # smallest k with (2**k) * x integral
-        k = 0
-        while (x * 2**k).denominator != 1:
-            k += 1
-        assert S.is_dyadic(x)
-        assert S.dyadic_exponent(x) == k
-
-
-def test_dyadic_exponent_rejects_non_dyadic():
-    for x in (Fraction(1, 3), Fraction(5, 6), Fraction(-2, 7)):
-        assert not S.is_dyadic(x)
-        with pytest.raises(ParameterError):
-            S.dyadic_exponent(x)
-
-
 def test_is_square_free_oracle():
     for n in range(1, 300):
         expected = all(n % (k * k) != 0 for k in range(2, math.isqrt(n) + 1))
