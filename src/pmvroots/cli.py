@@ -26,7 +26,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import asdict, dataclass, field
 
 from . import closures as cl
 from . import dsl
@@ -41,6 +40,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .ideals import enumerate_ideals, is_bsi, nn12_element, normal_primes, root_map_ideals
+from .records import Record
 from .scalars import Fraction
 
 EXIT_CODES = {
@@ -53,23 +53,17 @@ EXIT_CODES = {
 }
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     status: str
     payload: dict
-    provenance: tuple[str, ...] = field(default=())
+    provenance: tuple[str, ...] = ()
 
     @property
     def exit_code(self) -> int:
         return EXIT_CODES[self.status]
 
     def to_json(self) -> str:
-        body = {
-            "status": self.status,
-            "payload": self.payload,
-            "provenance": list(self.provenance),
-        }
-        return json.dumps(body, indent=2, default=str)
+        return json.dumps(self.asdict(), indent=2, default=str)  # the provenance tuple as a list
 
     def to_text(self) -> str:
         lines = [f"status: {self.status}"]
@@ -316,7 +310,7 @@ def _cmd_ideals(args) -> Report:
             least_boolean_ideal_top=_fmt(r.least_boolean_top),
             i1_equals_least_boolean=r.i1_equals_least_boolean,
             i2_equals_least_strict=r.i2_equals_least_strict,
-            w_decomposition=asdict(r.w_split),
+            w_decomposition=r.w_split.asdict(),
         )
     return Report("ok", payload)
 

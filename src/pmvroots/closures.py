@@ -35,38 +35,34 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ogroups as og
 from . import pmv
 from .errors import ParameterError, UnsupportedOperationError, check
 from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of, odot
+from .records import Record
 from .scalars import odd_part
 
 HALF_SHIFT = "half_shift"
 IDENTITY = "identity"
 
 
-@dataclass(frozen=True)
-class FactorClosure:
+class FactorClosure(Record):
     base: og.GroupDescriptor
     closed: og.GroupDescriptor
     root: str  # HALF_SHIFT | IDENTITY
 
 
-@dataclass(frozen=True)
-class ClosureDescriptor:
+class ClosureDescriptor(Record):
     kind: str  # "strict" | "sqrt"
     factors: tuple[FactorClosure, ...]
 
     def base_descriptor(self) -> og.GroupDescriptor:
-        descs = tuple(f.base for f in self.factors)
-        return descs[0] if len(descs) == 1 else og.ProductGroup(descs)
+        return og.product_of([f.base for f in self.factors])
 
     def closed_descriptor(self) -> og.GroupDescriptor:
-        descs = tuple(f.closed for f in self.factors)
-        return descs[0] if len(descs) == 1 else og.ProductGroup(descs)
+        return og.product_of([f.closed for f in self.factors])
 
     def base_algebra(self) -> GammaAlgebra:
         return GammaAlgebra(self.base_descriptor())
@@ -101,8 +97,7 @@ class ClosureDescriptor:
         }
 
 
-@dataclass(frozen=True)
-class OpenProblem:
+class OpenProblem(Record):
     explanation: str
     factor_reports: tuple[str, ...] = ()
 
@@ -166,8 +161,7 @@ def strict_closure(M) -> ClosureDescriptor:
 # the reachability criterion
 
 
-@dataclass(frozen=True)
-class CritResult:
+class CritResult(Record):
     ok: bool
     detail: str
     counterexample: og.Payload | None = None
@@ -336,8 +330,7 @@ def _criterion_counterexample(base, closed) -> og.Payload:
 # Riesz-style decomposition in the closed algebra
 
 
-@dataclass(frozen=True)
-class RdpDecomposition:
+class RdpDecomposition(Record):
     n: int
     parts: tuple[Element, ...]
     minimal: bool
@@ -416,8 +409,7 @@ def _head_gives_boolean_quotient(desc: og.GroupDescriptor) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class _FactorProfile:
+class _FactorProfile(Record):
     i1_zero: bool
     i2_zero: bool
     splitting: str | None  # "unit" | "zero" | None

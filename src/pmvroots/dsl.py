@@ -9,6 +9,9 @@ Algebras::
 
     M(3)   gamma(twist3(Z))   prod(M(1),M(4))   interval(prod(M(1),M(4)), (1,0))
 
+A product of one factor, of groups or of algebras, is that factor, so its
+elements are written as the factor's are.
+
 Elements are rationals or (possibly nested) tuples of elements; a
 parenthesized single element is just grouping.
 """
@@ -162,7 +165,7 @@ def _group(cur: _Cursor) -> og.GroupDescriptor:
         while cur.match(","):
             factors.append(_group(cur))
         cur.close()
-        return og.ProductGroup(tuple(factors))
+        return og.product_of(factors)
     cur.error(f"unknown group constructor {head!r}", at=cur.pos - len(head))
 
 
@@ -249,7 +252,7 @@ def _algebra(cur: _Cursor) -> pmv.Algebra:
         while cur.match(","):
             factors.append(_algebra(cur))
         cur.close()
-        return pmv.product(factors)
+        return factors[0] if len(factors) == 1 else pmv.product(factors)
     if head == "interval":
         cur.open()
         parent = _algebra(cur)

@@ -39,10 +39,10 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
 
 from .errors import ParameterError, ResourceLimitError, UnsupportedOperationError
 from .pmv import Element, FiniteAlgebra, _compose, carrier, one_elem, zero_elem
+from .records import Record
 from .scalars import format_value
 
 ENV_CAP = "PMVROOTS_IDEAL_CAP"
@@ -59,8 +59,7 @@ def _cap() -> int:
         raise ParameterError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class IdealInfo:
+class IdealInfo(Record):
     top: Element
     members: frozenset[Element]
     is_proper: bool
@@ -139,8 +138,7 @@ def normal_primes(M: FiniteAlgebra) -> list[IdealInfo]:
     return [_ideal(M, top) for top in sorted(tops, key=dec.index.__getitem__)]
 
 
-@dataclass(frozen=True)
-class PrimePartition:
+class PrimePartition(Record):
     x1: tuple[IdealInfo, ...]
     x2: tuple[IdealInfo, ...]
     i1: frozenset[Element]
@@ -231,8 +229,7 @@ def quotient(M: FiniteAlgebra, members: frozenset[Element]) -> tuple[FiniteAlgeb
 # strict square ideals and the w-split
 
 
-@dataclass(frozen=True)
-class WSplit:
+class WSplit(Record):
     boolean_part_size: int
     strict_part_size: int
     boolean_part_is_boolean: bool
@@ -240,8 +237,7 @@ class WSplit:
     induced_root_matches: bool
 
 
-@dataclass(frozen=True)
-class RootMapIdeals:
+class RootMapIdeals(Record):
     strict_map: bool
     least_strict_top: Element
     least_boolean_top: Element

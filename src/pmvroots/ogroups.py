@@ -50,11 +50,11 @@ The module functions take payloads too and check what the laws do not:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 from .errors import CarrierError, ParameterError, check
+from .records import Record
 from .scalars import QuadValue, format_rational, format_value, is_dyadic, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
@@ -161,14 +161,14 @@ class _Rank1(GroupDescriptor):
         return Fraction(*draw)
 
 
-@dataclass(frozen=True)
-class ScaledInt(_Rank1):
+class ScaledInt(_Rank1, Record):
     n: int
     two_divisible = False
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n):
+        if n < 1:
             raise ParameterError("ScaledInt needs n >= 1")
+        object.__setattr__(self, "n", n)
 
     def contains(self, p):
         return isinstance(p, Fraction) and (p * self.n).denominator == 1
@@ -177,14 +177,14 @@ class ScaledInt(_Rank1):
         return _draw_scalar("Z", rng, bound, exp, self.n)
 
 
-@dataclass(frozen=True)
-class ScaledDyadic(_Rank1):
+class ScaledDyadic(_Rank1, Record):
     q: int
     two_divisible = True
 
-    def __post_init__(self):
-        if self.q < 1 or self.q % 2 == 0:
+    def __init__(self, q):
+        if q < 1 or q % 2 == 0:
             raise ParameterError("ScaledDyadic needs odd q >= 1")
+        object.__setattr__(self, "q", q)
 
     def contains(self, p):
         if not isinstance(p, Fraction):
@@ -196,8 +196,7 @@ class ScaledDyadic(_Rank1):
         return _draw_scalar("D", rng, bound, exp, self.q)
 
 
-@dataclass(frozen=True)
-class Rationals(_Rank1):
+class Rationals(_Rank1, Record):
     two_divisible = True
 
     def contains(self, p):
@@ -207,16 +206,17 @@ class Rationals(_Rank1):
         return _draw_scalar("Q", rng, bound, exp)
 
 
-@dataclass(frozen=True)
-class QuadLattice(GroupDescriptor):
+class QuadLattice(GroupDescriptor, Record):
     alpha: QuadValue
-    dyadic: bool = False
+    dyadic: bool
 
-    def __post_init__(self):
-        if self.alpha.is_rational():
+    def __init__(self, alpha, dyadic=False):
+        if alpha.is_rational():
             raise ParameterError("QuadLattice needs an irrational alpha")
-        if not (0 < self.alpha.sign() and (self.alpha - QuadValue.make(1)).sign() < 0):
+        if not (0 < alpha.sign() and (alpha - QuadValue.make(1)).sign() < 0):
             raise ParameterError("QuadLattice needs 0 < alpha < 1")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "dyadic", dyadic)
 
     @property
     def two_divisible(self):
@@ -278,8 +278,7 @@ class QuadLattice(GroupDescriptor):
         return f"{format_rational(m)}{'+' if n > 0 else '-'}{radical}"
 
 
-@dataclass(frozen=True)
-class _Twisted(GroupDescriptor):
+class _Twisted(GroupDescriptor, Record):
     """``arity``-tuples over a tagged scalar ring, ordered lexicographically,
     unit (1,0,...,0); the last coordinate carries the twisting product.
 
@@ -288,12 +287,13 @@ class _Twisted(GroupDescriptor):
     exact scalar by value.
     """
 
-    tag: str = "Z"
+    tag: str
     abelian = False
 
-    def __post_init__(self):
-        if self.tag not in SCALAR_TAGS:
+    def __init__(self, tag="Z"):
+        if tag not in SCALAR_TAGS:
             raise ParameterError(f"scalar tag must be one of {SCALAR_TAGS}")
+        object.__setattr__(self, "tag", tag)
 
     @property
     def two_divisible(self):
@@ -342,8 +342,8 @@ class _Twisted(GroupDescriptor):
         return "(" + ",".join(format_rational(c) for c in p) + ")"
 
 
-# Twist3 and Twist4 inherit the field ``tag`` and the dataclass methods of
-# _Twisted; those compare classes, so Twist3("Z") != Twist4("Z").
+# Twist3 and Twist4 inherit the field ``tag`` of _Twisted; records of two
+# classes are never equal, so Twist3("Z") != Twist4("Z").
 class Twist3(_Twisted):
     arity = 3
 
@@ -387,8 +387,8 @@ class Twist4(_Twisted):
 class _Composite(GroupDescriptor):
     """Tuple payloads, one coordinate per descriptor in ``parts``; the group
     operations, sampling and display work coordinatewise.  Each subclass
-    sets ``parts`` at construction; it is not a dataclass field, so equality,
-    hashing and ``repr`` do not see it."""
+    sets ``parts`` at construction; it is not a record field (not annotated),
+    so equality, hashing and ``repr`` do not see it."""
 
     __slots__ = ()
 
@@ -432,15 +432,16 @@ class _Composite(GroupDescriptor):
         return "(" + ",".join(f.format(a) for f, a in zip(self.parts, p)) + ")"
 
 
-@dataclass(frozen=True)
-class Lex(_Composite):
+class Lex(_Composite, Record):
     head: GroupDescriptor
     tail: GroupDescriptor
 
-    def __post_init__(self):
-        if not self.head.linear:
+    def __init__(self, head, tail):
+        if not head.linear:
             raise ParameterError("lexicographic head must be linearly ordered")
-        object.__setattr__(self, "parts", (self.head, self.tail))
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
+        object.__setattr__(self, "parts", (head, tail))
 
     @property
     def linear(self):
@@ -478,15 +479,15 @@ class Lex(_Composite):
         return h.bound(h.join(p[0], h.neg(p[0]))) + 1
 
 
-@dataclass(frozen=True)
-class ProductGroup(_Composite):
+class ProductGroup(_Composite, Record):
     factors: tuple[GroupDescriptor, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if not self.factors:
+    def __init__(self, factors):
+        factors = tuple(factors)
+        if not factors:
             raise ParameterError("product needs at least one factor")
-        object.__setattr__(self, "parts", self.factors)
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "parts", factors)
 
     @property
     def linear(self):
@@ -525,6 +526,12 @@ class ProductGroup(_Composite):
 
     def bound(self, p):
         return max(f.bound(a) for f, a in zip(self.factors, p))
+
+
+def product_of(factors) -> GroupDescriptor:
+    """The product of a sequence of factors; the product of one factor is
+    that factor."""
+    return factors[0] if len(factors) == 1 else ProductGroup(factors)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, itemgetter, le, sub
@@ -57,6 +56,7 @@ from .errors import (
     UnsupportedOperationError,
     check,
 )
+from .records import Record
 from .scalars import format_value
 
 
@@ -64,15 +64,14 @@ class Algebra:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class GammaAlgebra(Algebra):
+class GammaAlgebra(Algebra, Record):
     """The pseudo MV-algebra carried by the unit interval of a group."""
 
     desc: og.GroupDescriptor
 
     # the payloads u, 0 and -u enter every operation: each instance builds
-    # them once, on first use (not fields, so equality and hashing still see
-    # desc only)
+    # them once, on first use, into its ``__dict__`` (not annotated, so not
+    # record fields: equality and hashing still see desc only)
     @cached_property
     def unit(self) -> og.Payload:
         return self.desc.unit()
@@ -200,10 +199,23 @@ class ChainDecomposition(NamedTuple):
 Value = Union[Fraction, tuple, str]
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+class Element(Record):
+    __slots__ = ("algebra", "payload")
     algebra: Algebra
     payload: Union[int, Fraction, tuple]
+
+    # the record methods written out: elements are built, compared and
+    # hashed more than any other record
+    def __init__(self, algebra, payload):
+        object.__setattr__(self, "algebra", algebra)
+        object.__setattr__(self, "payload", payload)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return (self.algebra, self.payload) == (other.algebra, other.payload) if same else NotImplemented
+
+    def __hash__(self):
+        return hash((self.algebra, self.payload))
 
     def __str__(self) -> str:
         return format_element(self)
@@ -472,12 +484,8 @@ def product(algebras: list[Algebra]) -> Algebra:
         return finite_product(algebras)
     descs = []
     for a in algebras:
-        if isinstance(a, GammaAlgebra):
-            d = a.desc
-            descs.extend(d.factors if isinstance(d, og.ProductGroup) else [d])
-        else:
-            d = to_gamma_descriptor(a)
-            descs.extend(d.factors if isinstance(d, og.ProductGroup) else [d])
+        d = a.desc if isinstance(a, GammaAlgebra) else to_gamma_descriptor(a)
+        descs.extend(d.factors if isinstance(d, og.ProductGroup) else [d])
     return GammaAlgebra(og.ProductGroup(tuple(descs)))
 
 
@@ -510,11 +518,7 @@ def interval(A: Algebra, b: Element) -> Algebra:
         return A
     if isinstance(desc, og.ProductGroup) and all(f.linear for f in desc.factors):
         keep = [f for f, c, z in zip(desc.factors, b.payload, A.zero) if c != z]
-        if not keep:
-            return _degenerate()
-        if len(keep) == 1:
-            return GammaAlgebra(keep[0])
-        return GammaAlgebra(og.ProductGroup(tuple(keep)))
+        return GammaAlgebra(og.product_of(keep)) if keep else _degenerate()
     if b == zero_elem(A):
         return _degenerate()
     raise UnsupportedOperationError(f"cannot relativize {desc!r} at {b}")

@@ -32,7 +32,6 @@ meaningful, a witness element.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial, reduce
 
@@ -53,14 +52,14 @@ from .pmv import (
     one_elem,
     zero_elem,
 )
+from .records import Record
 
 NO_CANDIDATE = "no_a_with_a_odot_a_eq_x"
 SQ2_VIOLATED = "sq2_violated"
 NO_MAX = "no_max_of_nilpotents"
 
 
-@dataclass(frozen=True)
-class SqrtResult:
+class SqrtResult(Record):
     status: str  # "exists" | "not_exists"
     value: Element | None = None
     reason: str | None = None
@@ -73,11 +72,11 @@ class SqrtResult:
 
 
 def _exists(a: Element, note: str | None = None) -> SqrtResult:
-    return SqrtResult("exists", value=a, note=note)
+    return SqrtResult("exists", a, None, None, note)  # positional: the fast way to build a record
 
 
 def _not_exists(reason: str, witness: Element | None = None, note: str | None = None) -> SqrtResult:
-    return SqrtResult("not_exists", reason=reason, witness=witness, note=note)
+    return SqrtResult("not_exists", None, reason, witness, note)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +300,9 @@ def sqrt_boolean(A: pmv.Algebra, b: Element) -> SqrtResult:
 # total square root mappings
 
 
-@dataclass(frozen=True)
-class SqrtMap:
+class SqrtMap(Record, uncompared=("mapping",)):
     algebra: pmv.Algebra
-    mapping: dict[Element, Element] = field(compare=False)
+    mapping: dict[Element, Element]  # not compared, not hashed
     strict: bool
     r0: Element
     w: Element  # r(0)- (.) r(0)-
@@ -364,8 +362,7 @@ def sqrt_map(M: FiniteAlgebra) -> SqrtMap | None:
 # greatest subalgebra with square roots
 
 
-@dataclass(frozen=True)
-class GreatestSqrtResult:
+class GreatestSqrtResult(Record):
     quantifier: str
     stages: tuple[frozenset[Element], ...]
     subalgebra_flags: tuple[bool, ...]

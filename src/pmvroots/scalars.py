@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DslError, ParameterError
+from .records import Record
 
 
 def rational(value) -> Fraction:
@@ -104,8 +104,7 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class QuadValue:
+class QuadValue(Record):
     """The real number ``a + b*sqrt(d)``, stored exactly.
 
     ``b == 0`` is normalised to ``d == 0`` so that equal numbers compare
@@ -117,6 +116,11 @@ class QuadValue:
     a: Fraction
     b: Fraction
     d: int
+
+    def __init__(self, a, b, d):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "d", d)
 
     @staticmethod
     def make(a, b=0, d=0) -> "QuadValue":

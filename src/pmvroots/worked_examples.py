@@ -8,7 +8,6 @@ anchor and is what the ``verify-paper`` command replays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import closures as cl
@@ -28,6 +27,7 @@ from .pmv import (
     rneg,
     zero_elem,
 )
+from .records import Record
 from .roots import (
     NO_CANDIDATE,
     NO_MAX,
@@ -41,8 +41,7 @@ from .roots import (
 from .scalars import QuadValue
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     anchor: str
     ok: bool
     detail: str

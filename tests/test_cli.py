@@ -493,3 +493,25 @@ def test_a_failed_internal_check_is_reported_as_an_error(monkeypatch):
     assert run(["sqrt", "gamma(Q)", "1/2"]) == (3, f"status: error\nmessage: {message}\n")
     code, blob = run_json(["sqrt", "gamma(Q)", "1/2"])
     assert (code, blob["status"], blob["payload"]["message"]) == (3, "error", message)
+
+
+# --- one-factor products ------------------------------------------------------------
+
+QUAD = "dquad(-1+1*sqrt(2))"
+
+
+@pytest.mark.parametrize(
+    "argv, factor_argv",
+    [
+        (["analyze", "prod(M(5))"], ["analyze", "M(5)"]),
+        (["member", "prod(M(5))", "1/5"], ["member", "M(5)", "1/5"]),
+        (["analyze", "interval(prod(M(5)),(1))"], ["analyze", "interval(M(5),1)"]),
+        (["sqrt", f"gamma(prod({QUAD}))", "((0,0))"], ["sqrt", f"gamma({QUAD})", "(0,0)"]),
+        (["sqrt", f"gamma(prod(Z/5,prod({QUAD})))", "(0,(0,0))"], ["sqrt", f"gamma(prod(Z/5,{QUAD}))", "(0,(0,0))"]),
+    ],
+)
+def test_a_product_of_one_factor_answers_as_its_factor(argv, factor_argv):
+    code, out = run(argv)
+    want_code, want = run(factor_argv)
+    assert code == want_code == 0
+    assert out.replace(argv[1], factor_argv[1]) == want

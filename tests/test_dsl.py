@@ -185,6 +185,19 @@ def test_parse_algebra_shapes():
     assert I.size == 2
 
 
+def test_a_product_of_one_factor_parses_as_its_factor():
+    M = pmv.finite_mv_chain
+    assert dsl.parse_group("prod(Z/2)") == og.ScaledInt(2)
+    assert dsl.parse_group("prod(prod(twist4(D)))") == og.Twist4("D")
+    assert dsl.parse_group("prod(Z/5,prod(Q))") == og.ProductGroup((og.ScaledInt(5), og.Rationals()))
+    assert dsl.parse_algebra("prod(M(5))") == M(5)
+    assert dsl.parse_algebra("gamma(prod(Z/2))") == pmv.GammaAlgebra(og.ScaledInt(2))
+    assert dsl.parse_algebra("prod(M(1),prod(M(2)))") == pmv.finite_product([M(1), M(2)])
+    # the library constructors still build one-factor products
+    assert og.ProductGroup((og.ScaledInt(2),)) != og.ScaledInt(2)
+    assert pmv.finite_product([M(5)]).values != M(5).values
+
+
 def test_parse_algebra_rejects():
     for text in ("M()", "M(0)", "gamma()", "prod()", "M(3", "interval(M(4),1/2)"):
         with pytest.raises((DslError, ParameterError)):
