@@ -125,8 +125,6 @@ class GroupDescriptor:
 class _Rank1(GroupDescriptor):
     """Subgroups of Q containing 1, unit 1; payloads are Fractions."""
 
-    __slots__ = ()
-
     def normalize(self, raw):
         return rational(raw)
 
@@ -389,8 +387,6 @@ class _Composite(GroupDescriptor):
     operations, sampling and display work coordinatewise.  Each subclass
     sets ``parts`` at construction; it is not a record field (not annotated),
     so equality, hashing and ``repr`` do not see it."""
-
-    __slots__ = ()
 
     @property
     def abelian(self):

@@ -13,7 +13,9 @@ The base reads them once, in ``__init_subclass__``, and supplies:
 * ``repr`` as ``Name(field=value, ...)``, over every field;
 * immutability: assigning or deleting an attribute raises
   ``dataclasses.FrozenInstanceError``;
-* ``asdict()``, the fields by name, not copied.
+* ``asdict()``, the fields by name, not copied;
+* ``copy``, ``deepcopy`` and ``pickle``, which pass the fields in order to
+  ``__init__``, so a record that writes its own takes them in that order.
 
 The base's ``__init__`` fills ``__dict__`` in one call, the fastest way to
 build a record.  A record whose fields, methods or class attributes are read
@@ -72,6 +74,9 @@ class Record:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 
     __setattr__ = __delattr__ = _frozen
+
+    def __reduce__(self):  # copy and pickle rebuild a record through its __init__
+        return type(self), tuple(getattr(self, n) for n in self._fields)
 
     def asdict(self) -> dict:
         return {n: getattr(self, n) for n in self._fields}

@@ -8,9 +8,11 @@ or deleting an attribute, and the ``TypeError`` for a missing or an unknown
 argument.  The checks that some constructors make are pinned on their own.
 """
 
+import copy
 import dataclasses
 import inspect
 import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -219,6 +221,16 @@ def test_the_constructor_checks_still_run():
         with pytest.raises(ParameterError):
             build()
     assert og.ProductGroup([og.Rationals()]).factors == (og.Rationals(),)
+
+
+@pytest.mark.parametrize("record", [
+    pmv.Element(M2, 1), pmv.GammaAlgebra(og.Twist3("D")), og.ProductGroup((og.Rationals(), DESCS[6], DESCS[7])),
+    ALPHAS[1], roots.SqrtMap(M2, {pmv.Element(M2, 0): pmv.Element(M2, 1)}, False, 1, 2), cli.Report("ok", {"a": 1}),
+    closures.CritResult(True, "x", samples_checked=3),
+], ids=lambda r: type(r).__name__)
+def test_records_copy_and_pickle(record):
+    for twin in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record
 
 
 def test_asdict_matches_dataclasses_asdict():
