@@ -56,14 +56,18 @@ EXIT_CODES = {
 class Report(Record):
     status: str
     payload: dict
-    provenance: tuple[str, ...] = ()
+    provenance: tuple[str, ...]
+
+    def __init__(self, status, payload, provenance=()):  # positional: the base's fast path
+        super().__init__(status, payload, provenance)
 
     @property
     def exit_code(self) -> int:
         return EXIT_CODES[self.status]
 
     def to_json(self) -> str:
-        return json.dumps(self.asdict(), indent=2, default=str)  # the provenance tuple as a list
+        body = {"status": self.status, "payload": self.payload, "provenance": list(self.provenance)}
+        return json.dumps(body, indent=2, default=str)
 
     def to_text(self) -> str:
         lines = [f"status: {self.status}"]

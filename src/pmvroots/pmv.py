@@ -69,6 +69,9 @@ class GammaAlgebra(Algebra, Record):
 
     desc: og.GroupDescriptor
 
+    def __init__(self, desc):  # written out: one or more per request
+        object.__setattr__(self, "desc", desc)
+
     # the payloads u, 0 and -u enter every operation: each instance builds
     # them once, on first use, into its ``__dict__`` (not annotated, so not
     # record fields: equality and hashing still see desc only)
@@ -204,18 +207,9 @@ class Element(Record):
     algebra: Algebra
     payload: Union[int, Fraction, tuple]
 
-    # the record methods written out: elements are built, compared and
-    # hashed more than any other record
-    def __init__(self, algebra, payload):
+    def __init__(self, algebra, payload):  # written out: built more than any other record
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "payload", payload)
-
-    def __eq__(self, other):
-        same = other.__class__ is self.__class__
-        return (self.algebra, self.payload) == (other.algebra, other.payload) if same else NotImplemented
-
-    def __hash__(self):
-        return hash((self.algebra, self.payload))
 
     def __str__(self) -> str:
         return format_element(self)
