@@ -19,7 +19,7 @@ The base reads them once, in ``__init_subclass__``, and supplies:
 
 The base's ``__init__`` is generic, and slower than a generated one: on
 CPython 3.11 on a shared 2-core virtual machine, about 0.3 us more per
-record built positionally and 0.6-1.2 us more by keyword.  It also fills
+record built positionally and 0.7-0.9 us more by keyword.  It also fills
 ``__dict__``, where a later read of a field, a method or a class attribute
 is up to three times slower than from the values a frozen dataclass keeps
 inline.  So a record that is built on every request or read far more often
