@@ -208,9 +208,9 @@ def _cmd_sqrtmap(args) -> Report:
     C = cl.sqrt_closure(desc)
     if isinstance(C, cl.ClosureDescriptor) and all(f.closed == f.base for f in C.factors):
         # [0, u] is its own square-root closure, so the closure's root mapping
-        # is total on it: x on Boolean factors, (x + u)/2 on the others
-        flat = cl.closure_sqrt(C, pmv.zero_elem(C.closed_algebra())).payload
-        r0 = pmv.element_of(A, _nested(desc, iter(flat if len(C.factors) > 1 else (flat,))))
+        # is total on it: x on Boolean factors, (x + u)/2 on the others; at 0
+        # that is sqrt(0), 0 on the factors Z/1 and u/2 on the others
+        r0 = roots.sqrt_zero(A).value
         strict = all(f.root == cl.HALF_SHIFT for f in C.factors)
         boolean = all(f.root == cl.IDENTITY for f in C.factors)
         return Report(
@@ -240,13 +240,6 @@ def _cmd_sqrtmap(args) -> Report:
                 {"reason": "an element of the interval has no square root", "witness": _fmt(witness)},
             )
     raise UnsupportedOperationError("could not classify the square root mapping")
-
-
-def _nested(desc: og.GroupDescriptor, flat):
-    """The flattened factor coordinates ``flat`` (an iterator), nested like ``desc``."""
-    if isinstance(desc, og.ProductGroup):
-        return tuple(_nested(f, flat) for f in desc.factors)
-    return next(flat)
 
 
 def _rootless_payload(desc: og.GroupDescriptor):
@@ -365,7 +358,7 @@ def _cmd_member(args) -> Report:
 def _cmd_decompose(args) -> Report:
     A = dsl.parse_algebra(args.target)
     C = cl.strict_closure(A)
-    closed = C.closed_algebra()
+    closed = C.closed_algebra
     x = dsl.parse_element(closed, args.element)
     dec = cl.corrdp_decompose(C, x)
     payload = {

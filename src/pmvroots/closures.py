@@ -36,11 +36,12 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from functools import cached_property
 
 from . import ogroups as og
 from . import pmv
 from .errors import ParameterError, UnsupportedOperationError, check
-from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of, odot
+from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of
 from .records import Record
 from .scalars import odd_part
 
@@ -64,9 +65,13 @@ class ClosureDescriptor(Record):
     def closed_descriptor(self) -> og.GroupDescriptor:
         return og.product_of([f.closed for f in self.factors])
 
+    # built once, on first use, into the record's ``__dict__`` (not
+    # annotated, so not record fields)
+    @cached_property
     def base_algebra(self) -> GammaAlgebra:
         return GammaAlgebra(self.base_descriptor())
 
+    @cached_property
     def closed_algebra(self) -> GammaAlgebra:
         return GammaAlgebra(self.closed_descriptor())
 
@@ -342,7 +347,7 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
     ``x`` must belong to the closed algebra of ``C``; the parts are the
     greedy meets with the unit, which is valid in the commutative case.
     """
-    closed_alg = C.closed_algebra()
+    closed_alg = C.closed_algebra
     base_desc = C.base_descriptor()
     if x.algebra != closed_alg:
         raise ParameterError("element does not live in the closed algebra")
@@ -355,7 +360,7 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
         half = doubled
     else:
         raise ParameterError(f"{x} never reaches the base group by doubling")
-    base_alg = C.base_algebra()
+    base_alg = C.base_algebra
     u = base_desc.unit()
     parts = []
     remaining = doubled
@@ -370,29 +375,6 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
     check(total == doubled, "the parts sum to the doubled element")
     minimal = n == 0 or not base_desc.contains(half)
     return RdpDecomposition(n=n, parts=tuple(parts), minimal=minimal)
-
-
-def closure_sqrt(C: ClosureDescriptor, x: Element) -> Element:
-    """The square root mapping of the closed algebra of ``C``.
-
-    Half-shift factors use (x + u)/2; identity factors (Boolean parts of
-    a square-root closure) leave coordinates unchanged.
-    """
-    closed_alg = C.closed_algebra()
-    if x.algebra != closed_alg:
-        raise ParameterError("element does not live in the closed algebra")
-    payloads = [x.payload] if len(C.factors) == 1 else list(x.payload)
-    out = []
-    for f, p in zip(C.factors, payloads):
-        if f.root == IDENTITY:
-            out.append(p)
-            continue
-        h = og.try_halve(f.closed, f.closed.add(p, f.closed.unit()))
-        check(h is not None, "closed factors are two-divisible")
-        out.append(h)
-    r = element_of(closed_alg, out[0] if len(out) == 1 else tuple(out))
-    check(odot(r, r) == x, "the closure root r has r (.) r == x")
-    return r
 
 
 # ---------------------------------------------------------------------------

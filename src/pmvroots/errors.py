@@ -22,7 +22,7 @@ class UnsupportedOperationError(PmvError):
 
 
 class ResourceLimitError(PmvError):
-    """An enumeration exceeded the configured size cap."""
+    """A finite carrier would have more than ``pmv.MAX_CARRIER`` elements."""
 
 
 class DslError(PmvError):

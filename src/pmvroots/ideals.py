@@ -5,10 +5,10 @@ is a downward-closed, (+)-closed subset containing 0; each one is the
 interval [0, b] of an idempotent b (the (+)-join of its members), that is,
 the product of the chains on which b is full, so its members are listed
 from b's coordinates and its flags follow from which chains those are.
-Enumeration walks the idempotents, whose coordinates are each 0 or full,
-and a configurable cap bounds the algebras it accepts.  The quotient by
-[0, b] identifies the elements whose coordinates agree on the other
-chains.
+Enumeration walks the idempotents, whose coordinates are each 0 or full:
+an algebra of at most ``pmv.MAX_CARRIER`` elements has at most 2^10
+ideals.  The quotient by [0, b] identifies the elements whose coordinates
+agree on the other chains.
 
 Normal prime ideals are partitioned into
 
@@ -38,25 +38,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 
-from .errors import ParameterError, ResourceLimitError, UnsupportedOperationError
-from .pmv import Element, FiniteAlgebra, _compose, carrier, one_elem, zero_elem
+from .errors import ParameterError, UnsupportedOperationError
+from .pmv import Element, FiniteAlgebra, carrier, compose, one_elem, zero_elem
 from .records import Record
 from .scalars import format_value
-
-ENV_CAP = "PMVROOTS_IDEAL_CAP"
-DEFAULT_CAP = 64
-
-
-def _cap() -> int:
-    raw = os.environ.get(ENV_CAP)
-    if raw is None:
-        return DEFAULT_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"{ENV_CAP} must be an integer, got {raw!r}") from None
 
 
 class IdealInfo(Record):
@@ -101,11 +87,6 @@ def enumerate_ideals(M: FiniteAlgebra) -> list[IdealInfo]:
     has no total square root mapping."""
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("ideal enumeration needs a finite algebra")
-    cap = _cap()
-    if M.size > cap:
-        raise ResourceLimitError(
-            f"carrier has {M.size} elements, above the cap {cap} (set {ENV_CAP} to raise)"
-        )
     dec = M.decomposition
     # the idempotents: each coordinate 0 or full
     tops = itertools.product(*((0, n) for n in dec.lengths))
@@ -216,7 +197,7 @@ def quotient(M: FiniteAlgebra, members: frozenset[Element]) -> tuple[FiniteAlgeb
             reps.append(x)
         cls.append(where[key])
     outside.sort(key=lambda i: cls[dec.atoms[i]])
-    Q = _compose(
+    Q = compose(
         [f"[{format_value(M.values[r])}]" for r in reps],
         [cls[dec.atoms[i]] for i in outside],
         [dec.lengths[i] for i in outside],

@@ -8,21 +8,28 @@ Two representations are supported:
   negation ``x~ = -x + u``;
 * :class:`FiniteAlgebra` -- a finite carrier with its chain decomposition.
 
+Each algebra computes on its own payloads: its methods ``member``,
+``value``, ``format``, ``oplus``, ``odot``, ``lneg``, ``rneg``, ``join``,
+``meet``, ``leq`` and ``is_idempotent`` take and return payloads (group
+elements of [0, u], or carrier indices), and the functions of this module
+on ``Element`` box one method call each.
+
 A finite pseudo MV-algebra is an MV-algebra and a product of chains
 M(n_1) x ... x M(n_k) (Mundici's Gamma functor; Dvurecenskij for the
-non-commutative version).  A ``FiniteAlgebra`` is its carrier values, this
-chain decomposition (``FiniteAlgebra.decomposition``: the chain lengths and
-the integer coordinates of every element), 0 and 1.  It is built in one of
-two ways:
+non-commutative version), that is, Gamma(prod (1/n_i) Z, (1, ..., 1)).  A
+``FiniteAlgebra`` is its carrier values, this chain decomposition
+(``FiniteAlgebra.decomposition``: the chain lengths and the integer
+coordinates of every element), 0 and 1, whichever way it was built:
 
 * from the tables of (+) and of both negations on carrier indices, whose one
   check is to find the decomposition, checked by whole-row comparisons
   against Lukasiewicz tables; tables that are not a product of chains raise
-  ``ParameterError``.  Chains ``M(n)`` are built so.
-* by composing the decompositions of checked operands: a product puts its
-  factors' coordinates side by side, an interval [0, b] keeps the chains on
-  which b is full and a quotient by [0, b] those on which it is not.  No
-  table is built and nothing is decomposed again.
+  ``ParameterError``.  Chains ``M(n)`` are built so.  The tables are not
+  kept.
+* by composing the decompositions of checked operands (``compose``): a
+  product puts its factors' coordinates side by side, an interval [0, b]
+  keeps the chains on which b is full and a quotient by [0, b] those on
+  which it is not.  No table is built and nothing is decomposed again.
 
 The operations compute on coordinates, chain by chain as in M(n):
 x (+) y is min(c + d, n), both negations n - c, x (.) y max(c + d - n, 0),
@@ -65,7 +72,8 @@ class Algebra:
 
 
 class GammaAlgebra(Algebra, Record):
-    """The pseudo MV-algebra carried by the unit interval of a group."""
+    """The pseudo MV-algebra carried by the unit interval of a group; its
+    operations on payloads come from the descriptor's laws."""
 
     desc: og.GroupDescriptor
 
@@ -87,6 +95,49 @@ class GammaAlgebra(Algebra, Record):
     def neg_unit(self) -> og.Payload:
         return self.desc.neg(self.unit)
 
+    def member(self, value) -> og.Payload:
+        p = og.member(self.desc, value)
+        if not (self.leq(self.zero, p) and self.leq(p, self.unit)):
+            raise CarrierError(f"{self.desc.format(p)} is outside the unit interval")
+        return p
+
+    def value(self, p) -> og.Payload:
+        return p
+
+    def format(self, p) -> str:
+        return self.desc.format(p)
+
+    def oplus(self, p, q) -> og.Payload:
+        """(p + q) ^ u."""
+        d = self.desc
+        return d.meet(d.add(p, q), self.unit)
+
+    def odot(self, p, q) -> og.Payload:
+        """(p - u + q) v 0."""
+        d = self.desc
+        return d.join(d.add(d.add(p, self.neg_unit), q), self.zero)
+
+    def lneg(self, p) -> og.Payload:
+        """u - p."""
+        return self.desc.add(self.unit, self.desc.neg(p))
+
+    def rneg(self, p) -> og.Payload:
+        """-p + u."""
+        return self.desc.add(self.desc.neg(p), self.unit)
+
+    def join(self, p, q) -> og.Payload:
+        return self.desc.join(p, q)
+
+    def meet(self, p, q) -> og.Payload:
+        return self.desc.meet(p, q)
+
+    def leq(self, p, q) -> bool:
+        c = self.desc.cmp(p, q)
+        return c is not None and c <= 0
+
+    def is_idempotent(self, p) -> bool:
+        return self.oplus(p, p) == p
+
     def __str__(self) -> str:
         from .dsl import format_group
 
@@ -99,36 +150,36 @@ class FiniteAlgebra(Algebra):
 
     The constructor takes the tables of (+) and of both negations on carrier
     indices.  The tables pass the axioms exactly when they are a product of
-    chains, so the one check is to find that decomposition.  Products,
-    intervals and quotients compose theirs from checked ones instead
-    (``_compose``) and build no table.  The tables and ``index``, from
-    values to carrier indices, are computed on first read when the
-    constructor did not keep them.
+    chains, so the one check is to find that decomposition; the tables are
+    not kept.  Products, intervals and quotients compose theirs from checked
+    ones instead (``compose``) and build no table.  Both ways fill the same
+    fields; the tables and ``index``, from values to carrier indices, are
+    computed on first read.  The operations on carrier indices compute on
+    the coordinates.
     """
 
     def __init__(self, values, oplus, lneg, rneg, zero, one):
         try:
-            self.values = tuple(values)
-            self.oplus_t = tuple(map(tuple, oplus))
-            self.lneg_t = tuple(lneg)
-            self.rneg_t = tuple(rneg)
-            self.index = {v: i for i, v in enumerate(self.values)}
+            values, oplus = tuple(values), tuple(map(tuple, oplus))
+            lneg, rneg = tuple(lneg), tuple(rneg)
+            distinct = len(set(values)) == len(values)
         except TypeError:
             raise ParameterError("the tables must be sequences and the values hashable") from None
-        self.size = len(self.values)
-        self.zero_i = zero
-        self.one_i = one
-        _check_shape(self)
-        if len(self.index) != self.size:
+        _check_shape(len(values), oplus, lneg, rneg, zero, one)
+        if not distinct:
             raise ParameterError("carrier values must be pairwise distinct")
-        self._set_decomposition(_decompose(self))
+        self._set(values, _decompose(oplus, lneg, rneg, zero, one))
 
-    def _set_decomposition(self, dec: ChainDecomposition) -> None:
+    def _set(self, values: tuple, dec: ChainDecomposition) -> None:
+        self.values = values
+        self.size = len(values)
+        self.zero_i = dec.index[(0,) * len(dec.lengths)]
+        self.one_i = dec.index[dec.lengths]
         self.decomposition = dec
         # the lengths and the coordinates determine every table, 0 and 1;
         # elements hash their algebra on every set or dict operation, and the
         # hash leaves the values out
-        self._fingerprint = (self.values, dec.lengths, dec.coords)
+        self._fingerprint = (values, dec.lengths, dec.coords)
         self._hash = hash((dec.lengths, dec.coords))
 
     @cached_property
@@ -138,20 +189,63 @@ class FiniteAlgebra(Algebra):
     @cached_property
     def oplus_t(self) -> tuple[tuple[int, ...], ...]:
         rng = range(self.size)
-        return tuple(tuple(_oplus_i(self, i, j) for j in rng) for i in rng)
+        return tuple(tuple(self.oplus(i, j) for j in rng) for i in rng)
 
     @cached_property
     def lneg_t(self) -> tuple[int, ...]:
-        return tuple(map(self._neg, range(self.size)))
+        return tuple(map(self.lneg, range(self.size)))
 
     @cached_property
     def rneg_t(self) -> tuple[int, ...]:
         return self.lneg_t
 
-    def _neg(self, i: int) -> int:
-        """Both negations of carrier index i: n - c on every chain."""
+    def member(self, value) -> int:
+        if isinstance(value, int):
+            value = Fraction(value)
+        if value not in self.index:
+            raise CarrierError(f"{format_value(value)} is not in the carrier")
+        return self.index[value]
+
+    def value(self, i: int) -> Value:
+        return self.values[i]
+
+    def format(self, i: int) -> str:
+        return format_value(self.values[i])
+
+    def oplus(self, i: int, j: int) -> int:
+        """min(c + d, n) on every chain."""
+        dec = self.decomposition
+        cs = dec.coords
+        return dec.index[tuple(map(min, map(add, cs[i], cs[j]), dec.lengths))]
+
+    def odot(self, i: int, j: int) -> int:
+        """max(c + d - n, 0) on every chain, as max(c + d, n) - n."""
+        dec = self.decomposition
+        cs, n = dec.coords, dec.lengths
+        return dec.index[tuple(map(sub, map(max, map(add, cs[i], cs[j]), n), n))]
+
+    def lneg(self, i: int) -> int:
+        """n - c on every chain; both negations."""
         dec = self.decomposition
         return dec.index[tuple(map(sub, dec.lengths, dec.coords[i]))]
+
+    rneg = lneg
+
+    def join(self, i: int, j: int) -> int:
+        dec = self.decomposition
+        return dec.index[tuple(map(max, dec.coords[i], dec.coords[j]))]
+
+    def meet(self, i: int, j: int) -> int:
+        dec = self.decomposition
+        return dec.index[tuple(map(min, dec.coords[i], dec.coords[j]))]
+
+    def leq(self, i: int, j: int) -> bool:
+        cs = self.decomposition.coords
+        return all(map(le, cs[i], cs[j]))
+
+    def is_idempotent(self, i: int) -> bool:
+        dec = self.decomposition
+        return all(c == 0 or c == n for c, n in zip(dec.coords[i], dec.lengths))
 
     def __eq__(self, other):
         if self is other:
@@ -169,18 +263,15 @@ class FiniteAlgebra(Algebra):
         return f"finite algebra ({self.size} elements)"
 
 
-def _compose(values, atoms, lengths, coords) -> FiniteAlgebra:
+def compose(values, atoms, lengths, coords) -> FiniteAlgebra:
     """The algebra on ``values`` with this chain decomposition, which the
     caller composed from the checked decompositions of its operands: it runs
     no check and builds no table."""
     coords = tuple(coords)
-    index = {c: x for x, c in enumerate(coords)}
     A = FiniteAlgebra.__new__(FiniteAlgebra)
-    A.values = tuple(values)
-    A.size = len(A.values)
-    A.zero_i = index[(0,) * len(lengths)]
-    A.one_i = index[tuple(lengths)]
-    A._set_decomposition(ChainDecomposition(tuple(atoms), tuple(lengths), coords, index))
+    A._set(tuple(values), ChainDecomposition(
+        tuple(atoms), tuple(lengths), coords, {c: x for x, c in enumerate(coords)}
+    ))
     return A
 
 
@@ -224,28 +315,15 @@ def _same(x: Element, y: Element) -> Algebra:
 
 def element_of(algebra: Algebra, value) -> Element:
     """Build a carrier element from a structured value."""
-    if isinstance(algebra, GammaAlgebra):
-        p = og.member(algebra.desc, value)
-        if not _in_unit_interval_p(algebra, p):
-            raise CarrierError(f"{algebra.desc.format(p)} is outside the unit interval")
-        return Element(algebra, p)
-    if isinstance(value, int):
-        value = Fraction(value)
-    if value not in algebra.index:
-        raise CarrierError(f"{format_value(value)} is not in the carrier")
-    return Element(algebra, algebra.index[value])
+    return Element(algebra, algebra.member(value))
 
 
 def value_of(x: Element):
-    if isinstance(x.algebra, GammaAlgebra):
-        return x.payload
-    return x.algebra.values[x.payload]
+    return x.algebra.value(x.payload)
 
 
 def format_element(x: Element) -> str:
-    if isinstance(x.algebra, GammaAlgebra):
-        return x.algebra.desc.format(x.payload)
-    return format_value(value_of(x))
+    return x.algebra.format(x.payload)
 
 
 def zero_elem(A: Algebra) -> Element:
@@ -267,112 +345,45 @@ def carrier(A: Algebra) -> list[Element]:
 
 
 # ---------------------------------------------------------------------------
-# the operations of a group interval on payloads; the boxed operations below
-# delegate to them, and loops that stay in one algebra call them directly
-
-
-def _oplus_p(A: GammaAlgebra, p, q):
-    """(p + q) ^ u."""
-    d = A.desc
-    return d.meet(d.add(p, q), A.unit)
-
-
-def _odot_p(A: GammaAlgebra, p, q):
-    """(p - u + q) v 0."""
-    d = A.desc
-    return d.join(d.add(d.add(p, A.neg_unit), q), A.zero)
-
-
-def _join_p(A: GammaAlgebra, p, q):
-    return A.desc.join(p, q)
-
-
-def _meet_p(A: GammaAlgebra, p, q):
-    return A.desc.meet(p, q)
-
-
-def _leq_p(A: GammaAlgebra, p, q) -> bool:
-    c = A.desc.cmp(p, q)
-    return c is not None and c <= 0
-
-
-def _in_unit_interval_p(A: GammaAlgebra, p) -> bool:
-    """0 <= p <= u, for a payload of the carrier."""
-    return _leq_p(A, A.zero, p) and _leq_p(A, p, A.unit)
-
-
-# ---------------------------------------------------------------------------
-# primitive and derived operations
-
-
-def _oplus_i(A: FiniteAlgebra, i: int, j: int) -> int:
-    """x (+) y on carrier indices: min(c + d, n) on every chain."""
-    dec = A.decomposition
-    cs = dec.coords
-    return dec.index[tuple(map(min, map(add, cs[i], cs[j]), dec.lengths))]
+# the operations on elements: one method call of their algebra each
 
 
 def oplus(x: Element, y: Element) -> Element:
     A = _same(x, y)
-    if isinstance(A, GammaAlgebra):
-        return Element(A, _oplus_p(A, x.payload, y.payload))
-    return Element(A, _oplus_i(A, x.payload, y.payload))
+    return Element(A, A.oplus(x.payload, y.payload))
 
 
 def odot(x: Element, y: Element) -> Element:
     A = _same(x, y)
-    if isinstance(A, GammaAlgebra):
-        return Element(A, _odot_p(A, x.payload, y.payload))
-    dec = A.decomposition
-    cs, n = dec.coords, dec.lengths
-    # max(c + d - n, 0), as max(c + d, n) - n
-    return Element(A, dec.index[tuple(map(sub, map(max, map(add, cs[x.payload], cs[y.payload]), n), n))])
+    return Element(A, A.odot(x.payload, y.payload))
 
 
 def lneg(x: Element) -> Element:
     A = x.algebra
-    if isinstance(A, GammaAlgebra):
-        return Element(A, A.desc.add(A.unit, A.desc.neg(x.payload)))  # u - x
-    return Element(A, A._neg(x.payload))
+    return Element(A, A.lneg(x.payload))
 
 
 def rneg(x: Element) -> Element:
     A = x.algebra
-    if isinstance(A, GammaAlgebra):
-        return Element(A, A.desc.add(A.desc.neg(x.payload), A.unit))  # -x + u
-    return Element(A, A._neg(x.payload))
+    return Element(A, A.rneg(x.payload))
 
 
 def join(x: Element, y: Element) -> Element:
     A = _same(x, y)
-    if isinstance(A, GammaAlgebra):
-        return Element(A, _join_p(A, x.payload, y.payload))
-    dec = A.decomposition
-    return Element(A, dec.index[tuple(map(max, dec.coords[x.payload], dec.coords[y.payload]))])
+    return Element(A, A.join(x.payload, y.payload))
 
 
 def meet(x: Element, y: Element) -> Element:
     A = _same(x, y)
-    if isinstance(A, GammaAlgebra):
-        return Element(A, _meet_p(A, x.payload, y.payload))
-    dec = A.decomposition
-    return Element(A, dec.index[tuple(map(min, dec.coords[x.payload], dec.coords[y.payload]))])
+    return Element(A, A.meet(x.payload, y.payload))
 
 
 def leq(x: Element, y: Element) -> bool:
-    A = _same(x, y)
-    if isinstance(A, GammaAlgebra):
-        return _leq_p(A, x.payload, y.payload)
-    cs = A.decomposition.coords
-    return all(map(le, cs[x.payload], cs[y.payload]))
+    return _same(x, y).leq(x.payload, y.payload)
 
 
 def is_boolean_elem(x: Element) -> bool:
-    A = x.algebra
-    if isinstance(A, GammaAlgebra):
-        return oplus(x, x) == x
-    dec = A.decomposition
-    return all(c == 0 or c == n for c, n in zip(dec.coords[x.payload], dec.lengths))
+    return x.algebra.is_idempotent(x.payload)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +475,7 @@ def finite_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
         tuple(itertools.chain.from_iterable(cs)) for cs in itertools.product(*(dec.coords for dec in decs))
     )
     coords = (tuple(map(c.__getitem__, order)) for c in side_by_side)
-    return _compose(
+    return compose(
         itertools.product(*(f.values for f in factors)),
         [atoms[i] for i in order],
         [lengths[i] for i in order],
@@ -501,7 +512,7 @@ def interval(A: Algebra, b: Element) -> Algebra:
         full = [i for i, k in enumerate(top) if k]
         keep = [x for x, c in enumerate(dec.coords) if all(map(le, c, top))]
         pos = {x: k for k, x in enumerate(keep)}
-        return _compose(
+        return compose(
             [A.values[x] for x in keep],
             [pos[dec.atoms[i]] for i in full],
             [dec.lengths[i] for i in full],
@@ -519,36 +530,36 @@ def interval(A: Algebra, b: Element) -> Algebra:
 
 
 def _degenerate() -> FiniteAlgebra:
-    return FiniteAlgebra([Fraction(0)], [[0]], [0], [0], 0, 0)
+    return compose([Fraction(0)], (), (), [()])
 
 
 # ---------------------------------------------------------------------------
 # decomposition
 
 
-def _check_shape(A: FiniteAlgebra) -> None:
-    """Every table entry, 0 and 1 must be an index into the carrier."""
-    n, op = A.size, A.oplus_t
+def _check_shape(n: int, op, ln, rn, zero, one) -> None:
+    """Every entry of the tables (+) ``op`` and the negations ``ln`` and
+    ``rn``, 0 and 1 must be an index into a carrier of ``n`` elements."""
     if n == 0:
         raise ParameterError("carrier must be non-empty")
-    if len(op) != n or len(A.lneg_t) != n or len(A.rneg_t) != n or any(len(r) != n for r in op):
+    if len(op) != n or len(ln) != n or len(rn) != n or any(len(r) != n for r in op):
         raise ParameterError(f"(+) must be a {n}x{n} table and each negation have {n} entries")
-    entries = (*itertools.chain.from_iterable(op), *A.lneg_t, *A.rneg_t, A.zero_i, A.one_i)
+    entries = (*itertools.chain.from_iterable(op), *ln, *rn, zero, one)
     # type first: a Fraction or a float equal to an index would pass the range test
     if set(map(type, entries)) != {int} or not set(entries) <= set(range(n)):
         raise ParameterError(f"table entries, 0 and 1 must be integers in [0, {n - 1}]")
 
 
-def _decompose(A: FiniteAlgebra) -> ChainDecomposition:
-    """Find the chains from (+) and the negations by index arithmetic, then
-    check them; ``ParameterError``, naming the failed check, when they are
-    not a product of chains, that is, not a pseudo MV-algebra.
+def _decompose(op, ln, rn, zero: int, one: int) -> ChainDecomposition:
+    """Find the chains from (+) and the negations, tables on carrier
+    indices, by index arithmetic, then check them; ``ParameterError``,
+    naming the failed check, when they are not a product of chains, that
+    is, not a pseudo MV-algebra.
 
     x <= y is tested as x- (+) y == 1, and x ^ a as x (.) a, which it equals
     for an idempotent a.
     """
-    n, op, ln, rn = A.size, A.oplus_t, A.lneg_t, A.rneg_t
-    zero, one = A.zero_i, A.one_i
+    n = len(op)
     skeleton = [b for b in range(n) if op[b][b] == b and b != zero]
     # an atom meets every nonzero idempotent c in 0 or in itself, where
     # b ^ c = b (.) c = (c- (+) b-)~
@@ -586,7 +597,7 @@ def _decompose(A: FiniteAlgebra) -> ChainDecomposition:
         raise _not_chains("1 is not the top of every chain")
     rows = [itemgetter(*row) for row in op]
     for i, (col, m) in enumerate(zip(cols, lengths)):
-        if not _lukasiewicz(A, rows, col, m):
+        if not _lukasiewicz(ln, rn, rows, col, m):
             raise _not_chains(f"(+) or a negation is not Lukasiewicz's on chain {i} of M({m})")
     return ChainDecomposition(tuple(atoms), tuple(lengths), coords, index)
 
@@ -595,14 +606,14 @@ def _not_chains(why: str) -> ParameterError:
     return ParameterError(f"the tables are not a product of chains: {why}")
 
 
-def _lukasiewicz(A: FiniteAlgebra, rows: list[itemgetter], col: list[int], m: int) -> bool:
-    """Whether one coordinate carries (+) and both negations of A to those of
-    M(m): min(i + j, m) and m - i, compared a whole table row at a time;
-    ``rows[x]`` gathers row x of (+) out of a column."""
+def _lukasiewicz(ln, rn, rows: list[itemgetter], col: list[int], m: int) -> bool:
+    """Whether one coordinate carries (+) and the negations ``ln`` and ``rn``
+    to those of M(m): min(i + j, m) and m - i, compared a whole table row at
+    a time; ``rows[x]`` gathers row x of (+) out of a column."""
     neg = [m - c for c in col]
-    if list(map(col.__getitem__, A.lneg_t)) != neg or list(map(col.__getitem__, A.rneg_t)) != neg:
+    if list(map(col.__getitem__, ln)) != neg or list(map(col.__getitem__, rn)) != neg:
         return False
-    # A has at least two elements, so itemgetters of n entries return tuples
+    # a chain has at least two elements, so itemgetters of n entries return tuples
     at_col = itemgetter(*col)
     sums = [at_col(tuple(range(k, m + 1)) + (m,) * k) for k in range(m + 1)]  # min(k + j, m)
     return all(row(col) == sums[k] for row, k in zip(rows, col))

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial, reduce
+from functools import reduce
 
 from . import ogroups as og
 from . import pmv
@@ -189,13 +189,13 @@ def _twist3_box(A: GammaAlgebra, bound: int, heads=(0, 1)) -> list[tuple[int, in
     h = 1 and (b, c) <= (0, 0), that is (-b, -c) >= (0, 0).  Each point is
     checked as ``element_of`` checks a value: in the carrier and in [0, u].
     """
-    contains = A.desc.contains
+    contains, leq, zero, unit = A.desc.contains, A.leq, A.zero, A.unit
     box = []
     for h in heads:
         sign = 1 - 2 * h
         for b, c in _upper_pairs(bound):
             p = (h, sign * b, sign * c)
-            check(contains(p) and pmv._in_unit_interval_p(A, p), "a box point lies in [0, u]")
+            check(contains(p) and leq(zero, p) and leq(p, unit), "a box point lies in [0, u]")
             box.append(p)
     return box
 
@@ -218,17 +218,16 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     if not 0 <= bound <= MAX_BOX_BOUND:
         raise ParameterError(f"the box bound must be between 0 and {MAX_BOX_BOUND}, not {bound}")
     res = sqrt_element_twist3(A, x)
-    odot_p, leq_p = pmv._odot_p, pmv._leq_p
     xp, zero = x.payload, A.zero
     box = _twist3_box(A, bound)
-    squares = [odot_p(A, p, p) for p in box]
+    squares = [A.odot(p, p) for p in box]
     agree = True
     detail = ""
     if res.exists:
         a = res.value.payload
-        dominated = [p for p, sq in zip(box, squares) if leq_p(A, sq, xp)]
-        bad = [p for p in dominated if not leq_p(A, p, a)]
-        agree = odot_p(A, a, a) == xp and not bad
+        dominated = [p for p, sq in zip(box, squares) if A.leq(sq, xp)]
+        bad = [p for p in dominated if not A.leq(p, a)]
+        agree = A.odot(a, a) == xp and not bad
         detail = f"verified against {len(dominated)} in-box dominated elements"
     elif res.reason == NO_CANDIDATE:
         agree = xp not in squares
@@ -239,10 +238,9 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
         # beaten inside the enlarged box; 0 is in every box, so neither
         # list is empty
         nil = [p for p, sq in zip(box, squares) if sq == zero]
-        wider = [w for w in _twist3_box(A, bound + 1, heads=(0,)) if odot_p(A, w, w) == zero]
-        join_p = partial(pmv._join_p, A)
-        top, wider_top = reduce(join_p, nil), reduce(join_p, wider)
-        agree = leq_p(A, top, wider_top) and top != wider_top
+        wider = [w for w in _twist3_box(A, bound + 1, heads=(0,)) if A.odot(w, w) == zero]
+        top, wider_top = reduce(A.join, nil), reduce(A.join, wider)
+        agree = A.leq(top, wider_top) and top != wider_top
         detail = "every in-box nilpotent is exceeded in the enlarged box"
     return {"agrees": agree, "result": res, "detail": detail, "bound": bound}
 

@@ -340,11 +340,11 @@ def check_crit_planted_negative() -> CheckResult:
 def check_corrdp_values() -> CheckResult:
     bad = []
     C = cl.strict_closure(og.ScaledInt(1))
-    dec = cl.corrdp_decompose(C, element_of(C.closed_algebra(), Fraction(3, 4)))
+    dec = cl.corrdp_decompose(C, element_of(C.closed_algebra, Fraction(3, 4)))
     if not (dec.n == 2 and dec.minimal and sum(p.payload for p in dec.parts) == 3):
         bad.append("3/4 over Z")
     C = cl.strict_closure(og.ScaledInt(6))
-    A = C.closed_algebra()
+    A = C.closed_algebra
     dec = cl.corrdp_decompose(C, element_of(A, Fraction(5, 6)))
     if dec.n != 0:
         bad.append("5/6 is already in the base chain")

@@ -326,9 +326,12 @@ def assert_composed_matches_checked(A):
     """The table constructor, given the tables derived from a composed
     algebra, builds an equal algebra, and ``pmv._decompose`` finds exactly
     the composed decomposition in them: atoms, lengths, coords and index."""
-    checked = pmv.FiniteAlgebra(A.values, A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i)
+    tables = (A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i)
+    checked = pmv.FiniteAlgebra(A.values, *tables)
     assert checked == A and hash(checked) == hash(A)
-    assert pmv._decompose(checked) == A.decomposition
+    assert pmv._decompose(*tables) == A.decomposition
+    # the given tables are not kept; the derived ones equal them
+    assert (checked.oplus_t, checked.lneg_t, checked.rneg_t) == tables[:3]
 
 
 @pytest.mark.parametrize("A", CASES)
@@ -520,21 +523,36 @@ def counted_calls(monkeypatch, function):
     return calls
 
 
-def test_composed_algebras_build_no_table_and_only_chains_are_decomposed(monkeypatch):
-    decompose, compose = pmv._decompose, pmv._compose
-    decomposed, composed = [], []
+def test_table_built_and_composed_algebras_have_one_state():
+    n = 5
+    oplus_t = tuple(tuple(min(i + j, n) for j in range(n + 1)) for i in range(n + 1))
+    neg = tuple(n - i for i in range(n + 1))
+    built = pmv.FiniteAlgebra([Fraction(k, n) for k in range(n + 1)], oplus_t, neg, neg, 0, n)
+    for composed in (pmv.finite_product([built, M(2)]), pmv.interval(built, pmv.one_elem(built))):
+        assert vars(built).keys() == vars(composed).keys()
+    assert (built.oplus_t, built.lneg_t, built.rneg_t) == (oplus_t, neg, neg)
 
-    def counted(A):
-        decomposed.append(A.size)
-        return decompose(A)
+
+def test_composed_algebras_build_no_table_and_only_chains_are_decomposed(monkeypatch):
+    decompose, compose, init = pmv._decompose, pmv.compose, pmv.FiniteAlgebra.__init__
+    decomposed, composed, built = [], [], []
+
+    def counted(oplus, *tables):
+        decomposed.append(len(oplus))
+        return decompose(oplus, *tables)
 
     def recorded(*args):
         composed.append(compose(*args))
         return composed[-1]
 
+    def from_tables(A, *args):
+        init(A, *args)
+        built.append(A)
+
     monkeypatch.setattr(pmv, "_decompose", counted)
-    monkeypatch.setattr(pmv, "_compose", recorded)
-    monkeypatch.setattr(ideals, "_compose", recorded)
+    monkeypatch.setattr(pmv, "compose", recorded)
+    monkeypatch.setattr(ideals, "compose", recorded)
+    monkeypatch.setattr(pmv.FiniteAlgebra, "__init__", from_tables)
     cut = "interval(prod(M(7),M(7),M(3)),(1,1,0))"
     dsl.parse_algebra(cut)
     # once per chain M(n); the product and the interval are composed
@@ -544,8 +562,8 @@ def test_composed_algebras_build_no_table_and_only_chains_are_decomposed(monkeyp
             with contextlib.redirect_stdout(io.StringIO()):
                 # 0 and 1 are answers ("ok", "absent"); 2 and 3 are errors
                 assert cli.main([verb, target, *flags]) in (0, 1), (verb, target)
-    assert len(composed) > 2
-    for A in composed:
+    assert len(composed) > 2 and len(built) > 2
+    for A in composed + built:
         assert not {"oplus_t", "lneg_t", "rneg_t"} & vars(A).keys(), A
 
 

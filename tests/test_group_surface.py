@@ -1,9 +1,14 @@
-"""The group layer has one surface: the public payload laws of the
-descriptor classes and the functions of ``ogroups`` on payloads.
+"""The group and algebra layers each have one surface.
 
-No module of the package but ``ogroups`` reads an attribute whose name is
-that of an underscore method of an ``ogroups`` class, and no module names
-``GroupElement``: a group element is a bare payload.
+The group layer's is the public payload laws of the descriptor classes and
+the functions of ``ogroups`` on payloads: no module of the package but
+``ogroups`` reads an attribute whose name is that of an underscore method
+of an ``ogroups`` class, and no module names ``GroupElement``: a group
+element is a bare payload.
+
+The algebra layer's is the public names of ``pmv``: no module but ``pmv``
+reads or imports an underscore name that ``pmv`` defines, whether a
+function, a class, a constant, a method or an instance attribute.
 """
 
 import ast
@@ -71,3 +76,65 @@ def test_the_guard_finds_private_laws_and_boxes():
 def test_the_package_uses_the_group_layer_through_its_surface():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert surface_violations(sources) == []
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_names(source: str) -> set[str]:
+    """The underscore, non-dunder names that ``source`` defines: functions,
+    classes, methods, assigned names and assigned attributes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            found.add(node.attr)
+    return set(filter(_is_private, found))
+
+
+def algebra_surface_violations(sources: dict[str, str]) -> list[str]:
+    """``module:line: name`` for each attribute read or import, outside
+    ``pmv``, of an underscore name that ``pmv`` defines, in ``sources``
+    (module name -> source text)."""
+    private = private_names(sources["pmv"])
+    found = []
+    for module, text in sources.items():
+        if module == "pmv":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                found.append(f"{module}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "pmv":
+                found += [f"{module}:{node.lineno}: {a.name}" for a in node.names if a.name in private]
+    return found
+
+
+def test_the_guard_finds_private_algebra_names():
+    sources = {
+        "pmv": (
+            "_LIMIT = 3\n"
+            "def _helper(A):\n    return A\n"
+            "class F:\n"
+            "    def _set(self, v):\n        self._hash = hash(v)\n"
+            "    def oplus(self, i, j):\n        return i\n"
+            "    def __hash__(self):\n        return self._hash\n"
+        ),
+        "roots": (
+            "from . import pmv\nfrom .pmv import F, _helper\n"
+            "def f(A, _local):\n    return pmv._helper(A), A._hash, A.oplus(1, 2), A.__hash__(), _local\n"
+        ),
+        "ideals": "from .pmv import oplus as _oplus\nx = pmv._LIMIT\n",
+    }
+    assert private_names(sources["pmv"]) == {"_LIMIT", "_helper", "_set", "_hash"}
+    assert algebra_surface_violations(sources) == [
+        "roots:2: _helper", "roots:4: ._hash", "roots:4: ._helper", "ideals:2: ._LIMIT"
+    ]
+
+
+def test_the_package_uses_the_algebra_layer_through_its_surface():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert algebra_surface_violations(sources) == []

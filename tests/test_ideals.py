@@ -277,24 +277,19 @@ def test_w_decomposition_needs_map():
         ideals.root_map_ideals(M(4))
 
 
-# --- resource cap ----------------------------------------------------------------------------
+# --- size guard ------------------------------------------------------------------------------
 
 
-def test_ideal_cap_env(monkeypatch):
-    monkeypatch.setenv(ideals.ENV_CAP, "4")
+def test_max_carrier_is_the_one_size_guard_of_ideal_enumeration():
+    # 2^k ideals with prod(n_i + 2) members in all: 4 and 90 on M(8) x M(7),
+    # 1,024 and 3^10 on ten copies of M(1)
+    assert len(ideals.enumerate_ideals(pmv.finite_product([M(8), M(7)]))) == 4
+    boolean = pmv.finite_product([M(1)] * 10)
+    assert boolean.size == pmv.MAX_CARRIER == 1024
+    found = ideals.enumerate_ideals(boolean)
+    assert len(found) == 1024 and sum(len(i.members) for i in found) == 3**10
+    assert len(ideals.enumerate_ideals(M(1023))) == 2
     with pytest.raises(ResourceLimitError):
-        ideals.enumerate_ideals(M(6))
-    monkeypatch.setenv(ideals.ENV_CAP, "not-a-number")
-    with pytest.raises(ParameterError):
-        ideals.enumerate_ideals(M(6))
-    monkeypatch.delenv(ideals.ENV_CAP)
-    assert ideals.enumerate_ideals(M(6))
-
-
-def test_default_cap_rejects_large_product():
-    big = pmv.finite_product([M(7), M(7)])
-    assert big.size == 64
-    ideals.enumerate_ideals(big)
-    bigger = pmv.finite_product([M(8), M(7)])
+        M(1024)
     with pytest.raises(ResourceLimitError):
-        ideals.enumerate_ideals(bigger)
+        pmv.finite_product([M(4), M(204)])

@@ -320,14 +320,14 @@ def test_twist3_bounded_check_accepts_the_ends_of_the_range():
 def test_twist3_bounded_check_lets_internal_errors_through(monkeypatch):
     A = pmv.GammaAlgebra(og.Twist3("Z"))
     x = pmv.element_of(A, (Fraction(1), Fraction(-2), Fraction(2)))
-    odot_p = pmv._odot_p
+    odot = pmv.GammaAlgebra.odot
 
     def faulty(algebra, p, q):
         if p == (1, 0, 0):
             raise TypeError("internal fault")
-        return odot_p(algebra, p, q)
+        return odot(algebra, p, q)
 
-    monkeypatch.setattr(pmv, "_odot_p", faulty)
+    monkeypatch.setattr(pmv.GammaAlgebra, "odot", faulty)
     with pytest.raises(TypeError, match="internal fault"):
         roots.twist3_bounded_check(A, x, bound=1)
 
