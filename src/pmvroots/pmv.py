@@ -153,25 +153,26 @@ class FiniteAlgebra(Algebra):
     chains, so the one check is to find that decomposition; the tables are
     not kept.  Products, intervals and quotients compose theirs from checked
     ones instead (``compose``) and build no table.  Both ways fill the same
-    fields; the tables and ``index``, from values to carrier indices, are
-    computed on first read.  The operations on carrier indices compute on
-    the coordinates.
+    fields; the tables are computed on first read, and so is ``index``, from
+    values to carrier indices, unless the table constructor built it.  The
+    operations on carrier indices compute on the coordinates.
     """
 
     def __init__(self, values, oplus, lneg, rneg, zero, one):
         try:
             values, oplus = tuple(values), tuple(map(tuple, oplus))
             lneg, rneg = tuple(lneg), tuple(rneg)
-            distinct = len(set(values)) == len(values)
+            index = {v: i for i, v in enumerate(values)}
         except TypeError:
             raise ParameterError("the tables must be sequences and the values hashable") from None
         _check_shape(len(values), oplus, lneg, rneg, zero, one)
-        if not distinct:
+        if len(index) != len(values):
             raise ParameterError("carrier values must be pairwise distinct")
-        self._set(values, _decompose(oplus, lneg, rneg, zero, one))
+        self._set(values, _decompose(oplus, lneg, rneg, zero, one), index)
 
-    def _set(self, values: tuple, dec: ChainDecomposition) -> None:
+    def _set(self, values: tuple, dec: ChainDecomposition, index: dict | None = None) -> None:
         self.values = values
+        self._index = index
         self.size = len(values)
         self.zero_i = dec.index[(0,) * len(dec.lengths)]
         self.one_i = dec.index[dec.lengths]
@@ -182,9 +183,14 @@ class FiniteAlgebra(Algebra):
         self._fingerprint = (values, dec.lengths, dec.coords)
         self._hash = hash((dec.lengths, dec.coords))
 
-    @cached_property
+    @property
     def index(self) -> dict:
-        return {v: i for i, v in enumerate(self.values)}
+        """The carrier index of each value.  The table constructor keeps the
+        map it built to check the values, so they are hashed once; a
+        composed algebra builds it on first read."""
+        if self._index is None:
+            self._index = {v: i for i, v in enumerate(self.values)}
+        return self._index
 
     @cached_property
     def oplus_t(self) -> tuple[tuple[int, ...], ...]:
@@ -202,9 +208,10 @@ class FiniteAlgebra(Algebra):
     def member(self, value) -> int:
         if isinstance(value, int):
             value = Fraction(value)
-        if value not in self.index:
+        index = self.index
+        if value not in index:
             raise CarrierError(f"{format_value(value)} is not in the carrier")
-        return self.index[value]
+        return index[value]
 
     def value(self, i: int) -> Value:
         return self.values[i]
@@ -268,10 +275,9 @@ def compose(values, atoms, lengths, coords) -> FiniteAlgebra:
     caller composed from the checked decompositions of its operands: it runs
     no check and builds no table."""
     coords = tuple(coords)
+    index = {c: x for x, c in enumerate(coords)}
     A = FiniteAlgebra.__new__(FiniteAlgebra)
-    A._set(tuple(values), ChainDecomposition(
-        tuple(atoms), tuple(lengths), coords, {c: x for x, c in enumerate(coords)}
-    ))
+    A._set(tuple(values), ChainDecomposition(tuple(atoms), tuple(lengths), coords, index))
     return A
 
 
