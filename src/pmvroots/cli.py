@@ -126,17 +126,14 @@ def _cmd_analyze(args) -> Report:
         except UnsupportedOperationError:
             payload["boolean_skeleton"] = "unsupported"
     else:
-        symmetric, sym_witness = pmv.is_symmetric(A)
         payload.update(
             {
                 "kind": "finite",
                 "size": A.size,
-                "symmetric": symmetric,
+                "symmetric": pmv.is_symmetric(A)[0],
                 "boolean_skeleton": _sorted_values(pmv.boolean_skeleton(A)),
             }
         )
-        if sym_witness is not None:
-            payload["asymmetry_witness"] = _fmt(sym_witness)
         if A.size > 1:
             payload["chain_lengths"] = pmv.chain_lengths(A)
     return Report("ok", payload)
@@ -271,8 +268,6 @@ def _rootless_payload(desc: og.GroupDescriptor):
 
 def _cmd_ideals(args) -> Report:
     A = dsl.parse_algebra(args.target)
-    if not isinstance(A, pmv.FiniteAlgebra):
-        raise UnsupportedOperationError("ideal enumeration needs a finite algebra")
     ideals = enumerate_ideals(A)
     primes = normal_primes(A)
     e = nn12_element(A)
@@ -315,12 +310,7 @@ def _cmd_ideals(args) -> Report:
 def _closure_payload(C: cl.ClosureDescriptor) -> dict:
     crit = cl.crit_check(C)
     return {
-        "descriptor": C.to_text(),
-        "kind": C.kind,
-        "factors": C.to_json()["factors"],
-        "base": dsl.format_group(C.base_descriptor()),
-        "closed": dsl.format_group(C.closed_descriptor()),
-        "embedding": "coordinatewise inclusion",
+        **C.to_json(),
         "criterion": {
             "ok": crit.ok,
             "samples": crit.samples_checked,
@@ -362,8 +352,8 @@ def _cmd_decompose(args) -> Report:
     x = dsl.parse_element(closed, args.element)
     dec = cl.corrdp_decompose(C, x)
     payload = {
-        "base": dsl.format_group(C.base_descriptor()),
-        "closed": dsl.format_group(C.closed_descriptor()),
+        "base": dsl.format_group(C.base),
+        "closed": dsl.format_group(C.closed),
         "element": _fmt(x),
         "doubling_exponent": dec.n,
         "part_count": 2**dec.n,

@@ -17,6 +17,12 @@ Two closure operators are computed symbolically, factor by factor:
   ``D(M) = [0, a] x C([0, a-])``.  When both intersections are nonzero
   and no splitting element exists, the construction is not known to
   apply and an :class:`OpenProblem` value is returned instead.
+  On a flattened product the cases are read off two predicates of each
+  factor: ``_is_boolean`` (it is ``Z/1``) and ``_has_boolean_quotient``.
+  ``I1 = {0}`` when every factor is Boolean and ``I2 = {0}`` when none
+  is; a splitting element exists unless some non-Boolean factor has a
+  Boolean quotient.  In each case ``D(M)`` is the identity on the Boolean
+  factors and the strict closure on the others.
 
 Both operators work on group descriptors.  A finite algebra is first
 written as ``Gamma(prod (1/n_i) Z, u)`` from its chain decomposition, so
@@ -59,45 +65,39 @@ class ClosureDescriptor(Record):
     kind: str  # "strict" | "sqrt"
     factors: tuple[FactorClosure, ...]
 
-    def base_descriptor(self) -> og.GroupDescriptor:
-        return og.product_of([f.base for f in self.factors])
-
-    def closed_descriptor(self) -> og.GroupDescriptor:
-        return og.product_of([f.closed for f in self.factors])
-
     # built once, on first use, into the record's ``__dict__`` (not
     # annotated, so not record fields)
     @cached_property
+    def base(self) -> og.GroupDescriptor:
+        return og.product_of([f.base for f in self.factors])
+
+    @cached_property
+    def closed(self) -> og.GroupDescriptor:
+        return og.product_of([f.closed for f in self.factors])
+
+    @cached_property
     def base_algebra(self) -> GammaAlgebra:
-        return GammaAlgebra(self.base_descriptor())
+        return GammaAlgebra(self.base)
 
     @cached_property
     def closed_algebra(self) -> GammaAlgebra:
-        return GammaAlgebra(self.closed_descriptor())
-
-    def to_text(self) -> str:
-        from .dsl import format_group
-
-        inner = "; ".join(
-            f"{format_group(f.base)} -> {format_group(f.closed)}"
-            + (" (identity)" if f.root == IDENTITY else "")
-            for f in self.factors
-        )
-        return f"{self.kind}[ {inner} ]"
+        return GammaAlgebra(self.closed)
 
     def to_json(self) -> dict:
+        """The closure as the ``closure`` verb reports it, with its groups
+        in the text of the group language."""
         from .dsl import format_group
 
+        pairs = [(format_group(f.base), format_group(f.closed), f.root) for f in self.factors]
+        inner = "; ".join(
+            f"{b} -> {c}" + (" (identity)" if r == IDENTITY else "") for b, c, r in pairs
+        )
         return {
+            "descriptor": f"{self.kind}[ {inner} ]",
             "kind": self.kind,
-            "factors": [
-                {
-                    "base": format_group(f.base),
-                    "closed": format_group(f.closed),
-                    "root": f.root,
-                }
-                for f in self.factors
-            ],
+            "factors": [{"base": b, "closed": c, "root": r} for b, c, r in pairs],
+            "base": format_group(self.base),
+            "closed": format_group(self.closed),
             "embedding": "coordinatewise inclusion",
         }
 
@@ -275,7 +275,7 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
     ``closed.random`` draws at that point.
     """
     if isinstance(base, ClosureDescriptor):
-        base, closed = base.base_descriptor(), base.closed_descriptor()
+        base, closed = base.base, base.closed
     bad = _containment_counterexample(base, closed)
     if bad is not None:
         return CritResult(
@@ -348,7 +348,7 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
     greedy meets with the unit, which is valid in the commutative case.
     """
     closed_alg = C.closed_algebra
-    base_desc = C.base_descriptor()
+    base_desc = C.base
     if x.algebra != closed_alg:
         raise ParameterError("element does not live in the closed algebra")
     if not base_desc.abelian:
@@ -381,66 +381,40 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
 # square-root closure
 
 
-def _head_gives_boolean_quotient(desc: og.GroupDescriptor) -> bool:
-    """Whether collapsing everything below the leading Archimedean component
-    leaves the two-element algebra."""
-    if isinstance(desc, og.ScaledInt):
-        return desc.n == 1
-    if isinstance(desc, og.Lex):
-        return _head_gives_boolean_quotient(desc.head)
-    return False
+def _is_boolean(desc: og.GroupDescriptor) -> bool:
+    """Whether a flattened factor is the two-element chain ``Z/1``: I1 = {0}
+    on it, and I2 = {0} on every other factor."""
+    return desc == og.ScaledInt(1)
 
 
-class _FactorProfile(Record):
-    i1_zero: bool
-    i2_zero: bool
-    splitting: str | None  # "unit" | "zero" | None
+def _has_boolean_quotient(desc: og.GroupDescriptor) -> bool:
+    """Whether some prime of a flattened factor leaves the two-element
+    algebra: every twisted Z^4 interval is taken to have one, and otherwise
+    the innermost lexicographic head must be ``Z/1``."""
+    if isinstance(desc, og.Twist4):
+        return True
+    while isinstance(desc, og.Lex):
+        desc = desc.head
+    return _is_boolean(desc)
 
 
-def _profile(desc: og.GroupDescriptor) -> _FactorProfile:
-    if isinstance(desc, og.Twist3):
+def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
+    """The square-root closure by case analysis on the prime partition: the
+    identity on the Boolean factors and the strict closure on the others,
+    unless a non-Boolean factor with a Boolean quotient sits beside a
+    Boolean one."""
+    factors = _flatten(_as_descriptor(M))
+    if any(isinstance(f, og.Twist3) for f in factors):
         raise UnsupportedOperationError(
             "the square-root closure needs coinciding negations; the twisted "
             "Z^3 interval is not symmetric"
         )
-    if isinstance(desc, og.ScaledInt) and desc.n == 1:
-        return _FactorProfile(i1_zero=True, i2_zero=False, splitting="unit")
-    if isinstance(desc, (og.ScaledInt, og.ScaledDyadic, og.Rationals, og.QuadLattice)):
-        return _FactorProfile(i1_zero=False, i2_zero=True, splitting="zero")
-    if isinstance(desc, (og.Lex, og.Twist4)):
-        # chains with more than two elements always have I2 = {0}; a prime
-        # with Boolean quotient exists exactly when the leading component
-        # collapses to the two-element chain (for the twisted families the
-        # head is a copy of Z, so it always does)
-        boolean_top = (
-            True if isinstance(desc, og.Twist4) else _head_gives_boolean_quotient(desc)
-        )
-        return _FactorProfile(
-            i1_zero=False, i2_zero=True, splitting=None if boolean_top else "zero"
-        )
-    raise UnsupportedOperationError(f"no square-root closure rule for {desc!r}")
-
-
-def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
-    """The square-root closure by case analysis on the prime partition."""
-    desc = _as_descriptor(M)
-    factors = _flatten(desc)
-    profiles = [_profile(f) for f in factors]
-    if all(p.i1_zero for p in profiles):
-        return ClosureDescriptor(
-            "sqrt", tuple(FactorClosure(f, f, IDENTITY) for f in factors)
-        )
-    if all(p.i2_zero for p in profiles):
-        return ClosureDescriptor(
-            "sqrt",
-            tuple(FactorClosure(f, _close_factor(f), HALF_SHIFT) for f in factors),
-        )
-    if any(p.splitting is None for p in profiles):
-        reports = tuple(
-            f"factor {i}: no element is 1 mod I1 and 0 mod I2"
-            for i, p in enumerate(profiles)
-            if p.splitting is None
-        )
+    reports = tuple(
+        f"factor {i}: no element is 1 mod I1 and 0 mod I2"
+        for i, f in enumerate(factors)
+        if not _is_boolean(f) and _has_boolean_quotient(f)
+    )
+    if reports and any(map(_is_boolean, factors)):
         return OpenProblem(
             explanation=(
                 "both prime-intersection ideals are nonzero and no splitting "
@@ -449,20 +423,17 @@ def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
             ),
             factor_reports=reports,
         )
-    out = []
-    for f, p in zip(factors, profiles):
-        if p.splitting == "unit":
-            out.append(FactorClosure(f, f, IDENTITY))
-        else:
-            out.append(FactorClosure(f, _close_factor(f), HALF_SHIFT))
-    return ClosureDescriptor("sqrt", tuple(out))
+    return ClosureDescriptor("sqrt", tuple(
+        FactorClosure(f, f, IDENTITY) if _is_boolean(f) else FactorClosure(f, _close_factor(f), HALF_SHIFT)
+        for f in factors
+    ))
 
 
 # ---------------------------------------------------------------------------
 # the twisted Z^4 closure is genuinely minimal
 
 
-def _twist4_reassembles(desc: og.Twist4, payload) -> bool:
+def twist4_reassembles(desc: og.Twist4, payload) -> bool:
     """The four-part identity on payloads: x = (a,0,0,0) + (0,b,0,0) +
     (0,0,c,0) + (0,0,0,d-bc), with every part in the carrier of ``desc``."""
     a, b, c, d = payload
@@ -493,7 +464,7 @@ def minimal_two_divisible_check(*, samples: int = 40, seed: int = 5) -> dict:
     rng = random.Random(seed)
     decomposition_ok = True
     for _ in range(samples):
-        decomposition_ok = decomposition_ok and _twist4_reassembles(closed, closed.random(rng, 4, 4))
+        decomposition_ok = decomposition_ok and twist4_reassembles(closed, closed.random(rng, 4, 4))
     crit = crit_check(base, closed, samples=samples, seed=seed)
     return {
         "axis_halving_chains_in_closure": axes_ok,

@@ -164,7 +164,7 @@ def check_twist3_negation() -> CheckResult:
 def check_twist4_decomposition() -> CheckResult:
     desc = og.Twist4("Z")
     grid = itertools.product(range(-2, 3), repeat=4)
-    bad = sum(not cl._twist4_reassembles(desc, x) for x in grid)
+    bad = sum(not cl.twist4_reassembles(desc, x) for x in grid)
     cross = desc.add(og.member(desc, (0, 2, 0, 0)), og.member(desc, (0, 0, 3, 0)))
     ok = bad == 0 and cross == (0, 2, 3, 6)
     return CheckResult(

@@ -213,7 +213,7 @@ def test_criterion_6_corrdp_round_trips():
     done = 0
     for c, odd_q in cases:
         A = c.closed_algebra
-        base = c.base_descriptor()
+        base = c.base
         for _ in range(250):
             e = rng.randint(0, 10)
             num = rng.randint(0, odd_q * 2**e)

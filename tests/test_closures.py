@@ -1,6 +1,8 @@
 """Tests for strict and square-root closures, the reachability criterion,
 and the doubled-decomposition."""
 
+import contextlib
+import io
 import itertools
 import json
 import pathlib
@@ -18,6 +20,7 @@ from pmvroots import pmv
 from pmvroots import roots
 from pmvroots import scalars as S
 from pmvroots.errors import CarrierError, ParameterError, PmvError, UnsupportedOperationError
+from pmvroots.records import Record
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 M = pmv.finite_mv_chain
@@ -64,7 +67,7 @@ def test_strict_closure_product_factorwise():
         og.ScaledDyadic(3),
         og.ScaledDyadic(1),
     ]
-    assert c.closed_descriptor() == og.ProductGroup(
+    assert c.closed == og.ProductGroup(
         (og.ScaledDyadic(1), og.ScaledDyadic(3), og.ScaledDyadic(1))
     )
 
@@ -86,13 +89,13 @@ def test_strict_closure_closed_is_two_divisible():
               pmv.GammaAlgebra(og.Twist4("Z")),
               pmv.GammaAlgebra(og.QuadLattice(ALPHA, False))):
         c = cl.strict_closure(m)
-        assert c.closed_descriptor().two_divisible
+        assert c.closed.two_divisible
 
 
 def strict_closure_idempotence_check(M) -> bool:
     """Closing twice changes nothing."""
     once = cl.strict_closure(M)
-    twice = cl.strict_closure(once.closed_descriptor())
+    twice = cl.strict_closure(once.closed)
     return tuple(f.closed for f in once.factors) == tuple(f.closed for f in twice.factors)
 
 
@@ -104,7 +107,7 @@ def test_strict_closure_idempotent():
 
 def test_descriptor_text_and_json():
     c = cl.strict_closure(pmv.finite_product([M(4), M(6)]))
-    text = c.to_text()
+    text = c.to_json()["descriptor"]
     assert text.startswith("strict[")
     assert "Z/4 -> D/1" in text and "Z/6 -> D/3" in text
     blob = c.to_json()
@@ -119,8 +122,10 @@ def test_descriptor_algebras():
     closed = c.closed_algebra
     assert isinstance(base, pmv.GammaAlgebra) and base.desc == og.ScaledInt(6)
     assert closed.desc == og.ScaledDyadic(3)
-    # each is built once per descriptor; fields, equality and hash are unchanged
+    # each is built once per descriptor, on its group, which is built once
+    # too; fields, equality and hash are unchanged
     assert c.base_algebra is base and c.closed_algebra is closed
+    assert base.desc is c.base and closed.desc is c.closed
     assert c == cl.strict_closure(M(6)) and hash(c) == hash(cl.strict_closure(M(6)))
     assert repr(c) == repr(cl.strict_closure(M(6)))
 
@@ -380,7 +385,7 @@ def golden_closure_pairs():
         except PmvError:
             continue
         if isinstance(C, cl.ClosureDescriptor):
-            pairs[(C.base_descriptor(), C.closed_descriptor())] = None
+            pairs[(C.base, C.closed)] = None
     return list(pairs)
 
 
@@ -547,7 +552,7 @@ def test_corrdp_round_trip_random():
     rng = random.Random(21)
     for c in (cl.strict_closure(M(1)), cl.strict_closure(M(6))):
         A = c.closed_algebra
-        base = c.base_descriptor()
+        base = c.base
         for _ in range(120):
             v = Fraction(rng.randint(0, 2**rng.randint(0, 8)), 2**8)
             v = min(v, Fraction(1))
@@ -854,3 +859,164 @@ def test_minimal_two_divisible_certificate():
     assert report["decomposition_identity_ok"]
     assert report["criterion_ok"]
     assert report["minimal"]
+
+
+# --- the per-factor profile procedure as the oracle of the two predicates --------------
+
+
+def head_gives_boolean_quotient(desc: og.GroupDescriptor) -> bool:
+    """Whether collapsing everything below the leading Archimedean component
+    leaves the two-element algebra."""
+    if isinstance(desc, og.ScaledInt):
+        return desc.n == 1
+    if isinstance(desc, og.Lex):
+        return head_gives_boolean_quotient(desc.head)
+    return False
+
+
+class FactorProfile(Record):
+    i1_zero: bool
+    i2_zero: bool
+    splitting: str | None  # "unit" | "zero" | None
+
+
+def factor_profile(desc: og.GroupDescriptor) -> FactorProfile:
+    if isinstance(desc, og.Twist3):
+        raise UnsupportedOperationError(
+            "the square-root closure needs coinciding negations; the twisted "
+            "Z^3 interval is not symmetric"
+        )
+    if isinstance(desc, og.ScaledInt) and desc.n == 1:
+        return FactorProfile(i1_zero=True, i2_zero=False, splitting="unit")
+    if isinstance(desc, (og.ScaledInt, og.ScaledDyadic, og.Rationals, og.QuadLattice)):
+        return FactorProfile(i1_zero=False, i2_zero=True, splitting="zero")
+    if isinstance(desc, (og.Lex, og.Twist4)):
+        # chains with more than two elements always have I2 = {0}; a prime
+        # with Boolean quotient exists exactly when the leading component
+        # collapses to the two-element chain (every twisted Z^4 interval is
+        # taken to have one)
+        boolean_top = isinstance(desc, og.Twist4) or head_gives_boolean_quotient(desc)
+        return FactorProfile(i1_zero=False, i2_zero=True, splitting=None if boolean_top else "zero")
+    raise UnsupportedOperationError(f"no square-root closure rule for {desc!r}")
+
+
+def sqrt_closure_by_profiles(M) -> cl.ClosureDescriptor | cl.OpenProblem:
+    """Cases (i)-(iii) decided on a three-field profile of each factor, with
+    a construction of its own for each case."""
+    factors = cl._flatten(cl._as_descriptor(M))
+    profiles = [factor_profile(f) for f in factors]
+    if all(p.i1_zero for p in profiles):
+        return cl.ClosureDescriptor("sqrt", tuple(cl.FactorClosure(f, f, cl.IDENTITY) for f in factors))
+    if all(p.i2_zero for p in profiles):
+        return cl.ClosureDescriptor(
+            "sqrt", tuple(cl.FactorClosure(f, cl._close_factor(f), cl.HALF_SHIFT) for f in factors)
+        )
+    if any(p.splitting is None for p in profiles):
+        return cl.OpenProblem(
+            explanation=(
+                "both prime-intersection ideals are nonzero and no splitting "
+                "element exists; whether such an algebra has a square-root "
+                "closure is not settled by the implemented construction"
+            ),
+            factor_reports=tuple(
+                f"factor {i}: no element is 1 mod I1 and 0 mod I2"
+                for i, p in enumerate(profiles)
+                if p.splitting is None
+            ),
+        )
+    return cl.ClosureDescriptor("sqrt", tuple(
+        cl.FactorClosure(f, f, cl.IDENTITY) if p.splitting == "unit"
+        else cl.FactorClosure(f, cl._close_factor(f), cl.HALF_SHIFT)
+        for f, p in zip(factors, profiles)
+    ))
+
+
+def outcome(closure, desc):
+    """The closure of ``desc``, or the type and message of its refusal."""
+    try:
+        return closure(desc)
+    except PmvError as exc:
+        return type(exc), str(exc)
+
+
+# every family, with lexicographic products whose head is Z/1, Z/n, D/1, Q,
+# a lexicographic product or a twisted group, and with a twisted Z^3 tail
+PROFILE_ATOMS = [dsl.parse_group(t) for t in (
+    "Z/1", "Z/2", "Z/6", "D/1", "D/3", "Q", "quad(1/2*sqrt(2))", "dquad(1/2*sqrt(2))",
+    "twist3(Z)", "twist3(D)", "twist4(Z)", "twist4(D)", "twist4(Q)",
+    "lex(Z/1,Z/3)", "lex(Z/4,Z/1)", "lex(D/1,D/3)", "lex(Q,Z/2)", "lex(lex(Z/1,Z/2),D/1)",
+    "lex(twist4(Z),D/1)", "lex(twist4(D),D/1)", "lex(D/5,twist3(D))", "lex(Z/1,twist3(Z))",
+)]
+# the atoms, every ordered pair of them, and nested triples of every third atom
+PROFILE_GRID = (
+    PROFILE_ATOMS
+    + [og.ProductGroup(p) for p in itertools.product(PROFILE_ATOMS, repeat=2)]
+    + [og.ProductGroup((f, og.ProductGroup((g, h)))) for f, g, h in itertools.product(PROFILE_ATOMS[::3], repeat=3)]
+)
+
+
+def test_the_profile_grid_has_every_outcome():
+    assert len(PROFILE_ATOMS) == 22 and len(PROFILE_GRID) == 1018
+    outcomes = [outcome(sqrt_closure_by_profiles, d) for d in PROFILE_GRID]
+    assert {type(o) for o in outcomes} == {cl.ClosureDescriptor, cl.OpenProblem, tuple}
+    # both refusals: a twisted Z^3 factor and a twisted Z^3 lexicographic tail
+    assert len({o for o in outcomes if isinstance(o, tuple)}) == 2
+
+
+def test_sqrt_closure_matches_the_profile_oracle_on_the_grid():
+    for desc in PROFILE_GRID:
+        assert outcome(cl.sqrt_closure, desc) == outcome(sqrt_closure_by_profiles, desc), dsl.format_group(desc)
+
+
+# --- a twisted head: the tag is not read ------------------------------------------------
+#
+# Every twisted Z^4 factor is taken to have a prime with Boolean quotient.  For
+# the tags D and Q the leading component is D or Q, and Gamma(D, 1) is not
+# Boolean, so a Z/1 factor beside twist4(D) leaves a splitting element (case
+# (iii)), and a lexicographic product with head twist4(Z) has a Boolean
+# quotient as twist4(Z) has.  The benchmark oracle reads twisted factors the
+# same way, so the tests below pin the answers of the tag-aware rule as strict
+# expected failures until both learn the tag.
+
+
+def run_json(argv):
+    from pmvroots import cli
+
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([*argv, "--json"])
+    return code, json.loads(buf.getvalue())
+
+
+@pytest.mark.xfail(strict=True, reason="the square-root closure does not read the twist4 tag")
+def test_a_boolean_factor_beside_twist4_d_closes_as_case_iii():
+    code, report = run_json(["closure", "gamma(prod(Z/1,twist4(D)))", "--kind", "sqrt"])
+    assert (code, report["status"]) == (0, "ok")
+    assert report["payload"]["descriptor"] == "sqrt[ Z/1 -> Z/1 (identity); twist4(D) -> twist4(D) ]"
+
+
+@pytest.mark.xfail(strict=True, reason="the square-root closure does not read the twist4 tag")
+def test_a_boolean_factor_beside_twist4_d_has_a_total_root_mapping():
+    code, report = run_json(["sqrtmap", "gamma(prod(Z/1,twist4(D)))"])
+    assert (code, report["status"]) == (0, "ok")
+    assert report["payload"] == {
+        "strict": False,
+        "formula": "x on Boolean factors, (x + u) / 2 on the others",
+        "r0": "(0,(1/2,0,0,0))",
+        "w": "(1,(0,0,0,0))",
+    }
+
+
+@pytest.mark.xfail(strict=True, reason="the square-root closure does not read the twist4 tag")
+def test_a_lex_with_head_twist4_z_beside_a_boolean_factor_is_open():
+    code, report = run_json(["closure", "gamma(prod(Z/1,lex(twist4(Z),D/1)))", "--kind", "sqrt"])
+    assert (code, report["status"]) == (1, "open_problem")
+
+
+def test_a_lex_with_head_twist4_d_beside_a_boolean_factor_closes():
+    # the answer of the tag-aware rule too: the head twist4(D) has no Boolean quotient
+    code, report = run_json(["closure", "gamma(prod(Z/1,lex(twist4(D),D/1)))", "--kind", "sqrt"])
+    assert (code, report["status"]) == (0, "ok")
+    assert report["payload"]["descriptor"] == (
+        "sqrt[ Z/1 -> Z/1 (identity); lex(twist4(D),D/1) -> lex(twist4(D),D/1) ]"
+    )

@@ -9,6 +9,10 @@ element is a bare payload.
 The algebra layer's is the public names of ``pmv``: no module but ``pmv``
 reads or imports an underscore name that ``pmv`` defines, whether a
 function, a class, a constant, a method or an instance attribute.
+
+Every other module keeps its own private names too: no module reads through
+a module alias, or imports, an underscore top-level name that another
+module of the package defines.
 """
 
 import ast
@@ -138,3 +142,74 @@ def test_the_guard_finds_private_algebra_names():
 def test_the_package_uses_the_algebra_layer_through_its_surface():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert algebra_surface_violations(sources) == []
+
+
+def top_level_private_names(source: str) -> set[str]:
+    """The underscore, non-dunder names that the top level of ``source``
+    binds: functions, classes and assigned names."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return set(filter(_is_private, found))
+
+
+def module_privacy_violations(sources: dict[str, str]) -> list[str]:
+    """``module:line: name`` for each import, and each read through a module
+    alias, of an underscore top-level name that another module of
+    ``sources`` (module name -> source text) defines; sorted."""
+    private = {module: top_level_private_names(text) for module, text in sources.items()}
+    found = []
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        aliases = {}  # local name -> package module
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            origin = (node.module or "").split(".")[-1]
+            if origin in sources and origin != module:
+                found += [f"{module}:{node.lineno}: {a.name}" for a in node.names if a.name in private[origin]]
+            elif origin in ("", "pmvroots"):
+                aliases.update((a.asname or a.name, a.name) for a in node.names if a.name in sources)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                origin = aliases.get(node.value.id)
+                if origin not in (None, module) and node.attr in private[origin]:
+                    found.append(f"{module}:{node.lineno}: {node.value.id}.{node.attr}")
+    return sorted(found)
+
+
+def test_the_guard_finds_private_module_names():
+    sources = {
+        "closures": (
+            "_LIMIT: int = 3\n"
+            "def _helper():\n    pass\n"
+            "def public():\n    return _helper()\n"
+            "class _Profile:\n    def _own(self):\n        pass\n"
+        ),
+        "worked": (
+            "from . import closures as cl\nfrom .closures import _helper, public\n"
+            "def f(x):\n    return cl._helper(), cl._LIMIT, cl.public(), x._helper(), cl._Profile._own\n"
+        ),
+        "roots": (
+            "from pmvroots import closures\n"
+            "def _helper():\n    pass\n"
+            "def g():\n    return closures._helper(), _helper()\n"
+        ),
+    }
+    assert top_level_private_names(sources["closures"]) == {"_LIMIT", "_helper", "_Profile"}
+    assert module_privacy_violations(sources) == [
+        "roots:5: closures._helper",
+        "worked:2: _helper",
+        "worked:4: cl._LIMIT",
+        "worked:4: cl._Profile",
+        "worked:4: cl._helper",
+    ]
+
+
+def test_no_module_reads_another_modules_private_names():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert module_privacy_violations(sources) == []

@@ -83,7 +83,7 @@ def test_every_frozen_value_of_the_package_is_a_record():
         "ogroups._Twisted", "ogroups.Twist3", "ogroups.Twist4", "ogroups.Lex", "ogroups.ProductGroup",
         "scalars.QuadValue", "pmv.GammaAlgebra", "pmv.Element",
         "closures.FactorClosure", "closures.ClosureDescriptor", "closures.OpenProblem",
-        "closures.CritResult", "closures.RdpDecomposition", "closures._FactorProfile",
+        "closures.CritResult", "closures.RdpDecomposition",
         "roots.SqrtResult", "roots.SqrtMap", "roots.GreatestSqrtResult",
         "ideals.IdealInfo", "ideals.PrimePartition", "ideals.WSplit", "ideals.RootMapIdeals",
         "cli.Report", "worked_examples.CheckResult",
