@@ -1,8 +1,6 @@
 """Tests for strict and square-root closures, the reachability criterion,
 and the doubled-decomposition."""
 
-import contextlib
-import io
 import itertools
 import json
 import pathlib
@@ -21,6 +19,7 @@ from pmvroots import roots
 from pmvroots import scalars as S
 from pmvroots.errors import CarrierError, ParameterError, PmvError, UnsupportedOperationError
 from pmvroots.records import Record
+from test_cli import run_json
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 M = pmv.finite_mv_chain
@@ -977,15 +976,6 @@ def test_sqrt_closure_matches_the_profile_oracle_on_the_grid():
 # quotient as twist4(Z) has.  The benchmark oracle reads twisted factors the
 # same way, so the tests below pin the answers of the tag-aware rule as strict
 # expected failures until both learn the tag.
-
-
-def run_json(argv):
-    from pmvroots import cli
-
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main([*argv, "--json"])
-    return code, json.loads(buf.getvalue())
 
 
 @pytest.mark.xfail(strict=True, reason="the square-root closure does not read the twist4 tag")
