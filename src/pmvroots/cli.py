@@ -12,6 +12,7 @@ Verbs map one-to-one onto library operations::
     greatest   greatest square-root-closed subalgebra iteration
     verify-paper   replay every recorded reference computation
 
+``-h`` or ``--help`` anywhere before an error answers with the verb table.
 Reports carry a status (ok, not_exists, absent, open_problem,
 unsupported, error), a verb-specific payload with exact values rendered
 as strings, and the list of reference anchors exercised.  Exit codes:
@@ -20,12 +21,11 @@ as strings, and the list of reference anchors exercised.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from . import closures as cl
 from . import dsl
@@ -95,28 +95,29 @@ def _sorted_values(elems) -> list[str]:
     return [dsl.format_element_value(v) for v in sorted(pmv.value_of(x) for x in elems)]
 
 
+def _absent(reason: str, witness: pmv.Element) -> Report:
+    return Report("absent", {"reason": reason, "witness": _fmt(witness)})
+
+
 # ---------------------------------------------------------------------------
 # verb handlers
 
 
 def _cmd_analyze(args) -> Report:
     A = dsl.parse_algebra(args.target)
-    payload: dict = {}
     if isinstance(A, pmv.GammaAlgebra):
         desc = A.desc
         central, witness = og.is_unit_central(desc)
         symmetric, sym_witness = pmv.is_symmetric(A)
-        payload.update(
-            {
-                "kind": "group_interval",
-                "group": dsl.format_group(desc),
-                "linear": desc.linear,
-                "abelian": desc.abelian,
-                "two_divisible": desc.two_divisible,
-                "unit_central": central,
-                "symmetric": symmetric,
-            }
-        )
+        payload = {
+            "kind": "group_interval",
+            "group": dsl.format_group(desc),
+            "linear": desc.linear,
+            "abelian": desc.abelian,
+            "two_divisible": desc.two_divisible,
+            "unit_central": central,
+            "symmetric": symmetric,
+        }
         if witness is not None:
             payload["noncentral_witness"] = dsl.format_element_value(witness)
         if sym_witness is not None:
@@ -126,14 +127,12 @@ def _cmd_analyze(args) -> Report:
         except UnsupportedOperationError:
             payload["boolean_skeleton"] = "unsupported"
     else:
-        payload.update(
-            {
-                "kind": "finite",
-                "size": A.size,
-                "symmetric": pmv.is_symmetric(A)[0],
-                "boolean_skeleton": _sorted_values(pmv.boolean_skeleton(A)),
-            }
-        )
+        payload = {
+            "kind": "finite",
+            "size": A.size,
+            "symmetric": pmv.is_symmetric(A)[0],
+            "boolean_skeleton": _sorted_values(pmv.boolean_skeleton(A)),
+        }
         if A.size > 1:
             payload["chain_lengths"] = pmv.chain_lengths(A)
     return Report("ok", payload)
@@ -172,10 +171,7 @@ def _sqrtmap_finite(M: pmv.FiniteAlgebra) -> Report:
     smap = roots.sqrt_map(M)
     if smap is None:
         witness = next(x for x in pmv.carrier(M) if not roots.element_sqrt(M, x).exists)
-        return Report(
-            "absent",
-            {"reason": "some element has no square root", "witness": _fmt(witness)},
-        )
+        return _absent("some element has no square root", witness)
     payload = {
         "strict": smap.strict,
         "r0": _fmt(smap.r0),
@@ -195,13 +191,7 @@ def _cmd_sqrtmap(args) -> Report:
     desc = A.desc
     symmetric, witness = pmv.is_symmetric(A)
     if not symmetric:
-        return Report(
-            "absent",
-            {
-                "reason": "the two negations differ, so no strict mapping exists",
-                "witness": _fmt(witness),
-            },
-        )
+        return _absent("the two negations differ, so no strict mapping exists", witness)
     C = cl.sqrt_closure(desc)
     if isinstance(C, cl.ClosureDescriptor) and all(f.closed == f.base for f in C.factors):
         # [0, u] is its own square-root closure, so the closure's root mapping
@@ -224,18 +214,12 @@ def _cmd_sqrtmap(args) -> Report:
     # without a square root
     r0 = roots.sqrt_zero(A)
     if not r0.exists:
-        return Report(
-            "absent",
-            {"reason": "the set of nilpotents has no top", "witness": _fmt(pmv.zero_elem(A))},
-        )
+        return _absent("the set of nilpotents has no top", pmv.zero_elem(A))
     payload = _rootless_payload(desc)
     if payload is not None:
         witness = pmv.element_of(A, payload)
         if not roots.element_sqrt(A, witness).exists:
-            return Report(
-                "absent",
-                {"reason": "an element of the interval has no square root", "witness": _fmt(witness)},
-            )
+            return _absent("an element of the interval has no square root", witness)
     raise UnsupportedOperationError("could not classify the square root mapping")
 
 
@@ -414,62 +398,122 @@ def _cmd_verify(args) -> Report:
 # argument parsing
 
 
-# argparse's own pattern (-3, -.5) widened by -p/q: such words are elements,
-# not options, since no option of this grammar looks like a number
+# each verb's handler, positionals and valued options; every verb also takes
+# the flags --json, --approx and -h/--help
+_VERBS = {
+    "analyze": (_cmd_analyze, ("target",), ()),
+    "sqrt": (_cmd_sqrt, ("target", "element"), ("--bound",)),
+    "sqrtmap": (_cmd_sqrtmap, ("target",), ()),
+    "ideals": (_cmd_ideals, ("target",), ()),
+    "closure": (_cmd_closure, ("target",), ("--kind",)),
+    "member": (_cmd_member, ("target", "element"), ()),
+    "decompose": (_cmd_decompose, ("target", "element"), ()),
+    "greatest": (_cmd_greatest, ("target",), ("--quantifier",)),
+    "verify-paper": (_cmd_verify, (), ()),
+}
+# a valued option's values, an int or one of the choices; its field is its name
+_VALUED = {"--bound": int, "--kind": ("strict", "sqrt"), "--quantifier": ("ambient", "relative")}
+_HELP = ("-h", "--help")
+_FLAGS = ("--json", "--approx", *_HELP)
+
+# argparse's pattern (-3, -.5) widened by -p/q: such words are elements, not
+# options, since no option of this grammar looks like a number
 _NEGATIVE_NUMBER = re.compile(r"^-\d+(?:/\d+)?$|^-\d*\.\d+$")
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
-
-    def error(self, message):
-        raise DslError(message)
+def _is_positional(word: str, known) -> bool:
+    """A word that names no option in ``known``, alone or before ``=``, and
+    does not start with ``-``, or is ``-``, a negative number or has a space."""
+    return word[:1] != "-" or word.partition("=")[0] not in known and (
+        len(word) == 1 or " " in word or _NEGATIVE_NUMBER.match(word) is not None)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The grammar, built at the first call and shared by every later one.
+def _value(name: str, value: str, values):
+    """``value`` read as ``values`` says: an int, or one of the choices."""
+    if values is int:
+        try:
+            return int(value)
+        except ValueError:
+            raise DslError(f"argument {name}: invalid int value: {value!r}") from None
+    if value not in values:
+        choices = ", ".join(map(repr, values))
+        raise DslError(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    return value
 
-    ``parse_args`` leaves the parser as it was and returns a fresh namespace,
-    so one parser serves every request of a process.
+
+def _parse(argv: list[str]) -> SimpleNamespace | None:
+    """The fields the handlers read, or None when argv asks for the usage.
+
+    Options may come before, between or after the positionals, as ``--opt
+    value`` or ``--opt=value``, and a repeated one keeps its last value; an
+    option is named in full, never by a prefix.  Every word after the first
+    ``--`` is a positional, and so is a negative number.  Errors carry
+    argparse's messages, in its order: a bad option as it is met, then a
+    missing positional, then the unrecognized words.  Among those, as in
+    argparse, is a ``--`` met when every positional is filled, unless the
+    word before it filled the last one.
     """
-    parser = _Parser(prog="pmvroots", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="verb", required=True)
+    args = {"approx": False, "bound": None, "kind": "strict", "quantifier": None}
+    known, slots, extras, dashed = _HELP, None, [], False
+    i = filled = 0  # the next word, and the one after the last that filled a positional
+    while i < len(argv):
+        word, i = argv[i], i + 1
+        option, eq, value = word.partition("=")
+        if word == "--" and slots is not None and not dashed:
+            dashed = True
+            if not slots and filled != i - 1:
+                extras.append(word)
+        elif dashed or _is_positional(word, known) or word == "--" and i < len(argv):
+            if slots is None:  # the verb
+                args["handler"], names, valued = _VERBS[_value("verb", word, _VERBS)]
+                slots, known = list(names), (*_FLAGS, *valued)
+            elif slots:
+                args[slots.pop(0)], filled = word, i
+            else:
+                extras.append(word)
+        elif option not in known:
+            extras.append(word)
+        elif option in _FLAGS:
+            if eq:
+                name = "-h/--help" if option in _HELP else option
+                raise DslError(f"argument {name}: ignored explicit argument {value!r}")
+            if option in _HELP:
+                return None
+            args["approx"] |= option == "--approx"  # main reads --json off argv
+        else:
+            if not eq:
+                if i == len(argv) or not _is_positional(argv[i], known):
+                    raise DslError(f"argument {option}: expected one argument")
+                value, i = argv[i], i + 1
+            args[option[2:]] = _value(option, value, _VALUED[option])
+    missing = ["verb"] if slots is None else slots
+    if missing:
+        raise DslError("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        raise DslError("unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**args)
 
-    def add(verb, handler, *, target=True, element=False):
-        p = sub.add_parser(verb)
-        if target:
-            p.add_argument("target", help="algebra expression")
-        if element:
-            p.add_argument("element", help="element expression")
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--approx", action="store_true")
-        p.set_defaults(handler=handler, bound=None, kind="strict", quantifier=None)
-        return p
 
-    add("analyze", _cmd_analyze)
-    p = add("sqrt", _cmd_sqrt, element=True)
-    p.add_argument("--bound", type=int, default=None)
-    add("sqrtmap", _cmd_sqrtmap)
-    add("ideals", _cmd_ideals)
-    p = add("closure", _cmd_closure)
-    p.add_argument("--kind", choices=("strict", "sqrt"), default="strict")
-    add("member", _cmd_member, element=True)
-    add("decompose", _cmd_decompose, element=True)
-    p = add("greatest", _cmd_greatest)
-    p.add_argument("--quantifier", choices=("ambient", "relative"), default=None)
-    add("verify-paper", _cmd_verify, target=False)
-    return parser
+def _usage() -> Report:
+    """The report of -h and --help: the verb table."""
+
+    def shown(option):
+        values = _VALUED[option]
+        return f"[{option} {'INT' if values is int else '|'.join(values)}]"
+
+    verbs = [" ".join((verb, *names, *map(shown, valued))) for verb, (_, names, valued) in _VERBS.items()]
+    return Report("ok", {"usage": "pmvroots VERB [TARGET] [ELEMENT] [--json] [--approx] [OPTION VALUE]",
+                         "verbs": verbs})
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # the one reading of --json, for the report and the error alike: no verb
+    # takes the word as a value
+    as_json = "--json" in argv
     try:
-        args = _build_parser().parse_args(argv)
-        report = args.handler(args)
-        as_json = args.json
+        args = _parse(argv)
+        report = _usage() if args is None else args.handler(args)
     except Exception as exc:
         if isinstance(exc, UnsupportedOperationError):
             report = Report("unsupported", {"message": str(exc)})
@@ -480,7 +524,6 @@ def main(argv=None) -> int:
 
             logging.getLogger(__name__).debug("internal error", exc_info=exc)
             report = Report("error", {"message": f"internal error: {type(exc).__name__}: {exc}"})
-        as_json = "--json" in argv
     try:
         print(report.to_json() if as_json else report.to_text())
         sys.stdout.flush()

@@ -37,7 +37,7 @@ laws take and return payloads and check nothing.  ``mul(k, p)`` is the
 k-fold sum of p for k >= 0 in closed form; for the twisted families it
 carries the binomial C(k, 2) = k * (k - 1) // 2, an exact integer.
 ``random(rng, bound, exp)`` is ``from_draw(draw(rng, bound, exp))``:
-``draw`` makes the seeded ``randint`` calls and returns the drawn integers,
+``draw`` makes the seeded ``randint`` draws and returns the drawn integers,
 a pair (m, d) for each scalar m/d in payload order, and ``from_draw``
 builds the payload from them.
 
@@ -86,16 +86,26 @@ def _half(c):
     return Fraction(c, 2)
 
 
+def _randint(rng, a: int, b: int) -> int:
+    """``rng.randint(a, b)`` without its argument checks, drawn as CPython
+    draws it: ``getrandbits`` of the bit length of n = b - a + 1, again
+    while the draw is n or more."""
+    n = r = b - a + 1
+    while r >= n:
+        r = rng.getrandbits(n.bit_length())
+    return a + r
+
+
 def _draw_scalar(tag: str, rng, bound: int, exp: int, scale: int = 1) -> tuple[int, int]:
     """(m, d) for a scalar m/d of (1/scale) * tag with |m/d| <= bound; a
     dyadic denominator is scale * 2**k with 0 <= k <= exp."""
     if tag == "Z":
         d = scale
     elif tag == "D":
-        d = scale << rng.randint(0, exp)
+        d = scale << _randint(rng, 0, exp)
     else:
-        d = rng.randint(1, 12)
-    return rng.randint(-bound * d, bound * d), d
+        d = _randint(rng, 1, 12)
+    return _randint(rng, -bound * d, bound * d), d
 
 
 class GroupDescriptor:

@@ -80,9 +80,10 @@ class GammaAlgebra(Algebra, Record):
     def __init__(self, desc):  # written out: one or more per request
         object.__setattr__(self, "desc", desc)
 
-    # the payloads u, 0 and -u enter every operation: each instance builds
-    # them once, on first use, into its ``__dict__`` (not annotated, so not
-    # record fields: equality and hashing still see desc only)
+    # the payloads u, 0 and -u enter every operation, and the hash every set
+    # or dict operation on an Element: each instance computes them once, on
+    # first use, into its ``__dict__`` (not annotated, so not record fields:
+    # equality and hashing still see desc only)
     @cached_property
     def unit(self) -> og.Payload:
         return self.desc.unit()
@@ -94,6 +95,13 @@ class GammaAlgebra(Algebra, Record):
     @cached_property
     def neg_unit(self) -> og.Payload:
         return self.desc.neg(self.unit)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.desc,))  # the record's hash, of its one field
+
+    def __hash__(self):  # every hash of an Element hashes its algebra
+        return self._hash
 
     def member(self, value) -> og.Payload:
         p = og.member(self.desc, value)
@@ -191,19 +199,6 @@ class FiniteAlgebra(Algebra):
         if self._index is None:
             self._index = {v: i for i, v in enumerate(self.values)}
         return self._index
-
-    @cached_property
-    def oplus_t(self) -> tuple[tuple[int, ...], ...]:
-        rng = range(self.size)
-        return tuple(tuple(self.oplus(i, j) for j in rng) for i in rng)
-
-    @cached_property
-    def lneg_t(self) -> tuple[int, ...]:
-        return tuple(map(self.lneg, range(self.size)))
-
-    @cached_property
-    def rneg_t(self) -> tuple[int, ...]:
-        return self.lneg_t
 
     def member(self, value) -> int:
         if isinstance(value, int):

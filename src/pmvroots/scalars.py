@@ -211,9 +211,6 @@ class QuadValue(Record):
             guess -= 1
         return guess
 
-    def to_float(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
-
     def __str__(self) -> str:
         return format_quad(self)
 

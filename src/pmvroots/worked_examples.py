@@ -47,6 +47,11 @@ class CheckResult(Record):
     detail: str
 
 
+def _listed(anchor: str, bad: list, detail: str) -> CheckResult:
+    """A check that passes when it lists no failure, and then reads ``detail``."""
+    return CheckResult(anchor, not bad, detail if not bad else f"failures: {bad}")
+
+
 def _twist3() -> GammaAlgebra:
     return GammaAlgebra(og.Twist3("Z"))
 
@@ -72,13 +77,8 @@ def check_odd_chain_roots() -> CheckResult:
         r = sqrt_element_finite(M, element_of(M, Fraction(2 * (n - 1), q)))
         if r.exists:
             bad.append(f"sqrt({2 * (n - 1)}/{q}) unexpectedly exists")
-    return CheckResult(
-        "odd-chain-roots",
-        not bad,
-        "sqrt(1/(2n-1)) = n/(2n-1) and sqrt(2(n-1)/(2n-1)) absent for n in 2..6"
-        if not bad
-        else f"failures: {bad}",
-    )
+    return _listed("odd-chain-roots", bad,
+                   "sqrt(1/(2n-1)) = n/(2n-1) and sqrt(2(n-1)/(2n-1)) absent for n in 2..6")
 
 
 def check_even_chain_roots() -> CheckResult:
@@ -92,11 +92,7 @@ def check_even_chain_roots() -> CheckResult:
         r = sqrt_element_finite(M, element_of(M, Fraction(1, q)))
         if r.exists:
             bad.append(f"sqrt(1/{q}) unexpectedly exists")
-    return CheckResult(
-        "even-chain-roots",
-        not bad,
-        "sqrt(0) = n/2n and sqrt(1/2n) absent for n in 1..6" if not bad else f"failures: {bad}",
-    )
+    return _listed("even-chain-roots", bad, "sqrt(0) = n/2n and sqrt(1/2n) absent for n in 1..6")
 
 
 def check_twist3_root_family() -> CheckResult:
@@ -110,11 +106,7 @@ def check_twist3_root_family() -> CheckResult:
                 bad.append(f"(1,{-2 * n},{2 * m})")
             elif odot(r.value, r.value) != x:
                 bad.append(f"square of root of (1,{-2 * n},{2 * m})")
-    return CheckResult(
-        "twist3-root-family",
-        not bad,
-        "sqrt(1,-2n,2m) = (1,-n,m) for 1 <= n <= m <= 5" if not bad else f"failures: {bad}",
-    )
+    return _listed("twist3-root-family", bad, "sqrt(1,-2n,2m) = (1,-n,m) for 1 <= n <= m <= 5")
 
 
 def check_twist3_zero_root() -> CheckResult:
@@ -277,11 +269,8 @@ def check_strict_closure_catalog() -> CheckResult:
     got = tuple(f.closed for f in cl.strict_closure(prod).factors)
     if got != (og.ScaledDyadic(1), og.ScaledDyadic(3), og.ScaledDyadic(1)):
         bad.append("three-factor product")
-    return CheckResult(
-        "strict-closure-catalog",
-        not bad,
-        "chains, lex, twisted and quadratic closures as cataloged" if not bad else f"failures: {bad}",
-    )
+    return _listed("strict-closure-catalog", bad,
+                   "chains, lex, twisted and quadratic closures as cataloged")
 
 
 def check_sqrt_closure_cases() -> CheckResult:
@@ -300,11 +289,7 @@ def check_sqrt_closure_cases() -> CheckResult:
         and sorted(f.root for f in d.factors) == [cl.HALF_SHIFT, cl.IDENTITY]
     ):
         bad.append("prod(M(1),M(4)) should mix identity and half-shift factors")
-    return CheckResult(
-        "sqrt-closure-cases",
-        not bad,
-        "cases (i)-(iii) as cataloged" if not bad else f"failures: {bad}",
-    )
+    return _listed("sqrt-closure-cases", bad, "cases (i)-(iii) as cataloged")
 
 
 def check_lex_closure_analysis() -> CheckResult:
@@ -351,11 +336,7 @@ def check_corrdp_values() -> CheckResult:
     dec = cl.corrdp_decompose(C, element_of(A, Fraction(5, 12)))
     if not (dec.n == 1 and sum(p.payload for p in dec.parts) == Fraction(5, 6)):
         bad.append("5/12 over (1/6)Z")
-    return CheckResult(
-        "corrdp-values",
-        not bad,
-        "doubling exponents and greedy parts as computed by hand" if not bad else f"failures: {bad}",
-    )
+    return _listed("corrdp-values", bad, "doubling exponents and greedy parts as computed by hand")
 
 
 def check_minimal_two_divisible() -> CheckResult:
@@ -376,13 +357,8 @@ def check_even_chain_closures() -> CheckResult:
         s = cl.strict_closure(M)
         if not (isinstance(d, cl.ClosureDescriptor) and d.factors == s.factors):
             bad.append(f"M({2 * n})")
-    return CheckResult(
-        "even-chain-closures",
-        not bad,
-        "square-root closure equals strict closure on even chains up to M(12)"
-        if not bad
-        else f"failures: {bad}",
-    )
+    return _listed("even-chain-closures", bad,
+                   "square-root closure equals strict closure on even chains up to M(12)")
 
 
 def w_split(M: pmv.FiniteAlgebra):
@@ -427,11 +403,7 @@ def check_w_decomposition() -> CheckResult:
         m = sqrt_map(M)
         if m is None or m.strict or m.w != one_elem(M):
             bad.append(f"map data on {M}")
-    return CheckResult(
-        "w-decomposition",
-        not bad,
-        "Boolean algebras split as [0,w] x [0,w-] with w = 1" if not bad else f"failures: {bad}",
-    )
+    return _listed("w-decomposition", bad, "Boolean algebras split as [0,w] x [0,w-] with w = 1")
 
 
 def check_quad_closure() -> CheckResult:
@@ -496,13 +468,8 @@ def check_gamma_finite_agreement() -> CheckResult:
                 bad.append(f"{k}/{n}")
             elif a.exists and pmv.value_of(a.value) != b.value.payload:
                 bad.append(f"value at {k}/{n}")
-    return CheckResult(
-        "gamma-finite-agreement",
-        not bad,
-        "the halving formula and the exhaustive search agree on even chains"
-        if not bad
-        else f"failures: {bad}",
-    )
+    return _listed("gamma-finite-agreement", bad,
+                   "the halving formula and the exhaustive search agree on even chains")
 
 
 def check_dyadic_sqrt_map() -> CheckResult:

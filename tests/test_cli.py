@@ -394,11 +394,7 @@ def test_closed_pipe_ends_quietly_with_the_report_exit_code():
     assert err == b""
 
 
-# --- one parser per process ------------------------------------------------------------
-
-
-def test_the_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
+# --- parse errors ----------------------------------------------------------------------
 
 
 def test_a_parse_error_leaves_the_next_request_unchanged():

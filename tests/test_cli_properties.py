@@ -99,8 +99,7 @@ algebras = st.one_of(
 
 VERBS = ("analyze", "sqrt", "sqrtmap", "ideals", "closure", "member", "decompose",
          "greatest", "verify-paper")
-# no "h": a mutation must not spell -h, which prints the help and exits
-NOISE = "()/,.-+*0123456789MZDQ "
+NOISE = "()/,.-+*0123456789MZDQh "
 
 
 @st.composite

@@ -48,6 +48,7 @@ from test_pmv import (
     distance,
     ominus,
     operation_tables,
+    tables_of,
 )
 
 M = pmv.finite_mv_chain
@@ -104,7 +105,7 @@ def is_ideal(A, members):
             if jo[y][x] == x and y not in members:
                 return False
         for y in members:
-            if A.oplus_t[x][y] not in members:
+            if A.oplus(x, y) not in members:
                 return False
     return True
 
@@ -112,7 +113,7 @@ def is_ideal(A, members):
 def ideal_flags_oracle(A, members):
     """(normal, prime, Boolean) of an ideal (carrier indices), by scanning the
     carrier: the scans ``enumerate_ideals`` ran on elements, on the tables."""
-    elems, op, ln = range(A.size), A.oplus_t, A.lneg_t
+    (op, ln, _), elems = tables_of(A), range(A.size)
     _, _, me = derived_tables_of(A)
     normal = all({op[x][i] for i in members} == {op[i][x] for i in members} for x in elems)
     prime = all(
@@ -137,7 +138,7 @@ def partition_oracle(A):
     full = frozenset(pmv.carrier(A))
     x1, x2 = {}, {}
     for b in pmv.carrier(A):
-        if A.oplus_t[b.payload][b.payload] != b.payload:
+        if A.oplus(b.payload, b.payload) != b.payload:
             continue
         members = members_oracle(A, b)
         _, prime, boolean = ideal_flags_oracle(A, {x.payload for x in members})
@@ -163,7 +164,7 @@ def least_ideals_oracle(A):
     ``ideal_flags_oracle``, and each least one is below all of its kind."""
     w = roots.sqrt_map(A).w
     found = {
-        b: members_oracle(A, b) for b in pmv.carrier(A) if A.oplus_t[b.payload][b.payload] == b.payload
+        b: members_oracle(A, b) for b in pmv.carrier(A) if A.oplus(b.payload, b.payload) == b.payload
     }
     strict = {b: m for b, m in found.items() if w in m}
     boolean = {b: m for b, m in found.items() if ideal_flags_oracle(A, {x.payload for x in m})[2]}
@@ -180,7 +181,7 @@ def interval_oracle(A, b):
     bm = b.payload
     keep = [i for i in range(A.size) if jo[i][bm] == bm]
     pos = {i: k for k, i in enumerate(keep)}
-    op, ln, rn = A.oplus_t, A.lneg_t, A.rneg_t
+    op, ln, rn = tables_of(A)
     return pmv.FiniteAlgebra(
         [A.values[i] for i in keep],
         [[pos[me[op[i][j]][bm]] for j in keep] for i in keep],
@@ -326,12 +327,12 @@ def assert_composed_matches_checked(A):
     """The table constructor, given the tables derived from a composed
     algebra, builds an equal algebra, and ``pmv._decompose`` finds exactly
     the composed decomposition in them: atoms, lengths, coords and index."""
-    tables = (A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i)
+    tables = (*tables_of(A), A.zero_i, A.one_i)
     checked = pmv.FiniteAlgebra(A.values, *tables)
     assert checked == A and hash(checked) == hash(A)
     assert pmv._decompose(*tables) == A.decomposition
     # the given tables are not kept; the derived ones equal them
-    assert (checked.oplus_t, checked.lneg_t, checked.rneg_t) == tables[:3]
+    assert tables_of(checked) == tables[:3]
 
 
 @pytest.mark.parametrize("A", CASES)
@@ -354,7 +355,7 @@ def test_formula_cases_hold_at_least_20_algebras():
 def test_coordinate_operations_match_the_table_formulas(A):
     # x (.) y = (y- (+) x-)~, x v y = x (+) (x~ (.) y), x ^ y = x (.) (x- (+) y),
     # x <= y exactly when x- (+) y = 1, and x idempotent when x (+) x = x
-    op, ln, rn = A.oplus_t, A.lneg_t, A.rneg_t
+    op, ln, rn = tables_of(A)
     elems, rng = pmv.carrier(A), range(A.size)
     assert operation_tables(A) == derived_tables_of(A)
     assert [[pmv.oplus(x, y).payload for y in elems] for x in elems] == [list(row) for row in op]
@@ -422,7 +423,7 @@ def test_prime_partition_and_splitting_element_match_the_scans(A):
     found = splitting_oracle(A, i1, i2)
     assert found == [ideals.nn12_element(A)]
     a = found[0]
-    assert A.oplus_t[a.payload][a.payload] == a.payload
+    assert A.oplus(a.payload, a.payload) == a.payload
     assert i2 == members_oracle(A, a) and i1 == members_oracle(A, pmv.lneg(a))
 
 
@@ -530,7 +531,7 @@ def test_table_built_and_composed_algebras_have_one_state():
     built = pmv.FiniteAlgebra([Fraction(k, n) for k in range(n + 1)], oplus_t, neg, neg, 0, n)
     for composed in (pmv.finite_product([built, M(2)]), pmv.interval(built, pmv.one_elem(built))):
         assert vars(built).keys() == vars(composed).keys()
-    assert (built.oplus_t, built.lneg_t, built.rneg_t) == (oplus_t, neg, neg)
+    assert tables_of(built) == (oplus_t, neg, neg)
 
 
 def test_composed_algebras_build_no_table_and_only_chains_are_decomposed(monkeypatch):
@@ -563,8 +564,8 @@ def test_composed_algebras_build_no_table_and_only_chains_are_decomposed(monkeyp
                 # 0 and 1 are answers ("ok", "absent"); 2 and 3 are errors
                 assert cli.main([verb, target, *flags]) in (0, 1), (verb, target)
     assert len(composed) > 2 and len(built) > 2
-    for A in composed + built:
-        assert not {"oplus_t", "lneg_t", "rneg_t"} & vars(A).keys(), A
+    for A in composed + built:  # no table is kept: the state is every algebra's
+        assert vars(A).keys() == vars(M(1)).keys(), A
 
 
 BOOLEAN = [product_of((1,) * k) for k in range(1, 7)] + [
@@ -627,8 +628,9 @@ def test_the_boolean_ideals_verb_computes_no_mapping_and_enumerates_once(monkeyp
 def altered(A, kind, cell, value):
     """The tables of ``A`` with one entry of (+) or of a negation replaced, as
     the constructor takes them: (+), both negations, 0 and 1."""
-    op = [list(row) for row in A.oplus_t]
-    ln, rn = list(A.lneg_t), list(A.rneg_t)
+    oplus, lneg, rneg = tables_of(A)
+    op = [list(row) for row in oplus]
+    ln, rn = list(lneg), list(rneg)
     if kind == "oplus":
         op[cell[0]][cell[1]] = value
     else:
@@ -638,11 +640,12 @@ def altered(A, kind, cell, value):
 
 def every_alteration(A):
     n = A.size
+    op, ln, rn = tables_of(A)
     for x, y in itertools.product(range(n), repeat=2):
         for v in range(n):
-            if v != A.oplus_t[x][y]:
+            if v != op[x][y]:
                 yield "oplus", (x, y), v
-    for kind, table in (("lneg", A.lneg_t), ("rneg", A.rneg_t)):
+    for kind, table in (("lneg", ln), ("rneg", rn)):
         for x in range(n):
             for v in range(n):
                 if v != table[x]:
@@ -677,7 +680,7 @@ def test_a_misplaced_zero_or_one_is_not_a_chain_product(lengths):
     for x in range(A.size):
         for zero, one in ((x, A.one_i), (A.zero_i, x)):
             if (zero, one) != (A.zero_i, A.one_i):
-                assert_rejected(A.values, (A.oplus_t, A.lneg_t, A.rneg_t, zero, one))
+                assert_rejected(A.values, (*tables_of(A), zero, one))
 
 
 # --- property test -----------------------------------------------------------------
@@ -692,11 +695,12 @@ def relabelled(draw):
     inv = [0] * A.size
     for old, new in enumerate(perm):
         inv[new] = old
+    op, ln, rn = tables_of(A)
     B = pmv.FiniteAlgebra(
         [A.values[inv[i]] for i in range(A.size)],
-        [[perm[A.oplus_t[inv[i]][inv[j]]] for j in range(A.size)] for i in range(A.size)],
-        [perm[A.lneg_t[inv[i]]] for i in range(A.size)],
-        [perm[A.rneg_t[inv[i]]] for i in range(A.size)],
+        [[perm[op[inv[i]][inv[j]]] for j in range(A.size)] for i in range(A.size)],
+        [perm[ln[inv[i]]] for i in range(A.size)],
+        [perm[rn[inv[i]]] for i in range(A.size)],
         perm[A.zero_i],
         perm[A.one_i],
     )
@@ -711,6 +715,6 @@ def test_relabelled_products_decompose_and_altered_ones_do_not(case, data):
     n = B.size
     kind = data.draw(st.sampled_from(["oplus", "lneg", "rneg"]))
     cell = tuple(data.draw(st.integers(0, n - 1)) for _ in range(2 if kind == "oplus" else 1))
-    old = B.oplus_t[cell[0]][cell[1]] if kind == "oplus" else getattr(B, kind + "_t")[cell[0]]
+    old = getattr(B, kind)(*cell)
     value = data.draw(st.integers(0, n - 1).filter(lambda v: v != old))
     assert_rejected(B.values, altered(B, kind, cell, value))

@@ -1,11 +1,13 @@
 """A one-shot CLI call pays for its imports: the CLI loads neither
 ``dataclasses`` nor ``inspect``, which together took about a third of
-``import pmvroots.cli``.
+``import pmvroots.cli``, nor ``argparse`` and the ``gettext`` it pulls in,
+about 1 ms more.
 
 The probe runs in a fresh ``python -E -s`` interpreter, imports the CLI and
 runs one small request of every verb through ``cli.main``.
 """
 
+import functools
 import pathlib
 import subprocess
 import sys
@@ -36,11 +38,21 @@ for argv in {ARGVS!r}:
         codes.append(cli.main(argv))
 print(codes)
 print(" ".join(m for m in ("dataclasses", "inspect") if m in sys.modules))
+print(" ".join(m for m in ("argparse", "gettext") if m in sys.modules))
 """
 
 
+@functools.cache
+def probe() -> list[str]:
+    return subprocess.run([sys.executable, "-E", "-s", "-c", PROBE, str(SRC)],
+                          capture_output=True, text=True, timeout=300, check=True).stdout.split("\n")
+
+
 def test_the_cli_loads_neither_dataclasses_nor_inspect():
-    out = subprocess.run([sys.executable, "-E", "-s", "-c", PROBE, str(SRC)],
-                         capture_output=True, text=True, timeout=300, check=True).stdout.split("\n")
+    out = probe()
     assert out[0] == str([0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0])
     assert out[1] == ""
+
+
+def test_the_cli_loads_neither_argparse_nor_gettext():
+    assert probe()[2] == ""

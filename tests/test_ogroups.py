@@ -657,6 +657,39 @@ def test_random_draws_reproducible():
         assert tuple(og.strong_unit_bound(desc, x) for x in draws) == row[7], desc
 
 
+# every range the seeded draws use: a = b (bound or exp 0), the dyadic
+# exponent 0..exp, the denominator 1..12, and m in [-bound * d, bound * d]
+# for d up to a large scale times 2**exp; then widths 2**k and 2**k + 1
+DRAW_RANGES = [(0, 0), (7, 7), (-3, -3), (0, 1), (1, 12), (-6, 6), (0, 4), (0, 5),
+               (-3 * 12, 3 * 12), (-4 * 12, 4 * 12), (-3 * (7 << 5), 3 * (7 << 5)),
+               (-3 * (10**30 << 5), 3 * (10**30 << 5))]
+DRAW_RANGES += [(0, 2**k - 1) for k in range(1, 70, 3)] + [(-(2**k), 0) for k in range(1, 70, 3)]
+
+
+def test_the_draw_helper_repeats_randint():
+    widths = {b - a + 1 for a, b in DRAW_RANGES}
+    assert {1, 2, 12, 13, 2**64, 2**64 + 1} <= widths
+    for seed in range(1000):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for a, b in DRAW_RANGES:
+            assert og._randint(ours, a, b) == ref.randint(a, b), (seed, a, b)
+        assert ours.getstate() == ref.getstate()
+
+
+def draw_scalar_by_randint(tag, rng, bound, exp, scale=1):
+    """The draw as it was made before, through ``randint``: the oracle."""
+    d = scale if tag == "Z" else scale << rng.randint(0, exp) if tag == "D" else rng.randint(1, 12)
+    return rng.randint(-bound * d, bound * d), d
+
+
+@pytest.mark.parametrize("bound, exp", [(3, 5), (4, 4), (0, 0), (8, 6)])
+def test_every_family_draws_as_with_randint(monkeypatch, bound, exp):
+    descs = all_descriptors() + [og.ScaledInt(10**12), og.ScaledDyadic(10**9 + 7)]
+    ours = [[desc.draw(random.Random(seed), bound, exp) for seed in range(40)] for desc in descs]
+    monkeypatch.setattr(og, "_draw_scalar", draw_scalar_by_randint)
+    assert ours == [[desc.draw(random.Random(seed), bound, exp) for seed in range(40)] for desc in descs]
+
+
 def test_format_strings():
     assert og.ScaledInt(2).format(Fraction(1, 2)) == "1/2"
     t3 = og.Twist3("Z").format((Fraction(1), Fraction(-2), Fraction(3)))

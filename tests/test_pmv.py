@@ -423,11 +423,11 @@ def _product_by_tuples(factors):
     pos = {t: i for i, t in enumerate(tuples)}
     values = tuple(tuple(f.values[i] for f, i in zip(factors, t)) for t in tuples)
     oplus_t = tuple(
-        tuple(pos[tuple(f.oplus_t[a][b] for f, a, b in zip(factors, s, t))] for t in tuples)
+        tuple(pos[tuple(f.oplus(a, b) for f, a, b in zip(factors, s, t))] for t in tuples)
         for s in tuples
     )
-    lneg_t = tuple(pos[tuple(f.lneg_t[a] for f, a in zip(factors, s))] for s in tuples)
-    rneg_t = tuple(pos[tuple(f.rneg_t[a] for f, a in zip(factors, s))] for s in tuples)
+    lneg_t = tuple(pos[tuple(f.lneg(a) for f, a in zip(factors, s))] for s in tuples)
+    rneg_t = tuple(pos[tuple(f.rneg(a) for f, a in zip(factors, s))] for s in tuples)
     zero = pos[tuple(f.zero_i for f in factors)]
     one = pos[tuple(f.one_i for f in factors)]
     return values, oplus_t, lneg_t, rneg_t, zero, one
@@ -437,9 +437,7 @@ def _assert_product_matches_oracle(factors):
     P = pmv.finite_product(factors)
     values, oplus_t, lneg_t, rneg_t, zero, one = _product_by_tuples(factors)
     assert P.values == values
-    assert P.oplus_t == oplus_t
-    assert P.lneg_t == lneg_t
-    assert P.rneg_t == rneg_t
+    assert tables_of(P) == (oplus_t, lneg_t, rneg_t)
     assert (P.zero_i, P.one_i) == (zero, one)
 
 
@@ -512,6 +510,16 @@ def test_gamma_algebras_stay_equal_after_their_cached_values_are_read():
         assert x == y and hash(x) == hash(y)
         assert pmv.odot(x, pmv.zero_elem(B)) == pmv.zero_elem(A)
         assert pmv.oplus(pmv.lneg(y), x) == x and pmv.rneg(x) == pmv.zero_elem(B)
+
+
+def test_a_group_interval_keeps_its_hash():
+    p = (Fraction(1), Fraction(-1), Fraction(1))
+    A, B = pmv.GammaAlgebra(og.Twist3("Z")), pmv.GammaAlgebra(og.Twist3("Z"))
+    assert A == B and A is not B
+    assert hash(pmv.Element(A, p)) == hash(pmv.Element(B, p))
+    # computed on first use, and the record's hash of its one field
+    assert "_hash" not in vars(pmv.GammaAlgebra(og.Rationals()))
+    assert hash(A) == hash((og.Twist3("Z"),)) == vars(A)["_hash"]
 
 
 def test_elements_are_frozen_values_without_a_dict():
@@ -598,9 +606,17 @@ def derived_tables(op, ln, rn):
 
 
 @functools.cache
+def tables_of(A):
+    """The (+) table and both negation tables of a finite algebra, on carrier
+    indices, from its operations; built once per algebra."""
+    rng = range(A.size)
+    return tuple(tuple(A.oplus(i, j) for j in rng) for i in rng), tuple(map(A.lneg, rng)), tuple(map(A.rneg, rng))
+
+
+@functools.cache
 def derived_tables_of(A):
     """``derived_tables`` of a finite algebra, built once per algebra."""
-    return derived_tables(A.oplus_t, A.lneg_t, A.rneg_t)
+    return derived_tables(*tables_of(A))
 
 
 def operation_tables(A):
@@ -681,14 +697,14 @@ def test_derived_tables_and_axiom_checks_match_the_cell_by_cell_oracle():
             "meet expressions disagree"} <= kinds
     # finite chains and products, with one-sided negations left equal
     for A in finite_algebras():
-        tables = (A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i)
+        tables = (*tables_of(A), A.zero_i, A.one_i)
         assert _verdict_cell_by_cell(*tables) == operation_tables(A)
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_every_chain_up_to_24_passes_the_cell_by_cell_oracle(n):
     A = pmv.finite_mv_chain(n)
-    tables = (A.oplus_t, A.lneg_t, A.rneg_t, A.zero_i, A.one_i)
+    tables = (*tables_of(A), A.zero_i, A.one_i)
     assert _verdict_cell_by_cell(*tables) == operation_tables(A)
     assert A.decomposition.lengths == (n,)
 

@@ -253,13 +253,3 @@ def test_quad_order_compatible_with_ring(a1, b1, a2, b2, d):
     assert x.sign() * y.sign() == (x * y).sign()
     assert (x - y).sign() == x.cmp(y)
     assert x.scale(Fraction(2, 3)) == x * Q(Fraction(2, 3))
-
-
-def test_quad_to_float_close():
-    rng = random.Random(31)
-    for _ in range(100):
-        d = rng.choice(SQUARE_FREE)
-        p = Fraction(rng.randint(-20, 20), rng.randint(1, 8))
-        q = Fraction(rng.randint(-20, 20), rng.randint(1, 8))
-        x = Q(p, q, d)
-        assert abs(x.to_float() - (float(p) + float(q) * math.sqrt(d))) < 1e-9
