@@ -479,7 +479,8 @@ def _parse(argv: list[str]) -> SimpleNamespace | None:
                 raise DslError(f"argument {name}: ignored explicit argument {value!r}")
             if option in _HELP:
                 return None
-            args["approx"] |= option == "--approx"  # main reads --json off argv
+            if option == "--approx":  # main reads --json off argv
+                args["approx"] = True
         else:
             if not eq:
                 if i == len(argv) or not _is_positional(argv[i], known):
