@@ -12,8 +12,8 @@ Verbs map one-to-one onto library operations::
     greatest   greatest square-root-closed subalgebra iteration
     verify-paper   replay every recorded reference computation
 
-``-h`` or ``--help`` anywhere before an error answers with the verb table.
-Reports carry a status (ok, not_exists, absent, open_problem,
+``-h`` or ``--help`` answers with the verb table, unless a bad option value
+comes before it.  Reports carry a status (ok, not_exists, absent, open_problem,
 unsupported, error), a verb-specific payload with exact values rendered
 as strings, and the list of reference anchors exercised.  Exit codes:
 0 ok, 1 negative mathematical outcome, 2 unsupported, 3 error.

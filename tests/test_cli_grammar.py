@@ -23,7 +23,6 @@ gave the element ``[]`` and an internal error
 import argparse
 import contextlib
 import io
-import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -268,4 +267,3 @@ def test_the_verb_table_is_the_oracle_grammar():
         options = {s for a in actions for s in a.option_strings}
         assert options == {*cli._FLAGS, *valued}
         assert sub.choices[verb].get_default("handler") is handler
-    json.dumps(cli._usage().payload)
