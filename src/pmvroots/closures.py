@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 
 from . import ogroups as og
 from . import pmv
@@ -437,12 +437,8 @@ def twist4_reassembles(desc: og.Twist4, payload) -> bool:
     """The four-part identity on payloads: x = (a,0,0,0) + (0,b,0,0) +
     (0,0,c,0) + (0,0,0,d-bc), with every part in the carrier of ``desc``."""
     a, b, c, d = payload
-    total = desc.zero()
-    for part in ((a, 0, 0, 0), (0, b, 0, 0), (0, 0, c, 0), (0, 0, 0, d - b * c)):
-        if not desc.contains(part):
-            return False
-        total = desc.add(total, part)
-    return total == payload
+    parts = ((a, 0, 0, 0), (0, b, 0, 0), (0, 0, c, 0), (0, 0, 0, d - b * c))
+    return all(map(desc.contains, parts)) and reduce(desc.add, parts) == payload
 
 
 def minimal_two_divisible_check(*, samples: int = 40, seed: int = 5) -> dict:

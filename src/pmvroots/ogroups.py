@@ -25,7 +25,10 @@ Scalar tags for the twisted families are ``"Z"`` (integers), ``"D"``
 ``int`` coordinates; membership is a question of value, so an integral
 ``Fraction`` is a member too, and ``Fraction(n) == n`` with equal hashes.
 Halving stays exact: an odd ``int`` halves to a ``Fraction``, never to a
-``float``.
+``float``.  Twisted payloads are compared as Python tuples, which order
+lexicographically by value, so their ``join`` and ``meet`` are ``max``
+and ``min``; their membership maps one predicate of the scalar tag over
+the coordinates.
 
 Each family is one class whose public methods are its payload laws:
 ``add``, ``neg``, ``mul``, ``cmp`` (-1, 0, 1, or None for incomparable
@@ -62,12 +65,13 @@ SCALAR_TAGS = ("Z", "D", "Q")
 Payload = Union[Fraction, tuple]
 
 
-def _tag_member(tag: str, x) -> bool:
-    if tag == "Z":
-        return x.denominator == 1
-    if tag == "D":
-        return is_dyadic(x)
-    return True
+# One predicate per scalar tag: is a coordinate an exact scalar (an int that
+# is not a bool, or a Fraction) of the tag's ring?
+_IN_TAG = {
+    "Z": lambda c: type(c) is int or isinstance(c, Fraction) and c.denominator == 1,
+    "D": lambda c: type(c) is int or isinstance(c, Fraction) and is_dyadic(c),
+    "Q": lambda c: type(c) is int or isinstance(c, Fraction),
+}
 
 
 def _int_if_integral(c):
@@ -179,7 +183,7 @@ class ScaledInt(_Rank1, Record):
         object.__setattr__(self, "n", n)
 
     def contains(self, p):
-        return isinstance(p, Fraction) and (p * self.n).denominator == 1
+        return isinstance(p, Fraction) and self.n % p.denominator == 0
 
     def draw(self, rng, bound, exp):
         return _draw_scalar("Z", rng, bound, exp, self.n)
@@ -234,10 +238,13 @@ class QuadLattice(GroupDescriptor, Record):
         return QuadValue.make(p[0] + p[1] * self.alpha.a, p[1] * self.alpha.b, self.alpha.d if p[1] else 0)
 
     def contains(self, p):
-        if not (isinstance(p, tuple) and len(p) == 2):
-            return False
-        tag = "D" if self.dyadic else "Z"
-        return all(isinstance(c, Fraction) and _tag_member(tag, c) for c in p)
+        # Fraction coordinates only, unlike the twisted families
+        return (
+            isinstance(p, tuple)
+            and len(p) == 2
+            and all(map(isinstance, p, (Fraction, Fraction)))
+            and all(map(_IN_TAG["D" if self.dyadic else "Z"], p))
+        )
 
     def normalize(self, raw):
         a, b = raw
@@ -312,12 +319,7 @@ class _Twisted(GroupDescriptor, Record):
         return int if self.tag == "Z" else Fraction
 
     def contains(self, p):
-        return (
-            isinstance(p, tuple)
-            and len(p) == self.arity
-            # exact scalars only: an int that is not a bool, or a Fraction
-            and all((type(c) is int or isinstance(c, Fraction)) and _tag_member(self.tag, c) for c in p)
-        )
+        return isinstance(p, tuple) and len(p) == self.arity and all(map(_IN_TAG[self.tag], p))
 
     def normalize(self, raw):
         if len(raw) != self.arity:
@@ -332,10 +334,11 @@ class _Twisted(GroupDescriptor, Record):
         return (s(1),) + (s(0),) * (self.arity - 1)
 
     def cmp(self, p, q):
-        for a, b in zip(p, q):
-            if a != b:
-                return 1 if a > b else -1
-        return 0
+        return (p > q) - (p < q)
+
+    # max and min return p on a tie, as the base class's join and meet do
+    join = staticmethod(max)
+    meet = staticmethod(min)
 
     def bound(self, p):
         return math.floor(abs(p[0])) + 1
