@@ -705,3 +705,128 @@ def test_scaled_int_is_plain_arithmetic(a, b, n):
     assert desc.add(x, y) == Fraction(a + b, n)
     assert leq(desc, x, y) == (a <= b)
     assert desc.meet(x, y) == min(Fraction(a, n), Fraction(b, n))
+
+
+# --- the twisted order and the carriers against their coordinate loops --------
+#
+# The twisted families compare payloads as tuples and test membership by
+# mapping one predicate of the scalar tag over the coordinates; these oracles
+# are the coordinate loops they replaced.
+
+TWISTED = [cls(tag) for cls in (og.Twist3, og.Twist4) for tag in og.SCALAR_TAGS]
+
+
+def loop_cmp(p, q):
+    """The first coordinate that differs decides."""
+    for a, b in zip(p, q):
+        if a != b:
+            return 1 if a > b else -1
+    return 0
+
+
+def loop_join(p, q):
+    return p if loop_cmp(p, q) >= 0 else q
+
+
+def loop_meet(p, q):
+    return p if loop_cmp(p, q) <= 0 else q
+
+
+def tag_member(tag, x):
+    if tag == "Z":
+        return x.denominator == 1
+    if tag == "D":
+        return S.is_dyadic(x)
+    return True
+
+
+def loop_contains(desc, p):
+    """Membership as each family tested it coordinate by coordinate."""
+    if isinstance(desc, og.ScaledInt):
+        return isinstance(p, Fraction) and (p * desc.n).denominator == 1
+    if isinstance(desc, og.QuadLattice):
+        tag = "D" if desc.dyadic else "Z"
+        return isinstance(p, tuple) and len(p) == 2 and all(
+            isinstance(c, Fraction) and tag_member(tag, c) for c in p)
+    return isinstance(p, tuple) and len(p) == desc.arity and all(
+        (type(c) is int or isinstance(c, Fraction)) and tag_member(desc.tag, c) for c in p)
+
+
+def retyped(c):
+    """The same value as the other exact kind: an int as a Fraction, an
+    integral Fraction as an int; any other Fraction stays."""
+    if type(c) is int:
+        return Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def scalars(tag):
+    """Small coordinates of the tag's ring, as ints and as Fractions, so
+    that equal values and ties are frequent."""
+    ints = st.integers(-4, 4)
+    kinds = [ints, ints.map(Fraction)]
+    if tag != "Z":
+        dens = st.sampled_from((1, 2, 4)) if tag == "D" else st.integers(1, 6)
+        kinds.append(st.builds(Fraction, ints, dens))
+    return st.one_of(kinds)
+
+
+@st.composite
+def twisted_pairs(draw):
+    """A twisted family and two payloads whose first ``keep`` coordinates
+    agree in value, each kept as it is or retyped."""
+    desc = draw(st.sampled_from(TWISTED))
+    scalar = scalars(desc.tag)
+    p = tuple(draw(scalar) for _ in range(desc.arity))
+    keep = draw(st.integers(0, desc.arity))
+    head = [retyped(c) if draw(st.booleans()) else c for c in p[:keep]]
+    return desc, p, tuple(head + [draw(scalar) for _ in range(desc.arity - keep)])
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(twisted_pairs())
+def test_the_twisted_order_is_the_coordinate_loop(case):
+    desc, p, q = case
+    assert desc.contains(p) and desc.contains(q)
+    assert desc.cmp(p, q) == loop_cmp(p, q)
+    assert desc.cmp(q, p) == loop_cmp(q, p)
+    # the same object, so a tie returns p with its own coordinate kinds
+    assert desc.join(p, q) is loop_join(p, q)
+    assert desc.meet(p, q) is loop_meet(p, q)
+
+
+def test_the_twisted_order_pins_ties_of_mixed_kinds():
+    desc = og.Twist4("Z")
+    p, q = (1, Fraction(2), 3, 4), (Fraction(1), 2, Fraction(3), Fraction(4))
+    assert desc.cmp(p, q) == loop_cmp(p, q) == 0
+    assert desc.join(p, q) is p and desc.meet(p, q) is p
+    assert desc.join(q, p) is q and desc.meet(q, p) is q
+
+
+CARRIERS = TWISTED + [og.QuadLattice(ALPHA, False), og.QuadLattice(ALPHA, True),
+                      og.ScaledInt(1), og.ScaledInt(4), og.ScaledInt(6)]
+ATOMS = st.one_of(
+    st.integers(-9, 9),
+    st.booleans(),
+    st.fractions(max_denominator=12),
+    st.floats(allow_nan=False),
+    st.text(max_size=2),
+    st.none(),
+)
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(st.sampled_from(CARRIERS), st.one_of(ATOMS, st.lists(ATOMS, max_size=5),
+                                            st.lists(ATOMS, max_size=5).map(tuple)))
+def test_carrier_membership_is_the_coordinate_loop(desc, raw):
+    assert desc.contains(raw) == loop_contains(desc, raw)
+
+
+def test_carrier_membership_pins_the_edge_kinds():
+    for desc in CARRIERS:
+        arity = getattr(desc, "arity", 2)
+        for raw in ((True,) * arity, (1.0,) * arity, (0,) * arity, (Fraction(1, 2),) * arity,
+                    (Fraction(0),) * (arity + 1), [Fraction(0)] * arity, Fraction(1, 4), 3, True, "0"):
+            assert desc.contains(raw) == loop_contains(desc, raw), (desc, raw)
+    assert not og.QuadLattice(ALPHA, False).contains((0, 0))
+    assert og.ScaledInt(6).contains(Fraction(5, 3)) and not og.ScaledInt(6).contains(Fraction(1, 4))
