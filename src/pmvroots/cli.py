@@ -41,7 +41,7 @@ from .errors import (
 )
 from .ideals import enumerate_ideals, is_bsi, nn12_element, normal_primes, root_map_ideals
 from .records import Record
-from .scalars import Fraction
+from .scalars import Fraction, format_value
 
 EXIT_CODES = {
     "ok": 0,
@@ -81,10 +81,6 @@ class Report(Record):
         return "\n".join(lines)
 
 
-def _fmt(x: pmv.Element) -> str:
-    return dsl.format_element(x)
-
-
 def _approximate(value) -> object:
     if isinstance(value, tuple):
         return [_approximate(v) for v in value]
@@ -92,11 +88,11 @@ def _approximate(value) -> object:
 
 
 def _sorted_values(elems) -> list[str]:
-    return [dsl.format_element_value(v) for v in sorted(pmv.value_of(x) for x in elems)]
+    return [format_value(v) for v in sorted(pmv.value_of(x) for x in elems)]
 
 
 def _absent(reason: str, witness: pmv.Element) -> Report:
-    return Report("absent", {"reason": reason, "witness": _fmt(witness)})
+    return Report("absent", {"reason": reason, "witness": pmv.format_element(witness)})
 
 
 # ---------------------------------------------------------------------------
@@ -119,9 +115,9 @@ def _cmd_analyze(args) -> Report:
             "symmetric": symmetric,
         }
         if witness is not None:
-            payload["noncentral_witness"] = dsl.format_element_value(witness)
+            payload["noncentral_witness"] = format_value(witness)
         if sym_witness is not None:
-            payload["asymmetry_witness"] = _fmt(sym_witness)
+            payload["asymmetry_witness"] = pmv.format_element(sym_witness)
         try:
             payload["boolean_skeleton"] = _sorted_values(pmv.boolean_skeleton(A))
         except UnsupportedOperationError:
@@ -142,16 +138,16 @@ def _cmd_sqrt(args) -> Report:
     A = dsl.parse_algebra(args.target)
     x = dsl.parse_element(A, args.element)
     res = roots.element_sqrt(A, x)
-    payload: dict = {"algebra": args.target, "element": _fmt(x)}
+    payload: dict = {"algebra": args.target, "element": pmv.format_element(x)}
     if res.exists:
-        payload["root"] = _fmt(res.value)
+        payload["root"] = pmv.format_element(res.value)
         if args.approx:
             payload["root_approx"] = _approximate(pmv.value_of(res.value))
         status = "ok"
     else:
         payload["reason"] = res.reason
         if res.witness is not None:
-            payload["witness"] = _fmt(res.witness)
+            payload["witness"] = pmv.format_element(res.witness)
         status = "not_exists"
     if res.note:
         payload["note"] = res.note
@@ -174,11 +170,11 @@ def _sqrtmap_finite(M: pmv.FiniteAlgebra) -> Report:
         return _absent("some element has no square root", witness)
     payload = {
         "strict": smap.strict,
-        "r0": _fmt(smap.r0),
-        "w": _fmt(smap.w),
+        "r0": pmv.format_element(smap.r0),
+        "w": pmv.format_element(smap.w),
     }
     if M.size <= 32:
-        payload["mapping"] = [[_fmt(x), _fmt(r)] for x, r in sorted(
+        payload["mapping"] = [[pmv.format_element(x), pmv.format_element(r)] for x, r in sorted(
             smap.mapping.items(), key=lambda kv: pmv.value_of(kv[0])
         )]
     return Report("ok", payload)
@@ -206,8 +202,8 @@ def _cmd_sqrtmap(args) -> Report:
                 "strict": strict,
                 "formula": "(x + u) / 2" if strict else "x" if boolean
                 else "x on Boolean factors, (x + u) / 2 on the others",
-                "r0": _fmt(r0),
-                "w": _fmt(pmv.odot(pmv.lneg(r0), pmv.lneg(r0))),
+                "r0": pmv.format_element(r0),
+                "w": pmv.format_element(pmv.odot(pmv.lneg(r0), pmv.lneg(r0))),
             },
         )
     # the interval is not closed under the root formula; exhibit an element
@@ -258,7 +254,7 @@ def _cmd_ideals(args) -> Report:
     payload: dict = {
         "ideals": [
             {
-                "top": _fmt(info.top),
+                "top": pmv.format_element(info.top),
                 "size": len(info.members),
                 "proper": info.is_proper,
                 "normal": info.is_normal,
@@ -269,21 +265,21 @@ def _cmd_ideals(args) -> Report:
             for info in ideals
         ],
         # X1 holds the primes with a Boolean quotient, X2 the others
-        "x1_tops": [_fmt(p.top) for p in primes if p.is_boolean_ideal],
-        "x2_tops": [_fmt(p.top) for p in primes if not p.is_boolean_ideal],
+        "x1_tops": [pmv.format_element(p.top) for p in primes if p.is_boolean_ideal],
+        "x2_tops": [pmv.format_element(p.top) for p in primes if not p.is_boolean_ideal],
         # I1 = [0, e-] and I2 = [0, e]
-        "i1_top": _fmt(pmv.lneg(e)),
-        "i2_top": _fmt(e),
+        "i1_top": pmv.format_element(pmv.lneg(e)),
+        "i2_top": pmv.format_element(e),
         "bsi": is_bsi(A),
-        "splitting_element": _fmt(e),
+        "splitting_element": pmv.format_element(e),
     }
     # the flags are None exactly when A has no total square root mapping
     if ideals[0].is_strict_square_ideal is not None:
         r = root_map_ideals(A)
         payload.update(
             strict_map=r.strict_map,
-            least_strict_square_ideal_top=_fmt(r.least_strict_top),
-            least_boolean_ideal_top=_fmt(r.least_boolean_top),
+            least_strict_square_ideal_top=pmv.format_element(r.least_strict_top),
+            least_boolean_ideal_top=pmv.format_element(r.least_boolean_top),
             i1_equals_least_boolean=r.i1_equals_least_boolean,
             i2_equals_least_strict=r.i2_equals_least_strict,
             w_decomposition=r.w_split.asdict(),
@@ -326,7 +322,7 @@ def _cmd_member(args) -> Report:
         x = pmv.element_of(A, value)
     except (CarrierError, ParameterError) as exc:
         return Report("ok", {"member": False, "reason": str(exc)})
-    return Report("ok", {"member": True, "element": _fmt(x)})
+    return Report("ok", {"member": True, "element": pmv.format_element(x)})
 
 
 def _cmd_decompose(args) -> Report:
@@ -338,10 +334,10 @@ def _cmd_decompose(args) -> Report:
     payload = {
         "base": dsl.format_group(C.base),
         "closed": dsl.format_group(C.closed),
-        "element": _fmt(x),
+        "element": pmv.format_element(x),
         "doubling_exponent": dec.n,
         "part_count": 2**dec.n,
-        "parts": [_fmt(p) for p in dec.parts],
+        "parts": [pmv.format_element(p) for p in dec.parts],
         "minimal": dec.minimal,
     }
     if args.approx:

@@ -49,7 +49,7 @@ from . import pmv
 from .errors import ParameterError, UnsupportedOperationError, check
 from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of
 from .records import Record
-from .scalars import odd_part
+from .scalars import format_value, odd_part
 
 HALF_SHIFT = "half_shift"
 IDENTITY = "identity"
@@ -280,7 +280,7 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
     if bad is not None:
         return CritResult(
             ok=False,
-            detail=f"{base.format(bad)} lies in the base group but not in the claimed closure",
+            detail=f"{format_value(bad)} lies in the base group but not in the claimed closure",
             counterexample=bad,
         )
     cert = _certificate(base, closed)
@@ -294,7 +294,7 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
             )
         return CritResult(
             ok=False,
-            detail=f"no doubling of {closed.format(h)} lands in the base group",
+            detail=f"no doubling of {format_value(h)} lands in the base group",
             counterexample=h,
         )
     rng = random.Random(seed)
@@ -304,7 +304,7 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
         n, lands = cert(draw)
         if not lands:
             h = closed.from_draw(draw)
-            return CritResult(False, f"2^{n} * {closed.format(h)} is not in the base group", h)
+            return CritResult(False, f"2^{n} * {format_value(h)} is not in the base group", h)
         max_seen = max(max_seen, n)
     return CritResult(
         ok=True,

@@ -23,7 +23,7 @@ import re
 from . import ogroups as og
 from . import pmv
 from .errors import DslError
-from .scalars import Fraction, format_quad, format_value, parse_quad, reject_zero_denominators
+from .scalars import Fraction, format_quad, parse_quad, reject_zero_denominators
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -221,13 +221,6 @@ def parse_element_value(text: str):
 
 def parse_element(algebra: pmv.Algebra, text: str) -> pmv.Element:
     return pmv.element_of(algebra, parse_element_value(text))
-
-
-format_element_value = format_value
-
-
-def format_element(x: pmv.Element) -> str:
-    return format_element_value(pmv.value_of(x))
 
 
 # ---------------------------------------------------------------------------

@@ -34,11 +34,12 @@ Each family is one class whose public methods are its payload laws:
 ``add``, ``neg``, ``mul``, ``cmp`` (-1, 0, 1, or None for incomparable
 payloads), ``join``, ``meet``, ``halve``, ``contains``, ``normalize``,
 ``zero``, ``unit``, ``witness`` (a payload that does not commute with the
-unit, or None), ``bound``, ``random`` and ``format``; three flags,
-``linear``, ``abelian`` and ``two_divisible``, describe the family.  The
-laws take and return payloads and check nothing.  ``mul(k, p)`` is the
-k-fold sum of p for k >= 0 in closed form; for the twisted families it
-carries the binomial C(k, 2) = k * (k - 1) // 2, an exact integer.
+unit, or None), ``bound`` and ``random``; three flags, ``linear``,
+``abelian`` and ``two_divisible``, describe the family.  The laws take and
+return payloads and check nothing; a payload is written as the DSL reads
+it, by ``scalars.format_value``.  ``mul(k, p)`` is the k-fold sum of p for
+k >= 0 in closed form; for the twisted families it carries the binomial
+C(k, 2) = k * (k - 1) // 2, an exact integer.
 ``random(rng, bound, exp)`` is ``from_draw(draw(rng, bound, exp))``:
 ``draw`` makes the seeded ``randint`` draws and returns the drawn integers,
 a pair (m, d) for each scalar m/d in payload order, and ``from_draw``
@@ -58,7 +59,7 @@ from typing import Union
 
 from .errors import CarrierError, ParameterError, check
 from .records import Record
-from .scalars import QuadValue, format_rational, format_value, is_dyadic, rational
+from .scalars import QuadValue, format_value, is_dyadic, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
 
@@ -165,9 +166,6 @@ class _Rank1(GroupDescriptor):
 
     def bound(self, p):
         return math.ceil(p)
-
-    def format(self, p):
-        return format_rational(p)
 
     def from_draw(self, draw):
         return Fraction(*draw)
@@ -283,15 +281,6 @@ class QuadLattice(GroupDescriptor, Record):
     def from_draw(self, draw):
         return tuple(Fraction(m, d) for m, d in draw)
 
-    def format(self, p):
-        m, n = p
-        if n == 0:
-            return format_rational(m)
-        radical = f"{format_rational(abs(n))}*alpha"
-        if m == 0:
-            return radical if n > 0 else f"-{radical}"
-        return f"{format_rational(m)}{'+' if n > 0 else '-'}{radical}"
-
 
 class _Twisted(GroupDescriptor, Record):
     """``arity``-tuples over a tagged scalar ring, ordered lexicographically,
@@ -348,9 +337,6 @@ class _Twisted(GroupDescriptor, Record):
 
     def from_draw(self, draw):
         return tuple(m if self.tag == "Z" else Fraction(m, d) for m, d in draw)
-
-    def format(self, p):
-        return "(" + ",".join(format_rational(c) for c in p) + ")"
 
 
 # Twist3 and Twist4 inherit the field ``tag`` of _Twisted; records of two
@@ -436,9 +422,6 @@ class _Composite(GroupDescriptor):
 
     def from_draw(self, draw):
         return tuple(f.from_draw(x) for f, x in zip(self.parts, draw))
-
-    def format(self, p):
-        return "(" + ",".join(f.format(a) for f, a in zip(self.parts, p)) + ")"
 
 
 class Lex(_Composite, Record):
@@ -556,7 +539,7 @@ def member(desc: GroupDescriptor, raw) -> Payload:
         # a scalar where a tuple belongs, or a tuple of the wrong length
         raise CarrierError(f"payload {format_value(raw)} has the wrong shape") from None
     if not desc.contains(payload):
-        raise CarrierError(f"{desc.format(payload)} is not in the carrier")
+        raise CarrierError(f"{format_value(payload)} is not in the carrier")
     return payload
 
 

@@ -9,10 +9,11 @@ Two representations are supported:
 * :class:`FiniteAlgebra` -- a finite carrier with its chain decomposition.
 
 Each algebra computes on its own payloads: its methods ``member``,
-``value``, ``format``, ``oplus``, ``odot``, ``lneg``, ``rneg``, ``join``,
-``meet``, ``leq`` and ``is_idempotent`` take and return payloads (group
-elements of [0, u], or carrier indices), and the functions of this module
-on ``Element`` box one method call each.
+``value``, ``oplus``, ``odot``, ``lneg``, ``rneg``, ``join``, ``meet``,
+``leq`` and ``is_idempotent`` take and return payloads (group elements of
+[0, u], or carrier indices), and the functions of this module on
+``Element`` box one method call each.  ``format_element`` writes an
+element's value with ``scalars.format_value``, as the DSL reads it.
 
 A finite pseudo MV-algebra is an MV-algebra and a product of chains
 M(n_1) x ... x M(n_k) (Mundici's Gamma functor; Dvurecenskij for the
@@ -106,14 +107,11 @@ class GammaAlgebra(Algebra, Record):
     def member(self, value) -> og.Payload:
         p = og.member(self.desc, value)
         if not (self.leq(self.zero, p) and self.leq(p, self.unit)):
-            raise CarrierError(f"{self.desc.format(p)} is outside the unit interval")
+            raise CarrierError(f"{format_value(p)} is outside the unit interval")
         return p
 
     def value(self, p) -> og.Payload:
         return p
-
-    def format(self, p) -> str:
-        return self.desc.format(p)
 
     def oplus(self, p, q) -> og.Payload:
         """(p + q) ^ u."""
@@ -210,9 +208,6 @@ class FiniteAlgebra(Algebra):
 
     def value(self, i: int) -> Value:
         return self.values[i]
-
-    def format(self, i: int) -> str:
-        return format_value(self.values[i])
 
     def oplus(self, i: int, j: int) -> int:
         """min(c + d, n) on every chain."""
@@ -324,7 +319,7 @@ def value_of(x: Element):
 
 
 def format_element(x: Element) -> str:
-    return x.algebra.format(x.payload)
+    return format_value(x.algebra.value(x.payload))
 
 
 def zero_elem(A: Algebra) -> Element:
@@ -637,12 +632,12 @@ def chain_decomposition(A: FiniteAlgebra) -> list[tuple[Element, int]]:
 
 
 def chain_lengths(A: FiniteAlgebra) -> list[int]:
-    return sorted(n for _, n in chain_decomposition(A))
+    return sorted(A.decomposition.lengths)
 
 
 def to_gamma_descriptor(A: FiniteAlgebra) -> og.GroupDescriptor:
     """A group descriptor whose unit interval is isomorphic to ``A``."""
-    lengths = [n for _, n in chain_decomposition(A)]
+    lengths = A.decomposition.lengths
     if not lengths:
         raise UnsupportedOperationError("the one-element algebra has no unital group")
     if len(lengths) == 1:

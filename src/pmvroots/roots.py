@@ -17,13 +17,14 @@ family-specific procedure:
 * ``element_sqrt`` dispatches to the widest applicable procedure;
 * on a finite algebra, roots are read off its chain decomposition in closed
   form, chain by chain (``_chain_root``): ``element_sqrt`` and ``sqrt_zero``
-  for one element, ``finite_roots`` for every element, which ``sqrt_map``
-  uses; ``greatest_sqrt_subalgebra`` runs its stages chain by chain on
-  integer coordinates, for both quantifiers.
+  for one element; ``sqrt_map`` reads the chain lengths alone, as only
+  Boolean algebras have a total mapping; ``greatest_sqrt_subalgebra`` runs
+  its stages chain by chain on integer coordinates, for both quantifiers.
 
 The tests keep the element-level procedures these replaced as oracles: the
-relative quantifier ``sqrt_in_subset`` and the subalgebra scan; the
-battery of the root identities lives in the tests too.
+relative quantifier ``sqrt_in_subset``, the subalgebra scan and the root of
+every carrier element, ``finite_roots``; the battery of the root identities
+lives in the tests too.
 
 Negative answers carry a machine-checkable reason code and, where
 meaningful, a witness element.
@@ -47,7 +48,6 @@ from .pmv import (
     is_boolean_elem,
     join,
     leq,
-    lneg,
     odot,
     one_elem,
     zero_elem,
@@ -324,34 +324,20 @@ def _finite_root(M: FiniteAlgebra, x: Element) -> SqrtResult:
     return _exists(Element(M, dec.index[r]))
 
 
-def finite_roots(M: FiniteAlgebra) -> list[Element | None]:
-    """The square root of every carrier element, in carrier order; None
-    where there is none.
+def sqrt_map(M: FiniteAlgebra) -> SqrtMap | None:
+    """The total square root mapping of a finite algebra, or None.
 
-    Read off the chain decomposition coordinate by coordinate with
-    ``_chain_root``; ``sqrt_element_finite`` decides the same by search.
+    A chain M(n) has one only for n = 1, where k + n is even for every
+    k > 0 (``_chain_root``), so a product of chains has one exactly when
+    every chain has length 1.  It is then the identity: r(0) = 0 and
+    w = 0- (.) 0- = 1, strict only on the one-element algebra.
     """
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("total mappings are computed on finite algebras")
-    dec = M.decomposition
-    per_chain = [[_chain_root(n, k) for k in range(n + 1)] for n in dec.lengths]
-    out = []
-    for c in dec.coords:
-        r = tuple(roots_in[k] for roots_in, k in zip(per_chain, c))
-        out.append(None if None in r else Element(M, dec.index[r]))
-    return out
-
-
-def sqrt_map(M: FiniteAlgebra) -> SqrtMap | None:
-    """The total square root mapping of a finite algebra, or None: a product
-    of chains has one exactly when each of its chains has one."""
-    found = finite_roots(M)
-    if None in found:
+    if any(n != 1 for n in M.decomposition.lengths):
         return None
-    mapping = dict(zip(carrier(M), found))
-    r0 = mapping[zero_elem(M)]
-    w = odot(lneg(r0), lneg(r0))
-    return SqrtMap(M, mapping, strict=(r0 == lneg(r0)), r0=r0, w=w)
+    zero, one = zero_elem(M), one_elem(M)
+    return SqrtMap(M, {x: x for x in carrier(M)}, strict=(zero == one), r0=zero, w=one)
 
 
 # ---------------------------------------------------------------------------

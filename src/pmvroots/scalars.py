@@ -60,7 +60,9 @@ def format_rational(x: Fraction) -> str:
 
 
 def format_value(v) -> str:
-    """A rational, a (nested) tuple of rationals or a label, as it is written."""
+    """A rational, a (nested) tuple of rationals such as a group payload, or a
+    label, written as the DSL reads it: the one function that writes values
+    in reports, error messages and the ledger."""
     if isinstance(v, Fraction):
         return format_rational(v)
     if isinstance(v, tuple):

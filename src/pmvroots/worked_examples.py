@@ -13,7 +13,7 @@ from fractions import Fraction
 from . import closures as cl
 from . import ogroups as og
 from . import pmv
-from .dsl import format_element_value, format_group
+from .dsl import format_group
 from .errors import check
 from .ideals import nn12_element, partition_primes
 from .pmv import (
@@ -38,7 +38,7 @@ from .roots import (
     sqrt_map,
     sqrt_zero,
 )
-from .scalars import QuadValue
+from .scalars import QuadValue, format_value
 
 
 class CheckResult(Record):
@@ -61,7 +61,7 @@ def check_m3_root_values() -> CheckResult:
     got = {}
     for num in (0, 1, 2, 3):
         r = sqrt_element_finite(M, element_of(M, Fraction(num, 3)))
-        got[f"{num}/3"] = format_element_value(pmv.value_of(r.value)) if r.exists else "absent"
+        got[f"{num}/3"] = pmv.format_element(r.value) if r.exists else "absent"
     want = {"0/3": "1/3", "1/3": "2/3", "2/3": "absent", "3/3": "1"}
     return CheckResult("m3-root-values", got == want, f"roots {got}")
 
@@ -150,7 +150,7 @@ def check_twist3_negation() -> CheckResult:
     desc = og.Twist3("Z")
     got = desc.neg(og.member(desc, (1, 2, 3)))
     ok = got == (-1, -2, -1)
-    return CheckResult("twist3-negation", ok, f"-(1,2,3) = {format_element_value(got)}")
+    return CheckResult("twist3-negation", ok, f"-(1,2,3) = {format_value(got)}")
 
 
 def check_twist4_decomposition() -> CheckResult:
@@ -162,7 +162,7 @@ def check_twist4_decomposition() -> CheckResult:
     return CheckResult(
         "twist4-decomposition",
         ok,
-        f"identity holds on [-2,2]^4; (0,2,0,0)+(0,0,3,0) = {format_element_value(cross)}",
+        f"identity holds on [-2,2]^4; (0,2,0,0)+(0,0,3,0) = {format_value(cross)}",
     )
 
 
@@ -183,8 +183,8 @@ def check_symmetry_witnesses() -> CheckResult:
     return CheckResult(
         "symmetry-witnesses",
         ok,
-        f"twisted Z^3 negations at (0,1,0): {format_element_value(ln)} vs "
-        f"{format_element_value(rn)}; twisted Z^4 symmetric: {sym4}",
+        f"twisted Z^3 negations at (0,1,0): {format_value(ln)} vs "
+        f"{format_value(rn)}; twisted Z^4 symmetric: {sym4}",
     )
 
 
@@ -195,7 +195,7 @@ def check_twist3_square_value() -> CheckResult:
     return CheckResult(
         "twist3-square-value",
         got == (1, -2, 2),
-        f"(1,-1,1) (.) (1,-1,1) = {format_element_value(got)}",
+        f"(1,-1,1) (.) (1,-1,1) = {format_value(got)}",
     )
 
 
@@ -213,7 +213,7 @@ def check_boolean_root_offset() -> CheckResult:
     return CheckResult(
         "boolean-root-offset",
         ok,
-        f"sqrt(1,0) = sqrt(0) v (1,0) = {format_element_value(pmv.value_of(r.value))}",
+        f"sqrt(1,0) = sqrt(0) v (1,0) = {pmv.format_element(r.value)}",
     )
 
 
@@ -240,7 +240,7 @@ def check_nn12_values() -> CheckResult:
         "M(1)": finite_mv_chain(1),
         "prod(M(1),M(4))": finite_product([finite_mv_chain(1), finite_mv_chain(4)]),
     }
-    got = {name: format_element_value(pmv.value_of(nn12_element(M))) for name, M in algebras.items()}
+    got = {name: pmv.format_element(nn12_element(M)) for name, M in algebras.items()}
     want = {"M(3)": "0", "M(1)": "1", "prod(M(1),M(4))": "(1,0)"}
     return CheckResult("nn12-values", got == want, f"splitting elements {got}")
 
@@ -318,7 +318,7 @@ def check_crit_planted_negative() -> CheckResult:
     return CheckResult(
         "crit-planted-negative",
         ok,
-        f"counterexample h = {format_element_value(r.counterexample)} for (Z/2, D/3); catalog outputs pass",
+        f"counterexample h = {format_value(r.counterexample)} for (Z/2, D/3); catalog outputs pass",
     )
 
 
@@ -445,8 +445,8 @@ def check_noncentral_witness() -> CheckResult:
     return CheckResult(
         "noncentral-witness",
         ok,
-        f"u+(0,1,0) = {format_element_value(left)} differs from "
-        f"(0,1,0)+u = {format_element_value(right)}",
+        f"u+(0,1,0) = {format_value(left)} differs from "
+        f"(0,1,0)+u = {format_value(right)}",
     )
 
 

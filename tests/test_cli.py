@@ -9,7 +9,7 @@ import time
 import jsonschema
 import pytest
 
-from pmvroots import cli, dsl, ideals
+from pmvroots import cli, dsl, ideals, pmv
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -276,14 +276,14 @@ def test_ideals_report_is_the_same_without_precomputed_results():
         A = dsl.parse_algebra(t)
         part = ideals.partition_primes(A)
         payload = blob["payload"]
-        assert payload["x1_tops"] == [dsl.format_element(p.top) for p in part.x1], t
-        assert payload["x2_tops"] == [dsl.format_element(p.top) for p in part.x2], t
-        assert payload["i1_top"] == dsl.format_element(ideals.ideal_top(A, part.i1)), t
-        assert payload["i2_top"] == dsl.format_element(ideals.ideal_top(A, part.i2)), t
+        assert payload["x1_tops"] == [pmv.format_element(p.top) for p in part.x1], t
+        assert payload["x2_tops"] == [pmv.format_element(p.top) for p in part.x2], t
+        assert payload["i1_top"] == pmv.format_element(ideals.ideal_top(A, part.i1)), t
+        assert payload["i2_top"] == pmv.format_element(ideals.ideal_top(A, part.i2)), t
         assert payload["bsi"] == ideals.is_bsi(A), t
-        assert payload["splitting_element"] == dsl.format_element(ideals.nn12_element(A)), t
+        assert payload["splitting_element"] == pmv.format_element(ideals.nn12_element(A)), t
         assert [i["top"] for i in payload["ideals"]] == [
-            dsl.format_element(i.top) for i in ideals.enumerate_ideals(A)
+            pmv.format_element(i.top) for i in ideals.enumerate_ideals(A)
         ], t
 
 
@@ -299,6 +299,12 @@ def test_carrier_messages_print_values_as_written():
     assert blob["payload"]["reason"] == "payload 1/2 has the wrong shape"
     code, blob = run_json(["decompose", "M(3)", "(1,2)"])
     assert code == 3 and blob["payload"]["message"] == "payload (1,2) has the wrong shape"
+    # a quadratic-lattice payload is written as the tuple the user typed,
+    # also nested in a lexicographic product
+    _, blob = run_json(["member", "gamma(quad(1/2*sqrt(2)))", "(2,1)"])
+    assert blob["payload"]["reason"] == "(2,1) is outside the unit interval"
+    _, blob = run_json(["member", "gamma(lex(Z/1,quad(1/2*sqrt(2))))", "(0,(1/2,1))"])
+    assert blob["payload"]["reason"] == "(0,(1/2,1)) is not in the carrier"
 
 
 @pytest.mark.parametrize(

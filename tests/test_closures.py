@@ -315,7 +315,7 @@ def fraction_crit_check(base, closed, samples=60, seed=2):
     detail, counterexample, samples_checked, max_exponent_seen)."""
     bad = containment_counterexample(base, closed)
     if bad is not None:
-        return False, f"{base.format(bad)} lies in the base group but not in the claimed closure", bad, 0, 0
+        return False, f"{S.format_value(bad)} lies in the base group but not in the claimed closure", bad, 0, 0
     if claimed_exponent(base, closed, closed.unit()) is None:
         h = criterion_counterexample(base, closed)
         d = h
@@ -323,16 +323,16 @@ def fraction_crit_check(base, closed, samples=60, seed=2):
             if base.contains(d):
                 return False, "no symbolic certificate covers this base/closure pair", None, 0, 0
             d = closed.add(d, d)
-        return False, f"no doubling of {closed.format(h)} lands in the base group", h, 0, 0
+        return False, f"no doubling of {S.format_value(h)} lands in the base group", h, 0, 0
     rng = random.Random(seed)
     max_seen = 0
     for _ in range(samples):
         h = closed.random(rng, 3, 5)
         n = claimed_exponent(base, closed, h)
         if n is None:
-            return False, f"certificate has no exponent for {closed.format(h)}", h, 0, 0
+            return False, f"certificate has no exponent for {S.format_value(h)}", h, 0, 0
         if not base.contains(closed.mul(2**n, h)):
-            return False, f"2^{n} * {closed.format(h)} is not in the base group", h, 0, 0
+            return False, f"2^{n} * {S.format_value(h)} is not in the base group", h, 0, 0
         max_seen = max(max_seen, n)
     return True, "every sampled element reached the base group under doubling", None, samples, max_seen
 
@@ -425,7 +425,7 @@ def test_a_product_of_the_wrong_length_fails_on_its_first_draw():
     for base, closed in [(GRID[17], GRID[16]), (GRID[16], GRID[17]), (one_factor, GRID[15])]:
         res = cl.crit_check(base, closed, seed=7)
         first = closed.random(random.Random(7), 3, 5)
-        assert not res.ok and res.detail.endswith(f"* {closed.format(first)} is not in the base group")
+        assert not res.ok and res.detail.endswith(f"* {S.format_value(first)} is not in the base group")
         assert (res.counterexample, repr(res.counterexample)) == (first, repr(first))
 
 

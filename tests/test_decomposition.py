@@ -6,26 +6,28 @@ check of the tables.  Products, intervals and quotients compose their
 chains from their operands' instead, and the constructor is their oracle:
 given a composed algebra's tables it must build an equal algebra with
 exactly the same decomposition.  The element operations compute on the
-coordinates and are compared with their formulas in (+) and the
-negations.  The ideals, their flags, the prime partition, the splitting
-element, the quotients, the roots and both quantifiers of
-``greatest_sqrt_subalgebra`` read the decomposition, and the strict square
-ideals and the w-split its chain lengths.  The procedures it
+coordinates and are compared with their formulas in (+) and the negations.
+The ideals, their flags, the prime partition, the splitting element, the
+quotients, the roots and both quantifiers of ``greatest_sqrt_subalgebra``
+read the decomposition, and the total square root mapping, the strict
+square ideals and the w-split its chain lengths.  The procedures it
 replaced are kept as oracles: the atomic decomposition through interval
 tables, a product and a homomorphism check (``check_homomorphism`` of
 ``tests/test_pmv.py``); the ideal definition, the members found by the
 order, and the normal, prime and Boolean scans; I1 and I2 by intersecting
 the primes, and the splitting element by its definition, d(a, 1) in I1 and
-a in I2; the least strict square and Boolean ideals by scanning the
-ideals, and the w-split computed from the mapping by the ledger's
-``worked_examples.w_split``; the congruence-class quotient; the
-exhaustive root search ``sqrt_element_finite``, its restriction to a subset
-``sqrt_in_subset`` and the element-level stage iteration with its
-subalgebra scan; the cut of ``interval`` from the meet table; and the
-cell-by-cell axiom check ``_verdict_cell_by_cell`` of ``tests/test_pmv.py``,
-which rejects every altered table that the constructor rejects.  The
-oracles on tables read the derived tables of ``derived_tables_of``, built
-from (+) and the negations in the tests, not ``pmv``'s operations.
+a in I2; the least strict square and Boolean ideals by scanning the ideals,
+and the w-split computed from the mapping by the ledger's
+``worked_examples.w_split``; the congruence-class quotient; the root of
+every element read chain by chain, ``finite_roots``, and the mapping built
+from it; the exhaustive root search ``sqrt_element_finite``, its
+restriction to a subset ``sqrt_in_subset`` and the element-level stage
+iteration with its subalgebra scan; the cut of ``interval`` from the meet
+table; and the cell-by-cell axiom check ``_verdict_cell_by_cell`` of
+``tests/test_pmv.py``, which rejects every altered table that the
+constructor rejects.  The oracles on tables read the derived tables of
+``derived_tables_of``, built from (+) and the negations in the tests, not
+``pmv``'s operations.
 """
 
 import contextlib
@@ -204,6 +206,37 @@ def sqrt_in_subset(A, x, allowed):
     if not candidates:
         return roots.SqrtResult("not_exists", reason=roots.NO_CANDIDATE)
     return roots.SqrtResult("not_exists", reason=roots.SQ2_VIOLATED)
+
+
+def finite_roots(A):
+    """The square root of every carrier element, in carrier order; None
+    where there is none, read off the chain decomposition coordinate by
+    coordinate with the closed form of one chain, ``roots._chain_root``."""
+    dec = A.decomposition
+    per_chain = [[roots._chain_root(n, k) for k in range(n + 1)] for n in dec.lengths]
+    out = []
+    for c in dec.coords:
+        r = tuple(roots_in[k] for roots_in, k in zip(per_chain, c))
+        out.append(None if None in r else pmv.Element(A, dec.index[r]))
+    return out
+
+
+def sqrt_map_oracle(A):
+    """The total square root mapping built from the root of every element,
+    or None when some element has none; r0 = r(0) and w = r0- (.) r0-."""
+    found = finite_roots(A)
+    if None in found:
+        return None
+    mapping = dict(zip(pmv.carrier(A), found))
+    r0 = mapping[pmv.zero_elem(A)]
+    w = pmv.odot(pmv.lneg(r0), pmv.lneg(r0))
+    return roots.SqrtMap(A, mapping, strict=(r0 == pmv.lneg(r0)), r0=r0, w=w)
+
+
+def assert_sqrt_map_matches_the_oracle(A):
+    smap, expected = roots.sqrt_map(A), sqrt_map_oracle(A)
+    assert smap == expected  # the mapping is not compared by SqrtMap's equality
+    assert smap is None or smap.mapping == expected.mapping
 
 
 def is_subalgebra(A, subset):
@@ -434,14 +467,10 @@ def test_closed_form_roots_match_the_search(A):
     # says that no a has a (.) a == x
     assert all(r.exists or r.reason == roots.NO_CANDIDATE for r in found.values())
     expected = [r.value if r.exists else None for r in found.values()]
-    assert roots.finite_roots(A) == expected
+    assert finite_roots(A) == expected
     assert all(roots.element_sqrt(A, x) == r for x, r in found.items())
     assert roots.sqrt_zero(A).value == found[pmv.zero_elem(A)].value
-    smap = roots.sqrt_map(A)
-    if None in expected:
-        assert smap is None
-    else:
-        assert smap.mapping == dict(zip(pmv.carrier(A), expected))
+    assert_sqrt_map_matches_the_oracle(A)
 
 
 def test_sqrt_in_subset_detects_domination_failure():
@@ -687,9 +716,9 @@ def test_a_misplaced_zero_or_one_is_not_a_chain_product(lengths):
 
 
 @st.composite
-def relabelled(draw):
+def relabelled(draw, presentations=ORDERED):
     """A chain product of at most 64 elements, its carrier permuted."""
-    lengths = draw(st.sampled_from(ORDERED))
+    lengths = draw(st.sampled_from(presentations))
     A = product_of(lengths)
     perm = draw(st.permutations(range(A.size)))  # old index -> new index
     inv = [0] * A.size
@@ -718,3 +747,23 @@ def test_relabelled_products_decompose_and_altered_ones_do_not(case, data):
     old = getattr(B, kind)(*cell)
     value = data.draw(st.integers(0, n - 1).filter(lambda v: v != old))
     assert_rejected(B.values, altered(B, kind, cell, value))
+
+
+# Boolean algebras are the only chain products with a total mapping; they
+# are 6 of the 440 presentations, so they are drawn on their own too
+BOOLEAN_LENGTHS = [t for t in ORDERED if set(t) == {1}]
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True)
+@given(st.one_of(relabelled(), relabelled(BOOLEAN_LENGTHS)))
+def test_sqrt_map_matches_the_oracle_on_drawn_chain_products(case):
+    _, B = case
+    assert_sqrt_map_matches_the_oracle(B)
+
+
+def test_sqrt_map_of_the_one_element_algebra_is_strict():
+    A = M(1)
+    O = pmv.interval(A, pmv.zero_elem(A))
+    assert O.size == 1
+    assert_sqrt_map_matches_the_oracle(O)
+    assert roots.sqrt_map(O).strict

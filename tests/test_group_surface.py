@@ -13,6 +13,9 @@ function, a class, a constant, a method or an instance attribute.
 Every other module keeps its own private names too: no module reads through
 a module alias, or imports, an underscore top-level name that another
 module of the package defines.
+
+Neither layer writes values: no class of ``ogroups`` or ``pmv`` defines
+``format``, as ``scalars.format_value`` is the one function that does.
 """
 
 import ast
@@ -213,3 +216,40 @@ def test_the_guard_finds_private_module_names():
 def test_no_module_reads_another_modules_private_names():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
     assert module_privacy_violations(sources) == []
+
+
+def format_definitions(source: str) -> list[str]:
+    """``Class:line`` for each class of ``source`` whose body defines or
+    assigns ``format``."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            if "format" in names:
+                found.append(f"{cls.name}:{node.lineno}")
+    return found
+
+
+def test_the_guard_finds_format_laws():
+    source = (
+        "class G:\n"
+        "    def format(self, p):\n        return str(p)\n"
+        "    def add(self, p, q):\n        return p\n"
+        "class H:\n"
+        "    format = G.format\n"
+        "def format(p):\n    return str(p)\n"
+    )
+    assert format_definitions(source) == ["G:2", "H:7"]
+
+
+def test_no_group_or_algebra_class_writes_values():
+    for module in ("ogroups", "pmv"):
+        assert format_definitions((SRC / f"{module}.py").read_text(encoding="utf-8")) == [], module
