@@ -87,7 +87,12 @@ def _approximate(value) -> object:
     return float(value)
 
 
-def _sorted_values(elems) -> list[str]:
+def _sorted_values(A: pmv.Algebra, elems) -> list[str]:
+    """The values of elements of ``A`` in ascending order.  A finite algebra
+    of the DSL lists its carrier in that order, so its elements sort by
+    carrier index."""
+    if isinstance(A, pmv.FiniteAlgebra):
+        return [format_value(A.values[i]) for i in sorted(x.payload for x in elems)]
     return [format_value(v) for v in sorted(pmv.value_of(x) for x in elems)]
 
 
@@ -119,7 +124,7 @@ def _cmd_analyze(args) -> Report:
         if sym_witness is not None:
             payload["asymmetry_witness"] = pmv.format_element(sym_witness)
         try:
-            payload["boolean_skeleton"] = _sorted_values(pmv.boolean_skeleton(A))
+            payload["boolean_skeleton"] = _sorted_values(A, pmv.boolean_skeleton(A))
         except UnsupportedOperationError:
             payload["boolean_skeleton"] = "unsupported"
     else:
@@ -127,7 +132,7 @@ def _cmd_analyze(args) -> Report:
             "kind": "finite",
             "size": A.size,
             "symmetric": pmv.is_symmetric(A)[0],
-            "boolean_skeleton": _sorted_values(pmv.boolean_skeleton(A)),
+            "boolean_skeleton": _sorted_values(A, pmv.boolean_skeleton(A)),
         }
         if A.size > 1:
             payload["chain_lengths"] = pmv.chain_lengths(A)
@@ -175,7 +180,7 @@ def _sqrtmap_finite(M: pmv.FiniteAlgebra) -> Report:
     }
     if M.size <= 32:
         payload["mapping"] = [[pmv.format_element(x), pmv.format_element(r)] for x, r in sorted(
-            smap.mapping.items(), key=lambda kv: pmv.value_of(kv[0])
+            smap.mapping.items(), key=lambda kv: kv[0].payload
         )]
     return Report("ok", payload)
 
@@ -345,10 +350,10 @@ def _cmd_decompose(args) -> Report:
     return Report("ok", payload)
 
 
-def _greatest_payload(res: roots.GreatestSqrtResult) -> dict:
+def _greatest_payload(A: pmv.FiniteAlgebra, res: roots.GreatestSqrtResult) -> dict:
     return {
-        "stages": [_sorted_values(stage) for stage in res.stages],
-        "fixpoint": _sorted_values(res.fixpoint),
+        "stages": [_sorted_values(A, stage) for stage in res.stages],
+        "fixpoint": _sorted_values(A, res.fixpoint),
         "stage_is_subalgebra": list(res.subalgebra_flags),
         "fixpoint_is_subalgebra": res.fixpoint_is_subalgebra,
     }
@@ -360,14 +365,14 @@ def _cmd_greatest(args) -> Report:
         raise UnsupportedOperationError("the stage iteration needs a finite algebra")
     if args.quantifier is not None:
         res = roots.greatest_sqrt_subalgebra(A, quantifier=args.quantifier)
-        return Report("ok", {args.quantifier: _greatest_payload(res)})
+        return Report("ok", {args.quantifier: _greatest_payload(A, res)})
     ambient = roots.greatest_sqrt_subalgebra(A, quantifier="ambient")
     relative = roots.greatest_sqrt_subalgebra(A, quantifier="relative")
     return Report(
         "ok",
         {
-            "ambient": _greatest_payload(ambient),
-            "relative": _greatest_payload(relative),
+            "ambient": _greatest_payload(A, ambient),
+            "relative": _greatest_payload(A, relative),
             "quantifiers_agree": ambient.fixpoint == relative.fixpoint,
         },
     )

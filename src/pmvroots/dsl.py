@@ -23,7 +23,7 @@ import re
 from . import ogroups as og
 from . import pmv
 from .errors import DslError
-from .scalars import Fraction, format_quad, parse_quad, reject_zero_denominators
+from .scalars import Fraction, format_quad, parse_quad, read_numeral, reject_zero_denominators
 
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
@@ -91,7 +91,7 @@ class _Cursor:
         if not m:
             self.error("expected an integer")
         self.pos = m.end()
-        return int(m.group())
+        return read_numeral(m.group(), int)
 
     def rational(self) -> Fraction:
         self.skip_ws()
@@ -99,7 +99,7 @@ class _Cursor:
         if not m:
             self.error("expected a rational number")
         self.pos = m.end()
-        return Fraction(m.group())
+        return read_numeral(m.group())
 
     def balanced(self) -> str:
         """The text of a parenthesized group, parentheses stripped."""

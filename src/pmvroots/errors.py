@@ -22,7 +22,8 @@ class UnsupportedOperationError(PmvError):
 
 
 class ResourceLimitError(PmvError):
-    """A finite carrier would have more than ``pmv.MAX_CARRIER`` elements."""
+    """A finite carrier, or a listed Boolean skeleton, would have more than
+    ``pmv.MAX_CARRIER`` elements."""
 
 
 class DslError(PmvError):

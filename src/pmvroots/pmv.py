@@ -31,15 +31,22 @@ coordinates of every element), 0 and 1, whichever way it was built:
   product puts its factors' coordinates side by side, an interval [0, b]
   keeps the chains on which b is full and a quotient by [0, b] those on
   which it is not.  No table is built and nothing is decomposed again.
+  A product finds the carrier index of a value by arithmetic, from its
+  factors' indices by mixed radix, and an interval from its parent's; only
+  table-built algebras and quotients look values up in the hashed
+  ``index``.
+
+Every finite algebra of the DSL lists its carrier in ascending value order:
+M(n) as k/n, a product in ``itertools.product`` order, which is
+lexicographic, and an interval as a subsequence of its parent's carrier.
 
 The operations compute on coordinates, chain by chain as in M(n):
 x (+) y is min(c + d, n), both negations n - c, x (.) y max(c + d - n, 0),
 v and ^ max and min, x <= y is c <= d on every chain and x is idempotent
-when each c is 0 or n; ``x -> y = x- (+) y`` in every algebra.  The tables
-of (+) and of the negations are computed from the decomposition on first
-read.  The analyses of the whole carrier (chain lengths, ideals and
-quotients, intervals, square roots and the greatest subalgebra with roots)
-read the decomposition too.  The tests keep as oracles the homomorphism
+when each c is 0 or n; ``x -> y = x- (+) y`` in every algebra.  The
+analyses of the whole carrier (chain lengths, ideals and quotients,
+intervals, square roots and the greatest subalgebra with roots) read the
+decomposition too.  The tests keep as oracles the homomorphism
 check on ``Element`` maps, ``check_homomorphism``, and the formulas of the
 derived operations in the tables: ``x (.) y = (y- (+) x-)~``,
 ``x v y = x (+) (x~ (.) y)``, ``x ^ y = x (.) (x- (+) y)`` and ``x <= y``
@@ -51,8 +58,8 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cached_property
-from operator import add, itemgetter, le, sub
+from functools import cached_property, partial
+from operator import add, itemgetter, le, mul, sub
 from typing import NamedTuple, Union
 
 from . import ogroups as og
@@ -159,9 +166,11 @@ class FiniteAlgebra(Algebra):
     chains, so the one check is to find that decomposition; the tables are
     not kept.  Products, intervals and quotients compose theirs from checked
     ones instead (``compose``) and build no table.  Both ways fill the same
-    fields; the tables are computed on first read, and so is ``index``, from
-    values to carrier indices, unless the table constructor built it.  The
-    operations on carrier indices compute on the coordinates.
+    fields.  ``member`` finds a value's carrier index by arithmetic on a
+    product or an interval, and through ``index``, the map from values to
+    carrier indices, on a table-built algebra, which keeps the one its
+    constructor built, and on a quotient, which builds it on first read.
+    The operations on carrier indices compute on the coordinates.
     """
 
     def __init__(self, values, oplus, lneg, rneg, zero, one):
@@ -176,9 +185,10 @@ class FiniteAlgebra(Algebra):
             raise ParameterError("carrier values must be pairwise distinct")
         self._set(values, _decompose(oplus, lneg, rneg, zero, one), index)
 
-    def _set(self, values: tuple, dec: ChainDecomposition, index: dict | None = None) -> None:
+    def _set(self, values: tuple, dec: ChainDecomposition, index: dict | None = None, find=None) -> None:
         self.values = values
         self._index = index
+        self._find = find  # value -> carrier index by arithmetic, or None: read ``index``
         self.size = len(values)
         self.zero_i = dec.index[(0,) * len(dec.lengths)]
         self.one_i = dec.index[dec.lengths]
@@ -193,7 +203,8 @@ class FiniteAlgebra(Algebra):
     def index(self) -> dict:
         """The carrier index of each value.  The table constructor keeps the
         map it built to check the values, so they are hashed once; a
-        composed algebra builds it on first read."""
+        quotient builds it on first read, and ``member`` of a product or an
+        interval does not read it."""
         if self._index is None:
             self._index = {v: i for i, v in enumerate(self.values)}
         return self._index
@@ -201,10 +212,11 @@ class FiniteAlgebra(Algebra):
     def member(self, value) -> int:
         if isinstance(value, int):
             value = Fraction(value)
-        index = self.index
-        if value not in index:
-            raise CarrierError(f"{format_value(value)} is not in the carrier")
-        return index[value]
+        find = self._find
+        try:
+            return self.index[value] if find is None else find(value)
+        except (KeyError, CarrierError):
+            raise CarrierError(f"{format_value(value)} is not in the carrier") from None
 
     def value(self, i: int) -> Value:
         return self.values[i]
@@ -260,14 +272,16 @@ class FiniteAlgebra(Algebra):
         return f"finite algebra ({self.size} elements)"
 
 
-def compose(values, atoms, lengths, coords) -> FiniteAlgebra:
+def compose(values, atoms, lengths, coords, find=None) -> FiniteAlgebra:
     """The algebra on ``values`` with this chain decomposition, which the
     caller composed from the checked decompositions of its operands: it runs
-    no check and builds no table."""
+    no check and builds no table.  ``find`` maps a value to its carrier
+    index, raising ``KeyError`` or ``CarrierError`` off the carrier; without
+    it ``member`` reads ``index``."""
     coords = tuple(coords)
     index = {c: x for x, c in enumerate(coords)}
     A = FiniteAlgebra.__new__(FiniteAlgebra)
-    A._set(tuple(values), ChainDecomposition(tuple(atoms), tuple(lengths), coords, index))
+    A._set(tuple(values), ChainDecomposition(tuple(atoms), tuple(lengths), coords, index), None, find)
     return A
 
 
@@ -405,7 +419,8 @@ def is_symmetric(A: Algebra) -> tuple[bool, Element | None]:
 def boolean_skeleton(A: Algebra) -> list[Element]:
     """All idempotent elements, when they are enumerable; in carrier order
     on a finite algebra, where they are the elements whose coordinates are
-    each 0 or n."""
+    each 0 or n.  A product of k linear groups has 2^k, refused above
+    ``MAX_CARRIER`` before any is listed."""
     if isinstance(A, FiniteAlgebra):
         dec = A.decomposition
         corners = itertools.product(*((0, n) for n in dec.lengths))
@@ -414,19 +429,18 @@ def boolean_skeleton(A: Algebra) -> list[Element]:
     if desc.linear:
         return [zero_elem(A), one_elem(A)]
     if isinstance(desc, og.ProductGroup) and all(f.linear for f in desc.factors):
-        out = []
-        for bits in itertools.product((0, 1), repeat=len(desc.factors)):
-            payload = tuple(f.unit() if b else f.zero() for f, b in zip(desc.factors, bits))
-            out.append(Element(A, payload))
-        return out
+        k = len(desc.factors)
+        if 2**k > MAX_CARRIER:
+            raise ResourceLimitError(f"the Boolean skeleton has 2^{k} elements, above the limit {MAX_CARRIER}")
+        return [Element(A, p) for p in itertools.product(*((f.zero(), f.unit()) for f in desc.factors))]
     raise UnsupportedOperationError(f"cannot enumerate idempotents of {desc!r}")
 
 
 # ---------------------------------------------------------------------------
 # constructions
 
-# the most elements a chain or a product builds; its (+) table has the
-# square of this many cells
+# the most elements a chain or a product builds, and a group's Boolean
+# skeleton lists; a chain's (+) table has the square of this many cells
 MAX_CARRIER = 1024
 
 
@@ -456,7 +470,8 @@ def finite_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
     entries' coordinates side by side.  An atom is one factor's atom with
     every other entry at 0; its carrier index is mixed-radix, the last
     factor counting fastest, and the chains are put in that order of their
-    atoms, so a later factor's atom comes first.  No table is built.
+    atoms, so a later factor's atom comes first.  No table is built, and a
+    value's carrier index is its entries' indices in mixed radix.
     """
     if not factors:
         raise ParameterError("product needs at least one factor")
@@ -467,16 +482,24 @@ def finite_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
     atoms = [zero + (a - f.zero_i) * m for f, dec, m in zip(factors, decs, strides) for a in dec.atoms]
     lengths = [n for dec in decs for n in dec.lengths]
     order = sorted(range(len(atoms)), key=atoms.__getitem__)
-    side_by_side = (
-        tuple(itertools.chain.from_iterable(cs)) for cs in itertools.product(*(dec.coords for dec in decs))
-    )
-    coords = (tuple(map(c.__getitem__, order)) for c in side_by_side)
+    side_by_side = map(tuple, map(itertools.chain.from_iterable, itertools.product(*(dec.coords for dec in decs))))
+    # itemgetter of one index returns a bare int, and of none fails: one
+    # chain or none is in order already
+    pick = itemgetter(*order) if len(order) > 1 else tuple
     return compose(
         itertools.product(*(f.values for f in factors)),
         [atoms[i] for i in order],
         [lengths[i] for i in order],
-        coords,
+        map(pick, side_by_side),
+        partial(_find_in_product, tuple(factors), strides),
     )
+
+
+def _find_in_product(factors: tuple, strides: list[int], value) -> int:
+    """The carrier index of a tuple: its entries' indices in mixed radix."""
+    if not isinstance(value, tuple) or len(value) != len(factors):
+        raise KeyError(value)
+    return sum(map(mul, map(FiniteAlgebra.member, factors, value), strides))
 
 
 def product(algebras: list[Algebra]) -> Algebra:
@@ -494,7 +517,8 @@ def interval(A: Algebra, b: Element) -> Algebra:
     """The relative algebra on [0, b] for an idempotent b.
 
     On a finite algebra it is the product of the chains on which b is full,
-    composed from ``A``'s decomposition without a table.
+    composed from ``A``'s decomposition without a table; it finds a value's
+    carrier index from its index in ``A``.
     """
     if b.algebra != A:
         raise MismatchError("bound must belong to the algebra")
@@ -513,6 +537,7 @@ def interval(A: Algebra, b: Element) -> Algebra:
             [pos[dec.atoms[i]] for i in full],
             [dec.lengths[i] for i in full],
             [tuple(dec.coords[x][i] for i in full) for x in keep],
+            partial(_find_in_interval, A, pos),
         )
     desc = A.desc
     if b == one_elem(A):
@@ -523,6 +548,12 @@ def interval(A: Algebra, b: Element) -> Algebra:
     if b == zero_elem(A):
         return _degenerate()
     raise UnsupportedOperationError(f"cannot relativize {desc!r} at {b}")
+
+
+def _find_in_interval(parent: FiniteAlgebra, pos: dict[int, int], value) -> int:
+    """The carrier index of a value of [0, b]: its index in the parent,
+    renumbered by ``pos``."""
+    return pos[parent.member(value)]
 
 
 def _degenerate() -> FiniteAlgebra:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DslError, ParameterError
@@ -37,11 +38,21 @@ def parse_rational(text: str) -> Fraction:
     if not re.fullmatch(r"[+-]?\d+(/\d+)?", stripped):
         raise DslError(f"malformed rational {stripped!r}")
     reject_zero_denominators(text)
-    return Fraction(stripped)
+    return read_numeral(stripped)
 
 
-# a rational whose denominator is zeros only
-_ZERO_DENOMINATOR = re.compile(r"[+-]?\d+/0+(?!\d)")
+def read_numeral(text: str, convert=Fraction):
+    """A numeral that the caller has matched, read by ``convert``; one of
+    more digits than CPython converts to an int raises ``ParameterError``."""
+    try:
+        return convert(text)
+    except ValueError:  # the syntax was matched, so only the digit limit is left
+        raise ParameterError(f"a numeral has more than {sys.get_int_max_str_digits()} digits") from None
+
+
+# a rational whose denominator is zeros only; its digits start a run of
+# digits, so a search tries each run once and stays linear in its length
+_ZERO_DENOMINATOR = re.compile(r"[+-]?(?<!\d)\d+/0+(?!\d)")
 
 
 def reject_zero_denominators(text: str) -> None:
@@ -230,15 +241,15 @@ def parse_quad(text: str) -> QuadValue:
     if not m or (m.group("a") is None and m.group("b") is None):
         raise DslError(f"malformed quadratic value {text!r}")
     reject_zero_denominators(text)
-    a = Fraction(m.group("a")) if m.group("a") else Fraction(0)
+    a = read_numeral(m.group("a")) if m.group("a") else Fraction(0)
     if m.group("b") is None:
         return QuadValue.make(a)
     if m.group("a") is not None and m.group("sign") is None:
         raise DslError(f"missing sign before radical part in {text!r}")
-    b = Fraction(m.group("b"))
+    b = read_numeral(m.group("b"))
     if m.group("sign") == "-":
         b = -b
-    return QuadValue.make(a, b, int(m.group("d")))
+    return QuadValue.make(a, b, read_numeral(m.group("d"), int))
 
 
 def format_quad(x: QuadValue) -> str:

@@ -462,6 +462,55 @@ def test_a_carrier_above_the_limit_is_refused_before_its_tables(argv, size):
     assert time.perf_counter() - start < 1.0
 
 
+def group_product(k):
+    return "gamma(prod(" + ",".join(["Z/3"] * k) + "))"
+
+
+def test_a_group_skeleton_above_the_limit_is_refused_before_it_is_listed():
+    code, blob = run_json(["analyze", group_product(10)])
+    assert (code, len(blob["payload"]["boolean_skeleton"])) == (0, 1024)
+    message = "the Boolean skeleton has 2^11 elements, above the limit 1024"
+    assert run(["analyze", group_product(11)]) == (3, f"status: error\nmessage: {message}\n")
+
+
+def test_a_skeleton_of_3000_factors_is_refused_at_once_in_a_bounded_child():
+    import os
+    import subprocess
+    import sys
+
+    # the child may hold at most 1 GiB, so a listing of 2^3000 elements ends
+    # in a MemoryError there and not on the machine
+    probe = (
+        "import resource, time; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from pmvroots import cli; start = time.perf_counter(); "
+        f"code = cli.main(['analyze', {group_product(3000)!r}]); print(code, time.perf_counter() - start)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    *report, summary = out.stdout.splitlines()
+    assert report == ["status: error", "message: the Boolean skeleton has 2^3000 elements, above the limit 1024"]
+    code, seconds = summary.split()
+    assert code == "3" and float(seconds) < 0.5
+
+
+NUMERAL = "7" * 4400
+
+
+@pytest.mark.parametrize("argv", [
+    ["member", "M(3)", NUMERAL],
+    ["member", "prod(M(1),M(2))", f"(0,1/{NUMERAL})"],
+    ["sqrt", "gamma(Q)", f"1/{NUMERAL}"],
+    ["analyze", f"gamma(Z/{NUMERAL})"],
+    ["analyze", f"gamma(D/{NUMERAL})"],
+    ["analyze", f"M({NUMERAL})"],
+    ["analyze", f"gamma(quad(1/2*sqrt({NUMERAL})))"],
+    ["analyze", f"gamma(quad({NUMERAL}+1*sqrt(2)))"],
+    ["analyze", f"gamma(dquad(-1+{NUMERAL}*sqrt(2)))"],
+])
+def test_a_numeral_beyond_the_digit_limit_is_a_parameter_error(argv):
+    assert run(argv) == (3, "status: error\nmessage: a numeral has more than 4300 digits\n")
+
+
 def test_the_longest_chain_under_the_limit_still_builds():
     code, blob = run_json(["analyze", "M(1023)"])
     assert (code, blob["payload"]["size"]) == (0, 1024)

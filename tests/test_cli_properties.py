@@ -10,7 +10,9 @@ Chains ``M(n)`` are drawn with n <= 63 or n >= ``pmv.MAX_CARRIER``, where
 the carrier size guard answers; inside products the chains are shorter
 still.  The sizes in between are valid inputs, but their tables have up
 to a million cells, so they stay out only to keep the test within its
-time budget.
+time budget.  Numerals longer than CPython converts to an int, and group
+products of up to 20 factors, whose Boolean skeleton the size guard
+refuses from 11 linear factors on, reach the guards of those inputs.
 """
 
 import contextlib
@@ -29,8 +31,10 @@ SCHEMA = json.loads(
 )
 VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
 
+# more digits than CPython converts to an int
+LONG = st.sampled_from(["7" * 4301, "1" + "0" * 5000])
 # above the carrier limit
-HUGE = st.sampled_from([pmv.MAX_CARRIER, pmv.MAX_CARRIER + 1, 3333, 888888, 10**6])
+HUGE = st.one_of(st.sampled_from([pmv.MAX_CARRIER, pmv.MAX_CARRIER + 1, 3333, 888888, 10**6]), LONG)
 
 # --- elements --------------------------------------------------------------------
 
@@ -44,6 +48,8 @@ scalars = st.one_of(
     # denominators may be 0
     st.builds("{}/{}".format, st.integers(-4, 12), st.integers(0, 12)),
     st.sampled_from([".5", "0.5", "-0.25", "1.", "1e3", "9" * 40, "-0", "00012/0008"]),
+    LONG,
+    LONG.map("1/{}".format),
 )
 elements = st.recursive(
     scalars,
@@ -54,15 +60,22 @@ elements = st.recursive(
 # --- groups ----------------------------------------------------------------------
 
 alphas = st.sampled_from(["-1+1*sqrt(2)", "1/2*sqrt(2)", "-1+1*sqrt(3)", "3-1*sqrt(5)"])
-leaf_groups = st.one_of(
+linear_groups = st.one_of(
     st.builds("Z/{}".format, st.integers(1, 12)),
     st.builds("D/{}".format, st.integers(0, 6).map(lambda k: 2 * k + 1)),
     st.just("Q"),
     st.builds("{}({})".format, st.sampled_from(["quad", "dquad"]), alphas),
+)
+leaf_groups = st.one_of(
+    linear_groups,
     st.builds("{}({})".format, st.sampled_from(["twist3", "twist4"]), st.sampled_from("ZDQ")),
     # parameters out of range
     st.sampled_from(["Z/0", "D/2", "D/-1", "quad(1+1*sqrt(2))", "quad(sqrt(4))",
                      "dquad(1/0*sqrt(2))", "twist3(R)", "twist5(Z)"]),
+    st.builds("{}{}".format, st.sampled_from(["Z/", "D/"]), LONG),
+    # a power of 10: with a digit dropped, the radicand still has the square
+    # factor 4, which the square-free test finds at once
+    st.builds("quad({}*sqrt(1{}))".format, st.sampled_from(["1/2", "-1+1", "1"]), st.just("0" * 5000)),
 )
 groups = st.recursive(
     leaf_groups,
@@ -72,7 +85,11 @@ groups = st.recursive(
     ),
     max_leaves=4,
 )
-gammas = groups.map("gamma({})".format)
+# wide products of linear groups: from 11 factors on, a Boolean skeleton of
+# more than MAX_CARRIER elements
+wide = st.integers(2, 20).flatmap(lambda k: st.lists(linear_groups, min_size=k, max_size=k)).map(
+    lambda fs: f"gamma(prod({','.join(fs)}))")
+gammas = st.one_of(groups.map("gamma({})".format), wide)
 
 # --- algebras --------------------------------------------------------------------
 
@@ -89,7 +106,7 @@ factors = st.one_of(
     st.lists(short_chains, min_size=1, max_size=2).map(lambda fs: f"prod({','.join(fs)})"),
 )
 products = st.lists(factors, min_size=1, max_size=3).map(lambda fs: f"prod({','.join(fs)})")
-simple_algebras = st.one_of(chain_texts(63), gammas, products)
+simple_algebras = st.one_of(chain_texts(63), gammas, products, wide)
 algebras = st.one_of(
     simple_algebras,
     st.builds("interval({},{})".format, simple_algebras, elements),
