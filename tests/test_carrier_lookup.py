@@ -120,15 +120,6 @@ def test_the_draws_cover_every_construction():
     assert any(t.startswith("M(") for t in texts)
 
 
-@pytest.mark.parametrize("text", ["prod(M(2),M(3))", "interval(prod(M(1),M(4)),(1,0))"])
-def test_non_members_name_the_whole_value(text):
-    A = dsl.parse_algebra(text)
-    for value in [(Fraction(1, 2), Fraction(7)), (Fraction(1, 3), (0, 1)), (0,), Fraction(1, 2)]:
-        with pytest.raises(CarrierError) as info:
-            A.member(value)
-        assert str(info.value) == f"{format_value(value)} is not in the carrier"
-
-
 def test_parsing_an_interval_of_a_product_hashes_no_product_value(monkeypatch):
     products = []
 
