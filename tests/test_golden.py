@@ -60,6 +60,16 @@ GAMMA = [
     "gamma(twist3(Z))",
     "gamma(twist4(D))",
     "prod(M(1),gamma(lex(Z/1,Z/1)))",
+    "gamma(twist3(D))",
+    "gamma(twist4(Z))",
+    "gamma(twist4(Q))",
+    "gamma(dquad(1/2*sqrt(2)))",
+    "gamma(lex(D/5,twist3(D)))",
+    "gamma(lex(twist3(Z),D/1))",
+    "gamma(lex(D/1,prod(Q,D/3)))",
+    "gamma(lex(twist4(Z),D/1))",
+    "gamma(prod(Z/1,twist4(D)))",
+    "gamma(prod(Z/1,prod(D/3,Q)))",
 ]
 
 ALGEBRA_VERBS = [
