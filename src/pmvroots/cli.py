@@ -41,7 +41,7 @@ from .errors import (
 )
 from .ideals import enumerate_ideals, is_bsi, nn12_element, normal_primes, root_map_ideals
 from .records import Record
-from .scalars import Fraction, format_value
+from .scalars import format_value
 
 EXIT_CODES = {
     "ok": 0,
@@ -216,39 +216,12 @@ def _cmd_sqrtmap(args) -> Report:
     r0 = roots.sqrt_zero(A)
     if not r0.exists:
         return _absent("the set of nilpotents has no top", pmv.zero_elem(A))
-    payload = _rootless_payload(desc)
+    payload = desc.rootless()
     if payload is not None:
         witness = pmv.element_of(A, payload)
         if not roots.element_sqrt(A, witness).exists:
             return _absent("an element of the interval has no square root", witness)
     raise UnsupportedOperationError("could not classify the square root mapping")
-
-
-def _rootless_payload(desc: og.GroupDescriptor):
-    """An element of [0, u] that (x + u)/2 takes out of the group, or None.
-
-    On (1/n)Z a positive k/n halves into the group exactly when k + n is
-    even, so 1/n (n even) or 2/n (n odd) is taken out; a lexicographic
-    product takes out such a head with tail 0 or (0, 1/m) over a tail
-    (1/m)Z; a direct product takes the first factor that has one, with 0
-    elsewhere.
-    """
-    if isinstance(desc, og.ScaledInt):
-        k = 1 + desc.n % 2
-        return Fraction(k, desc.n) if k <= desc.n else None
-    if isinstance(desc, og.Lex):
-        head = _rootless_payload(desc.head)
-        if head is not None:
-            return (head, desc.tail.zero())
-        if isinstance(desc.tail, og.ScaledInt):
-            return (desc.head.zero(), Fraction(1, desc.tail.n))
-        return None
-    if isinstance(desc, og.ProductGroup):
-        for i, f in enumerate(desc.factors):
-            inner = _rootless_payload(f)
-            if inner is not None:
-                return tuple(inner if j == i else g.zero() for j, g in enumerate(desc.factors))
-    return None
 
 
 def _cmd_ideals(args) -> Report:

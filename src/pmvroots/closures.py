@@ -1,6 +1,11 @@
 """Square-root closures of pseudo MV-algebras.
 
-Two closure operators are computed symbolically, factor by factor:
+Two closure operators are computed symbolically, factor by factor.  The
+rule of each family is a method of its group descriptor (``ogroups``):
+``flat``, ``strict_closure``, ``has_boolean_quotient``, ``certificate``,
+``missing_from``, ``unreachable_from`` and ``witness``; this module holds
+the case analysis, the seeded loop of ``crit_check`` and the records, and
+tests no family.
 
 * the *strict* closure ``C(M)``: the smallest extension whose group is
   two-divisible, where ``r(x) = (x + u)/2`` is a strict square root
@@ -18,7 +23,7 @@ Two closure operators are computed symbolically, factor by factor:
   and no splitting element exists, the construction is not known to
   apply and an :class:`OpenProblem` value is returned instead.
   On a flattened product the cases are read off two predicates of each
-  factor: ``_is_boolean`` (it is ``Z/1``) and ``_has_boolean_quotient``.
+  factor: ``_is_boolean`` (it is ``Z/1``) and ``has_boolean_quotient``.
   ``I1 = {0}`` when every factor is Boolean and ``I2 = {0}`` when none
   is; a splitting element exists unless some non-Boolean factor has a
   Boolean quotient.  In each case ``D(M)`` is the identity on the Boolean
@@ -30,11 +35,13 @@ its closures are decided by the same case analysis as its l-group's.
 
 ``crit_check`` certifies that a closed group really is a closure base:
 every element must reach the base group under repeated doubling.  Its
-certificate is one recursion over (base, closed), built once per call,
-that works on the integers of each seeded draw (``desc.draw``): per family
-it gives the exponent n and decides whether 2**n * h lies in the base by
+certificate, ``closed.certificate(base)``, is built once per call and
+works on the integers of each seeded draw (``desc.draw``): per family it
+gives the exponent n and decides whether 2**n * h lies in the base by
 divisibility.  Identity factors (``base == closed``) take their draws and
-are not re-checked, since a draw of a group is a member of it.
+are not re-checked, since a draw of a group is a member of it.  A
+square-root closure refuses a factor whose unit is not central
+(``witness``): its two negations differ.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from . import pmv
 from .errors import ParameterError, UnsupportedOperationError, check
 from .pmv import Element, FiniteAlgebra, GammaAlgebra, element_of
 from .records import Record
-from .scalars import format_value, odd_part
+from .scalars import format_value
 
 HALF_SHIFT = "half_shift"
 IDENTITY = "identity"
@@ -111,34 +118,6 @@ class OpenProblem(Record):
 # strict closure
 
 
-def _flatten(desc: og.GroupDescriptor) -> list[og.GroupDescriptor]:
-    if isinstance(desc, og.ProductGroup):
-        out = []
-        for f in desc.factors:
-            out.extend(_flatten(f))
-        return out
-    return [desc]
-
-
-def _close_factor(desc: og.GroupDescriptor) -> og.GroupDescriptor:
-    if isinstance(desc, og.ScaledInt):
-        return og.ScaledDyadic(odd_part(desc.n))
-    if isinstance(desc, (og.ScaledDyadic, og.Rationals)):
-        return desc
-    if isinstance(desc, og.QuadLattice):
-        return og.QuadLattice(desc.alpha, dyadic=True)
-    if isinstance(desc, og.Lex):
-        return og.Lex(_close_factor(desc.head), _close_factor(desc.tail))
-    if isinstance(desc, og.Twist4):
-        return og.Twist4("D" if desc.tag in ("Z", "D") else "Q")
-    if isinstance(desc, og.Twist3):
-        raise UnsupportedOperationError(
-            "the twisted Z^3 interval is not symmetric, so it admits no strict "
-            "square root mapping and no strict closure"
-        )
-    raise UnsupportedOperationError(f"no strict closure rule for {desc!r}")
-
-
 def _as_descriptor(M) -> og.GroupDescriptor:
     if isinstance(M, og.GroupDescriptor):
         return M
@@ -154,8 +133,8 @@ def _as_descriptor(M) -> og.GroupDescriptor:
 def strict_closure(M) -> ClosureDescriptor:
     """The factorwise two-divisible closure, as base -> closed pairs."""
     factors = tuple(
-        FactorClosure(base=d, closed=_close_factor(d), root=HALF_SHIFT)
-        for d in _flatten(_as_descriptor(M))
+        FactorClosure(base=d, closed=d.strict_closure(), root=HALF_SHIFT)
+        for d in _as_descriptor(M).flat()
     )
     for f in factors:
         check(f.closed.two_divisible, "every strict closure factor is two-divisible")
@@ -174,93 +153,6 @@ class CritResult(Record):
     max_exponent_seen: int = 0
 
 
-def _exponent(m: int, d: int) -> int:
-    """The least n >= 0 that makes 2**n * m/d's denominator odd."""
-    return max(0, (d & -d).bit_length() - (m & -m).bit_length()) if m else 0
-
-
-def _integral(draw) -> tuple[int, bool]:
-    """Scalars (m, d) of a dyadic closure over an integral base: the largest
-    exponent n, and whether 2**n makes every m/d an integer."""
-    n = max(_exponent(m, d) for m, d in draw)
-    return n, all((m << n) % d == 0 for m, d in draw)
-
-
-def _twist4_doubling(draw) -> tuple[int, bool]:
-    # the 2**n-fold sum is (N a, N b, N c, N d + C(N, 2) b c) with N = 2**n,
-    # Twist4.mul at k = N; N a, N b and N c stay integers as n grows
-    _, (mb, db), (mc, dc), (md, dd) = draw
-    n, lands = _integral(draw[:3])
-    n = max(n, _exponent(md, dd), _exponent(mb * mc, db * dc) + 1 if mb * mc else 0)
-    N = 1 << n
-    return n, lands and (N * md * db * dc + N * (N - 1) // 2 * mb * mc * dd) % (dd * db * dc) == 0
-
-
-def _certificate(base: og.GroupDescriptor, closed: og.GroupDescriptor):
-    """The doubling certificate of ``closed`` over ``base``, or None when no
-    family rule covers the pair.
-
-    The certificate reads an integer draw of ``closed`` (``closed.draw``,
-    a pair (m, d) for each scalar m/d) and returns (n, whether 2**n * h lies
-    in ``base``), with h the draw's payload and n its claimed exponent.
-    Identity factors (``base == closed``) have exponent 0 and are members
-    already; lexicographic and product pairs go componentwise, n is the
-    largest component exponent, and a product of the wrong length is no
-    member.
-    """
-    if base == closed:
-        return lambda draw: (0, True)
-    if isinstance(base, og.ScaledInt) and isinstance(closed, og.ScaledDyadic):
-        if odd_part(base.n) != closed.q:
-            return None
-        scale = base.n
-
-        def scaled(draw):
-            # h = m/d with d = q 2**k lies in (1/N) Z once 2**n m N / d is an integer
-            m, d = draw
-            n = _exponent(m, d)
-            return n, (m * scale << n) % d == 0
-
-        return scaled
-    if isinstance(base, og.QuadLattice) and isinstance(closed, og.QuadLattice):
-        return _integral if base.alpha == closed.alpha and closed.dyadic else None
-    if isinstance(base, og.Twist4) and isinstance(closed, og.Twist4):
-        return _twist4_doubling if (base.tag, closed.tag) == ("Z", "D") else None
-    if not (isinstance(base, (og.Lex, og.ProductGroup)) and type(base) is type(closed)):
-        return None
-    certs = [_certificate(b, c) for b, c in zip(base.parts, closed.parts)]
-    if None in certs:
-        return None
-    same_shape = len(base.parts) == len(closed.parts)
-
-    def componentwise(draw):
-        n, lands = 0, same_shape
-        for cert, x in zip(certs, draw):
-            k, ok = cert(x)
-            n, lands = max(n, k), lands and ok
-        return n, lands
-
-    return componentwise
-
-
-def _containment_counterexample(base, closed) -> og.Payload | None:
-    """An element of the base group missing from the claimed closure."""
-    if base == closed:
-        return None
-    if isinstance(base, (og.ScaledInt, og.ScaledDyadic)):
-        scale = base.n if isinstance(base, og.ScaledInt) else base.q
-        probe = Fraction(1, scale)
-        if not closed.contains(probe):
-            return probe
-    if isinstance(base, og.ProductGroup) and isinstance(closed, og.ProductGroup):
-        if len(base.factors) == len(closed.factors):
-            for i, (b, c) in enumerate(zip(base.factors, closed.factors)):
-                inner = _containment_counterexample(b, c)
-                if inner is not None:
-                    return tuple(inner if j == i else f.zero() for j, f in enumerate(base.factors))
-    return None
-
-
 def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritResult:
     """Certify that every element of ``closed`` reaches ``base`` by doubling.
 
@@ -276,16 +168,16 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
     """
     if isinstance(base, ClosureDescriptor):
         base, closed = base.base, base.closed
-    bad = _containment_counterexample(base, closed)
+    bad = base.missing_from(closed)
     if bad is not None:
         return CritResult(
             ok=False,
             detail=f"{format_value(bad)} lies in the base group but not in the claimed closure",
             counterexample=bad,
         )
-    cert = _certificate(base, closed)
+    cert = closed.certificate(base)
     if cert is None:
-        h = _criterion_counterexample(base, closed)
+        h = closed.unreachable_from(base)
         reachable = any(map(base.contains, _doublings(closed, h, 41)))
         if reachable:
             return CritResult(
@@ -317,18 +209,6 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
 def _doublings(desc: og.GroupDescriptor, h, count: int):
     """h, 2h, 4h, ..., 2**(count - 1) h in ``desc``, one addition per step."""
     return itertools.accumulate(range(count - 1), lambda d, _: desc.add(d, d), initial=h)
-
-
-def _criterion_counterexample(base, closed) -> og.Payload:
-    """A closure element no doubling of which lands in the base group."""
-    if isinstance(closed, og.ScaledDyadic):
-        return Fraction(1, closed.q)
-    if isinstance(base, og.ProductGroup) and isinstance(closed, og.ProductGroup):
-        for b, c in zip(base.factors, closed.factors):
-            if _certificate(b, c) is None:
-                inner = _criterion_counterexample(b, c)
-                return tuple(inner if f is c else f.zero() for f in closed.factors)
-    return closed.unit()
 
 
 # ---------------------------------------------------------------------------
@@ -387,24 +267,14 @@ def _is_boolean(desc: og.GroupDescriptor) -> bool:
     return desc == og.ScaledInt(1)
 
 
-def _has_boolean_quotient(desc: og.GroupDescriptor) -> bool:
-    """Whether some prime of a flattened factor leaves the two-element
-    algebra: every twisted Z^4 interval is taken to have one, and otherwise
-    the innermost lexicographic head must be ``Z/1``."""
-    if isinstance(desc, og.Twist4):
-        return True
-    while isinstance(desc, og.Lex):
-        desc = desc.head
-    return _is_boolean(desc)
-
-
 def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
     """The square-root closure by case analysis on the prime partition: the
     identity on the Boolean factors and the strict closure on the others,
     unless a non-Boolean factor with a Boolean quotient sits beside a
     Boolean one."""
-    factors = _flatten(_as_descriptor(M))
-    if any(isinstance(f, og.Twist3) for f in factors):
+    factors = _as_descriptor(M).flat()
+    # a unit that does not commute with some element makes the two negations differ
+    if any(f.witness() is not None for f in factors):
         raise UnsupportedOperationError(
             "the square-root closure needs coinciding negations; the twisted "
             "Z^3 interval is not symmetric"
@@ -412,7 +282,7 @@ def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
     reports = tuple(
         f"factor {i}: no element is 1 mod I1 and 0 mod I2"
         for i, f in enumerate(factors)
-        if not _is_boolean(f) and _has_boolean_quotient(f)
+        if not _is_boolean(f) and f.has_boolean_quotient()
     )
     if reports and any(map(_is_boolean, factors)):
         return OpenProblem(
@@ -424,7 +294,7 @@ def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
             factor_reports=reports,
         )
     return ClosureDescriptor("sqrt", tuple(
-        FactorClosure(f, f, IDENTITY) if _is_boolean(f) else FactorClosure(f, _close_factor(f), HALF_SHIFT)
+        FactorClosure(f, f, IDENTITY) if _is_boolean(f) else FactorClosure(f, f.strict_closure(), HALF_SHIFT)
         for f in factors
     ))
 

@@ -45,6 +45,27 @@ C(k, 2) = k * (k - 1) // 2, an exact integer.
 a pair (m, d) for each scalar m/d in payload order, and ``from_draw``
 builds the payload from them.
 
+The closure facts of a family are methods too, which ``closures`` and the
+CLI call without testing the family; ``Lex`` and ``ProductGroup`` compose
+their parts' answers, as they do for ``add`` and ``cmp``:
+
+* ``flat()``, the factors of nested products, in order;
+* ``strict_closure()``, the least two-divisible extension ((1/n) Z to
+  (1/odd(n)) D, dyadic coefficients for a quadratic lattice, the tag ``D``
+  or ``Q`` for a twisted Z^4, componentwise for ``Lex``), or
+  ``UnsupportedOperationError``;
+* ``has_boolean_quotient()``, whether some prime leaves the two-element
+  algebra;
+* ``certificate(base)`` on a closed group: a function from an integer draw
+  of it to (n, whether 2**n times the drawn payload lies in ``base``), or
+  None when no rule covers the pair;
+* ``missing_from(closed)``, a payload of the base that ``closed`` lacks
+  (None when the probe finds none), and ``unreachable_from(base)``, the
+  payload of the closed group whose doublings ``crit_check`` tries when no
+  certificate covers the pair: the probes that a failed check reports;
+* ``rootless()``, a payload of [0, u] that (x + u)/2 takes out of the
+  group, or None.
+
 The module functions take payloads too and check what the laws do not:
 ``member`` validates a raw value, ``try_halve`` halves inside the carrier,
 ``is_unit_central`` returns the witness and ``strong_unit_bound`` an n with
@@ -57,9 +78,9 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import CarrierError, ParameterError, check
+from .errors import CarrierError, ParameterError, UnsupportedOperationError, check
 from .records import Record
-from .scalars import QuadValue, format_value, is_dyadic, rational
+from .scalars import QuadValue, format_value, is_dyadic, odd_part, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
 
@@ -113,11 +134,45 @@ def _draw_scalar(tag: str, rng, bound: int, exp: int, scale: int = 1) -> tuple[i
     return _randint(rng, -bound * d, bound * d), d
 
 
+# Doubling certificates: each reads an integer draw (a pair (m, d) for each
+# scalar m/d) and returns (n, whether 2**n times the drawn payload lies in the
+# base group).
+
+
+def _identity(draw) -> tuple[int, bool]:
+    # a draw of a group is a member of it
+    return 0, True
+
+
+def _exponent(m: int, d: int) -> int:
+    """The least n >= 0 that makes 2**n * m/d's denominator odd."""
+    return max(0, (d & -d).bit_length() - (m & -m).bit_length()) if m else 0
+
+
+def _integral(draw) -> tuple[int, bool]:
+    """Scalars (m, d) of a dyadic closure over an integral base: the largest
+    exponent n, and whether 2**n makes every m/d an integer."""
+    n = max(_exponent(m, d) for m, d in draw)
+    return n, all((m << n) % d == 0 for m, d in draw)
+
+
+def _twist4_doubling(draw) -> tuple[int, bool]:
+    # the 2**n-fold sum is (N a, N b, N c, N d + C(N, 2) b c) with N = 2**n,
+    # Twist4.mul at k = N; N a, N b and N c stay integers as n grows
+    _, (mb, db), (mc, dc), (md, dd) = draw
+    n, lands = _integral(draw[:3])
+    n = max(n, _exponent(md, dd), _exponent(mb * mc, db * dc) + 1 if mb * mc else 0)
+    N = 1 << n
+    return n, lands and (N * md * db * dc + N * (N - 1) // 2 * mb * mc * dd) % (dd * db * dc) == 0
+
+
 class GroupDescriptor:
     """Base class for group descriptors; instances are immutable.
 
-    Defaults: a linear, Abelian order, join and meet from ``cmp``, and a
-    central unit (no non-centrality witness).
+    Defaults: a linear, Abelian order, join and meet from ``cmp``, a
+    central unit (no non-centrality witness), and no closure rule: no strict
+    closure, no Boolean quotient, only the identity certificate, no probe
+    payloads and no rootless element.
     """
 
     __slots__ = ()
@@ -135,6 +190,27 @@ class GroupDescriptor:
 
     def random(self, rng, bound, exp):
         return self.from_draw(self.draw(rng, bound, exp))
+
+    def flat(self):
+        return [self]
+
+    def strict_closure(self):
+        raise UnsupportedOperationError(f"no strict closure rule for {self!r}")
+
+    def has_boolean_quotient(self):
+        return False
+
+    def certificate(self, base):
+        return _identity if base == self else None
+
+    def missing_from(self, closed):
+        return None
+
+    def unreachable_from(self, base):
+        return self.unit()
+
+    def rootless(self):
+        return None
 
 
 class _Rank1(GroupDescriptor):
@@ -170,6 +246,9 @@ class _Rank1(GroupDescriptor):
     def from_draw(self, draw):
         return Fraction(*draw)
 
+    def strict_closure(self):
+        return self
+
 
 class ScaledInt(_Rank1, Record):
     n: int
@@ -185,6 +264,21 @@ class ScaledInt(_Rank1, Record):
 
     def draw(self, rng, bound, exp):
         return _draw_scalar("Z", rng, bound, exp, self.n)
+
+    def strict_closure(self):
+        return ScaledDyadic(odd_part(self.n))
+
+    def has_boolean_quotient(self):
+        return self.n == 1
+
+    def missing_from(self, closed):
+        probe = Fraction(1, self.n)
+        return None if self == closed or closed.contains(probe) else probe
+
+    def rootless(self):
+        # a positive k/n halves into the group exactly when k + n is even
+        k = 1 + self.n % 2
+        return Fraction(k, self.n) if k <= self.n else None
 
 
 class ScaledDyadic(_Rank1, Record):
@@ -204,6 +298,26 @@ class ScaledDyadic(_Rank1, Record):
 
     def draw(self, rng, bound, exp):
         return _draw_scalar("D", rng, bound, exp, self.q)
+
+    def certificate(self, base):
+        if not isinstance(base, ScaledInt) or odd_part(base.n) != self.q:
+            return super().certificate(base)
+        scale = base.n
+
+        def scaled(draw):
+            # h = m/d with d = q 2**k lies in (1/N) Z once 2**n m N / d is an integer
+            m, d = draw
+            n = _exponent(m, d)
+            return n, (m * scale << n) % d == 0
+
+        return scaled
+
+    def missing_from(self, closed):
+        probe = Fraction(1, self.q)
+        return None if self == closed or closed.contains(probe) else probe
+
+    def unreachable_from(self, base):
+        return Fraction(1, self.q)
 
 
 class Rationals(_Rank1, Record):
@@ -280,6 +394,13 @@ class QuadLattice(GroupDescriptor, Record):
 
     def from_draw(self, draw):
         return tuple(Fraction(m, d) for m, d in draw)
+
+    def strict_closure(self):
+        return QuadLattice(self.alpha, dyadic=True)
+
+    def certificate(self, base):
+        integral = isinstance(base, QuadLattice) and base.alpha == self.alpha and not base.dyadic
+        return _integral if integral and self.dyadic else super().certificate(base)
 
 
 class _Twisted(GroupDescriptor, Record):
@@ -363,6 +484,12 @@ class Twist3(_Twisted):
         s = self._scalar
         return (s(0), s(1), s(0))
 
+    def strict_closure(self):
+        raise UnsupportedOperationError(
+            "the twisted Z^3 interval is not symmetric, so it admits no strict "
+            "square root mapping and no strict closure"
+        )
+
 
 class Twist4(_Twisted):
     arity = 4
@@ -379,6 +506,19 @@ class Twist4(_Twisted):
     def halve(self, p):
         # h + h = (2h1, 2h2, 2h3, 2h4 + h2*h3)
         return (_half(p[0]), _half(p[1]), _half(p[2]), _half(p[3] - _half(_half(p[1] * p[2]))))
+
+    def strict_closure(self):
+        return Twist4("D" if self.tag in ("Z", "D") else "Q")
+
+    def has_boolean_quotient(self):
+        """True whatever the tag, although for the tags D and Q the leading
+        component is D or Q, and Gamma(D, 1) is not Boolean: defect (e) of
+        ROADMAP item 2.  ``tests/test_closures.py`` pins the tag-aware
+        answers as three strict expected failures."""
+        return True
+
+    def certificate(self, base):
+        return _twist4_doubling if self.tag == "D" and base == Twist4("Z") else super().certificate(base)
 
 
 class _Composite(GroupDescriptor):
@@ -422,6 +562,25 @@ class _Composite(GroupDescriptor):
 
     def from_draw(self, draw):
         return tuple(f.from_draw(x) for f, x in zip(self.parts, draw))
+
+    def certificate(self, base):
+        # componentwise over a base of the same class: n is the largest
+        # component exponent, and a product of the wrong length is no member
+        if base == self or type(base) is not type(self):
+            return super().certificate(base)
+        certs = [c.certificate(b) for b, c in zip(base.parts, self.parts)]
+        if None in certs:
+            return None
+        same_shape = len(base.parts) == len(self.parts)
+
+        def componentwise(draw):
+            n, lands = 0, same_shape
+            for cert, x in zip(certs, draw):
+                k, ok = cert(x)
+                n, lands = max(n, k), lands and ok
+            return n, lands
+
+        return componentwise
 
 
 class Lex(_Composite, Record):
@@ -470,6 +629,20 @@ class Lex(_Composite, Record):
         h = self.head
         return h.bound(h.join(p[0], h.neg(p[0]))) + 1
 
+    def strict_closure(self):
+        return Lex(self.head.strict_closure(), self.tail.strict_closure())
+
+    def has_boolean_quotient(self):
+        # the innermost head counts only if it is Z/1, so a twisted Z^4 head does not
+        return self.head.has_boolean_quotient() if isinstance(self.head, Lex) else self.head == ScaledInt(1)
+
+    def rootless(self):
+        # the head's rootless element with tail 0, or (0, 1/m) over a tail (1/m)Z
+        head = self.head.rootless()
+        if head is not None:
+            return (head, self.tail.zero())
+        return (self.head.zero(), Fraction(1, self.tail.n)) if isinstance(self.tail, ScaledInt) else None
+
 
 class ProductGroup(_Composite, Record):
     factors: tuple[GroupDescriptor, ...]
@@ -509,15 +682,39 @@ class ProductGroup(_Composite, Record):
     def meet(self, p, q):
         return tuple(f.meet(a, b) for f, a, b in zip(self.factors, p, q))
 
-    def witness(self):
-        for i, f in enumerate(self.factors):
-            w = f.witness()
-            if w is not None:
-                return tuple(w if j == i else g.zero() for j, g in enumerate(self.factors))
+    def _first(self, payloads):
+        """The first payload of ``payloads`` (one per factor, in order) that
+        is not None, at its factor with 0 at the others; or None."""
+        for i, p in enumerate(payloads):
+            if p is not None:
+                return tuple(p if j == i else f.zero() for j, f in enumerate(self.factors))
         return None
+
+    def witness(self):
+        return self._first(f.witness() for f in self.factors)
 
     def bound(self, p):
         return max(f.bound(a) for f, a in zip(self.factors, p))
+
+    def flat(self):
+        return [g for f in self.factors for g in f.flat()]
+
+    def missing_from(self, closed):
+        if self == closed or not isinstance(closed, ProductGroup) or len(closed.factors) != len(self.factors):
+            return None
+        return self._first(b.missing_from(c) for b, c in zip(self.factors, closed.factors))
+
+    def unreachable_from(self, base):
+        # the probe of the first factor that no certificate covers
+        if isinstance(base, ProductGroup):
+            for b, c in zip(base.factors, self.factors):
+                if c.certificate(b) is None:
+                    inner = c.unreachable_from(b)
+                    return tuple(inner if f is c else f.zero() for f in self.factors)
+        return self.unit()
+
+    def rootless(self):
+        return self._first(f.rootless() for f in self.factors)
 
 
 def product_of(factors) -> GroupDescriptor:

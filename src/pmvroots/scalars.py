@@ -100,6 +100,12 @@ def odd_part(n: int) -> int:
     return n >> two_adic_valuation(n)
 
 
+# the largest radicand that QuadValue.make accepts: its square-free test is
+# trial division up to sqrt(d), about 2.6 ms near 10**9 on a shared 2-core
+# virtual machine, and a radicand near 10**18 would take minutes
+MAX_RADICAND = 10**9
+
+
 def is_square_free(n: int) -> bool:
     if n < 1:
         return False
@@ -143,6 +149,8 @@ class QuadValue(Record):
             return QuadValue(a, Fraction(0), 0)
         if d < 2 or math.isqrt(d) ** 2 == d:
             raise ParameterError(f"radicand {d} must be a non-square >= 2")
+        if d > MAX_RADICAND:
+            raise ParameterError(f"radicand {d} is above the limit {MAX_RADICAND}")
         if not is_square_free(d):
             raise ParameterError(f"radicand {d} must be square-free")
         return QuadValue(a, b, d)

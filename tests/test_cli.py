@@ -511,6 +511,32 @@ def test_a_numeral_beyond_the_digit_limit_is_a_parameter_error(argv):
     assert run(argv) == (3, "status: error\nmessage: a numeral has more than 4300 digits\n")
 
 
+def test_a_radicand_above_the_limit_is_refused_before_its_square_free_test():
+    import os
+    import subprocess
+    import sys
+
+    # trial division of the prime 10**18 + 3 would take minutes; the child's
+    # timeout ends the test instead
+    argv = ["analyze", "gamma(quad(1*sqrt(1000000000000000003)))"]
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+    probe = f"import sys; from pmvroots import cli; sys.exit(cli.main({argv!r}))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=30)
+    message = "radicand 1000000000000000003 is above the limit 1000000000"
+    assert (out.returncode, out.stdout) == (3, f"status: error\nmessage: {message}\n")
+
+
+@pytest.mark.parametrize("radicand, code, message", [
+    (999999937, 0, None),  # the largest prime under the limit
+    (10**9, 3, "radicand 1000000000 must be square-free"),
+    (10**9 + 1, 3, "radicand 1000000001 is above the limit 1000000000"),
+])
+def test_radicands_at_the_limit(radicand, code, message):
+    got, blob = run_json(["analyze", f"gamma(quad(-31622+1*sqrt({radicand})))"])
+    assert got == code
+    assert blob["payload"].get("message") == message
+
+
 def test_the_longest_chain_under_the_limit_still_builds():
     code, blob = run_json(["analyze", "M(1023)"])
     assert (code, blob["payload"]["size"]) == (0, 1024)

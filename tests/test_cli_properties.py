@@ -10,9 +10,10 @@ Chains ``M(n)`` are drawn with n <= 63 or n >= ``pmv.MAX_CARRIER``, where
 the carrier size guard answers; inside products the chains are shorter
 still.  The sizes in between are valid inputs, but their tables have up
 to a million cells, so they stay out only to keep the test within its
-time budget.  Numerals longer than CPython converts to an int, and group
-products of up to 20 factors, whose Boolean skeleton the size guard
-refuses from 11 linear factors on, reach the guards of those inputs.
+time budget.  Numerals longer than CPython converts to an int, radicands
+above ``scalars.MAX_RADICAND``, and group products of up to 20 factors,
+whose Boolean skeleton the size guard refuses from 11 linear factors on,
+reach the guards of those inputs.
 """
 
 import contextlib
@@ -25,6 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pmvroots import cli, pmv
+from pmvroots.scalars import MAX_RADICAND
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -73,9 +75,12 @@ leaf_groups = st.one_of(
     st.sampled_from(["Z/0", "D/2", "D/-1", "quad(1+1*sqrt(2))", "quad(sqrt(4))",
                      "dquad(1/0*sqrt(2))", "twist3(R)", "twist5(Z)"]),
     st.builds("{}{}".format, st.sampled_from(["Z/", "D/"]), LONG),
-    # a power of 10: with a digit dropped, the radicand still has the square
-    # factor 4, which the square-free test finds at once
+    # a power of 10 past the digit limit, with or without a dropped digit
     st.builds("quad({}*sqrt(1{}))".format, st.sampled_from(["1/2", "-1+1", "1"]), st.just("0" * 5000)),
+    # a radicand above the limit, refused before its square-free test, which
+    # by trial division would take minutes on a prime near 10**18
+    st.builds("quad({}*sqrt({}))".format, st.sampled_from(["1/2", "-1+1", "1"]),
+              st.integers(MAX_RADICAND + 1, 10**30)),
 )
 groups = st.recursive(
     leaf_groups,

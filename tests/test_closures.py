@@ -867,6 +867,73 @@ def test_minimal_two_divisible_certificate():
     assert report["minimal"]
 
 
+# --- the family switches as the oracles of the descriptors' closure methods ------------
+#
+# The closure facts are methods of the group descriptors; these are the type
+# switches they replaced, kept as the oracles of the methods and of the
+# profile procedure below.
+
+
+def flatten(desc: og.GroupDescriptor) -> list[og.GroupDescriptor]:
+    """The factors of nested products, in order."""
+    if isinstance(desc, og.ProductGroup):
+        return [g for f in desc.factors for g in flatten(f)]
+    return [desc]
+
+
+def close_factor(desc: og.GroupDescriptor) -> og.GroupDescriptor:
+    """The strict closure of one family, or its refusal."""
+    if isinstance(desc, og.ScaledInt):
+        return og.ScaledDyadic(S.odd_part(desc.n))
+    if isinstance(desc, (og.ScaledDyadic, og.Rationals)):
+        return desc
+    if isinstance(desc, og.QuadLattice):
+        return og.QuadLattice(desc.alpha, dyadic=True)
+    if isinstance(desc, og.Lex):
+        return og.Lex(close_factor(desc.head), close_factor(desc.tail))
+    if isinstance(desc, og.Twist4):
+        return og.Twist4("D" if desc.tag in ("Z", "D") else "Q")
+    if isinstance(desc, og.Twist3):
+        raise UnsupportedOperationError(
+            "the twisted Z^3 interval is not symmetric, so it admits no strict "
+            "square root mapping and no strict closure"
+        )
+    raise UnsupportedOperationError(f"no strict closure rule for {desc!r}")
+
+
+def has_boolean_quotient(desc: og.GroupDescriptor) -> bool:
+    """Every twisted Z^4 group is taken to have a prime with Boolean
+    quotient; otherwise the innermost lexicographic head must be ``Z/1``."""
+    if isinstance(desc, og.Twist4):
+        return True
+    while isinstance(desc, og.Lex):
+        desc = desc.head
+    return desc == og.ScaledInt(1)
+
+
+def rootless_payload(desc: og.GroupDescriptor):
+    """An element of [0, u] that (x + u)/2 takes out of the group, or None:
+    1/n (n even) or 2/n (n odd) on (1/n)Z; a lexicographic product's head
+    with tail 0, or (0, 1/m) over a tail (1/m)Z; a product's first factor
+    that has one, with 0 elsewhere."""
+    if isinstance(desc, og.ScaledInt):
+        k = 1 + desc.n % 2
+        return Fraction(k, desc.n) if k <= desc.n else None
+    if isinstance(desc, og.Lex):
+        head = rootless_payload(desc.head)
+        if head is not None:
+            return (head, desc.tail.zero())
+        if isinstance(desc.tail, og.ScaledInt):
+            return (desc.head.zero(), Fraction(1, desc.tail.n))
+        return None
+    if isinstance(desc, og.ProductGroup):
+        for i, f in enumerate(desc.factors):
+            inner = rootless_payload(f)
+            if inner is not None:
+                return tuple(inner if j == i else g.zero() for j, g in enumerate(desc.factors))
+    return None
+
+
 # --- the per-factor profile procedure as the oracle of the two predicates --------------
 
 
@@ -909,13 +976,13 @@ def factor_profile(desc: og.GroupDescriptor) -> FactorProfile:
 def sqrt_closure_by_profiles(M) -> cl.ClosureDescriptor | cl.OpenProblem:
     """Cases (i)-(iii) decided on a three-field profile of each factor, with
     a construction of its own for each case."""
-    factors = cl._flatten(cl._as_descriptor(M))
+    factors = flatten(cl._as_descriptor(M))
     profiles = [factor_profile(f) for f in factors]
     if all(p.i1_zero for p in profiles):
         return cl.ClosureDescriptor("sqrt", tuple(cl.FactorClosure(f, f, cl.IDENTITY) for f in factors))
     if all(p.i2_zero for p in profiles):
         return cl.ClosureDescriptor(
-            "sqrt", tuple(cl.FactorClosure(f, cl._close_factor(f), cl.HALF_SHIFT) for f in factors)
+            "sqrt", tuple(cl.FactorClosure(f, close_factor(f), cl.HALF_SHIFT) for f in factors)
         )
     if any(p.splitting is None for p in profiles):
         return cl.OpenProblem(
@@ -932,7 +999,7 @@ def sqrt_closure_by_profiles(M) -> cl.ClosureDescriptor | cl.OpenProblem:
         )
     return cl.ClosureDescriptor("sqrt", tuple(
         cl.FactorClosure(f, f, cl.IDENTITY) if p.splitting == "unit"
-        else cl.FactorClosure(f, cl._close_factor(f), cl.HALF_SHIFT)
+        else cl.FactorClosure(f, close_factor(f), cl.HALF_SHIFT)
         for f, p in zip(factors, profiles)
     ))
 
@@ -974,9 +1041,30 @@ def test_sqrt_closure_matches_the_profile_oracle_on_the_grid():
         assert outcome(cl.sqrt_closure, desc) == outcome(sqrt_closure_by_profiles, desc), dsl.format_group(desc)
 
 
+def same(got, want):
+    # repr also tells an int coordinate from an integral Fraction
+    return (got, repr(got)) == (want, repr(want))
+
+
+def test_each_closure_method_matches_its_switch():
+    # refusals included: the strict closure of a product or a twisted Z^3
+    for desc in GRID + PROFILE_GRID:
+        name = dsl.format_group(desc)
+        assert desc.flat() == flatten(desc), name
+        assert outcome(lambda d: d.strict_closure(), desc) == outcome(close_factor, desc), name
+        assert desc.has_boolean_quotient() == has_boolean_quotient(desc), name
+        assert same(desc.rootless(), rootless_payload(desc)), name
+    for base, closed in itertools.product(GRID, repeat=2):
+        name = f"{dsl.format_group(base)} -> {dsl.format_group(closed)}"
+        assert (closed.certificate(base) is None) == (claimed_exponent(base, closed, closed.unit()) is None), name
+        assert same(base.missing_from(closed), containment_counterexample(base, closed)), name
+        assert same(closed.unreachable_from(base), criterion_counterexample(base, closed)), name
+
+
 # --- a twisted head: the tag is not read ------------------------------------------------
 #
-# Every twisted Z^4 factor is taken to have a prime with Boolean quotient.  For
+# Every twisted Z^4 factor is taken to have a prime with Boolean quotient
+# (``Twist4.has_boolean_quotient`` answers True whatever its tag).  For
 # the tags D and Q the leading component is D or Q, and Gamma(D, 1) is not
 # Boolean, so a Z/1 factor beside twist4(D) leaves a splitting element (case
 # (iii)), and a lexicographic product with head twist4(Z) has a Boolean
@@ -985,14 +1073,14 @@ def test_sqrt_closure_matches_the_profile_oracle_on_the_grid():
 # expected failures until both learn the tag.
 
 
-@pytest.mark.xfail(strict=True, reason="the square-root closure does not read the twist4 tag")
+@pytest.mark.xfail(strict=True, reason="Twist4.has_boolean_quotient does not read the tag")
 def test_a_boolean_factor_beside_twist4_d_closes_as_case_iii():
     code, report = run_json(["closure", "gamma(prod(Z/1,twist4(D)))", "--kind", "sqrt"])
     assert (code, report["status"]) == (0, "ok")
     assert report["payload"]["descriptor"] == "sqrt[ Z/1 -> Z/1 (identity); twist4(D) -> twist4(D) ]"
 
 
-@pytest.mark.xfail(strict=True, reason="the square-root closure does not read the twist4 tag")
+@pytest.mark.xfail(strict=True, reason="Twist4.has_boolean_quotient does not read the tag")
 def test_a_boolean_factor_beside_twist4_d_has_a_total_root_mapping():
     code, report = run_json(["sqrtmap", "gamma(prod(Z/1,twist4(D)))"])
     assert (code, report["status"]) == (0, "ok")
@@ -1004,7 +1092,8 @@ def test_a_boolean_factor_beside_twist4_d_has_a_total_root_mapping():
     }
 
 
-@pytest.mark.xfail(strict=True, reason="the square-root closure does not read the twist4 tag")
+@pytest.mark.xfail(strict=True, reason="Twist4.has_boolean_quotient does not read the tag, "
+                   "and Lex.has_boolean_quotient counts only a Z/1 head")
 def test_a_lex_with_head_twist4_z_beside_a_boolean_factor_is_open():
     code, report = run_json(["closure", "gamma(prod(Z/1,lex(twist4(Z),D/1)))", "--kind", "sqrt"])
     assert (code, report["status"]) == (1, "open_problem")

@@ -16,10 +16,18 @@ module of the package defines.
 
 Neither layer writes values: no class of ``ogroups`` or ``pmv`` defines
 ``format``, as ``scalars.format_value`` is the one function that does.
+
+The closure facts are part of the group layer's surface too: ``flat``,
+``strict_closure``, ``has_boolean_quotient``, ``certificate``,
+``missing_from``, ``unreachable_from`` and ``rootless`` are methods of the
+descriptor classes, so ``closures`` and ``cli`` test no group family with
+``isinstance``.
 """
 
 import ast
 import pathlib
+
+from pmvroots import ogroups as og
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pmvroots"
 MODULES = sorted(SRC.glob("*.py"))
@@ -253,3 +261,42 @@ def test_the_guard_finds_format_laws():
 def test_no_group_or_algebra_class_writes_values():
     for module in ("ogroups", "pmv"):
         assert format_definitions((SRC / f"{module}.py").read_text(encoding="utf-8")) == [], module
+
+
+# the eight group families: the public concrete descriptor classes
+FAMILIES = frozenset(
+    name for name, c in vars(og).items()
+    if isinstance(c, type) and issubclass(c, og.GroupDescriptor) and c is not og.GroupDescriptor
+    and not name.startswith("_")
+)
+
+
+def family_tests(source: str) -> list[str]:
+    """``line: Family`` for each ``isinstance`` call of ``source`` whose class
+    argument names a group family, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+            continue
+        classes = node.args[1:2]
+        if classes and isinstance(classes[0], ast.Tuple):
+            classes = classes[0].elts
+        found += [f"{node.lineno}: {n}" for c in classes for n in _names(c) if n in FAMILIES]
+    return found
+
+
+def test_the_guard_finds_family_tests():
+    source = (
+        "from . import ogroups as og\nfrom .ogroups import Lex\n"
+        "def f(d, A):\n"
+        "    if isinstance(d, og.ScaledInt) or isinstance(d, (og.Rationals, og.GroupDescriptor)):\n"
+        "        return isinstance(A, pmv.GammaAlgebra)\n"
+        "    return isinstance(d, Lex), isinstance(d.tail, og.ProductGroup), d == og.Twist3('Z')\n"
+    )
+    assert len(FAMILIES) == 8
+    assert family_tests(source) == ["4: ScaledInt", "4: Rationals", "6: Lex", "6: ProductGroup"]
+
+
+def test_closures_and_the_cli_test_no_group_family():
+    for module in ("closures", "cli"):
+        assert family_tests((SRC / f"{module}.py").read_text(encoding="utf-8")) == [], module
