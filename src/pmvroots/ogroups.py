@@ -66,6 +66,15 @@ their parts' answers, as they do for ``add`` and ``cmp``:
 * ``rootless()``, a payload of [0, u] that (x + u)/2 takes out of the
   group, or None.
 
+So is each family's root rule, which ``roots`` calls and checks without
+testing the family: ``root(p)`` for p in [0, u] is ``(a, None, note)`` with
+a the payload of the square root of p, or ``(None, reason, note)`` with the
+reason code ``NO_CANDIDATE`` or ``NO_MAX``, or it raises
+``UnsupportedOperationError``.  The base class halves p + u in a chain with
+central unit, where u/2 tops the nilpotents; ``ScaledInt`` answers
+floor(n/2)/n at 0; ``Twist3`` decides every point for the tag ``Z`` and 0
+and u for the others; ``ProductGroup`` composes its factors' answers.
+
 The module functions take payloads too and check what the laws do not:
 ``member`` validates a raw value, ``try_halve`` halves inside the carrier,
 ``is_unit_central`` returns the witness and ``strong_unit_bound`` an n with
@@ -83,6 +92,11 @@ from .records import Record
 from .scalars import QuadValue, format_value, is_dyadic, odd_part, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
+
+# the reasons a root answer gives for no root: no a has a (.) a == x, or
+# the nilpotents {y : y (.) y = 0} have no top
+NO_CANDIDATE = "no_a_with_a_odot_a_eq_x"
+NO_MAX = "no_max_of_nilpotents"
 
 Payload = Union[Fraction, tuple]
 
@@ -170,9 +184,9 @@ class GroupDescriptor:
     """Base class for group descriptors; instances are immutable.
 
     Defaults: a linear, Abelian order, join and meet from ``cmp``, a
-    central unit (no non-centrality witness), and no closure rule: no strict
+    central unit (no non-centrality witness), no closure rule (no strict
     closure, no Boolean quotient, only the identity certificate, no probe
-    payloads and no rootless element.
+    payloads and no rootless element) and the halving root of a chain.
     """
 
     __slots__ = ()
@@ -211,6 +225,18 @@ class GroupDescriptor:
 
     def rootless(self):
         return None
+
+    def root(self, p):
+        # in a chain with central unit, a (.) a = p > 0 forces 2a = p + u,
+        # and u/2 tops the nilpotents
+        if not self.linear or self.witness() is not None:
+            raise UnsupportedOperationError(f"no root procedure covers {self!r}")
+        h = try_halve(self, self.add(p, self.unit()))
+        if h is not None:
+            return h, None, None
+        if p == self.zero():
+            return None, NO_MAX, "the nilpotent set is upward unbounded"
+        return None, NO_CANDIDATE, None
 
 
 class _Rank1(GroupDescriptor):
@@ -280,6 +306,10 @@ class ScaledInt(_Rank1, Record):
         k = 1 + self.n % 2
         return Fraction(k, self.n) if k <= self.n else None
 
+    def root(self, p):
+        # the nilpotents k/n have 2k <= n, so floor(n/2)/n tops them
+        return (Fraction(self.n // 2, self.n), None, None) if p == 0 else super().root(p)
+
 
 class ScaledDyadic(_Rank1, Record):
     q: int
@@ -347,7 +377,7 @@ class QuadLattice(GroupDescriptor, Record):
         return self.dyadic
 
     def _value(self, p) -> QuadValue:
-        return QuadValue.make(p[0] + p[1] * self.alpha.a, p[1] * self.alpha.b, self.alpha.d if p[1] else 0)
+        return QuadValue.of(p[0] + p[1] * self.alpha.a, p[1] * self.alpha.b, self.alpha.d)
 
     def contains(self, p):
         # Fraction coordinates only, unlike the twisted families
@@ -460,6 +490,13 @@ class _Twisted(GroupDescriptor, Record):
         return tuple(m if self.tag == "Z" else Fraction(m, d) for m, d in draw)
 
 
+_TWIST3_NOTE = (
+    "elements with first coordinate 0 square to 0 and stay below any (1,s,t); "
+    "squares of (1,p,q) compare lexicographically with (1,2s,2t), so the halved "
+    "candidate dominates every square below x regardless of coordinate size"
+)
+
+
 # Twist3 and Twist4 inherit the field ``tag`` of _Twisted; records of two
 # classes are never equal, so Twist3("Z") != Twist4("Z").
 class Twist3(_Twisted):
@@ -489,6 +526,24 @@ class Twist3(_Twisted):
             "the twisted Z^3 interval is not symmetric, so it admits no strict "
             "square root mapping and no strict closure"
         )
+
+    def root(self, p):
+        # the unit is not central, so the halving rule does not apply
+        if self.tag != "Z":
+            if p == self.zero():
+                return try_halve(self, self.unit()), None, None
+            if p == self.unit():
+                return p, None, None
+            raise UnsupportedOperationError(
+                "general roots over twisted Z^3 carriers are only decided for the integer tag"
+            )
+        if p == self.zero():
+            return None, NO_MAX, "nilpotents (0,p,q) are unbounded in p"
+        if p[0] == 0:
+            return None, NO_CANDIDATE, "only 0 and head-1 pairs are squares"
+        if p[1] % 2 or p[2] % 2:
+            return None, NO_CANDIDATE, "head-1 squares have even coordinates"
+        return (1, p[1] // 2, p[2] // 2), None, _TWIST3_NOTE
 
 
 class Twist4(_Twisted):
@@ -715,6 +770,18 @@ class ProductGroup(_Composite, Record):
 
     def rootless(self):
         return self._first(f.rootless() for f in self.factors)
+
+    def root(self, p):
+        # factor by factor; the first factor without a root names itself,
+        # except in a chain, which answers as its one factor
+        parts = []
+        for f, c in zip(self.factors, p):
+            a, reason, note = f.root(c)
+            if a is None:
+                chain = self.linear and self.witness() is None
+                return None, reason, note if chain else f"factor {f!r}: {note or reason}"
+            parts.append(a)
+        return tuple(parts), None, None
 
 
 def product_of(factors) -> GroupDescriptor:

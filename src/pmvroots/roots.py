@@ -9,12 +9,12 @@ The square root of ``x`` is the element ``a`` (unique when it exists) with
 worked-example ledger calls it, and it serves as the oracle for every
 family-specific procedure:
 
-* the halving formula ``(x + u) / 2`` and its check ``a (.) a == x``
-  live in one helper, ``_halving_root``, which ``element_sqrt`` takes for
-  nonzero elements of chains whose unit is central;
-* ``sqrt_element_twist3`` decides roots in the interval of the twisted
-  ``Z^3`` group, where the unit is not central;
-* ``element_sqrt`` dispatches to the widest applicable procedure;
+* on a group interval, ``element_sqrt`` asks the descriptor's root rule,
+  ``desc.root(payload)`` (the halving formula ``(x + u) / 2`` of a chain
+  whose unit is central, the twisted ``Z^3`` procedure, products factor by
+  factor; see ``ogroups``), boxes the answer and checks ``a (.) a == x``,
+  the one check for every family; ``sqrt_zero`` is its answer at 0, and
+  ``twist3_bounded_check`` re-verifies a twisted ``Z^3`` verdict on a box;
 * on a finite algebra, roots are read off its chain decomposition in closed
   form, chain by chain (``_chain_root``): ``element_sqrt`` and ``sqrt_zero``
   for one element; ``sqrt_map`` reads the chain lengths alone, as only
@@ -33,7 +33,6 @@ meaningful, a witness element.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import reduce
 
 from . import ogroups as og
@@ -44,7 +43,6 @@ from .pmv import (
     FiniteAlgebra,
     GammaAlgebra,
     carrier,
-    element_of,
     is_boolean_elem,
     join,
     leq,
@@ -54,9 +52,7 @@ from .pmv import (
 )
 from .records import Record
 
-NO_CANDIDATE = "no_a_with_a_odot_a_eq_x"
 SQ2_VIOLATED = "sq2_violated"
-NO_MAX = "no_max_of_nilpotents"
 
 
 class SqrtResult(Record):
@@ -91,7 +87,7 @@ def sqrt_element_finite(M: FiniteAlgebra, x: Element) -> SqrtResult:
     dominated = [y for y, s in squares if leq(s, x)]
     candidates = [a for a, s in squares if s == x]
     if not candidates:
-        return _not_exists(NO_CANDIDATE)
+        return _not_exists(og.NO_CANDIDATE)
     best, best_misses = None, None
     for a in candidates:
         misses = [y for y in dominated if not leq(y, a)]
@@ -101,74 +97,6 @@ def sqrt_element_finite(M: FiniteAlgebra, x: Element) -> SqrtResult:
             best, best_misses = a, misses
     return _not_exists(SQ2_VIOLATED, witness=best_misses[0],
                        note=f"candidate {best} does not dominate {best_misses[0]}")
-
-
-# ---------------------------------------------------------------------------
-# square root of zero
-
-
-def sqrt_zero(A: pmv.Algebra) -> SqrtResult:
-    """The largest nilpotent element (top of {y : y (.) y = 0}), if any."""
-    if isinstance(A, FiniteAlgebra):
-        return _finite_root(A, zero_elem(A))  # floor(n/2) on each chain
-    payload = _zero_root_payload(A.desc)
-    if payload is None:
-        return _not_exists(NO_MAX, note="the nilpotent set is upward unbounded")
-    return _exists(Element(A, payload))
-
-
-def _zero_root_payload(desc: og.GroupDescriptor):
-    half = og.try_halve(desc, desc.unit())
-    if half is not None:
-        return half
-    if isinstance(desc, og.ScaledInt):
-        return Fraction(desc.n // 2, desc.n)
-    if isinstance(desc, og.ProductGroup):
-        parts = [_zero_root_payload(f) for f in desc.factors]
-        if any(p is None for p in parts):
-            return None
-        return tuple(parts)
-    # quadratic lattices without halving are dense without reaching u/2;
-    # lexicographic and twisted families without halving have an upward
-    # unbounded nilpotent set in the second coordinate
-    return None
-
-
-# ---------------------------------------------------------------------------
-# family procedures
-
-
-def _halving_root(A: GammaAlgebra, x: Element) -> SqrtResult:
-    """The root (x + u)/2, checked; no candidate when x + u does not halve."""
-    h = og.try_halve(A.desc, A.desc.add(x.payload, A.unit))
-    if h is None:
-        return _not_exists(NO_CANDIDATE)
-    a = Element(A, h)
-    check(odot(a, a) == x, "the halving root a has a (.) a == x")
-    return _exists(a)
-
-
-_TWIST3_NOTE = (
-    "elements with first coordinate 0 square to 0 and stay below any (1,s,t); "
-    "squares of (1,p,q) compare lexicographically with (1,2s,2t), so the halved "
-    "candidate dominates every square below x regardless of coordinate size"
-)
-
-
-def sqrt_element_twist3(A: GammaAlgebra, x: Element) -> SqrtResult:
-    """Decision procedure for the interval of the twisted Z^3 group."""
-    if not isinstance(A, GammaAlgebra) or A.desc != og.Twist3("Z"):
-        raise ParameterError("this procedure is specific to the twisted Z^3 interval")
-    p = x.payload
-    if p == A.zero:
-        return _not_exists(NO_MAX, note="nilpotents (0,p,q) are unbounded in p")
-    if p[0] == 0:
-        return _not_exists(NO_CANDIDATE, note="only 0 and head-1 pairs are squares")
-    if p[1] % 2 == 0 and p[2] % 2 == 0:
-        a = element_of(A, (1, p[1] // 2, p[2] // 2))
-        check(odot(a, a) == x, "the twisted Z^3 root a has a (.) a == x")
-        return _exists(a, note=_TWIST3_NOTE)
-    return _not_exists(NO_CANDIDATE, note="head-1 squares have even coordinates")
 
 
 # the box has 2N(2N+1) + 2(N+1) elements, each squared once, and the
@@ -217,7 +145,9 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     """
     if not 0 <= bound <= MAX_BOX_BOUND:
         raise ParameterError(f"the box bound must be between 0 and {MAX_BOX_BOUND}, not {bound}")
-    res = sqrt_element_twist3(A, x)
+    if not isinstance(A, GammaAlgebra) or A.desc != og.Twist3("Z"):
+        raise ParameterError("this procedure is specific to the twisted Z^3 interval")
+    res = element_sqrt(A, x)
     xp, zero = x.payload, A.zero
     box = _twist3_box(A, bound)
     squares = [A.odot(p, p) for p in box]
@@ -229,7 +159,7 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
         bad = [p for p in dominated if not A.leq(p, a)]
         agree = A.odot(a, a) == xp and not bad
         detail = f"verified against {len(dominated)} in-box dominated elements"
-    elif res.reason == NO_CANDIDATE:
+    elif res.reason == og.NO_CANDIDATE:
         agree = xp not in squares
         detail = f"no in-box candidate among {len(box)} elements"
     else:  # no max of nilpotents
@@ -246,40 +176,23 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
 
 
 def element_sqrt(A: pmv.Algebra, x: Element) -> SqrtResult:
-    """Dispatch to the widest procedure that covers the algebra of ``x``."""
+    """The closed form on a finite algebra, the descriptor's root rule on a
+    group interval; the root is checked to square to ``x``."""
     if x.algebra != A:
         raise ParameterError("element does not belong to the algebra")
     if isinstance(A, FiniteAlgebra):
         return _finite_root(A, x)
-    desc = A.desc
-    if desc == og.Twist3("Z"):
-        return sqrt_element_twist3(A, x)
-    if isinstance(desc, og.Twist3):
-        if x == zero_elem(A):
-            return sqrt_zero(A)
-        if x == one_elem(A):
-            return _exists(one_elem(A))
-        raise UnsupportedOperationError(
-            "general roots over twisted Z^3 carriers are only decided for the integer tag"
-        )
-    central, _ = og.is_unit_central(desc)
-    if central and desc.linear:
-        if x == zero_elem(A):
-            return sqrt_zero(A)
-        # in a chain with central unit, a (.) a = x > 0 forces 2a = x + u
-        return _halving_root(A, x)
-    if isinstance(desc, og.ProductGroup):
-        parts = []
-        for f, coord in zip(desc.factors, x.payload):
-            sub = GammaAlgebra(f)
-            r = element_sqrt(sub, Element(sub, coord))
-            if not r.exists:
-                return _not_exists(r.reason, note=f"factor {f!r}: {r.note or r.reason}")
-            parts.append(r.value.payload)
-        a = Element(A, tuple(parts))
-        check(odot(a, a) == x, "the factorwise root a has a (.) a == x")
-        return _exists(a)
-    raise UnsupportedOperationError(f"no root procedure covers {desc!r}")
+    h, reason, note = A.desc.root(x.payload)
+    if h is None:
+        return _not_exists(reason, note=note)
+    a = Element(A, h)
+    check(odot(a, a) == x, "the root a has a (.) a == x")
+    return _exists(a, note)
+
+
+def sqrt_zero(A: pmv.Algebra) -> SqrtResult:
+    """The largest nilpotent element (top of {y : y (.) y = 0}), if any."""
+    return element_sqrt(A, zero_elem(A))
 
 
 def sqrt_boolean(A: pmv.Algebra, b: Element) -> SqrtResult:
@@ -320,7 +233,7 @@ def _finite_root(M: FiniteAlgebra, x: Element) -> SqrtResult:
     dec = M.decomposition
     r = tuple(map(_chain_root, dec.lengths, dec.coords[x.payload]))
     if None in r:
-        return _not_exists(NO_CANDIDATE)
+        return _not_exists(og.NO_CANDIDATE)
     return _exists(Element(M, dec.index[r]))
 
 

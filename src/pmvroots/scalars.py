@@ -155,6 +155,14 @@ class QuadValue(Record):
             raise ParameterError(f"radicand {d} must be square-free")
         return QuadValue(a, b, d)
 
+    @staticmethod
+    def of(a: Fraction, b: Fraction, d: int) -> "QuadValue":
+        """``a + b*sqrt(d)`` for rationals a, b and a radicand d that a value
+        built by ``make`` carries, or 0, which is not checked again; b = 0
+        is normalised to d = 0.  ``make`` is the entry point for input from
+        outside."""
+        return QuadValue(a, b, d) if b else QuadValue(a, b, 0)
+
     def _compatible(self, other: "QuadValue") -> int:
         if self.d and other.d and self.d != other.d:
             raise ParameterError(
@@ -164,17 +172,17 @@ class QuadValue(Record):
 
     def __add__(self, other: "QuadValue") -> "QuadValue":
         d = self._compatible(other)
-        return QuadValue.make(self.a + other.a, self.b + other.b, d)
+        return QuadValue.of(self.a + other.a, self.b + other.b, d)
 
     def __sub__(self, other: "QuadValue") -> "QuadValue":
         return self + (-other)
 
     def __neg__(self) -> "QuadValue":
-        return QuadValue.make(-self.a, -self.b, self.d)
+        return QuadValue.of(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "QuadValue") -> "QuadValue":
         d = self._compatible(other)
-        return QuadValue.make(
+        return QuadValue.of(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -182,7 +190,7 @@ class QuadValue(Record):
 
     def scale(self, c) -> "QuadValue":
         c = rational(c)
-        return QuadValue.make(self.a * c, self.b * c, self.d)
+        return QuadValue.of(self.a * c, self.b * c, self.d)
 
     def sign(self) -> int:
         a, b = self.a, self.b

@@ -28,16 +28,7 @@ from .pmv import (
     zero_elem,
 )
 from .records import Record
-from .roots import (
-    NO_CANDIDATE,
-    NO_MAX,
-    element_sqrt,
-    sqrt_boolean,
-    sqrt_element_finite,
-    sqrt_element_twist3,
-    sqrt_map,
-    sqrt_zero,
-)
+from .roots import element_sqrt, sqrt_boolean, sqrt_element_finite, sqrt_map, sqrt_zero
 from .scalars import QuadValue, format_value
 
 
@@ -101,7 +92,7 @@ def check_twist3_root_family() -> CheckResult:
     for n in range(1, 6):
         for m in range(n, 6):
             x = element_of(A, (1, -2 * n, 2 * m))
-            r = sqrt_element_twist3(A, x)
+            r = element_sqrt(A, x)
             if not (r.exists and r.value.payload == (1, -n, m)):
                 bad.append(f"(1,{-2 * n},{2 * m})")
             elif odot(r.value, r.value) != x:
@@ -111,15 +102,15 @@ def check_twist3_root_family() -> CheckResult:
 
 def check_twist3_zero_root() -> CheckResult:
     A = _twist3()
-    r = sqrt_element_twist3(A, zero_elem(A))
-    ok = (not r.exists) and r.reason == NO_MAX
+    r = element_sqrt(A, zero_elem(A))
+    ok = (not r.exists) and r.reason == og.NO_MAX
     return CheckResult("twist3-zero-root", ok, f"sqrt(0): {r.reason}")
 
 
 def check_twist3_odd_coordinate() -> CheckResult:
     A = _twist3()
-    r = sqrt_element_twist3(A, element_of(A, (1, -1, 2)))
-    ok = (not r.exists) and r.reason == NO_CANDIDATE
+    r = element_sqrt(A, element_of(A, (1, -1, 2)))
+    ok = (not r.exists) and r.reason == og.NO_CANDIDATE
     return CheckResult("twist3-odd-coordinate", ok, f"sqrt(1,-1,2): {r.reason}")
 
 

@@ -9,7 +9,7 @@ import time
 import jsonschema
 import pytest
 
-from pmvroots import cli, dsl, ideals, pmv
+from pmvroots import cli, dsl, ideals, pmv, scalars
 
 SCHEMA = json.loads(
     (pathlib.Path(__file__).resolve().parent.parent / "docs" / "report-schema.json").read_text()
@@ -537,6 +537,18 @@ def test_radicands_at_the_limit(radicand, code, message):
     assert blob["payload"].get("message") == message
 
 
+def test_a_radicand_is_tested_for_square_factors_once(monkeypatch):
+    # the parse checks the radicand; sums, negations and products of values
+    # that carry it, as the order of the lattice reads them, do not again
+    tested = []
+    square_free = scalars.is_square_free
+    monkeypatch.setattr(scalars, "is_square_free", lambda d: tested.append(d) or square_free(d))
+    assert run(["member", "gamma(quad(-31622+1*sqrt(999999937)))", "(0,1)"]) == (
+        0, "status: ok\nmember: True\nelement: (0,1)\n"
+    )
+    assert tested == [999999937]
+
+
 def test_the_longest_chain_under_the_limit_still_builds():
     code, blob = run_json(["analyze", "M(1023)"])
     assert (code, blob["payload"]["size"]) == (0, 1024)
@@ -566,7 +578,7 @@ def test_both_closures_reject_the_one_element_algebra(kind):
 def test_a_failed_internal_check_is_reported_as_an_error(monkeypatch):
     # a wrong product makes the root check after the halving formula fail
     monkeypatch.setattr(cli.roots, "odot", lambda a, b: a)
-    message = "internal check failed: the halving root a has a (.) a == x"
+    message = "internal check failed: the root a has a (.) a == x"
     assert run(["sqrt", "gamma(Q)", "1/2"]) == (3, f"status: error\nmessage: {message}\n")
     code, blob = run_json(["sqrt", "gamma(Q)", "1/2"])
     assert (code, blob["status"], blob["payload"]["message"]) == (3, "error", message)

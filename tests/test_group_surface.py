@@ -17,11 +17,11 @@ module of the package defines.
 Neither layer writes values: no class of ``ogroups`` or ``pmv`` defines
 ``format``, as ``scalars.format_value`` is the one function that does.
 
-The closure facts are part of the group layer's surface too: ``flat``,
-``strict_closure``, ``has_boolean_quotient``, ``certificate``,
-``missing_from``, ``unreachable_from`` and ``rootless`` are methods of the
-descriptor classes, so ``closures`` and ``cli`` test no group family with
-``isinstance``.
+The closure facts and the root rules are part of the group layer's surface
+too: ``flat``, ``strict_closure``, ``has_boolean_quotient``,
+``certificate``, ``missing_from``, ``unreachable_from``, ``rootless`` and
+``root`` are methods of the descriptor classes, so ``closures``, ``roots``
+and ``cli`` test no group family with ``isinstance``.
 """
 
 import ast
@@ -297,6 +297,6 @@ def test_the_guard_finds_family_tests():
     assert family_tests(source) == ["4: ScaledInt", "4: Rationals", "6: Lex", "6: ProductGroup"]
 
 
-def test_closures_and_the_cli_test_no_group_family():
-    for module in ("closures", "cli"):
+def test_closures_roots_and_the_cli_test_no_group_family():
+    for module in ("closures", "roots", "cli"):
         assert family_tests((SRC / f"{module}.py").read_text(encoding="utf-8")) == [], module

@@ -11,7 +11,8 @@ from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import roots
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError, ParameterError
+from pmvroots.errors import CarrierError, ParameterError, PmvError, UnsupportedOperationError
+from test_closures import GRID, PROFILE_GRID
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 M = pmv.finite_mv_chain
@@ -85,9 +86,10 @@ def test_chain_closed_form_oracle():
 
 def test_failure_reason_constants():
     r = roots.element_sqrt(M(4), pmv.element_of(M(4), Fraction(1, 4)))
-    assert r.status == "not_exists" and r.reason == roots.NO_CANDIDATE
+    assert r.status == "not_exists" and r.reason == og.NO_CANDIDATE
     z = roots.sqrt_zero(pmv.GammaAlgebra(og.Twist3("Z")))
-    assert z.status == "not_exists" and z.reason == roots.NO_MAX
+    assert z.status == "not_exists" and z.reason == og.NO_MAX
+    assert z.note == "nilpotents (0,p,q) are unbounded in p"
 
 
 # --- interval algebras over groups ------------------------------------------------
@@ -145,7 +147,7 @@ def test_twist3_spot_roots():
     sq = pmv.odot(r.value, r.value)
     assert pmv.value_of(sq) == (Fraction(1), Fraction(-2), Fraction(2))
     bad = roots.element_sqrt(A, pmv.element_of(A, (Fraction(1), Fraction(-1), Fraction(2))))
-    assert bad.status == "not_exists" and bad.reason == roots.NO_CANDIDATE
+    assert bad.status == "not_exists" and bad.reason == og.NO_CANDIDATE
 
 
 def test_twist3_bounded_check_agreement():
@@ -172,7 +174,7 @@ def twist3_bounded_check_oracle(A, x, bound):
     Each box element is squared again wherever it is used, and the box is
     filtered through 0 <= y <= 1 after element_of has built it.
     """
-    res = roots.sqrt_element_twist3(A, x)
+    res = roots.element_sqrt(A, x)
     box = []
     for b in range(-bound, bound + 1):
         for c in range(-bound, bound + 1):
@@ -191,7 +193,7 @@ def twist3_bounded_check_oracle(A, x, bound):
         bad = [y for y in dominated if not pmv.leq(y, a)]
         agree = pmv.odot(a, a) == x and not bad
         detail = f"verified against {len(dominated)} in-box dominated elements"
-    elif res.reason == roots.NO_CANDIDATE:
+    elif res.reason == og.NO_CANDIDATE:
         agree = not candidates
         detail = f"no in-box candidate among {len(box)} elements"
     else:
@@ -237,14 +239,14 @@ def test_twist3_bounded_check_matches_the_oracle_on_every_in_box_element(bound):
 
 @pytest.mark.parametrize("payload, reason", [
     ((1, -6, 4), None),  # a root: head 1, even coordinates
-    ((0, 3, -2), roots.NO_CANDIDATE),  # head 0, squares to 0
-    ((1, -3, 5), roots.NO_CANDIDATE),  # head 1, an odd coordinate
-    ((0, 0, 0), roots.NO_MAX),  # zero
+    ((0, 3, -2), og.NO_CANDIDATE),  # head 0, squares to 0
+    ((1, -3, 5), og.NO_CANDIDATE),  # head 1, an odd coordinate
+    ((0, 0, 0), og.NO_MAX),  # zero
 ])
 def test_twist3_bounded_check_matches_the_oracle_at_bound_11(payload, reason):
     A = pmv.GammaAlgebra(og.Twist3("Z"))
     x = pmv.element_of(A, tuple(map(Fraction, payload)))
-    assert roots.sqrt_element_twist3(A, x).reason == reason
+    assert roots.element_sqrt(A, x).reason == reason
     _assert_bounded_check_matches_oracle(A, x, 11)
 
 
@@ -264,15 +266,15 @@ DEEP = -(3**45)
 @pytest.mark.parametrize("payload, reason", [
     ((1, -6, 4), None),
     ((1, -2 * WIDE - 2, 2 * DEEP), None),
-    ((0, 3, -2), roots.NO_CANDIDATE),
-    ((0, WIDE + 1, DEEP), roots.NO_CANDIDATE),
-    ((1, -3, 5), roots.NO_CANDIDATE),
-    ((0, 0, 0), roots.NO_MAX),
+    ((0, 3, -2), og.NO_CANDIDATE),
+    ((0, WIDE + 1, DEEP), og.NO_CANDIDATE),
+    ((1, -3, 5), og.NO_CANDIDATE),
+    ((0, 0, 0), og.NO_MAX),
 ])
 def test_twist3_bounded_check_matches_the_oracle_at_the_cap(payload, reason):
     A = pmv.GammaAlgebra(og.Twist3("Z"))
     x = pmv.element_of(A, payload)
-    assert roots.sqrt_element_twist3(A, x).reason == reason
+    assert roots.element_sqrt(A, x).reason == reason
     _assert_bounded_check_matches_oracle(A, x, roots.MAX_BOX_BOUND)
 
 
@@ -330,6 +332,151 @@ def test_twist3_bounded_check_lets_internal_errors_through(monkeypatch):
     monkeypatch.setattr(pmv.GammaAlgebra, "odot", faulty)
     with pytest.raises(TypeError, match="internal fault"):
         roots.twist3_bounded_check(A, x, bound=1)
+
+
+# --- the root rules against the dispatch they replaced ------------------------------
+#
+# ``element_sqrt`` on a group interval once picked each family's procedure
+# with a type switch, and ``sqrt_zero`` found the top of the nilpotents with
+# a second one; the descriptors' ``root`` methods replaced both.
+
+
+def zero_root_payload(desc):
+    """The root of 0 as the second switch found it: u/2 when u halves,
+    floor(n/2)/n on (1/n)Z, factor by factor on a product, else None."""
+    half = og.try_halve(desc, desc.unit())
+    if half is not None:
+        return half
+    if isinstance(desc, og.ScaledInt):
+        return Fraction(desc.n // 2, desc.n)
+    if isinstance(desc, og.ProductGroup):
+        parts = [zero_root_payload(f) for f in desc.factors]
+        return None if any(p is None for p in parts) else tuple(parts)
+    return None
+
+
+def zero_root_by_switch(A):
+    payload = zero_root_payload(A.desc)
+    if payload is None:
+        return roots.SqrtResult("not_exists", reason=og.NO_MAX, note="the nilpotent set is upward unbounded")
+    return roots.SqrtResult("exists", pmv.Element(A, payload))
+
+
+TWIST3_NOTE = (
+    "elements with first coordinate 0 square to 0 and stay below any (1,s,t); "
+    "squares of (1,p,q) compare lexicographically with (1,2s,2t), so the halved "
+    "candidate dominates every square below x regardless of coordinate size"
+)
+
+
+def sqrt_by_switch(A, x):
+    """``element_sqrt`` on a group interval as the switch over the families
+    decided it, each procedure checking its own root."""
+    desc, p = A.desc, x.payload
+    if desc == og.Twist3("Z"):
+        if p == A.zero:
+            return roots.SqrtResult("not_exists", reason=og.NO_MAX, note="nilpotents (0,p,q) are unbounded in p")
+        if p[0] == 0:
+            return roots.SqrtResult("not_exists", reason=og.NO_CANDIDATE, note="only 0 and head-1 pairs are squares")
+        if p[1] % 2 == 0 and p[2] % 2 == 0:
+            a = pmv.element_of(A, (1, p[1] // 2, p[2] // 2))
+            assert pmv.odot(a, a) == x
+            return roots.SqrtResult("exists", a, note=TWIST3_NOTE)
+        return roots.SqrtResult("not_exists", reason=og.NO_CANDIDATE, note="head-1 squares have even coordinates")
+    if isinstance(desc, og.Twist3):
+        if p == A.zero:
+            return zero_root_by_switch(A)
+        if p == A.unit:
+            return roots.SqrtResult("exists", pmv.one_elem(A))
+        raise UnsupportedOperationError("general roots over twisted Z^3 carriers are only decided for the integer tag")
+    central, _ = og.is_unit_central(desc)
+    if central and desc.linear:
+        if p == A.zero:
+            return zero_root_by_switch(A)
+        h = og.try_halve(desc, desc.add(p, A.unit))
+        if h is None:
+            return roots.SqrtResult("not_exists", reason=og.NO_CANDIDATE)
+        a = pmv.Element(A, h)
+        assert pmv.odot(a, a) == x
+        return roots.SqrtResult("exists", a)
+    if isinstance(desc, og.ProductGroup):
+        parts = []
+        for f, c in zip(desc.factors, p):
+            sub = pmv.GammaAlgebra(f)
+            r = sqrt_by_switch(sub, pmv.Element(sub, c))
+            if not r.exists:
+                return roots.SqrtResult("not_exists", reason=r.reason, note=f"factor {f!r}: {r.note or r.reason}")
+            parts.append(r.value.payload)
+        a = pmv.Element(A, tuple(parts))
+        assert pmv.odot(a, a) == x
+        return roots.SqrtResult("exists", a)
+    raise UnsupportedOperationError(f"no root procedure covers {desc!r}")
+
+
+def answer(procedure, A, x):
+    """The result of ``procedure`` with the repr of its root (which tells an
+    int coordinate from an integral Fraction), or the type and message of
+    its refusal."""
+    try:
+        r = procedure(A, x)
+    except PmvError as exc:
+        return type(exc), str(exc)
+    return r, repr(r.value and r.value.payload)
+
+
+# one-factor products (library only: the DSL reads prod(X) as X), a
+# lexicographic product that is not a chain and one whose unit is not central
+ROOT_GRID = GRID + list(PROFILE_GRID) + [
+    og.ProductGroup((og.ScaledInt(3),)),
+    og.ProductGroup((og.QuadLattice(ALPHA),)),
+    og.ProductGroup((og.Twist3("Z"),)),
+    og.ProductGroup((og.Twist3("D"),)),
+    og.ProductGroup((og.Lex(og.ScaledInt(1), og.ScaledInt(3)),)),
+    og.Lex(og.ScaledDyadic(1), og.ProductGroup((og.ScaledInt(1), og.ScaledInt(1)))),
+    og.Lex(og.Twist3("Z"), og.ScaledDyadic(1)),
+]
+
+
+def points(desc, rng, draws=4):
+    """0, u and the absolute values of seeded draws of ``desc``, clamped
+    into [0, u]."""
+    zero, unit = desc.zero(), desc.unit()
+    drawn = (desc.random(rng, 1, 5) for _ in range(draws))
+    return [zero, unit, *(desc.meet(desc.join(p, desc.neg(p)), unit) for p in drawn)]
+
+
+def test_each_root_rule_matches_the_switch():
+    rng = random.Random(29)
+    for desc in ROOT_GRID:
+        A = pmv.GammaAlgebra(desc)
+        for p in points(desc, rng):
+            x = pmv.Element(A, p)
+            assert answer(roots.element_sqrt, A, x) == answer(sqrt_by_switch, A, x), (desc, p)
+
+
+def test_the_root_of_zero_matches_the_second_switch():
+    for desc in GRID + list(PROFILE_GRID):
+        a, reason, _ = desc.root(desc.zero())
+        want = zero_root_payload(desc)
+        assert (a, repr(a)) == (want, repr(want)), desc
+        assert reason == (og.NO_MAX if a is None else None), desc
+
+
+def test_sqrt_zero_answers_as_the_root_of_zero():
+    # sqrt_zero is the root rule at 0, so a product's note names the factor
+    # without a top of its nilpotents, and twist3(Z) gives its own note;
+    # existence, value and reason are those of the second switch
+    for desc in GRID + list(PROFILE_GRID):
+        A = pmv.GammaAlgebra(desc)
+        got, want = roots.sqrt_zero(A), zero_root_by_switch(A)
+        assert got == roots.element_sqrt(A, pmv.zero_elem(A)), desc
+        assert (got.status, got.value, got.reason) == (want.status, want.value, want.reason), desc
+    # a lexicographic product that is not a chain has u/2, which the second
+    # switch read off; no root rule covers it
+    desc = ROOT_GRID[-2]
+    assert zero_root_payload(desc) == (Fraction(1, 2), (0, 0))
+    with pytest.raises(UnsupportedOperationError, match="no root procedure covers Lex"):
+        roots.sqrt_zero(pmv.GammaAlgebra(desc))
 
 
 # --- square-root mappings ------------------------------------------------------------
