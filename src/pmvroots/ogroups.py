@@ -70,8 +70,9 @@ So is each family's root rule, which ``roots`` calls and checks without
 testing the family: ``root(p)`` for p in [0, u] is ``(a, None, note)`` with
 a the payload of the square root of p, or ``(None, reason, note)`` with the
 reason code ``NO_CANDIDATE`` or ``NO_MAX``, or it raises
-``UnsupportedOperationError``.  The base class halves p + u in a chain with
-central unit, where u/2 tops the nilpotents; ``ScaledInt`` answers
+``UnsupportedOperationError``.  The base class answers 0 in every group,
+with u/2 or ``NO_MAX`` when u does not halve, and halves p + u in a chain
+with central unit; ``ScaledInt`` answers
 floor(n/2)/n at 0; ``Twist3`` decides every point for the tag ``Z`` and 0
 and u for the others; ``ProductGroup`` composes its factors' answers.
 
@@ -227,16 +228,18 @@ class GroupDescriptor:
         return None
 
     def root(self, p):
-        # in a chain with central unit, a (.) a = p > 0 forces 2a = p + u,
-        # and u/2 tops the nilpotents
+        # u/2 tops the nilpotents when it exists; without it they have no
+        # top, in every family without a rule of its own
+        if p == self.zero():
+            h = try_halve(self, self.unit())
+            if h is None:
+                return None, NO_MAX, "the nilpotent set is upward unbounded"
+            return h, None, None
+        # in a chain with central unit, a (.) a = p > 0 forces 2a = p + u
         if not self.linear or self.witness() is not None:
             raise UnsupportedOperationError(f"no root procedure covers {self!r}")
         h = try_halve(self, self.add(p, self.unit()))
-        if h is not None:
-            return h, None, None
-        if p == self.zero():
-            return None, NO_MAX, "the nilpotent set is upward unbounded"
-        return None, NO_CANDIDATE, None
+        return (h, None, None) if h is not None else (None, NO_CANDIDATE, None)
 
 
 class _Rank1(GroupDescriptor):
@@ -531,7 +534,7 @@ class Twist3(_Twisted):
         # the unit is not central, so the halving rule does not apply
         if self.tag != "Z":
             if p == self.zero():
-                return try_halve(self, self.unit()), None, None
+                return super().root(p)
             if p == self.unit():
                 return p, None, None
             raise UnsupportedOperationError(
@@ -772,14 +775,12 @@ class ProductGroup(_Composite, Record):
         return self._first(f.rootless() for f in self.factors)
 
     def root(self, p):
-        # factor by factor; the first factor without a root names itself,
-        # except in a chain, which answers as its one factor
+        # factor by factor; the first factor without a root names itself
         parts = []
         for f, c in zip(self.factors, p):
             a, reason, note = f.root(c)
             if a is None:
-                chain = self.linear and self.witness() is None
-                return None, reason, note if chain else f"factor {f!r}: {note or reason}"
+                return None, reason, f"factor {f!r}: {note or reason}"
             parts.append(a)
         return tuple(parts), None, None
 

@@ -352,6 +352,20 @@ def test_sqrtmap_witness_has_no_root(target, witness):
     assert (code, root["status"]) == (1, "not_exists")
 
 
+def test_sqrtmap_finds_no_top_of_the_nilpotents_beside_a_factor_that_is_not_a_chain():
+    # (0,(0,t)) is nilpotent for every t in the tail; no root procedure
+    # covers the lex factor away from 0
+    target, zero = "gamma(prod(Z/1,lex(Z/1,prod(Z/1,Z/1))))", "(0,(0,(0,0)))"
+    reason = "the set of nilpotents has no top"
+    assert run(["sqrtmap", target]) == (1, f"status: absent\nreason: {reason}\nwitness: {zero}\n")
+    code, blob = run_json(["sqrtmap", target])
+    assert (code, blob["status"], blob["payload"]) == (1, "absent", {"reason": reason, "witness": zero})
+    code, blob = run_json(["sqrt", target, zero])
+    assert (code, blob["status"], blob["payload"]["reason"]) == (1, "not_exists", "no_max_of_nilpotents")
+    code, blob = run_json(["sqrt", target, "(1,(1,(0,0)))"])
+    assert (code, blob["status"]) == (2, "unsupported")
+
+
 # Boolean-factor intervals and one algebra per factor: M(1) for Z/1
 FACTOR_TWINS = {
     "gamma(Z/1)": ["M(1)"],
