@@ -34,10 +34,11 @@ written as ``Gamma(prod (1/n_i) Z, u)`` from its chain decomposition, so
 its closures are decided by the same case analysis as its l-group's.
 
 ``crit_check`` certifies that a closed group really is a closure base:
-every element must reach the base group under repeated doubling.  Its
-certificate, ``closed.certificate(base)``, is built once per call and
-works on the integers of each seeded draw (``desc.draw``): per family it
-gives the exponent n and decides whether 2**n * h lies in the base by
+every element must reach the base group under repeated doubling.  Once per
+call it compiles the closed group's draw, the flat list of its scalars
+(``closed.scalars()``), and its certificate (``closed.certificate(base)``),
+which reads the integers of each flat draw by offset: per family it gives
+the exponent n and decides whether 2**n * h lies in the base by
 divisibility.  Identity factors (``base == closed``) take their draws and
 are not re-checked, since a draw of a group is a member of it.  A
 square-root closure refuses a factor whose unit is not central
@@ -158,13 +159,15 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
 
     ``base`` may also be a :class:`ClosureDescriptor`, in which case its
     own pairing is checked.  The symbolic exponent certificate is
-    re-verified on ``samples`` seeded draws of ``closed``, each read as
-    the integers of ``closed.draw(rng, 3, 5)``: the certificate gives the
-    sample's exponent n and whether its 2**n-fold sum (``closed.mul`` at
-    2**n, in closed form per family) lies in the base group, by integer
-    divisibility.  Identity factors consume their draws and are not
-    re-checked.  A failing sample is reported as the payload that
-    ``closed.random`` draws at that point.
+    re-verified on ``samples`` seeded draws of ``closed``.  The list of its
+    scalars and its certificate are built once; each sample is one flat
+    draw of the integers of those scalars (``og.draw_scalars`` with bound 3
+    and exponent 5, as ``closed.draw(rng, 3, 5)`` draws) and one call of the
+    certificate, which gives the sample's exponent n and whether its
+    2**n-fold sum (``closed.mul`` at 2**n, in closed form per family) lies
+    in the base group, by integer divisibility.  Identity factors consume
+    their draws and are not re-checked.  A failing sample is reported as
+    the payload that ``closed.random`` draws at that point.
     """
     if isinstance(base, ClosureDescriptor):
         base, closed = base.base, base.closed
@@ -190,9 +193,10 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
             counterexample=h,
         )
     rng = random.Random(seed)
+    scalars = closed.scalars()
     max_seen = 0
     for _ in range(samples):
-        draw = closed.draw(rng, 3, 5)
+        draw = og.draw_scalars(scalars, rng, 3, 5)
         n, lands = cert(draw)
         if not lands:
             h = closed.from_draw(draw)

@@ -27,8 +27,8 @@ Scalar tags for the twisted families are ``"Z"`` (integers), ``"D"``
 Halving stays exact: an odd ``int`` halves to a ``Fraction``, never to a
 ``float``.  Twisted payloads are compared as Python tuples, which order
 lexicographically by value, so their ``join`` and ``meet`` are ``max``
-and ``min``; their membership maps one predicate of the scalar tag over
-the coordinates.
+and ``min``; their membership reads the set of the coordinates' types and
+the lcm of their denominators.
 
 Each family is one class whose public methods are its payload laws:
 ``add``, ``neg``, ``mul``, ``cmp`` (-1, 0, 1, or None for incomparable
@@ -40,10 +40,15 @@ return payloads and check nothing; a payload is written as the DSL reads
 it, by ``scalars.format_value``.  ``mul(k, p)`` is the k-fold sum of p for
 k >= 0 in closed form; for the twisted families it carries the binomial
 C(k, 2) = k * (k - 1) // 2, an exact integer.
-``random(rng, bound, exp)`` is ``from_draw(draw(rng, bound, exp))``:
-``draw`` makes the seeded ``randint`` draws and returns the drawn integers,
-a pair (m, d) for each scalar m/d in payload order, and ``from_draw``
-builds the payload from them.
+
+Seeded draws are flat.  ``scalars()`` lists the scalars of a payload in
+order as ``(tag, scale)``, a scalar of (1/scale) * tag each, and
+``Lex`` and ``ProductGroup`` join their parts' lists.  ``draw_scalars``
+draws such a list in one loop, as ``rng.randint`` draws, and returns a flat
+list with a pair (m, d) for each scalar m/d; ``draw(rng, bound, exp)`` is
+the draw of ``scalars()``.  ``from_draw(draw, at)`` builds the payload
+whose scalars start at offset ``at`` of a flat draw, and ``random(rng,
+bound, exp)`` is ``from_draw(draw(rng, bound, exp))``.
 
 The closure facts of a family are methods too, which ``closures`` and the
 CLI call without testing the family; ``Lex`` and ``ProductGroup`` compose
@@ -56,9 +61,11 @@ their parts' answers, as they do for ``add`` and ``cmp``:
   ``UnsupportedOperationError``;
 * ``has_boolean_quotient()``, whether some prime leaves the two-element
   algebra;
-* ``certificate(base)`` on a closed group: a function from an integer draw
-  of it to (n, whether 2**n times the drawn payload lies in ``base``), or
-  None when no rule covers the pair;
+* ``doubling_plan(base)`` on a closed group: the checks that certify that
+  some 2**n-fold sum of each element lies in ``base``, by the offsets of
+  the scalars they read in a flat draw, or None when no rule covers the
+  pair; ``certificate(base)`` compiles it into one function from a flat
+  draw to (n, whether 2**n times the drawn payload lies in ``base``);
 * ``missing_from(closed)``, a payload of the base that ``closed`` lacks
   (None when the probe finds none), and ``unreachable_from(base)``, the
   payload of the closed group whose doublings ``crit_check`` tries when no
@@ -86,11 +93,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
+from itertools import accumulate
+from operator import attrgetter
 from typing import Union
 
 from .errors import CarrierError, ParameterError, UnsupportedOperationError, check
 from .records import Record
-from .scalars import QuadValue, format_value, is_dyadic, odd_part, rational
+from .scalars import QuadValue, format_value, odd_part, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
 
@@ -102,13 +112,16 @@ NO_MAX = "no_max_of_nilpotents"
 Payload = Union[Fraction, tuple]
 
 
-# One predicate per scalar tag: is a coordinate an exact scalar (an int that
-# is not a bool, or a Fraction) of the tag's ring?
-_IN_TAG = {
-    "Z": lambda c: type(c) is int or isinstance(c, Fraction) and c.denominator == 1,
-    "D": lambda c: type(c) is int or isinstance(c, Fraction) and is_dyadic(c),
-    "Q": lambda c: type(c) is int or isinstance(c, Fraction),
-}
+_DENOMINATOR = attrgetter("denominator")
+_INTS = frozenset((int,))
+_EXACT_KINDS = frozenset((int, Fraction))
+
+
+def _in_ring(tag: str, coords) -> bool:
+    """Whether exact scalars all lie in the tag's ring: the lcm of their
+    denominators is 1 for ``"Z"`` and a power of two for ``"D"``."""
+    den = math.lcm(*map(_DENOMINATOR, coords))
+    return tag == "Q" or (den == 1 if tag == "Z" else den & (den - 1) == 0)
 
 
 def _int_if_integral(c):
@@ -127,36 +140,35 @@ def _half(c):
     return Fraction(c, 2)
 
 
-def _randint(rng, a: int, b: int) -> int:
-    """``rng.randint(a, b)`` without its argument checks, drawn as CPython
-    draws it: ``getrandbits`` of the bit length of n = b - a + 1, again
-    while the draw is n or more."""
-    n = r = b - a + 1
-    while r >= n:
-        r = rng.getrandbits(n.bit_length())
-    return a + r
-
-
-def _draw_scalar(tag: str, rng, bound: int, exp: int, scale: int = 1) -> tuple[int, int]:
-    """(m, d) for a scalar m/d of (1/scale) * tag with |m/d| <= bound; a
-    dyadic denominator is scale * 2**k with 0 <= k <= exp."""
-    if tag == "Z":
-        d = scale
-    elif tag == "D":
-        d = scale << _randint(rng, 0, exp)
-    else:
-        d = _randint(rng, 1, 12)
-    return _randint(rng, -bound * d, bound * d), d
-
-
-# Doubling certificates: each reads an integer draw (a pair (m, d) for each
-# scalar m/d) and returns (n, whether 2**n times the drawn payload lies in the
-# base group).
-
-
-def _identity(draw) -> tuple[int, bool]:
-    # a draw of a group is a member of it
-    return 0, True
+def draw_scalars(scalars, rng, bound: int, exp: int) -> list[tuple[int, int]]:
+    """(m, d) for each scalar of ``scalars``, a list of (tag, scale), in
+    order: m/d lies in (1/scale) * tag with |m/d| <= bound, where d is scale
+    for ``"Z"``, scale * 2**k with 0 <= k <= exp for ``"D"`` and 1 <= d <= 12
+    for ``"Q"``.  Each integer is drawn from its range [a, b] as
+    ``rng.randint(a, b)`` draws it: ``getrandbits`` of the bit length of the
+    width b - a + 1, again while the draw is the width or more."""
+    bits = rng.getrandbits
+    exp_bits = (exp + 1).bit_length()
+    out = []
+    for tag, scale in scalars:
+        if tag == "Z":
+            d = scale
+        elif tag == "D":
+            k = exp + 1
+            while k > exp:
+                k = bits(exp_bits)
+            d = scale << k
+        else:
+            d = 12
+            while d >= 12:
+                d = bits(4)
+            d += 1
+        half = bound * d
+        width = r = 2 * half + 1
+        while r >= width:
+            r = bits(width.bit_length())
+        out.append((r - half, d))
+    return out
 
 
 def _exponent(m: int, d: int) -> int:
@@ -164,21 +176,41 @@ def _exponent(m: int, d: int) -> int:
     return max(0, (d & -d).bit_length() - (m & -m).bit_length()) if m else 0
 
 
-def _integral(draw) -> tuple[int, bool]:
-    """Scalars (m, d) of a dyadic closure over an integral base: the largest
-    exponent n, and whether 2**n makes every m/d an integer."""
-    n = max(_exponent(m, d) for m, d in draw)
-    return n, all((m << n) % d == 0 for m, d in draw)
+def _certify(scaled, twisted, lands, draw) -> tuple[int, bool]:
+    """The compiled certificate of a doubling plan (``doubling_plan``) on a
+    flat draw: the largest exponent n of its checks, and whether every check
+    lands.
 
-
-def _twist4_doubling(draw) -> tuple[int, bool]:
-    # the 2**n-fold sum is (N a, N b, N c, N d + C(N, 2) b c) with N = 2**n,
-    # Twist4.mul at k = N; N a, N b and N c stay integers as n grows
-    _, (mb, db), (mc, dc), (md, dd) = draw
-    n, lands = _integral(draw[:3])
-    n = max(n, _exponent(md, dd), _exponent(mb * mc, db * dc) + 1 if mb * mc else 0)
-    N = 1 << n
-    return n, lands and (N * md * db * dc + N * (N - 1) // 2 * mb * mc * dd) % (dd * db * dc) == 0
+    A scalar m/d at offset i with scale s lands when 2**k m/d lies in
+    (1/s) Z for its own exponent k; once it does, every larger power of 2
+    keeps it there.  A twisted Z^4 payload (a, b, c, d) starting at offset
+    i has the 2**k-fold sum (N a, N b, N c, N d + C(N, 2) b c) with
+    N = 2**k (``Twist4.mul``), k the largest exponent of a, b, c, d and
+    2 bc; N a, N b and N c stay integers as k grows.
+    """
+    n = 0
+    for i, s in scaled:
+        m, d = draw[i]
+        if m:
+            k = (d & -d).bit_length() - (m & -m).bit_length()
+            if k < 0:
+                k = 0
+            elif k > n:
+                n = k
+            if (m * s << k) % d:
+                lands = False
+    for i in twisted:
+        (ma, da), (mb, db), (mc, dc), (md, dd) = draw[i:i + 4]
+        bc = mb * mc
+        k = max(_exponent(ma, da), _exponent(mb, db), _exponent(mc, dc), _exponent(md, dd),
+                _exponent(bc, db * dc) + 1 if bc else 0)
+        N = 1 << k
+        n = max(n, k)
+        lands = (
+            lands and (ma << k) % da == 0 and (mb << k) % db == 0 and (mc << k) % dc == 0
+            and (N * md * db * dc + N * (N - 1) // 2 * bc * dd) % (dd * db * dc) == 0
+        )
+    return n, lands
 
 
 class GroupDescriptor:
@@ -203,6 +235,9 @@ class GroupDescriptor:
     def witness(self):
         return None
 
+    def draw(self, rng, bound, exp):
+        return draw_scalars(self.scalars(), rng, bound, exp)
+
     def random(self, rng, bound, exp):
         return self.from_draw(self.draw(rng, bound, exp))
 
@@ -215,8 +250,14 @@ class GroupDescriptor:
     def has_boolean_quotient(self):
         return False
 
+    def doubling_plan(self, base):
+        # (scalar checks (offset, scale), twisted Z^4 offsets, whether the
+        # shapes match); a draw of a group is a member of it
+        return ([], [], True) if base == self else None
+
     def certificate(self, base):
-        return _identity if base == self else None
+        plan = self.doubling_plan(base)
+        return None if plan is None else partial(_certify, *plan)
 
     def missing_from(self, closed):
         return None
@@ -272,8 +313,8 @@ class _Rank1(GroupDescriptor):
     def bound(self, p):
         return math.ceil(p)
 
-    def from_draw(self, draw):
-        return Fraction(*draw)
+    def from_draw(self, draw, at=0):
+        return Fraction(*draw[at])
 
     def strict_closure(self):
         return self
@@ -291,8 +332,8 @@ class ScaledInt(_Rank1, Record):
     def contains(self, p):
         return isinstance(p, Fraction) and self.n % p.denominator == 0
 
-    def draw(self, rng, bound, exp):
-        return _draw_scalar("Z", rng, bound, exp, self.n)
+    def scalars(self):
+        return [("Z", self.n)]
 
     def strict_closure(self):
         return ScaledDyadic(odd_part(self.n))
@@ -329,21 +370,14 @@ class ScaledDyadic(_Rank1, Record):
         den = p.denominator
         return self.q % (den >> ((den & -den).bit_length() - 1)) == 0
 
-    def draw(self, rng, bound, exp):
-        return _draw_scalar("D", rng, bound, exp, self.q)
+    def scalars(self):
+        return [("D", self.q)]
 
-    def certificate(self, base):
+    def doubling_plan(self, base):
+        # h = m/d with d = q 2**k lies in (1/N) Z once 2**n m N / d is an integer
         if not isinstance(base, ScaledInt) or odd_part(base.n) != self.q:
-            return super().certificate(base)
-        scale = base.n
-
-        def scaled(draw):
-            # h = m/d with d = q 2**k lies in (1/N) Z once 2**n m N / d is an integer
-            m, d = draw
-            n = _exponent(m, d)
-            return n, (m * scale << n) % d == 0
-
-        return scaled
+            return super().doubling_plan(base)
+        return [(0, base.n)], [], True
 
     def missing_from(self, closed):
         probe = Fraction(1, self.q)
@@ -359,8 +393,8 @@ class Rationals(_Rank1, Record):
     def contains(self, p):
         return isinstance(p, Fraction)
 
-    def draw(self, rng, bound, exp):
-        return _draw_scalar("Q", rng, bound, exp)
+    def scalars(self):
+        return [("Q", 1)]
 
 
 class QuadLattice(GroupDescriptor, Record):
@@ -388,7 +422,7 @@ class QuadLattice(GroupDescriptor, Record):
             isinstance(p, tuple)
             and len(p) == 2
             and all(map(isinstance, p, (Fraction, Fraction)))
-            and all(map(_IN_TAG["D" if self.dyadic else "Z"], p))
+            and _in_ring("D" if self.dyadic else "Z", p)
         )
 
     def normalize(self, raw):
@@ -421,19 +455,19 @@ class QuadLattice(GroupDescriptor, Record):
         f = v.floor()
         return f if (v - QuadValue.make(f)).sign() == 0 else f + 1
 
-    def draw(self, rng, bound, exp):
-        tag = "D" if self.dyadic else "Z"
-        return (_draw_scalar(tag, rng, bound, exp), _draw_scalar(tag, rng, bound, exp))
+    def scalars(self):
+        return [("D" if self.dyadic else "Z", 1)] * 2
 
-    def from_draw(self, draw):
-        return tuple(Fraction(m, d) for m, d in draw)
+    def from_draw(self, draw, at=0):
+        return tuple(Fraction(m, d) for m, d in draw[at:at + 2])
 
     def strict_closure(self):
         return QuadLattice(self.alpha, dyadic=True)
 
-    def certificate(self, base):
+    def doubling_plan(self, base):
+        # dyadic coefficients over integral ones: both become integers
         integral = isinstance(base, QuadLattice) and base.alpha == self.alpha and not base.dyadic
-        return _integral if integral and self.dyadic else super().certificate(base)
+        return ([(0, 1), (1, 1)], [], True) if integral and self.dyadic else super().doubling_plan(base)
 
 
 class _Twisted(GroupDescriptor, Record):
@@ -462,7 +496,15 @@ class _Twisted(GroupDescriptor, Record):
         return int if self.tag == "Z" else Fraction
 
     def contains(self, p):
-        return isinstance(p, tuple) and len(p) == self.arity and all(map(_IN_TAG[self.tag], p))
+        if not isinstance(p, tuple) or len(p) != self.arity:
+            return False
+        # exact scalars are ints that are not bools, which lie in every ring,
+        # and Fractions
+        kinds = set(map(type, p))
+        if kinds == _INTS:
+            return True
+        exact = kinds <= _EXACT_KINDS or all(k is int or issubclass(k, Fraction) for k in kinds)
+        return exact and _in_ring(self.tag, p)
 
     def normalize(self, raw):
         if len(raw) != self.arity:
@@ -486,11 +528,11 @@ class _Twisted(GroupDescriptor, Record):
     def bound(self, p):
         return math.floor(abs(p[0])) + 1
 
-    def draw(self, rng, bound, exp):
-        return tuple(_draw_scalar(self.tag, rng, bound, exp) for _ in range(self.arity))
+    def scalars(self):
+        return [(self.tag, 1)] * self.arity
 
-    def from_draw(self, draw):
-        return tuple(m if self.tag == "Z" else Fraction(m, d) for m, d in draw)
+    def from_draw(self, draw, at=0):
+        return tuple(m if self.tag == "Z" else Fraction(m, d) for m, d in draw[at:at + self.arity])
 
 
 _TWIST3_NOTE = (
@@ -575,8 +617,8 @@ class Twist4(_Twisted):
         answers as three strict expected failures."""
         return True
 
-    def certificate(self, base):
-        return _twist4_doubling if self.tag == "D" and base == Twist4("Z") else super().certificate(base)
+    def doubling_plan(self, base):
+        return ([], [0], True) if self.tag == "D" and base == Twist4("Z") else super().doubling_plan(base)
 
 
 class _Composite(GroupDescriptor):
@@ -615,30 +657,29 @@ class _Composite(GroupDescriptor):
     def halve(self, p):
         return tuple(f.halve(a) for f, a in zip(self.parts, p))
 
-    def draw(self, rng, bound, exp):
-        return tuple(f.draw(rng, bound, exp) for f in self.parts)
+    def scalars(self):
+        return [s for f in self.parts for s in f.scalars()]
 
-    def from_draw(self, draw):
-        return tuple(f.from_draw(x) for f, x in zip(self.parts, draw))
+    def _starts(self, at=0):
+        """The offset in a flat draw at which each part's scalars start."""
+        return list(accumulate((len(f.scalars()) for f in self.parts), initial=at))
 
-    def certificate(self, base):
-        # componentwise over a base of the same class: n is the largest
-        # component exponent, and a product of the wrong length is no member
+    def from_draw(self, draw, at=0):
+        return tuple(f.from_draw(draw, i) for f, i in zip(self.parts, self._starts(at)))
+
+    def doubling_plan(self, base):
+        # componentwise over a base of the same class, each part's checks
+        # moved to its offset: n is the largest component exponent, and a
+        # product of the wrong length is no member
         if base == self or type(base) is not type(self):
-            return super().certificate(base)
-        certs = [c.certificate(b) for b, c in zip(base.parts, self.parts)]
-        if None in certs:
+            return super().doubling_plan(base)
+        plans = [c.doubling_plan(b) for b, c in zip(base.parts, self.parts)]
+        if None in plans:
             return None
-        same_shape = len(base.parts) == len(self.parts)
-
-        def componentwise(draw):
-            n, lands = 0, same_shape
-            for cert, x in zip(certs, draw):
-                k, ok = cert(x)
-                n, lands = max(n, k), lands and ok
-            return n, lands
-
-        return componentwise
+        starts = self._starts()
+        scaled = [(i + at, s) for (checks, _, _), at in zip(plans, starts) for i, s in checks]
+        twisted = [i + at for (_, blocks, _), at in zip(plans, starts) for i in blocks]
+        return scaled, twisted, len(base.parts) == len(self.parts) and all(p[2] for p in plans)
 
 
 class Lex(_Composite, Record):
@@ -766,7 +807,7 @@ class ProductGroup(_Composite, Record):
         # the probe of the first factor that no certificate covers
         if isinstance(base, ProductGroup):
             for b, c in zip(base.factors, self.factors):
-                if c.certificate(b) is None:
+                if c.doubling_plan(b) is None:
                     inner = c.unreachable_from(b)
                     return tuple(inner if f is c else f.zero() for f in self.factors)
         return self.unit()

@@ -109,8 +109,15 @@ def _upper_pairs(bound: int) -> list[tuple[int, int]]:
     return [(b, c) for b in range(bound + 1) for c in range(-bound if b else 0, bound + 1)]
 
 
-def _twist3_box(A: GammaAlgebra, bound: int, heads=(0, 1)) -> list[tuple[int, int, int]]:
-    """The payloads (h, b, c) of [0, u] with h in ``heads`` and |b|, |c| <= bound.
+def _rim_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs (b, c) >= (0, 0), lexicographically, with max(|b|, |c|) = n >= 1:
+    those of ``_upper_pairs(n)`` that ``_upper_pairs(n - 1)`` lacks."""
+    return [(0, n)] + [(b, c) for b in range(1, n) for c in (-n, n)] + [(n, c) for c in range(-n, n + 1)]
+
+
+def _twist3_box(A: GammaAlgebra, pairs, heads=(0, 1)) -> list[tuple[int, int, int]]:
+    """The payloads (h, b, c) of [0, u] with h in ``heads`` and (b, c) or
+    (-b, -c) in ``pairs``, a list of pairs >= (0, 0).
 
     They are built from the order: (h, b, c) lies in [0, u] = [(0,0,0),
     (1,0,0)] exactly when h = 0 and (b, c) >= (0, 0) lexicographically, or
@@ -121,7 +128,7 @@ def _twist3_box(A: GammaAlgebra, bound: int, heads=(0, 1)) -> list[tuple[int, in
     box = []
     for h in heads:
         sign = 1 - 2 * h
-        for b, c in _upper_pairs(bound):
+        for b, c in pairs:
             p = (h, sign * b, sign * c)
             check(contains(p) and leq(zero, p) and leq(p, unit), "a box point lies in [0, u]")
             box.append(p)
@@ -141,7 +148,9 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     order of Twist3 is linear, so the interval is a chain, and "every in-box
     nilpotent is exceeded in the enlarged box" holds exactly when the
     largest in-box nilpotent lies strictly below the largest nilpotent of
-    the enlarged box.
+    the enlarged box.  The enlarged box's points (0, b, c) are the box's,
+    with their squares, and the rim where |b| or |c| is bound + 1, which
+    alone is built, checked and squared.
     """
     if not 0 <= bound <= MAX_BOX_BOUND:
         raise ParameterError(f"the box bound must be between 0 and {MAX_BOX_BOUND}, not {bound}")
@@ -149,7 +158,7 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
         raise ParameterError("this procedure is specific to the twisted Z^3 interval")
     res = element_sqrt(A, x)
     xp, zero = x.payload, A.zero
-    box = _twist3_box(A, bound)
+    box = _twist3_box(A, _upper_pairs(bound))
     squares = [A.odot(p, p) for p in box]
     agree = True
     detail = ""
@@ -168,7 +177,8 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
         # beaten inside the enlarged box; 0 is in every box, so neither
         # list is empty
         nil = [p for p, sq in zip(box, squares) if sq == zero]
-        wider = [w for w in _twist3_box(A, bound + 1, heads=(0,)) if A.odot(w, w) == zero]
+        rim = _twist3_box(A, _rim_pairs(bound + 1), heads=(0,))
+        wider = [p for p in nil if p[0] == 0] + [w for w in rim if A.odot(w, w) == zero]
         top, wider_top = reduce(A.join, nil), reduce(A.join, wider)
         agree = A.leq(top, wider_top) and top != wider_top
         detail = "every in-box nilpotent is exceeded in the enlarged box"

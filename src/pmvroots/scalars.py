@@ -81,12 +81,6 @@ def format_value(v) -> str:
     return str(v)
 
 
-def is_dyadic(x: Fraction) -> bool:
-    """True when the denominator of ``x`` is a power of two."""
-    d = x.denominator
-    return d & (d - 1) == 0
-
-
 def two_adic_valuation(n: int) -> int:
     if n == 0:
         raise ParameterError("0 has no 2-adic valuation")

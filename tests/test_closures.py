@@ -20,6 +20,7 @@ from pmvroots import scalars as S
 from pmvroots.errors import CarrierError, ParameterError, PmvError, UnsupportedOperationError
 from pmvroots.records import Record
 from test_cli import run_json
+from test_ogroups import all_descriptors, draw_scalar_by_randint
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 M = pmv.finite_mv_chain
@@ -244,9 +245,15 @@ def test_twist4_doubling_exponent_oracle():
 # --- the integer certificate against the Fraction procedure ------------------------
 
 
+def is_dyadic(x):
+    """True when the denominator of ``x`` is a power of two."""
+    d = x.denominator
+    return d & (d - 1) == 0
+
+
 def dyadic_exponent(x):
     """Least k >= 0 with x * 2**k integral; x must be dyadic."""
-    if not S.is_dyadic(x):
+    if not is_dyadic(x):
         raise ValueError(f"{x} is not a dyadic rational")
     return x.denominator.bit_length() - 1
 
@@ -260,11 +267,11 @@ def claimed_exponent(base, closed, payload):
         if S.odd_part(base.n) != closed.q:
             return None
         scaled = payload * closed.q
-        return dyadic_exponent(scaled) if S.is_dyadic(scaled) else None
+        return dyadic_exponent(scaled) if is_dyadic(scaled) else None
     if isinstance(base, og.QuadLattice) and isinstance(closed, og.QuadLattice):
         if base.alpha != closed.alpha or not closed.dyadic:
             return None
-        if not all(S.is_dyadic(c) for c in payload):
+        if not all(is_dyadic(c) for c in payload):
             return None
         return max(dyadic_exponent(c) for c in payload)
     if isinstance(base, og.Lex) and isinstance(closed, og.Lex):
@@ -358,13 +365,13 @@ def test_dyadic_exponent_oracle():
         k = 0
         while (x * 2**k).denominator != 1:
             k += 1
-        assert S.is_dyadic(x)
+        assert is_dyadic(x)
         assert dyadic_exponent(x) == k
 
 
 def test_dyadic_exponent_rejects_non_dyadic():
     for x in (Fraction(1, 3), Fraction(5, 6), Fraction(-2, 7)):
-        assert not S.is_dyadic(x)
+        assert not is_dyadic(x)
         with pytest.raises(ValueError):
             dyadic_exponent(x)
 
@@ -492,17 +499,15 @@ def test_the_certificate_matches_the_oracle_on_drawn_pairs(pair, seed, samples):
 def test_the_certificate_draws_what_random_draws(monkeypatch, pair):
     # the rng state after each sample is the state after one closed.random
     base, closed = pair
-    cls = type(closed)
-    draw = cls.draw
+    draw = og.draw_scalars
     states = []
 
-    def recording(self, rng, bound, exp):
-        out = draw(self, rng, bound, exp)
-        if self is closed:
-            states.append(rng.getstate())
+    def recording(scalars, rng, bound, exp):
+        out = draw(scalars, rng, bound, exp)
+        states.append(rng.getstate())
         return out
 
-    monkeypatch.setattr(cls, "draw", recording)
+    monkeypatch.setattr(og, "draw_scalars", recording)
     res = cl.crit_check(base, closed, samples=25, seed=31)
     monkeypatch.undo()
     assert res.ok and res.samples_checked == 25
@@ -1059,6 +1064,153 @@ def test_each_closure_method_matches_its_switch():
         assert (closed.certificate(base) is None) == (claimed_exponent(base, closed, closed.unit()) is None), name
         assert same(base.missing_from(closed), containment_counterexample(base, closed)), name
         assert same(closed.unreachable_from(base), criterion_counterexample(base, closed)), name
+
+
+# --- the flat sampler against the recursive per-family code ----------------------------
+#
+# Before the draw and the certificate were compiled flat, each family drew
+# its own payload shape, a pair (m, d) per scalar nested as the payload is,
+# and each family's certificate read that nested draw; the products and
+# lexicographic groups recursed into their parts.  That code is the oracle.
+
+
+def nested_draw(desc, rng, bound, exp):
+    """The integers of a seeded draw of ``desc``, nested as its payload."""
+    if isinstance(desc, (og.Lex, og.ProductGroup)):
+        return tuple(nested_draw(f, rng, bound, exp) for f in desc.parts)
+    if isinstance(desc, og.ScaledInt):
+        return draw_scalar_by_randint("Z", rng, bound, exp, desc.n)
+    if isinstance(desc, og.ScaledDyadic):
+        return draw_scalar_by_randint("D", rng, bound, exp, desc.q)
+    if isinstance(desc, og.Rationals):
+        return draw_scalar_by_randint("Q", rng, bound, exp)
+    tag, arity = ("D" if desc.dyadic else "Z", 2) if isinstance(desc, og.QuadLattice) else (desc.tag, desc.arity)
+    return tuple(draw_scalar_by_randint(tag, rng, bound, exp) for _ in range(arity))
+
+
+def flatten_draw(draw):
+    return [draw] if isinstance(draw[0], int) else [x for part in draw for x in flatten_draw(part)]
+
+
+def nested_from_draw(desc, draw):
+    if isinstance(desc, (og.Lex, og.ProductGroup)):
+        return tuple(nested_from_draw(f, x) for f, x in zip(desc.parts, draw))
+    if isinstance(desc, (og.ScaledInt, og.ScaledDyadic, og.Rationals)):
+        return Fraction(*draw)
+    if isinstance(desc, og.QuadLattice):
+        return tuple(Fraction(m, d) for m, d in draw)
+    return tuple(m if desc.tag == "Z" else Fraction(m, d) for m, d in draw)
+
+
+def exponent(m, d):
+    return max(0, (d & -d).bit_length() - (m & -m).bit_length()) if m else 0
+
+
+def integral(draw):
+    n = max(exponent(m, d) for m, d in draw)
+    return n, all((m << n) % d == 0 for m, d in draw)
+
+
+def twist4_doubling(draw):
+    _, (mb, db), (mc, dc), (md, dd) = draw
+    n, lands = integral(draw[:3])
+    n = max(n, exponent(md, dd), exponent(mb * mc, db * dc) + 1 if mb * mc else 0)
+    N = 1 << n
+    return n, lands and (N * md * db * dc + N * (N - 1) // 2 * mb * mc * dd) % (dd * db * dc) == 0
+
+
+def nested_certificate(closed, base):
+    """A function from a nested draw of ``closed`` to (n, whether 2**n times
+    the payload lies in ``base``), or None."""
+    if isinstance(closed, (og.Lex, og.ProductGroup)) and base != closed and type(base) is type(closed):
+        certs = [nested_certificate(c, b) for b, c in zip(base.parts, closed.parts)]
+        if None in certs:
+            return None
+        same_shape = len(base.parts) == len(closed.parts)
+
+        def componentwise(draw):
+            n, lands = 0, same_shape
+            for cert, x in zip(certs, draw):
+                k, ok = cert(x)
+                n, lands = max(n, k), lands and ok
+            return n, lands
+
+        return componentwise
+    if isinstance(closed, og.ScaledDyadic) and isinstance(base, og.ScaledInt) and S.odd_part(base.n) == closed.q:
+        def scaled(draw):
+            m, d = draw
+            n = exponent(m, d)
+            return n, (m * base.n << n) % d == 0
+
+        return scaled
+    if (isinstance(closed, og.QuadLattice) and isinstance(base, og.QuadLattice) and closed.dyadic
+            and not base.dyadic and base.alpha == closed.alpha):
+        return integral
+    if closed == og.Twist4("D") and base == og.Twist4("Z"):
+        return twist4_doubling
+    return (lambda draw: (0, True)) if base == closed else None
+
+
+def assert_the_flat_sampler_matches(base, closed, seed, samples=60):
+    """Sample by sample, the flat draw and certificate against the nested
+    ones, and the outcome of ``crit_check`` against the one the nested
+    samples give; ``test_random_is_the_nested_draw_made_a_payload`` compares
+    the payloads."""
+    name = f"{dsl.format_group(base)} -> {dsl.format_group(closed)}, seed {seed}"
+    cert, nested_cert = closed.certificate(base), nested_certificate(closed, base)
+    assert (cert is None) == (nested_cert is None), name
+    if cert is None or base.missing_from(closed) is not None:
+        return  # no sample is drawn
+    scalars = closed.scalars()
+    flat_rng, nested_rng = random.Random(seed), random.Random(seed)
+    want, max_seen = None, 0
+    for _ in range(samples):
+        draw, nested = og.draw_scalars(scalars, flat_rng, 3, 5), nested_draw(closed, nested_rng, 3, 5)
+        assert draw == flatten_draw(nested), name
+        n, lands = nested_cert(nested)
+        assert cert(draw) == (n, lands), name
+        if want is None and not lands:
+            h = nested_from_draw(closed, nested)
+            want = (False, f"2^{n} * {S.format_value(h)} is not in the base group", h, 0, 0)
+        max_seen = max(max_seen, n)
+    if want is None:
+        want = (True, "every sampled element reached the base group under doubling", None, samples, max_seen)
+    got = crit_outcome(base, closed, samples=samples, seed=seed)
+    assert (got, repr(got[2])) == (want, repr(want[2])), name
+
+
+def profile_closure_pairs():
+    pairs = {}
+    for desc in PROFILE_GRID:
+        for closure in (cl.strict_closure, cl.sqrt_closure):
+            C = outcome(closure, desc)
+            if isinstance(C, cl.ClosureDescriptor):
+                pairs[(C.base, C.closed)] = None
+    return list(pairs)
+
+
+def test_the_flat_sampler_matches_the_nested_one():
+    # about 1 s on a 2-core machine; its budget is 2 s
+    grid = list(itertools.product(GRID, repeat=2))
+    profiles = profile_closure_pairs()
+    # some pairs of the grid fail on a drawn sample and report its payload
+    assert sum(crit_outcome(*p)[1].startswith("2^") for p in grid) == 2
+    for i, (base, closed) in enumerate(grid):
+        for seed in (2, 40 + i % 7):
+            assert_the_flat_sampler_matches(base, closed, seed)
+    assert len(profiles) == 645
+    for i, (base, closed) in enumerate(profiles):
+        assert_the_flat_sampler_matches(base, closed, 2 + i % 5)
+
+
+def test_random_is_the_nested_draw_made_a_payload():
+    for desc in all_descriptors() + GRID:
+        for seed in range(20):
+            flat_rng, nested_rng = random.Random(seed), random.Random(seed)
+            for bound, exp in ((3, 5), (8, 6), (0, 0)):
+                want = nested_from_draw(desc, nested_draw(desc, nested_rng, bound, exp))
+                assert same(desc.random(flat_rng, bound, exp), want), (desc, seed)
+            assert flat_rng.getstate() == nested_rng.getstate()
 
 
 # --- a twisted head: the tag is not read ------------------------------------------------

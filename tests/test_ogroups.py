@@ -659,37 +659,46 @@ def test_random_draws_reproducible():
         assert tuple(og.strong_unit_bound(desc, x) for x in draws) == row[7], desc
 
 
-# every range the seeded draws use: a = b (bound or exp 0), the dyadic
-# exponent 0..exp, the denominator 1..12, and m in [-bound * d, bound * d]
-# for d up to a large scale times 2**exp; then widths 2**k and 2**k + 1
-DRAW_RANGES = [(0, 0), (7, 7), (-3, -3), (0, 1), (1, 12), (-6, 6), (0, 4), (0, 5),
-               (-3 * 12, 3 * 12), (-4 * 12, 4 * 12), (-3 * (7 << 5), 3 * (7 << 5)),
-               (-3 * (10**30 << 5), 3 * (10**30 << 5))]
-DRAW_RANGES += [(0, 2**k - 1) for k in range(1, 70, 3)] + [(-(2**k), 0) for k in range(1, 70, 3)]
-
-
-def test_the_draw_helper_repeats_randint():
-    widths = {b - a + 1 for a, b in DRAW_RANGES}
-    assert {1, 2, 12, 13, 2**64, 2**64 + 1} <= widths
-    for seed in range(1000):
-        ours, ref = random.Random(seed), random.Random(seed)
-        for a, b in DRAW_RANGES:
-            assert og._randint(ours, a, b) == ref.randint(a, b), (seed, a, b)
-        assert ours.getstate() == ref.getstate()
-
-
 def draw_scalar_by_randint(tag, rng, bound, exp, scale=1):
     """The draw as it was made before, through ``randint``: the oracle."""
     d = scale if tag == "Z" else scale << rng.randint(0, exp) if tag == "D" else rng.randint(1, 12)
     return rng.randint(-bound * d, bound * d), d
 
 
+def draws_by_randint(scalars, rng, bound, exp):
+    return [draw_scalar_by_randint(tag, rng, bound, exp, scale) for tag, scale in scalars]
+
+
+# the flat draw's ranges: m in [-bound * d, bound * d] of width 1 (bound 0),
+# 13 (d = 6), 2**64 + 1 (d = 2**63) and beyond 64 bits (a scale of 10**30
+# times 2**exp); the dyadic exponent 0..exp of width 1 (exp 0), 2, 6 and
+# 2**6 (exp 63); the denominator 1..12 of width 12
+DRAW_SCALARS = [("Z", 1), ("Z", 6), ("Z", 2**63), ("D", 1), ("D", 7), ("D", 10**30), ("Q", 1)]
+DRAW_BOUNDS = [(0, 0), (1, 0), (1, 1), (3, 5), (8, 6), (1, 63)]
+
+
+def test_the_draw_helper_repeats_randint():
+    widths = {2 * bound * scale + 1 for bound, _ in DRAW_BOUNDS for tag, scale in DRAW_SCALARS if tag == "Z"}
+    widths |= {exp + 1 for _, exp in DRAW_BOUNDS} | {12}
+    assert {1, 2, 6, 12, 13, 64, 2**64 + 1} <= widths
+    for seed in range(300):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for bound, exp in DRAW_BOUNDS:
+            scalars = DRAW_SCALARS[seed % 7:] + DRAW_SCALARS[:seed % 7]
+            got = og.draw_scalars(scalars, ours, bound, exp)
+            assert got == draws_by_randint(scalars, ref, bound, exp), (seed, bound, exp)
+        assert ours.getstate() == ref.getstate()
+
+
 @pytest.mark.parametrize("bound, exp", [(3, 5), (4, 4), (0, 0), (8, 6)])
-def test_every_family_draws_as_with_randint(monkeypatch, bound, exp):
+def test_every_family_draws_as_with_randint(bound, exp):
+    # the flat draw against randint, one scalar after another in payload order
     descs = all_descriptors() + [og.ScaledInt(10**12), og.ScaledDyadic(10**9 + 7)]
-    ours = [[desc.draw(random.Random(seed), bound, exp) for seed in range(40)] for desc in descs]
-    monkeypatch.setattr(og, "_draw_scalar", draw_scalar_by_randint)
-    assert ours == [[desc.draw(random.Random(seed), bound, exp) for seed in range(40)] for desc in descs]
+    for desc in descs:
+        for seed in range(40):
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert desc.draw(ours, bound, exp) == draws_by_randint(desc.scalars(), ref, bound, exp), (desc, seed)
+            assert ours.getstate() == ref.getstate()
 
 
 def test_format_strings():
@@ -778,7 +787,7 @@ def tag_member(tag, x):
     if tag == "Z":
         return x.denominator == 1
     if tag == "D":
-        return S.is_dyadic(x)
+        return x.denominator & (x.denominator - 1) == 0
     return True
 
 
@@ -872,3 +881,67 @@ def test_carrier_membership_pins_the_edge_kinds():
             assert desc.contains(raw) == loop_contains(desc, raw), (desc, raw)
     assert not og.QuadLattice(ALPHA, False).contains((0, 0))
     assert og.ScaledInt(6).contains(Fraction(5, 3)) and not og.ScaledInt(6).contains(Fraction(1, 4))
+
+
+# Membership as the twisted families and the quadratic lattices tested it
+# before it read the coordinates' types and denominators in one pass: one
+# predicate per scalar tag, mapped over the coordinates.
+IN_TAG = {
+    "Z": lambda c: type(c) is int or isinstance(c, Fraction) and c.denominator == 1,
+    "D": lambda c: type(c) is int or isinstance(c, Fraction) and c.denominator & (c.denominator - 1) == 0,
+    "Q": lambda c: type(c) is int or isinstance(c, Fraction),
+}
+
+
+def in_tag_contains(desc, p):
+    if isinstance(desc, og.QuadLattice):
+        return (isinstance(p, tuple) and len(p) == 2 and all(map(isinstance, p, (Fraction, Fraction)))
+                and all(map(IN_TAG["D" if desc.dyadic else "Z"], p)))
+    return isinstance(p, tuple) and len(p) == desc.arity and all(map(IN_TAG[desc.tag], p))
+
+
+class SubFraction(Fraction):
+    pass
+
+
+class SubInt(int):
+    pass
+
+
+EXACT_ATOMS = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6, 8, 12))),
+    st.builds(SubFraction, st.integers(-9, 9), st.sampled_from((1, 2, 3))),
+)
+ODD_ATOMS = st.one_of(st.booleans(), st.floats(-4, 4), st.integers(-9, 9).map(SubInt), st.none())
+
+
+@st.composite
+def drawn_payloads(draw):
+    """A carrier, and a tuple of about its arity whose coordinates are
+    mostly exact scalars; some are bools, floats, int subclasses or None."""
+    desc = draw(st.sampled_from(TWISTED + [og.QuadLattice(ALPHA, False), og.QuadLattice(ALPHA, True)]))
+    arity = getattr(desc, "arity", 2) + draw(st.sampled_from((0, 0, 0, 0, -1, 1)))
+    atoms = st.one_of(EXACT_ATOMS, ODD_ATOMS) if draw(st.booleans()) else EXACT_ATOMS
+    return desc, tuple(draw(atoms) for _ in range(arity))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(drawn_payloads())
+def test_carrier_membership_is_the_tag_predicate(case):
+    desc, p = case
+    assert desc.contains(p) == in_tag_contains(desc, p)
+
+
+def test_carrier_membership_pins_the_tag_predicate():
+    for desc in TWISTED + [og.QuadLattice(ALPHA, False), og.QuadLattice(ALPHA, True)]:
+        arity = getattr(desc, "arity", 2)
+        for c in (True, 1.0, 0, Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4),
+                  SubFraction(1, 2), SubInt(1), None):
+            for p in ((c,) * arity, (Fraction(0),) * (arity - 1) + (c,), (c,) * (arity + 1)):
+                assert desc.contains(p) == in_tag_contains(desc, p), (desc, p)
+    z, d = og.Twist4("Z"), og.Twist4("D")
+    assert z.contains((Fraction(1), 2, Fraction(3), 4)) and not z.contains((1, 2, 3, Fraction(1, 2)))
+    assert d.contains((Fraction(1, 2), 2, Fraction(3, 8), 4)) and not d.contains((1, 2, 3, Fraction(1, 6)))
+    assert not z.contains((True, 0, 0, 0)) and not d.contains((0, 0, 0, 0.5))

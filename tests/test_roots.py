@@ -4,6 +4,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -281,7 +282,7 @@ def test_twist3_bounded_check_matches_the_oracle_at_the_cap(payload, reason):
 @pytest.mark.parametrize("bound", [0, 1, 5, 16])
 def test_twist3_box_is_built_from_the_order(bound):
     A = pmv.GammaAlgebra(og.Twist3("Z"))
-    box = roots._twist3_box(A, bound)
+    box = roots._twist3_box(A, roots._upper_pairs(bound))
     for p in box:
         assert pmv.element_of(A, p).payload == p
     size = 2 * bound * (2 * bound + 1) + 2 * (bound + 1)
@@ -295,12 +296,60 @@ def test_twist3_box_is_built_from_the_order(bound):
             continue
         inside.add(p)
     assert set(box) == inside
-    # the enlarged box of the nilpotent verdict is the head-0 part
-    wider = roots._twist3_box(A, bound + 1, heads=(0,))
-    assert wider == [p for p in roots._twist3_box(A, bound + 1) if p[0] == 0]
+    # the enlarged box of the nilpotent verdict is the head-0 part of the box
+    # at bound + 1: the box's head-0 points and the rim
+    rim = roots._twist3_box(A, roots._rim_pairs(bound + 1), heads=(0,))
+    wider = [p for p in roots._twist3_box(A, roots._upper_pairs(bound + 1)) if p[0] == 0]
+    assert len(rim) == len(set(rim)) == 4 * (bound + 1)
+    assert sorted([p for p in box if p[0] == 0] + rim) == sorted(wider)
     for payload in ((0, 3, -2), (1, -3, 5)):
         report = roots.twist3_bounded_check(A, pmv.element_of(A, payload), bound=bound)
         assert report["detail"] == f"no in-box candidate among {size} elements"
+
+
+def twist3_bounded_check_by_rebuilding(A, x, bound):
+    """The box re-verification as it was before the rim: the nilpotent
+    verdict builds, checks and squares the whole enlarged box."""
+    res = roots.element_sqrt(A, x)
+    xp, zero = x.payload, A.zero
+    box = roots._twist3_box(A, roots._upper_pairs(bound))
+    squares = [A.odot(p, p) for p in box]
+    if res.exists:
+        a = res.value.payload
+        dominated = [p for p, sq in zip(box, squares) if A.leq(sq, xp)]
+        bad = [p for p in dominated if not A.leq(p, a)]
+        agree = A.odot(a, a) == xp and not bad
+        detail = f"verified against {len(dominated)} in-box dominated elements"
+    elif res.reason == og.NO_CANDIDATE:
+        agree = xp not in squares
+        detail = f"no in-box candidate among {len(box)} elements"
+    else:
+        nil = [p for p, sq in zip(box, squares) if sq == zero]
+        enlarged = roots._twist3_box(A, roots._upper_pairs(bound + 1), heads=(0,))
+        wider = [w for w in enlarged if A.odot(w, w) == zero]
+        top, wider_top = reduce(A.join, nil), reduce(A.join, wider)
+        agree = A.leq(top, wider_top) and top != wider_top
+        detail = "every in-box nilpotent is exceeded in the enlarged box"
+    return {"agrees": agree, "result": res, "detail": detail, "bound": bound}
+
+
+@pytest.mark.parametrize("bound", range(roots.MAX_BOX_BOUND + 1))
+def test_twist3_bounded_check_squares_only_the_rim_of_the_enlarged_box(monkeypatch, bound):
+    A = pmv.GammaAlgebra(og.Twist3("Z"))
+    # every branch: a root, both kinds of no candidate and the nilpotent
+    # verdict, on elements inside and outside the box
+    payloads = [(1, -6, 4), (1, -2 * bound - 2, 2), (0, 3, -2), (0, bound + 1, 0), (1, -3, 5), (0, 0, 0)]
+    for payload in payloads:
+        x = pmv.element_of(A, payload)
+        assert roots.twist3_bounded_check(A, x, bound) == twist3_bounded_check_by_rebuilding(A, x, bound)
+    squared = []
+    odot = pmv.GammaAlgebra.odot
+    monkeypatch.setattr(pmv.GammaAlgebra, "odot", lambda alg, p, q: squared.append(p) or odot(alg, p, q))
+    report = roots.twist3_bounded_check(A, pmv.element_of(A, (0, 0, 0)), bound)
+    assert report["result"].reason == og.NO_MAX
+    # the box once, then the 4 (bound + 1) rim points, each once
+    box = 2 * bound * (2 * bound + 1) + 2 * (bound + 1)
+    assert len(squared) == box + 4 * (bound + 1) and len(set(squared)) == len(squared)
 
 
 @pytest.mark.parametrize("bound", [-1, 17])
