@@ -2,7 +2,7 @@
 
 Two closure operators are computed symbolically, factor by factor.  The
 rule of each family is a method of its group descriptor (``ogroups``):
-``flat``, ``strict_closure``, ``has_boolean_quotient``, ``certificate``,
+``flat``, ``strict_closure``, ``has_boolean_quotient``, ``doubling_plan``,
 ``missing_from``, ``unreachable_from`` and ``witness``; this module holds
 the case analysis, the seeded loop of ``crit_check`` and the records, and
 tests no family.
@@ -35,14 +35,17 @@ its closures are decided by the same case analysis as its l-group's.
 
 ``crit_check`` certifies that a closed group really is a closure base:
 every element must reach the base group under repeated doubling.  Once per
-call it compiles the closed group's draw, the flat list of its scalars
-(``closed.scalars()``), and its certificate (``closed.certificate(base)``),
-which reads the integers of each flat draw by offset: per family it gives
-the exponent n and decides whether 2**n * h lies in the base by
-divisibility.  Identity factors (``base == closed``) take their draws and
-are not re-checked, since a draw of a group is a member of it.  A
-square-root closure refuses a factor whose unit is not central
-(``witness``): its two negations differ.
+call it asks the closed group for its doubling plan
+(``closed.doubling_plan(base)``), the checks that read the integers of a
+flat draw by offset: per family they give the exponent n and decide whether
+2**n * h lies in the base by divisibility.  An identity plan (every factor
+has ``base == closed``) checks nothing, since a draw of a group is a member
+of it, so it is answered without a draw.  Any other plan is run
+(``og.certify``) on each sample of one stream of flat draws of the closed
+group's scalars (``og.scalar_draws``); its identity factors take their
+draws and are not re-checked, so the samples are the payloads that
+``closed.random`` draws.  A square-root closure refuses a factor whose unit
+is not central (``witness``): its two negations differ.
 """
 
 from __future__ import annotations
@@ -158,16 +161,18 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
     """Certify that every element of ``closed`` reaches ``base`` by doubling.
 
     ``base`` may also be a :class:`ClosureDescriptor`, in which case its
-    own pairing is checked.  The symbolic exponent certificate is
-    re-verified on ``samples`` seeded draws of ``closed``.  The list of its
-    scalars and its certificate are built once; each sample is one flat
-    draw of the integers of those scalars (``og.draw_scalars`` with bound 3
-    and exponent 5, as ``closed.draw(rng, 3, 5)`` draws) and one call of the
-    certificate, which gives the sample's exponent n and whether its
-    2**n-fold sum (``closed.mul`` at 2**n, in closed form per family) lies
-    in the base group, by integer divisibility.  Identity factors consume
-    their draws and are not re-checked.  A failing sample is reported as
-    the payload that ``closed.random`` draws at that point.
+    own pairing is checked.  The symbolic exponent certificate, the closed
+    group's doubling plan, is re-verified on ``samples`` seeded draws of
+    ``closed``: one stream of flat draws of the integers of its scalars
+    (``og.scalar_draws`` with bound 3 and exponent 5, as ``closed.draw(rng,
+    3, 5)`` draws), each checked by one call of ``og.certify``, which gives
+    the sample's exponent n and whether its 2**n-fold sum (``closed.mul`` at
+    2**n, in closed form per family) lies in the base group, by integer
+    divisibility.  An identity plan, with no check and matching shapes,
+    draws nothing: it is ok with ``samples`` samples and exponent 0.  In any
+    other plan, identity factors consume their draws and are not re-checked.
+    A failing sample is reported as the payload that ``closed.random`` draws
+    at that point.
     """
     if isinstance(base, ClosureDescriptor):
         base, closed = base.base, base.closed
@@ -178,8 +183,8 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
             detail=f"{format_value(bad)} lies in the base group but not in the claimed closure",
             counterexample=bad,
         )
-    cert = closed.certificate(base)
-    if cert is None:
+    plan = closed.doubling_plan(base)
+    if plan is None:
         h = closed.unreachable_from(base)
         reachable = any(map(base.contains, _doublings(closed, h, 41)))
         if reachable:
@@ -192,16 +197,17 @@ def crit_check(base, closed=None, *, samples: int = 60, seed: int = 2) -> CritRe
             detail=f"no doubling of {format_value(h)} lands in the base group",
             counterexample=h,
         )
-    rng = random.Random(seed)
-    scalars = closed.scalars()
+    scaled, twisted, shapes_match = plan
     max_seen = 0
-    for _ in range(samples):
-        draw = og.draw_scalars(scalars, rng, 3, 5)
-        n, lands = cert(draw)
-        if not lands:
-            h = closed.from_draw(draw)
-            return CritResult(False, f"2^{n} * {format_value(h)} is not in the base group", h)
-        max_seen = max(max_seen, n)
+    # an identity plan checks nothing, as a draw of a group is a member of it
+    if scaled or twisted or not shapes_match:
+        draws = og.scalar_draws(closed.scalars(), random.Random(seed), 3, 5)
+        for _, draw in zip(range(samples), draws):
+            n, lands = og.certify(scaled, twisted, shapes_match, draw)
+            if not lands:
+                h = closed.from_draw(draw)
+                return CritResult(False, f"2^{n} * {format_value(h)} is not in the base group", h)
+            max_seen = max(max_seen, n)
     return CritResult(
         ok=True,
         detail="every sampled element reached the base group under doubling",
@@ -331,10 +337,8 @@ def minimal_two_divisible_check(*, samples: int = 40, seed: int = 5) -> dict:
             h = og.try_halve(closed, g)
             axes_ok = axes_ok and h is not None and closed.contains(h)
             g = h
-    rng = random.Random(seed)
-    decomposition_ok = True
-    for _ in range(samples):
-        decomposition_ok = decomposition_ok and twist4_reassembles(closed, closed.random(rng, 4, 4))
+    draws = og.scalar_draws(closed.scalars(), random.Random(seed), 4, 4)
+    decomposition_ok = all(twist4_reassembles(closed, closed.from_draw(d)) for _, d in zip(range(samples), draws))
     crit = crit_check(base, closed, samples=samples, seed=seed)
     return {
         "axis_halving_chains_in_closure": axes_ok,

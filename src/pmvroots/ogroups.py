@@ -43,12 +43,15 @@ C(k, 2) = k * (k - 1) // 2, an exact integer.
 
 Seeded draws are flat.  ``scalars()`` lists the scalars of a payload in
 order as ``(tag, scale)``, a scalar of (1/scale) * tag each, and
-``Lex`` and ``ProductGroup`` join their parts' lists.  ``draw_scalars``
-draws such a list in one loop, as ``rng.randint`` draws, and returns a flat
-list with a pair (m, d) for each scalar m/d; ``draw(rng, bound, exp)`` is
-the draw of ``scalars()``.  ``from_draw(draw, at)`` builds the payload
-whose scalars start at offset ``at`` of a flat draw, and ``random(rng,
-bound, exp)`` is ``from_draw(draw(rng, bound, exp))``.
+``Lex`` and ``ProductGroup`` join their parts' lists.  ``scalar_draws``
+is the one draw loop: it tables the integer ranges of such a list once per
+call and then yields draw after draw, each made as ``rng.randint`` makes
+it, as a flat list with a pair (m, d) for each scalar m/d.
+``draw_scalars`` is its first draw, and ``draw(rng, bound, exp)`` the draw
+of ``scalars()``.  ``from_draw(draw, at)`` builds the payload whose scalars
+start at offset ``at`` of a flat draw, and ``random(rng, bound, exp)`` is
+``from_draw(draw(rng, bound, exp))``, so the successive draws of one
+``scalar_draws`` are the payloads of successive ``random`` calls.
 
 The closure facts of a family are methods too, which ``closures`` and the
 CLI call without testing the family; ``Lex`` and ``ProductGroup`` compose
@@ -64,8 +67,9 @@ their parts' answers, as they do for ``add`` and ``cmp``:
 * ``doubling_plan(base)`` on a closed group: the checks that certify that
   some 2**n-fold sum of each element lies in ``base``, by the offsets of
   the scalars they read in a flat draw, or None when no rule covers the
-  pair; ``certificate(base)`` compiles it into one function from a flat
-  draw to (n, whether 2**n times the drawn payload lies in ``base``);
+  pair; ``certify`` runs a plan on a flat draw, giving (n, whether 2**n
+  times the drawn payload lies in ``base``), and ``certificate(base)`` is
+  ``certify`` bound to the plan;
 * ``missing_from(closed)``, a payload of the base that ``closed`` lacks
   (None when the probe finds none), and ``unreachable_from(base)``, the
   payload of the closed group whose doublings ``crit_check`` tries when no
@@ -140,35 +144,47 @@ def _half(c):
     return Fraction(c, 2)
 
 
-def draw_scalars(scalars, rng, bound: int, exp: int) -> list[tuple[int, int]]:
-    """(m, d) for each scalar of ``scalars``, a list of (tag, scale), in
-    order: m/d lies in (1/scale) * tag with |m/d| <= bound, where d is scale
-    for ``"Z"``, scale * 2**k with 0 <= k <= exp for ``"D"`` and 1 <= d <= 12
-    for ``"Q"``.  Each integer is drawn from its range [a, b] as
-    ``rng.randint(a, b)`` draws it: ``getrandbits`` of the bit length of the
-    width b - a + 1, again while the draw is the width or more."""
-    bits = rng.getrandbits
-    exp_bits = (exp + 1).bit_length()
-    out = []
+def scalar_draws(scalars, rng, bound: int, exp: int):
+    """Successive draws of ``scalars``, a list of (tag, scale): each is a list
+    with a pair (m, d) for each scalar, in order, where m/d lies in
+    (1/scale) * tag with |m/d| <= bound, d is scale for ``"Z"``, scale * 2**k
+    with 0 <= k <= exp for ``"D"`` and 1 <= d <= 12 for ``"Q"``.  Each
+    integer is drawn from its range [a, b] as ``rng.randint(a, b)`` draws
+    it: ``getrandbits`` of the bit length of the width b - a + 1, again
+    while the draw is the width or more.
+
+    The ranges are fixed for the call, so they are tabled once: per scalar,
+    the number of denominators to pick from (none for ``"Z"``, exp + 1 for
+    ``"D"``, 12 for ``"Q"``) with its bit length, and a row (d, bound * d,
+    width, bit length of the width) for each denominator."""
+    rows = {}
     for tag, scale in scalars:
-        if tag == "Z":
-            d = scale
-        elif tag == "D":
-            k = exp + 1
-            while k > exp:
-                k = bits(exp_bits)
-            d = scale << k
-        else:
-            d = 12
-            while d >= 12:
-                d = bits(4)
-            d += 1
-        half = bound * d
-        width = r = 2 * half + 1
-        while r >= width:
-            r = bits(width.bit_length())
-        out.append((r - half, d))
-    return out
+        if (tag, scale) not in rows:
+            ds = [scale] if tag == "Z" else [scale << k for k in range(exp + 1)] if tag == "D" else range(1, 13)
+            pick = 0 if tag == "Z" else len(ds)
+            rows[tag, scale] = pick, pick.bit_length(), [
+                (d, bound * d, 2 * bound * d + 1, (2 * bound * d + 1).bit_length()) for d in ds]
+    table = [rows[s] for s in scalars]
+    bits = rng.getrandbits
+    while True:
+        out = []
+        for pick, pick_bits, ranges in table:
+            i = 0
+            if pick:
+                i = pick
+                while i >= pick:
+                    i = bits(pick_bits)
+            d, half, width, k = ranges[i]
+            r = width
+            while r >= width:
+                r = bits(k)
+            out.append((r - half, d))
+        yield out
+
+
+def draw_scalars(scalars, rng, bound: int, exp: int) -> list[tuple[int, int]]:
+    """One draw of ``scalars``: the first of ``scalar_draws``."""
+    return next(scalar_draws(scalars, rng, bound, exp))
 
 
 def _exponent(m: int, d: int) -> int:
@@ -176,7 +192,7 @@ def _exponent(m: int, d: int) -> int:
     return max(0, (d & -d).bit_length() - (m & -m).bit_length()) if m else 0
 
 
-def _certify(scaled, twisted, lands, draw) -> tuple[int, bool]:
+def certify(scaled, twisted, lands, draw) -> tuple[int, bool]:
     """The compiled certificate of a doubling plan (``doubling_plan``) on a
     flat draw: the largest exponent n of its checks, and whether every check
     lands.
@@ -257,7 +273,7 @@ class GroupDescriptor:
 
     def certificate(self, base):
         plan = self.doubling_plan(base)
-        return None if plan is None else partial(_certify, *plan)
+        return None if plan is None else partial(certify, *plan)
 
     def missing_from(self, closed):
         return None
@@ -613,7 +629,7 @@ class Twist4(_Twisted):
     def has_boolean_quotient(self):
         """True whatever the tag, although for the tags D and Q the leading
         component is D or Q, and Gamma(D, 1) is not Boolean: defect (e) of
-        ROADMAP item 2.  ``tests/test_closures.py`` pins the tag-aware
+        ROADMAP item 14.  ``tests/test_closures.py`` pins the tag-aware
         answers as three strict expected failures."""
         return True
 

@@ -5,9 +5,10 @@ The square root of ``x`` is the element ``a`` (unique when it exists) with
 * Sq1: ``a (.) a == x``, and
 * Sq2: ``y (.) y <= x`` implies ``y <= a`` for every carrier element y.
 
-``sqrt_element_finite`` decides this definition by exhaustive search; the
-worked-example ledger calls it, and it serves as the oracle for every
-family-specific procedure:
+``sqrt_element_finite`` decides this definition by exhaustive search over
+the carrier indices of a finite algebra, boxing only its answer and
+witness; the worked-example ledger calls it, and it serves as the oracle
+for every family-specific procedure:
 
 * on a group interval, ``element_sqrt`` asks the descriptor's root rule,
   ``desc.root(payload)`` (the halving formula ``(x + u) / 2`` of a chain
@@ -37,7 +38,7 @@ from functools import reduce
 
 from . import ogroups as og
 from . import pmv
-from .errors import ParameterError, UnsupportedOperationError, check
+from .errors import MismatchError, ParameterError, UnsupportedOperationError, check
 from .pmv import (
     Element,
     FiniteAlgebra,
@@ -45,7 +46,6 @@ from .pmv import (
     carrier,
     is_boolean_elem,
     join,
-    leq,
     odot,
     one_elem,
     zero_elem,
@@ -80,23 +80,27 @@ def _not_exists(reason: str, witness: Element | None = None, note: str | None = 
 
 
 def sqrt_element_finite(M: FiniteAlgebra, x: Element) -> SqrtResult:
-    """Decide the defining conditions by exhaustive search."""
+    """Decide the defining conditions by exhaustive search over the carrier
+    indices; only the answer and the witness are boxed."""
     if not isinstance(M, FiniteAlgebra):
         raise UnsupportedOperationError("the exhaustive procedure needs a finite algebra")
-    squares = [(y, odot(y, y)) for y in carrier(M)]
-    dominated = [y for y, s in squares if leq(s, x)]
-    candidates = [a for a, s in squares if s == x]
+    if x.algebra is not M and x.algebra != M:
+        raise MismatchError("elements of different algebras")
+    xi, odot_i, leq_i = x.payload, M.odot, M.leq
+    squares = [odot_i(y, y) for y in range(M.size)]
+    dominated = [y for y, s in enumerate(squares) if leq_i(s, xi)]
+    candidates = [a for a, s in enumerate(squares) if s == xi]
     if not candidates:
         return _not_exists(og.NO_CANDIDATE)
     best, best_misses = None, None
     for a in candidates:
-        misses = [y for y in dominated if not leq(y, a)]
+        misses = [y for y in dominated if not leq_i(y, a)]
         if not misses:
-            return _exists(a)
+            return _exists(Element(M, a))
         if best_misses is None or len(misses) < len(best_misses):
             best, best_misses = a, misses
-    return _not_exists(SQ2_VIOLATED, witness=best_misses[0],
-                       note=f"candidate {best} does not dominate {best_misses[0]}")
+    w = Element(M, best_misses[0])
+    return _not_exists(SQ2_VIOLATED, witness=w, note=f"candidate {Element(M, best)} does not dominate {w}")
 
 
 # the box has 2N(2N+1) + 2(N+1) elements, each squared once, and the

@@ -494,25 +494,62 @@ def test_the_certificate_matches_the_oracle_on_drawn_pairs(pair, seed, samples):
     assert_matches_the_oracle(base, closed, samples=samples, seed=seed)
 
 
-@pytest.mark.parametrize("pair", [(g, g) for g in GRID] + catalog_pairs(),
+def checks_something(base, closed):
+    """Whether ``crit_check`` certifies draws on this pair: a certificate
+    covers it, the base lies in the closed group, and the plan is not the
+    identity, which draws nothing."""
+    plan = closed.doubling_plan(base)
+    return plan not in (None, ([], [], True)) and base.missing_from(closed) is None
+
+
+def certified_draws(monkeypatch, base, closed, samples, seed):
+    """``crit_check``'s result, the number of draw streams it opened and, for
+    each draw it certified, the payload and the rng state just after it."""
+    streams, seen = [], []
+    scalar_draws, certify = og.scalar_draws, og.certify
+
+    def opening(scalars, rng, bound, exp):
+        streams.append(rng)
+        return scalar_draws(scalars, rng, bound, exp)
+
+    def certifying(*args):
+        seen.append((closed.from_draw(args[-1]), streams[-1].getstate()))
+        return certify(*args)
+
+    monkeypatch.setattr(og, "scalar_draws", opening)
+    monkeypatch.setattr(og, "certify", certifying)
+    res = cl.crit_check(base, closed, samples=samples, seed=seed)
+    monkeypatch.undo()
+    return res, len(streams), seen
+
+
+def assert_certifies_what_random_draws(monkeypatch, base, closed, samples=25, seed=31):
+    # the draws are the successive closed.random(rng, 3, 5) payloads, with
+    # the same rng state after each, up to the first that fails
+    res, streams, seen = certified_draws(monkeypatch, base, closed, samples, seed)
+    name = f"{dsl.format_group(base)} -> {dsl.format_group(closed)}"
+    assert streams == 1 and len(seen) == (samples if res.ok else len(seen)) > 0, name
+    assert res.ok or same(res.counterexample, seen[-1][0]), name
+    rng = random.Random(seed)
+    want = [(closed.random(rng, 3, 5), rng.getstate()) for _ in seen]
+    assert all(same(p, q) and s == t for (p, s), (q, t) in zip(seen, want)), name
+
+
+@pytest.mark.parametrize("pair", [p for p in dict.fromkeys(list(itertools.product(GRID, repeat=2)) + catalog_pairs())
+                                  if checks_something(*p)],
                          ids=lambda p: f"{dsl.format_group(p[0])}->{dsl.format_group(p[1])}")
 def test_the_certificate_draws_what_random_draws(monkeypatch, pair):
-    # the rng state after each sample is the state after one closed.random
-    base, closed = pair
-    draw = og.draw_scalars
-    states = []
+    assert_certifies_what_random_draws(monkeypatch, *pair)
 
-    def recording(scalars, rng, bound, exp):
-        out = draw(scalars, rng, bound, exp)
-        states.append(rng.getstate())
-        return out
 
-    monkeypatch.setattr(og, "draw_scalars", recording)
-    res = cl.crit_check(base, closed, samples=25, seed=31)
-    monkeypatch.undo()
-    assert res.ok and res.samples_checked == 25
-    rng = random.Random(31)
-    assert states == [(closed.random(rng, 3, 5), rng.getstate())[1] for _ in range(25)]
+def test_a_mixed_plan_draws_every_scalar(monkeypatch):
+    # identity factors beside checked ones: their scalars are drawn too, so
+    # the stream is the one closed.random draws
+    pairs = [p for p in profile_closure_pairs() if checks_something(*p)]
+    mixed = [(b, c) for b, c in pairs if any(f == g for f, g in zip(b.flat(), c.flat()))]
+    assert (len(pairs), len(mixed)) == (513, 376)
+    for base, closed in pairs:
+        assert_certifies_what_random_draws(monkeypatch, base, closed, samples=5)
 
 
 def test_an_identity_pair_is_certified_without_group_arithmetic(monkeypatch):
@@ -523,13 +560,19 @@ def test_an_identity_pair_is_certified_without_group_arithmetic(monkeypatch):
             if name in vars(cls):
                 law = vars(cls)[name]
                 monkeypatch.setattr(cls, name, lambda self, *a, law=law, name=name: calls.append(name) or law(self, *a))
+    # and without a draw: no draw stream is opened and no random bit is read
+    scalar_draws, getrandbits = og.scalar_draws, random.Random.getrandbits
+    monkeypatch.setattr(og, "scalar_draws", lambda *a: calls.append("draw") or scalar_draws(*a))
+    monkeypatch.setattr(random.Random, "getrandbits", lambda self, k: calls.append("bits") or getrandbits(self, k))
     for group in GRID:
-        res = cl.crit_check(group, group)
-        assert (res.ok, res.samples_checked, res.max_exponent_seen) == (True, 60, 0)
+        for samples in (60, 0):
+            res = cl.crit_check(group, group, samples=samples)
+            assert (res.ok, res.samples_checked, res.max_exponent_seen) == (True, samples, 0)
     assert not calls
     og.Rationals().contains(Fraction(1))
     og.Twist4("Z").mul(2, (1, 0, 0, 0))
-    assert calls == ["contains", "mul"]  # the patches took
+    og.Rationals().draw(random.Random(0), 3, 5)
+    assert calls[:3] == ["contains", "mul", "draw"] and set(calls[3:]) == {"bits"}  # the patches took
 
 
 # --- doubled decomposition ------------------------------------------------------------

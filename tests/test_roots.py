@@ -8,11 +8,12 @@ from functools import reduce
 
 import pytest
 
+from pmvroots import dsl
 from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import roots
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError, ParameterError, PmvError, UnsupportedOperationError
+from pmvroots.errors import CarrierError, MismatchError, ParameterError, PmvError, UnsupportedOperationError
 from test_closures import GRID, PROFILE_GRID
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
@@ -66,6 +67,64 @@ def test_element_sqrt_matches_brute_oracle(A):
             assert got.value == expected
             # defining property re-checked directly
             assert pmv.odot(got.value, got.value) == x
+
+
+def sqrt_element_finite_on_elements(M, x):
+    """The exhaustive search as ``roots.sqrt_element_finite`` made it on boxed
+    elements, before it searched carrier indices: its oracle."""
+    if not isinstance(M, pmv.FiniteAlgebra):
+        raise UnsupportedOperationError("the exhaustive procedure needs a finite algebra")
+    squares = [(y, pmv.odot(y, y)) for y in pmv.carrier(M)]
+    dominated = [y for y, s in squares if pmv.leq(s, x)]
+    candidates = [a for a, s in squares if s == x]
+    if not candidates:
+        return roots.SqrtResult("not_exists", reason=og.NO_CANDIDATE)
+    best, best_misses = None, None
+    for a in candidates:
+        misses = [y for y in dominated if not pmv.leq(y, a)]
+        if not misses:
+            return roots.SqrtResult("exists", a)
+        if best_misses is None or len(misses) < len(best_misses):
+            best, best_misses = a, misses
+    return roots.SqrtResult("not_exists", reason=roots.SQ2_VIOLATED, witness=best_misses[0],
+                            note=f"candidate {best} does not dominate {best_misses[0]}")
+
+
+def chain_shapes(limit=64, least=1, size=1):
+    """The chain lengths n_1 <= n_2 <= ... of every product of chains with at
+    most ``limit`` elements."""
+    for n in range(least, limit):
+        if size * (n + 1) > limit:
+            return
+        yield (n,)
+        for rest in chain_shapes(limit, n, size * (n + 1)):
+            yield (n,) + rest
+
+
+SEARCH_SHAPES = [(n,) for n in range(1, 13)] + [s for s in chain_shapes() if len(s) > 1]
+
+
+@pytest.mark.parametrize("shape", SEARCH_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_the_index_search_matches_the_element_search(shape):
+    A = M(shape[0]) if len(shape) == 1 else pmv.finite_product([M(n) for n in shape])
+    for x in pmv.carrier(A):
+        got, want = roots.sqrt_element_finite(A, x), sqrt_element_finite_on_elements(A, x)
+        assert (got.status, got.reason, got.value, got.witness, got.note) == (
+            want.status, want.reason, want.value, want.witness, want.note), (shape, x)
+
+
+def test_the_search_covers_every_small_chain_product():
+    assert len(SEARCH_SHAPES) == 12 + 134 and (1, 1, 1, 1, 1, 1) in SEARCH_SHAPES and (3, 15) in SEARCH_SHAPES
+
+
+def test_the_search_refuses_an_element_of_another_algebra():
+    for A, B in ((M(3), M(4)), (M(2), pmv.finite_product([M(1), M(1)]))):
+        with pytest.raises(MismatchError):
+            roots.sqrt_element_finite(A, pmv.one_elem(B))
+        with pytest.raises(MismatchError):
+            sqrt_element_finite_on_elements(A, pmv.one_elem(B))
+    with pytest.raises(UnsupportedOperationError):
+        roots.sqrt_element_finite(pmv.GammaAlgebra(og.ScaledInt(2)), pmv.one_elem(M(2)))
 
 
 def test_chain_closed_form_oracle():
@@ -513,6 +572,37 @@ def test_sqrt_zero_answers_as_the_root_of_zero():
         assert got == roots.element_sqrt(A, pmv.zero_elem(A)), desc
         assert (got.status, got.value, got.reason) == (want.status, want.value, want.reason), desc
         assert repr(got.value and got.value.payload) == repr(want.value and want.value.payload), desc
+
+
+@pytest.mark.parametrize("text", ["lex(twist3(D),D/1)", "lex(twist3(D),prod(D/1,D/1))",
+                                  "lex(twist3(Q),lex(D/1,twist3(D)))"])
+def test_the_root_of_zero_tops_the_nilpotents_where_the_unit_is_not_central(text):
+    # the base rule answers u/2 at 0; with a non-central unit, y (.) y = 0
+    # still forces y <= u/2 (the lex head is linear, and equal heads force
+    # tail(y) <= 0), so every drawn nilpotent of [0, u] lies below the root.
+    # The head's first scalar is set to 0, 1/4, 1/2, 3/4 or 1, so most draws
+    # lie in [0, u], and its other two scalars to 0 in a third of the draws,
+    # so many nilpotents share the root's head and differ in the tail
+    desc = dsl.parse_group(text)
+    A = pmv.GammaAlgebra(desc)
+    assert desc.witness() is not None
+    root = roots.element_sqrt(A, pmv.zero_elem(A)).value.payload
+    rng = random.Random(31)
+    inside, nilpotent, at_root_head = 0, 0, 0
+    for _ in range(2000):
+        draw = desc.draw(rng, 1, 2)
+        draw[0] = rng.choice([(0, 1), (1, 4), (1, 2), (1, 2), (3, 4), (1, 1)])
+        if rng.randrange(3) == 0:
+            draw[1] = draw[2] = (0, 1)
+        p = desc.from_draw(draw)
+        if not (A.leq(A.zero, p) and A.leq(p, A.unit)):
+            continue
+        inside += 1
+        if A.odot(p, p) == A.zero:
+            nilpotent += 1
+            at_root_head += p[0] == root[0]
+            assert A.leq(p, root), (text, p)
+    assert inside > 1500 and nilpotent > 700 and at_root_head > 40, (inside, nilpotent, at_root_head)
 
 
 # --- square-root mappings ------------------------------------------------------------
