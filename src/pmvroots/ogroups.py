@@ -68,8 +68,7 @@ their parts' answers, as they do for ``add`` and ``cmp``:
   some 2**n-fold sum of each element lies in ``base``, by the offsets of
   the scalars they read in a flat draw, or None when no rule covers the
   pair; ``certify`` runs a plan on a flat draw, giving (n, whether 2**n
-  times the drawn payload lies in ``base``), and ``certificate(base)`` is
-  ``certify`` bound to the plan;
+  times the drawn payload lies in ``base``);
 * ``missing_from(closed)``, a payload of the base that ``closed`` lacks
   (None when the probe finds none), and ``unreachable_from(base)``, the
   payload of the closed group whose doublings ``crit_check`` tries when no
@@ -97,7 +96,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
 from operator import attrgetter
 from typing import Union
@@ -193,7 +191,7 @@ def _exponent(m: int, d: int) -> int:
 
 
 def certify(scaled, twisted, lands, draw) -> tuple[int, bool]:
-    """The compiled certificate of a doubling plan (``doubling_plan``) on a
+    """The certificate of a doubling plan (``doubling_plan``) run on a
     flat draw: the largest exponent n of its checks, and whether every check
     lands.
 
@@ -270,10 +268,6 @@ class GroupDescriptor:
         # (scalar checks (offset, scale), twisted Z^4 offsets, whether the
         # shapes match); a draw of a group is a member of it
         return ([], [], True) if base == self else None
-
-    def certificate(self, base):
-        plan = self.doubling_plan(base)
-        return None if plan is None else partial(certify, *plan)
 
     def missing_from(self, closed):
         return None

@@ -528,8 +528,8 @@ def assert_certifies_what_random_draws(monkeypatch, base, closed, samples=25, se
     # the same rng state after each, up to the first that fails
     res, streams, seen = certified_draws(monkeypatch, base, closed, samples, seed)
     name = f"{dsl.format_group(base)} -> {dsl.format_group(closed)}"
-    assert streams == 1 and len(seen) == (samples if res.ok else len(seen)) > 0, name
-    assert res.ok or same(res.counterexample, seen[-1][0]), name
+    assert streams == 1 and seen, name
+    assert len(seen) == samples if res.ok else same(res.counterexample, seen[-1][0]), name
     rng = random.Random(seed)
     want = [(closed.random(rng, 3, 5), rng.getstate()) for _ in seen]
     assert all(same(p, q) and s == t for (p, s), (q, t) in zip(seen, want)), name
@@ -1104,7 +1104,7 @@ def test_each_closure_method_matches_its_switch():
         assert same(desc.rootless(), rootless_payload(desc)), name
     for base, closed in itertools.product(GRID, repeat=2):
         name = f"{dsl.format_group(base)} -> {dsl.format_group(closed)}"
-        assert (closed.certificate(base) is None) == (claimed_exponent(base, closed, closed.unit()) is None), name
+        assert (closed.doubling_plan(base) is None) == (claimed_exponent(base, closed, closed.unit()) is None), name
         assert same(base.missing_from(closed), containment_counterexample(base, closed)), name
         assert same(closed.unreachable_from(base), criterion_counterexample(base, closed)), name
 
@@ -1200,9 +1200,9 @@ def assert_the_flat_sampler_matches(base, closed, seed, samples=60):
     samples give; ``test_random_is_the_nested_draw_made_a_payload`` compares
     the payloads."""
     name = f"{dsl.format_group(base)} -> {dsl.format_group(closed)}, seed {seed}"
-    cert, nested_cert = closed.certificate(base), nested_certificate(closed, base)
-    assert (cert is None) == (nested_cert is None), name
-    if cert is None or base.missing_from(closed) is not None:
+    plan, nested_cert = closed.doubling_plan(base), nested_certificate(closed, base)
+    assert (plan is None) == (nested_cert is None), name
+    if plan is None or base.missing_from(closed) is not None:
         return  # no sample is drawn
     scalars = closed.scalars()
     flat_rng, nested_rng = random.Random(seed), random.Random(seed)
@@ -1211,7 +1211,7 @@ def assert_the_flat_sampler_matches(base, closed, seed, samples=60):
         draw, nested = og.draw_scalars(scalars, flat_rng, 3, 5), nested_draw(closed, nested_rng, 3, 5)
         assert draw == flatten_draw(nested), name
         n, lands = nested_cert(nested)
-        assert cert(draw) == (n, lands), name
+        assert og.certify(*plan, draw) == (n, lands), name
         if want is None and not lands:
             h = nested_from_draw(closed, nested)
             want = (False, f"2^{n} * {S.format_value(h)} is not in the base group", h, 0, 0)
