@@ -112,7 +112,7 @@ def _cmd_analyze(args) -> Report:
         symmetric, sym_witness = pmv.is_symmetric(A)
         payload = {
             "kind": "group_interval",
-            "group": dsl.format_group(desc),
+            "group": str(desc),
             "linear": desc.linear,
             "abelian": desc.abelian,
             "two_divisible": desc.two_divisible,
@@ -157,8 +157,6 @@ def _cmd_sqrt(args) -> Report:
     if res.note:
         payload["note"] = res.note
     if args.bound is not None:
-        if not (isinstance(A, pmv.GammaAlgebra) and A.desc == og.Twist3("Z")):
-            raise ParameterError("--bound re-verification is specific to gamma(twist3(Z))")
         check = roots.twist3_bounded_check(A, x, bound=args.bound)
         payload["bounded_check"] = {
             "agrees": check["agrees"],
@@ -310,8 +308,8 @@ def _cmd_decompose(args) -> Report:
     x = dsl.parse_element(closed, args.element)
     dec = cl.corrdp_decompose(C, x)
     payload = {
-        "base": dsl.format_group(C.base),
-        "closed": dsl.format_group(C.closed),
+        "base": str(C.base),
+        "closed": str(C.closed),
         "element": pmv.format_element(x),
         "doubling_exponent": dec.n,
         "part_count": 2**dec.n,

@@ -1,9 +1,10 @@
 """Square-root closures of pseudo MV-algebras.
 
 Two closure operators are computed symbolically, factor by factor.  The
-rule of each family is a method of its group descriptor (``ogroups``):
-``flat``, ``strict_closure``, ``has_boolean_quotient``, ``doubling_plan``,
-``missing_from``, ``unreachable_from`` and ``witness``; this module holds
+rule of each family is a method or flag of its group descriptor
+(``ogroups``): ``flat``, ``strict_closure``, ``boolean``,
+``has_boolean_quotient``, ``doubling_plan``, ``missing_from``,
+``unreachable_from`` and ``witness``; this module holds
 the case analysis, the seeded loop of ``crit_check`` and the records, and
 tests no family.
 
@@ -23,7 +24,8 @@ tests no family.
   and no splitting element exists, the construction is not known to
   apply and an :class:`OpenProblem` value is returned instead.
   On a flattened product the cases are read off two predicates of each
-  factor: ``_is_boolean`` (it is ``Z/1``) and ``has_boolean_quotient``.
+  factor: the flag ``boolean`` (it is ``Z/1``: I1 = {0} on it) and
+  ``has_boolean_quotient``.
   ``I1 = {0}`` when every factor is Boolean and ``I2 = {0}`` when none
   is; a splitting element exists unless some non-Boolean factor has a
   Boolean quotient.  In each case ``D(M)`` is the identity on the Boolean
@@ -97,9 +99,7 @@ class ClosureDescriptor(Record):
     def to_json(self) -> dict:
         """The closure as the ``closure`` verb reports it, with its groups
         in the text of the group language."""
-        from .dsl import format_group
-
-        pairs = [(format_group(f.base), format_group(f.closed), f.root) for f in self.factors]
+        pairs = [(str(f.base), str(f.closed), f.root) for f in self.factors]
         inner = "; ".join(
             f"{b} -> {c}" + (" (identity)" if r == IDENTITY else "") for b, c, r in pairs
         )
@@ -107,8 +107,8 @@ class ClosureDescriptor(Record):
             "descriptor": f"{self.kind}[ {inner} ]",
             "kind": self.kind,
             "factors": [{"base": b, "closed": c, "root": r} for b, c, r in pairs],
-            "base": format_group(self.base),
-            "closed": format_group(self.closed),
+            "base": str(self.base),
+            "closed": str(self.closed),
             "embedding": "coordinatewise inclusion",
         }
 
@@ -271,12 +271,6 @@ def corrdp_decompose(C: ClosureDescriptor, x: Element) -> RdpDecomposition:
 # square-root closure
 
 
-def _is_boolean(desc: og.GroupDescriptor) -> bool:
-    """Whether a flattened factor is the two-element chain ``Z/1``: I1 = {0}
-    on it, and I2 = {0} on every other factor."""
-    return desc == og.ScaledInt(1)
-
-
 def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
     """The square-root closure by case analysis on the prime partition: the
     identity on the Boolean factors and the strict closure on the others,
@@ -292,9 +286,9 @@ def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
     reports = tuple(
         f"factor {i}: no element is 1 mod I1 and 0 mod I2"
         for i, f in enumerate(factors)
-        if not _is_boolean(f) and f.has_boolean_quotient()
+        if not f.boolean and f.has_boolean_quotient()
     )
-    if reports and any(map(_is_boolean, factors)):
+    if reports and any(f.boolean for f in factors):
         return OpenProblem(
             explanation=(
                 "both prime-intersection ideals are nonzero and no splitting "
@@ -304,7 +298,7 @@ def sqrt_closure(M) -> ClosureDescriptor | OpenProblem:
             factor_reports=reports,
         )
     return ClosureDescriptor("sqrt", tuple(
-        FactorClosure(f, f, IDENTITY) if _is_boolean(f) else FactorClosure(f, f.strict_closure(), HALF_SHIFT)
+        FactorClosure(f, f, IDENTITY) if f.boolean else FactorClosure(f, f.strict_closure(), HALF_SHIFT)
         for f in factors
     ))
 

@@ -10,7 +10,9 @@ Algebras::
     M(3)   gamma(twist3(Z))   prod(M(1),M(4))   interval(prod(M(1),M(4)), (1,0))
 
 A product of one factor, of groups or of algebras, is that factor, so its
-elements are written as the factor's are.
+elements are written as the factor's are.  This module only reads the
+language: each group family writes its own text as ``str(desc)``, and a
+group interval as ``str(A)``.
 
 Elements are rationals or (possibly nested) tuples of elements; a
 parenthesized single element is just grouping.
@@ -23,8 +25,9 @@ import re
 from . import ogroups as og
 from . import pmv
 from .errors import DslError
-from .scalars import Fraction, format_quad, parse_quad, read_numeral, reject_zero_denominators
+from .scalars import Fraction, parse_quad, read_numeral, reject_zero_denominators
 
+_INTEGER_RE = re.compile(r"[+-]?\d+")
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 # the deepest nesting of parentheses accepted: parsing, and every recursive
@@ -87,7 +90,7 @@ class _Cursor:
 
     def integer(self) -> int:
         self.skip_ws()
-        m = re.compile(r"[+-]?\d+").match(self.text, self.pos)
+        m = _INTEGER_RE.match(self.text, self.pos)
         if not m:
             self.error("expected an integer")
         self.pos = m.end()
@@ -174,26 +177,6 @@ def parse_group(text: str) -> og.GroupDescriptor:
     desc = _group(cur)
     cur.done()
     return desc
-
-
-def format_group(desc: og.GroupDescriptor) -> str:
-    if isinstance(desc, og.ScaledInt):
-        return f"Z/{desc.n}"
-    if isinstance(desc, og.ScaledDyadic):
-        return f"D/{desc.q}"
-    if isinstance(desc, og.Rationals):
-        return "Q"
-    if isinstance(desc, og.QuadLattice):
-        return f"{'dquad' if desc.dyadic else 'quad'}({format_quad(desc.alpha)})"
-    if isinstance(desc, og.Lex):
-        return f"lex({format_group(desc.head)},{format_group(desc.tail)})"
-    if isinstance(desc, og.Twist3):
-        return f"twist3({desc.tag})"
-    if isinstance(desc, og.Twist4):
-        return f"twist4({desc.tag})"
-    if isinstance(desc, og.ProductGroup):
-        return f"prod({','.join(format_group(f) for f in desc.factors)})"
-    raise DslError(f"no textual form for {desc!r}")
 
 
 # ---------------------------------------------------------------------------

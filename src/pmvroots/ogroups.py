@@ -34,12 +34,15 @@ Each family is one class whose public methods are its payload laws:
 ``add``, ``neg``, ``mul``, ``cmp`` (-1, 0, 1, or None for incomparable
 payloads), ``join``, ``meet``, ``halve``, ``contains``, ``normalize``,
 ``zero``, ``unit``, ``witness`` (a payload that does not commute with the
-unit, or None), ``bound`` and ``random``; three flags, ``linear``,
-``abelian`` and ``two_divisible``, describe the family.  The laws take and
-return payloads and check nothing; a payload is written as the DSL reads
-it, by ``scalars.format_value``.  ``mul(k, p)`` is the k-fold sum of p for
-k >= 0 in closed form; for the twisted families it carries the binomial
-C(k, 2) = k * (k - 1) // 2, an exact integer.
+unit, or None), ``bound`` and ``random``; four flags, ``linear``,
+``abelian``, ``two_divisible`` and ``boolean`` (the group is Z/1, whose
+unit interval is the two-element chain), describe the family.  The laws
+take and return payloads and check nothing; a payload is written as the
+DSL reads it, by ``scalars.format_value``, and each family writes its own
+DSL text as ``__str__``, which ``dsl.parse_group`` reads back.
+``mul(k, p)`` is the k-fold sum of p for k >= 0 in closed form; for the
+twisted families it carries the binomial C(k, 2) = k * (k - 1) // 2, an
+exact integer.
 
 Seeded draws are flat.  ``scalars()`` lists the scalars of a payload in
 order as ``(tag, scale)``, a scalar of (1/scale) * tag each, and
@@ -57,11 +60,13 @@ The closure facts of a family are methods too, which ``closures`` and the
 CLI call without testing the family; ``Lex`` and ``ProductGroup`` compose
 their parts' answers, as they do for ``add`` and ``cmp``:
 
-* ``flat()``, the factors of nested products, in order;
+* ``flat()``, the factors of nested products, in order, and
+  ``top_factors()``, the factors of a product without unnesting them
+  (the group itself when it is no product);
 * ``strict_closure()``, the least two-divisible extension ((1/n) Z to
   (1/odd(n)) D, dyadic coefficients for a quadratic lattice, the tag ``D``
-  or ``Q`` for a twisted Z^4, componentwise for ``Lex``), or
-  ``UnsupportedOperationError``;
+  or ``Q`` for a twisted Z^4, componentwise for ``Lex`` and
+  ``ProductGroup``), or ``UnsupportedOperationError``;
 * ``has_boolean_quotient()``, whether some prime leaves the two-element
   algebra;
 * ``doubling_plan(base)`` on a closed group: the checks that certify that
@@ -102,7 +107,7 @@ from typing import Union
 
 from .errors import CarrierError, ParameterError, UnsupportedOperationError, check
 from .records import Record
-from .scalars import QuadValue, format_value, odd_part, rational
+from .scalars import QuadValue, format_quad, format_value, odd_part, rational
 
 SCALAR_TAGS = ("Z", "D", "Q")
 
@@ -230,15 +235,17 @@ def certify(scaled, twisted, lands, draw) -> tuple[int, bool]:
 class GroupDescriptor:
     """Base class for group descriptors; instances are immutable.
 
-    Defaults: a linear, Abelian order, join and meet from ``cmp``, a
-    central unit (no non-centrality witness), no closure rule (no strict
-    closure, no Boolean quotient, only the identity certificate, no probe
-    payloads and no rootless element) and the halving root of a chain.
+    Defaults: a linear, Abelian order other than Z/1, one top factor (the
+    group itself), join and meet from ``cmp``, a central unit (no
+    non-centrality witness), no closure rule (no strict closure, no Boolean
+    quotient, only the identity certificate, no probe payloads and no
+    rootless element) and the halving root of a chain.
     """
 
     __slots__ = ()
     linear = True
     abelian = True
+    boolean = False
 
     def join(self, p, q):
         return p if self.cmp(p, q) >= 0 else q
@@ -257,6 +264,9 @@ class GroupDescriptor:
 
     def flat(self):
         return [self]
+
+    def top_factors(self):
+        return (self,)
 
     def strict_closure(self):
         raise UnsupportedOperationError(f"no strict closure rule for {self!r}")
@@ -339,6 +349,13 @@ class ScaledInt(_Rank1, Record):
             raise ParameterError("ScaledInt needs n >= 1")
         object.__setattr__(self, "n", n)
 
+    def __str__(self):
+        return f"Z/{self.n}"
+
+    @property
+    def boolean(self):
+        return self.n == 1
+
     def contains(self, p):
         return isinstance(p, Fraction) and self.n % p.denominator == 0
 
@@ -349,7 +366,7 @@ class ScaledInt(_Rank1, Record):
         return ScaledDyadic(odd_part(self.n))
 
     def has_boolean_quotient(self):
-        return self.n == 1
+        return self.boolean
 
     def missing_from(self, closed):
         probe = Fraction(1, self.n)
@@ -373,6 +390,9 @@ class ScaledDyadic(_Rank1, Record):
         if q < 1 or q % 2 == 0:
             raise ParameterError("ScaledDyadic needs odd q >= 1")
         object.__setattr__(self, "q", q)
+
+    def __str__(self):
+        return f"D/{self.q}"
 
     def contains(self, p):
         if not isinstance(p, Fraction):
@@ -400,6 +420,9 @@ class ScaledDyadic(_Rank1, Record):
 class Rationals(_Rank1, Record):
     two_divisible = True
 
+    def __str__(self):
+        return "Q"
+
     def contains(self, p):
         return isinstance(p, Fraction)
 
@@ -418,6 +441,9 @@ class QuadLattice(GroupDescriptor, Record):
             raise ParameterError("QuadLattice needs 0 < alpha < 1")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "dyadic", dyadic)
+
+    def __str__(self):
+        return f"{'dquad' if self.dyadic else 'quad'}({format_quad(self.alpha)})"
 
     @property
     def two_divisible(self):
@@ -496,6 +522,9 @@ class _Twisted(GroupDescriptor, Record):
         if tag not in SCALAR_TAGS:
             raise ParameterError(f"scalar tag must be one of {SCALAR_TAGS}")
         object.__setattr__(self, "tag", tag)
+
+    def __str__(self):
+        return f"twist{self.arity}({self.tag})"
 
     @property
     def two_divisible(self):
@@ -703,6 +732,9 @@ class Lex(_Composite, Record):
         object.__setattr__(self, "tail", tail)
         object.__setattr__(self, "parts", (head, tail))
 
+    def __str__(self):
+        return f"lex({self.head},{self.tail})"
+
     @property
     def linear(self):
         return self.tail.linear
@@ -743,7 +775,7 @@ class Lex(_Composite, Record):
 
     def has_boolean_quotient(self):
         # the innermost head counts only if it is Z/1, so a twisted Z^4 head does not
-        return self.head.has_boolean_quotient() if isinstance(self.head, Lex) else self.head == ScaledInt(1)
+        return self.head.has_boolean_quotient() if isinstance(self.head, Lex) else self.head.boolean
 
     def rootless(self):
         # the head's rootless element with tail 0, or (0, 1/m) over a tail (1/m)Z
@@ -762,6 +794,9 @@ class ProductGroup(_Composite, Record):
             raise ParameterError("product needs at least one factor")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "parts", factors)
+
+    def __str__(self):
+        return f"prod({','.join(map(str, self.factors))})"
 
     @property
     def linear(self):
@@ -807,6 +842,14 @@ class ProductGroup(_Composite, Record):
 
     def flat(self):
         return [g for f in self.factors for g in f.flat()]
+
+    def top_factors(self):
+        return self.factors
+
+    def strict_closure(self):
+        # halving is componentwise, so {g/2**k} of a product is the product
+        # of its factors' {g_i/2**k}
+        return ProductGroup(f.strict_closure() for f in self.factors)
 
     def missing_from(self, closed):
         if self == closed or not isinstance(closed, ProductGroup) or len(closed.factors) != len(self.factors):

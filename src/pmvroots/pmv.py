@@ -152,9 +152,7 @@ class GammaAlgebra(Algebra, Record):
         return self.oplus(p, p) == p
 
     def __str__(self) -> str:
-        from .dsl import format_group
-
-        return f"gamma({format_group(self.desc)})"
+        return f"gamma({self.desc})"
 
 
 class FiniteAlgebra(Algebra):
@@ -428,11 +426,12 @@ def boolean_skeleton(A: Algebra) -> list[Element]:
     desc = A.desc
     if desc.linear:
         return [zero_elem(A), one_elem(A)]
-    if isinstance(desc, og.ProductGroup) and all(f.linear for f in desc.factors):
-        k = len(desc.factors)
+    factors = desc.top_factors()
+    if all(f.linear for f in factors):
+        k = len(factors)
         if 2**k > MAX_CARRIER:
             raise ResourceLimitError(f"the Boolean skeleton has 2^{k} elements, above the limit {MAX_CARRIER}")
-        return [Element(A, p) for p in itertools.product(*((f.zero(), f.unit()) for f in desc.factors))]
+        return [Element(A, p) for p in itertools.product(*((f.zero(), f.unit()) for f in factors))]
     raise UnsupportedOperationError(f"cannot enumerate idempotents of {desc!r}")
 
 
@@ -506,11 +505,8 @@ def product(algebras: list[Algebra]) -> Algebra:
     """Direct product; mixed finite/group-interval inputs are lifted to groups."""
     if all(isinstance(a, FiniteAlgebra) for a in algebras):
         return finite_product(algebras)
-    descs = []
-    for a in algebras:
-        d = a.desc if isinstance(a, GammaAlgebra) else to_gamma_descriptor(a)
-        descs.extend(d.factors if isinstance(d, og.ProductGroup) else [d])
-    return GammaAlgebra(og.ProductGroup(tuple(descs)))
+    descs = (a.desc if isinstance(a, GammaAlgebra) else to_gamma_descriptor(a) for a in algebras)
+    return GammaAlgebra(og.ProductGroup(f for d in descs for f in d.top_factors()))
 
 
 def interval(A: Algebra, b: Element) -> Algebra:
@@ -542,11 +538,13 @@ def interval(A: Algebra, b: Element) -> Algebra:
     desc = A.desc
     if b == one_elem(A):
         return A
-    if isinstance(desc, og.ProductGroup) and all(f.linear for f in desc.factors):
-        keep = [f for f, c, z in zip(desc.factors, b.payload, A.zero) if c != z]
-        return GammaAlgebra(og.product_of(keep)) if keep else _degenerate()
     if b == zero_elem(A):
         return _degenerate()
+    # a chain has no idempotent but 0 and u, so b is a corner of a product
+    # of chains: [0, b] keeps the factors on which b is u
+    factors = desc.top_factors()
+    if all(f.linear for f in factors):
+        return GammaAlgebra(og.product_of([f for f, c, z in zip(factors, b.payload, A.zero) if c != z]))
     raise UnsupportedOperationError(f"cannot relativize {desc!r} at {b}")
 
 

@@ -156,10 +156,10 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
     with their squares, and the rim where |b| or |c| is bound + 1, which
     alone is built, checked and squared.
     """
+    if not isinstance(A, GammaAlgebra) or A.desc != og.Twist3("Z"):
+        raise ParameterError("the bounded re-verification is specific to gamma(twist3(Z))")
     if not 0 <= bound <= MAX_BOX_BOUND:
         raise ParameterError(f"the box bound must be between 0 and {MAX_BOX_BOUND}, not {bound}")
-    if not isinstance(A, GammaAlgebra) or A.desc != og.Twist3("Z"):
-        raise ParameterError("this procedure is specific to the twisted Z^3 interval")
     res = element_sqrt(A, x)
     xp, zero = x.payload, A.zero
     box = _twist3_box(A, _upper_pairs(bound))

@@ -97,6 +97,12 @@ def test_sqrt_bound_outside_the_box_range_is_an_error(bound):
     assert (code, blob["status"], blob["payload"]["message"]) == (3, "error", message)
 
 
+@pytest.mark.parametrize("argv", [["sqrt", "M(3)", "1/3", "--bound", "99"], ["sqrt", "gamma(Z/3)", "1/3", "--bound", "3"]])
+def test_sqrt_bound_on_another_group_names_the_group_before_the_range(argv):
+    message = "the bounded re-verification is specific to gamma(twist3(Z))"
+    assert run(argv) == (3, f"status: error\nmessage: {message}\n")
+
+
 def test_sqrt_bound_16_still_answers():
     code, blob = run_json(["sqrt", "gamma(twist3(Z))", "(1,-2,2)", "--bound", "16"])
     assert code == 0
@@ -618,3 +624,30 @@ def test_a_product_of_one_factor_answers_as_its_factor(argv, factor_argv):
     want_code, want = run(factor_argv)
     assert code == want_code == 0
     assert out.replace(argv[1], factor_argv[1]) == want
+
+
+# --- nested products ----------------------------------------------------------------
+
+NESTED = "gamma(prod(Z/1,prod(Z/2,Z/3)))"
+NESTED_REPR = "ProductGroup(factors=(ScaledInt(n=1), ProductGroup(factors=(ScaledInt(n=2), ScaledInt(n=3)))))"
+
+
+@pytest.mark.parametrize(
+    "argv, code, report",
+    [
+        # a product of algebras puts each operand's top factors side by side,
+        # so an inner product stays one level deep
+        (["member", f"prod({NESTED},M(2))", "(1,(0,0),0)"], 0, "member: True\nelement: (1,(0,0),0)\n"),
+        (["member", f"prod({NESTED},M(2))", "((1,(0,0)),0)"], 0,
+         "member: False\nreason: payload ((1,(0,0)),0) has the wrong shape\n"),
+        # an inner product is no chain: no skeleton is listed and no cut is made
+        (["analyze", NESTED], 0,
+         f"kind: group_interval\ngroup: {NESTED[6:-1]}\nlinear: False\nabelian: True\ntwo_divisible: False\n"
+         "unit_central: True\nsymmetric: True\nboolean_skeleton: unsupported\n"),
+        (["analyze", f"interval({NESTED},(1,(0,0)))"], 2, f"message: cannot relativize {NESTED_REPR} at (1,(0,0))\n"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_a_nested_product_keeps_its_inner_product_whole(argv, code, report):
+    status = "ok" if code == 0 else "unsupported"
+    assert run(argv) == (code, f"status: {status}\n{report}")

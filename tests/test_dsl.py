@@ -9,6 +9,9 @@ from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import scalars as S
 from pmvroots.errors import CarrierError, DslError, ParameterError
+from test_closures import GRID, PROFILE_GRID
+from test_group_surface import FAMILIES
+from test_ogroups import all_descriptors
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
 
@@ -40,8 +43,40 @@ GROUP_TEXTS = [
 @pytest.mark.parametrize("text", GROUP_TEXTS)
 def test_group_round_trip(text):
     d = dsl.parse_group(text)
-    assert dsl.format_group(d) == text
-    assert dsl.parse_group(dsl.format_group(d)) == d
+    assert str(d) == text
+    assert dsl.parse_group(str(d)) == d
+
+
+def format_group(desc: og.GroupDescriptor) -> str:
+    """The DSL text of a group, written family by family: the oracle of
+    ``str(desc)``, which each family writes for itself."""
+    if isinstance(desc, og.ScaledInt):
+        return f"Z/{desc.n}"
+    if isinstance(desc, og.ScaledDyadic):
+        return f"D/{desc.q}"
+    if isinstance(desc, og.Rationals):
+        return "Q"
+    if isinstance(desc, og.QuadLattice):
+        return f"{'dquad' if desc.dyadic else 'quad'}({S.format_quad(desc.alpha)})"
+    if isinstance(desc, og.Lex):
+        return f"lex({format_group(desc.head)},{format_group(desc.tail)})"
+    if isinstance(desc, og.Twist3):
+        return f"twist3({desc.tag})"
+    if isinstance(desc, og.Twist4):
+        return f"twist4({desc.tag})"
+    if isinstance(desc, og.ProductGroup):
+        return f"prod({','.join(format_group(f) for f in desc.factors)})"
+    raise DslError(f"no textual form for {desc!r}")
+
+
+def test_each_group_writes_the_text_of_the_family_switch():
+    # every descriptor of the closure grids, one-factor and nested products included
+    descs = GRID + PROFILE_GRID + all_descriptors()
+    assert {type(d) for d in descs} == {getattr(og, name) for name in FAMILIES}
+    for desc in descs:
+        assert str(desc) == format_group(desc), repr(desc)
+        # the text of a product of one factor reads back as that factor
+        assert dsl.parse_group(str(desc)) == og.product_of(desc.top_factors()), repr(desc)
 
 
 def test_parse_group_spot_shapes():

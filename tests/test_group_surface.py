@@ -17,11 +17,20 @@ module of the package defines.
 Neither layer writes values: no class of ``ogroups`` or ``pmv`` defines
 ``format``, as ``scalars.format_value`` is the one function that does.
 
-The closure facts and the root rules are part of the group layer's surface
-too: ``flat``, ``strict_closure``, ``has_boolean_quotient``,
-``certificate``, ``missing_from``, ``unreachable_from``, ``rootless`` and
-``root`` are methods of the descriptor classes, so ``closures``, ``roots``
-and ``cli`` test no group family with ``isinstance``.
+The closure facts, the root rules and the DSL text are part of the group
+layer's surface too: ``flat``, ``top_factors``, ``strict_closure``,
+``has_boolean_quotient``, ``doubling_plan``, ``missing_from``,
+``unreachable_from``, ``rootless``, ``root`` and ``__str__`` are methods of
+the descriptor classes, and ``boolean`` is a flag beside ``linear``.  So no
+module but ``ogroups`` tests a group family with ``isinstance``, and no
+module but ``ogroups`` and ``worked_examples`` compares a group with ``==``
+or ``!=`` to a family instance that it builds, except the input guard of
+``roots.twist3_bounded_check``, a procedure defined on that one group.
+
+The modules are layered, lowest first: ``errors`` and ``records``;
+``scalars``; ``ogroups``; ``pmv``; ``roots``, ``ideals``, ``closures`` and
+``dsl``; ``worked_examples``; ``cli``.  A module imports only from lower
+layers, in a function body too.
 """
 
 import ast
@@ -285,6 +294,26 @@ def family_tests(source: str) -> list[str]:
     return found
 
 
+def family_comparisons(source: str) -> list[tuple[str, int, str]]:
+    """``(function, line, Family)`` for each ``==`` or ``!=`` of ``source``
+    with an operand that calls a group family's constructor; the function is
+    the innermost ``def`` around it, or ``<module>``."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Compare) and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in child.ops):
+                calls = [c for c in (child.left, *child.comparators) if isinstance(c, ast.Call)]
+                found.extend((function, child.lineno, n) for c in calls for n in _names(c.func) if n in FAMILIES)
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_the_guard_finds_family_tests():
     source = (
         "from . import ogroups as og\nfrom .ogroups import Lex\n"
@@ -292,11 +321,72 @@ def test_the_guard_finds_family_tests():
         "    if isinstance(d, og.ScaledInt) or isinstance(d, (og.Rationals, og.GroupDescriptor)):\n"
         "        return isinstance(A, pmv.GammaAlgebra)\n"
         "    return isinstance(d, Lex), isinstance(d.tail, og.ProductGroup), d == og.Twist3('Z')\n"
+        "UNIT = og.ScaledInt(1)\n"
+        "same = [d != Lex(UNIT, UNIT) for d in ()], UNIT == og.ScaledInt(1), d.n == og.ScaledInt(1).n\n"
     )
     assert len(FAMILIES) == 8
     assert family_tests(source) == ["4: ScaledInt", "4: Rationals", "6: Lex", "6: ProductGroup"]
+    assert family_comparisons(source) == [("f", 6, "Twist3"), ("<module>", 8, "Lex"), ("<module>", 8, "ScaledInt")]
 
 
-def test_closures_roots_and_the_cli_test_no_group_family():
-    for module in ("closures", "roots", "cli"):
-        assert family_tests((SRC / f"{module}.py").read_text(encoding="utf-8")) == [], module
+def test_no_module_but_ogroups_tests_a_group_family():
+    for path in MODULES:
+        if path.stem != "ogroups":
+            assert family_tests(path.read_text(encoding="utf-8")) == [], path.stem
+
+
+def test_only_the_twist3_box_compares_with_a_family_instance():
+    found = [
+        (path.stem, function, family)
+        for path in MODULES
+        if path.stem not in ("ogroups", "worked_examples")
+        for function, _, family in family_comparisons(path.read_text(encoding="utf-8"))
+    ]
+    assert found == [("roots", "twist3_bounded_check", "Twist3")]
+
+
+# the layers of the package, lowest first; scalars raises the errors of
+# errors and its values are records, so it sits above both
+LAYERS = (
+    ("errors", "records"), ("scalars",), ("ogroups",), ("pmv",),
+    ("roots", "ideals", "closures", "dsl"), ("worked_examples",), ("cli",),
+)
+
+
+def upward_imports(sources: dict[str, str]) -> list[str]:
+    """``module:line: imported`` for each import, at any depth of ``sources``
+    (module name -> source text), of a module of the package whose layer is
+    not below the importer's; sorted."""
+    rank = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                origin = (node.module or "").split(".")[-1]
+                # from . import pmv, or from .pmv import Element
+                imported = [a.name for a in node.names] if origin in ("", "pmvroots") else [origin]
+            elif isinstance(node, ast.Import):
+                imported = [a.name.split(".")[-1] for a in node.names if a.name.startswith("pmvroots.")]
+            else:
+                continue
+            found += [f"{module}:{node.lineno}: {m}" for m in imported if m in rank and rank[m] >= rank[module]]
+    return sorted(found)
+
+
+def test_the_guard_finds_upward_imports():
+    sources = {
+        "scalars": "from .errors import DslError\nfrom .records import Record\n",
+        "ogroups": "from .scalars import QuadValue\nfrom .pmv import Element\n",
+        "pmv": "from . import ogroups as og\ndef f():\n    from .dsl import format_group\n",
+        "closures": "import itertools\nimport pmvroots.cli\nfrom . import dsl, pmv\n",
+        "cli": "import pmvroots.worked_examples\nfrom pmvroots import cli\n",
+    }
+    assert upward_imports(sources) == [
+        "cli:2: cli", "closures:2: cli", "closures:3: dsl", "ogroups:2: pmv", "pmv:3: dsl",
+    ]
+
+
+def test_each_module_imports_only_from_lower_layers():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES if p.stem != "__init__"}
+    assert sorted(sources) == sorted(m for layer in LAYERS for m in layer)
+    assert upward_imports(sources) == []

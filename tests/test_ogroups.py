@@ -38,6 +38,17 @@ def all_descriptors():
     ]
 
 
+def test_only_z1_is_boolean_and_top_factors_unnest_nothing():
+    for desc in all_descriptors():
+        assert desc.boolean == (desc == og.ScaledInt(1)), desc
+        assert desc.top_factors() == (desc.factors if isinstance(desc, og.ProductGroup) else (desc,)), desc
+    inner = og.ProductGroup((og.ScaledInt(2), og.ScaledInt(3)))
+    nested = og.ProductGroup((og.ScaledInt(1), inner))
+    assert nested.top_factors() == (og.ScaledInt(1), inner)
+    assert nested.flat() == [og.ScaledInt(1), og.ScaledInt(2), og.ScaledInt(3)]
+    assert not og.ProductGroup((og.ScaledInt(1),)).boolean
+
+
 def desc_id(desc):
     return type(desc).__name__ + repr(getattr(desc, "n", getattr(desc, "q", "")))
 

@@ -335,6 +335,9 @@ def test_interval_gamma_projects_live_factors():
     assert I.desc == og.ScaledDyadic(1)
     x = pmv.element_of(I, Fraction(1, 4))
     assert pmv.value_of(pmv.lneg(x)) == Fraction(3, 4)
+    # the cut at 0 keeps no factor: the one-element algebra
+    Z = pmv.interval(G, pmv.zero_elem(G))
+    assert Z.size == 1 and pmv.value_of(pmv.one_elem(Z)) == Fraction(0)
 
 
 def test_to_gamma_descriptor():

@@ -228,6 +228,15 @@ def test_twist3_bounded_check_agreement():
         assert report["bound"] == 4
 
 
+@pytest.mark.parametrize("target, element", [("M(3)", "1/3"), ("gamma(Z/3)", "1/3"), ("gamma(twist3(D))", "(0,0,0)")])
+def test_the_box_check_refuses_another_group_before_it_reads_the_bound(target, element):
+    A = dsl.parse_algebra(target)
+    x = dsl.parse_element(A, element)
+    for bound in (3, 99):
+        with pytest.raises(ParameterError, match=r"^the bounded re-verification is specific to gamma\(twist3\(Z\)\)$"):
+            roots.twist3_bounded_check(A, x, bound=bound)
+
+
 def twist3_bounded_check_oracle(A, x, bound):
     """The box re-verification as first written: every operation from scratch.
 
