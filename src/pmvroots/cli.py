@@ -29,7 +29,6 @@ from types import SimpleNamespace
 
 from . import closures as cl
 from . import dsl
-from . import ogroups as og
 from . import pmv
 from . import roots
 from .errors import (
@@ -108,21 +107,20 @@ def _cmd_analyze(args) -> Report:
     A = dsl.parse_algebra(args.target)
     if isinstance(A, pmv.GammaAlgebra):
         desc = A.desc
-        central, witness = og.is_unit_central(desc)
-        symmetric, sym_witness = pmv.is_symmetric(A)
+        # the negations of [0, u] coincide exactly when u is central, and the
+        # non-centrality witness is the asymmetry witness
+        symmetric, witness = pmv.is_symmetric(A)
         payload = {
             "kind": "group_interval",
             "group": str(desc),
             "linear": desc.linear,
             "abelian": desc.abelian,
             "two_divisible": desc.two_divisible,
-            "unit_central": central,
+            "unit_central": symmetric,
             "symmetric": symmetric,
         }
         if witness is not None:
-            payload["noncentral_witness"] = format_value(witness)
-        if sym_witness is not None:
-            payload["asymmetry_witness"] = pmv.format_element(sym_witness)
+            payload["noncentral_witness"] = payload["asymmetry_witness"] = pmv.format_element(witness)
         try:
             payload["boolean_skeleton"] = _sorted_values(A, pmv.boolean_skeleton(A))
         except UnsupportedOperationError:

@@ -87,8 +87,10 @@ a the payload of the square root of p, or ``(None, reason, note)`` with the
 reason code ``NO_CANDIDATE`` or ``NO_MAX``, or it raises
 ``UnsupportedOperationError``.  The base class answers 0 in every group,
 with u/2 or ``NO_MAX`` when u does not halve, and halves p + u in a chain
-with central unit; ``ScaledInt`` answers
-floor(n/2)/n at 0; ``Twist3`` decides every point for the tag ``Z`` and 0
+with central unit; ``ScaledInt(n)`` answers on numerators by
+``chain_root(n, k)``, the one statement of the root of k/n in a chain,
+which the finite algebras ``pmv.FiniteAlgebra`` read on their
+coordinates too; ``Twist3`` decides every point for the tag ``Z`` and 0
 and u for the others; ``ProductGroup`` composes its factors' answers.
 
 The module functions take payloads too and check what the laws do not:
@@ -373,13 +375,14 @@ class ScaledInt(_Rank1, Record):
         return None if self == closed or closed.contains(probe) else probe
 
     def rootless(self):
-        # a positive k/n halves into the group exactly when k + n is even
-        k = 1 + self.n % 2
-        return Fraction(k, self.n) if k <= self.n else None
+        n = self.n
+        # the least positive k/n that has no root
+        return next((Fraction(k, n) for k in range(1, n + 1) if chain_root(n, k) is None), None)
 
     def root(self, p):
-        # the nilpotents k/n have 2k <= n, so floor(n/2)/n tops them
-        return (Fraction(self.n // 2, self.n), None, None) if p == 0 else super().root(p)
+        n = self.n
+        h = chain_root(n, p.numerator * (n // p.denominator))
+        return (Fraction(h, n), None, None) if h is not None else (None, NO_CANDIDATE, None)
 
 
 class ScaledDyadic(_Rank1, Record):
@@ -900,6 +903,16 @@ def member(desc: GroupDescriptor, raw) -> Payload:
     if not desc.contains(payload):
         raise CarrierError(f"{format_value(payload)} is not in the carrier")
     return payload
+
+
+def chain_root(n: int, k: int) -> int | None:
+    """The root of k/n in [0, 1] of (1/n) Z, as a numerator: n // 2 at 0,
+    as the nilpotents j/n have 2j <= n; (k + n) / 2 above 0 when k + n is
+    even, the halving rule (x + u) / 2; otherwise None, as no a has
+    a (.) a == k/n."""
+    if k == 0:
+        return n // 2
+    return (k + n) // 2 if (k + n) % 2 == 0 else None
 
 
 def try_halve(desc: GroupDescriptor, p) -> Payload | None:

@@ -11,9 +11,15 @@ Two representations are supported:
 Each algebra computes on its own payloads: its methods ``member``,
 ``value``, ``oplus``, ``odot``, ``lneg``, ``rneg``, ``join``, ``meet``,
 ``leq`` and ``is_idempotent`` take and return payloads (group elements of
-[0, u], or carrier indices), and the functions of this module on
-``Element`` box one method call each.  ``format_element`` writes an
-element's value with ``scalars.format_value``, as the DSL reads it.
+[0, u], or carrier indices), its fields ``zero`` and ``unit`` are the
+payloads of 0 and 1, and the functions of this module on ``Element`` box
+one method call each, with no switch on the algebra's kind.  ``root(p)``
+answers the square root of a payload in the descriptor's form
+``(payload | None, reason, note)`` (see ``ogroups``), which
+``roots.element_sqrt`` boxes and checks for both kinds: a group interval
+asks its descriptor, a finite algebra maps ``ogroups.chain_root`` over the
+coordinates.  ``format_element`` writes an element's value with
+``scalars.format_value``, as the DSL reads it.
 
 A finite pseudo MV-algebra is an MV-algebra and a product of chains
 M(n_1) x ... x M(n_k) (Mundici's Gamma functor; Dvurecenskij for the
@@ -151,13 +157,18 @@ class GammaAlgebra(Algebra, Record):
     def is_idempotent(self, p) -> bool:
         return self.oplus(p, p) == p
 
+    def root(self, p):
+        """The descriptor's root rule."""
+        return self.desc.root(p)
+
     def __str__(self) -> str:
         return f"gamma({self.desc})"
 
 
 class FiniteAlgebra(Algebra):
     """A finite pseudo MV-algebra: its carrier values, its chain
-    decomposition ``decomposition``, and 0 and 1 as carrier indices.
+    decomposition ``decomposition``, and 0 and 1 as carrier indices,
+    ``zero`` and ``unit``, the names of ``GammaAlgebra``'s payloads.
 
     The constructor takes the tables of (+) and of both negations on carrier
     indices.  The tables pass the axioms exactly when they are a product of
@@ -188,8 +199,8 @@ class FiniteAlgebra(Algebra):
         self._index = index
         self._find = find  # value -> carrier index by arithmetic, or None: read ``index``
         self.size = len(values)
-        self.zero_i = dec.index[(0,) * len(dec.lengths)]
-        self.one_i = dec.index[dec.lengths]
+        self.zero = dec.index[(0,) * len(dec.lengths)]
+        self.unit = dec.index[dec.lengths]
         self.decomposition = dec
         # the lengths and the coordinates determine every table, 0 and 1;
         # elements hash their algebra on every set or dict operation, and the
@@ -253,6 +264,15 @@ class FiniteAlgebra(Algebra):
     def is_idempotent(self, i: int) -> bool:
         dec = self.decomposition
         return all(c == 0 or c == n for c, n in zip(dec.coords[i], dec.lengths))
+
+    def root(self, i: int):
+        """The root chain by chain, ``og.chain_root`` on each coordinate; a
+        chain product has no root that fails by Sq2 alone."""
+        dec = self.decomposition
+        r = tuple(map(og.chain_root, dec.lengths, dec.coords[i]))
+        if None in r:
+            return None, og.NO_CANDIDATE, None
+        return dec.index[r], None, None
 
     def __eq__(self, other):
         if self is other:
@@ -335,15 +355,11 @@ def format_element(x: Element) -> str:
 
 
 def zero_elem(A: Algebra) -> Element:
-    if isinstance(A, GammaAlgebra):
-        return Element(A, A.zero)
-    return Element(A, A.zero_i)
+    return Element(A, A.zero)
 
 
 def one_elem(A: Algebra) -> Element:
-    if isinstance(A, GammaAlgebra):
-        return Element(A, A.unit)
-    return Element(A, A.one_i)
+    return Element(A, A.unit)
 
 
 def carrier(A: Algebra) -> list[Element]:
@@ -477,8 +493,8 @@ def finite_product(factors: list[FiniteAlgebra]) -> FiniteAlgebra:
     _check_carrier_size(math.prod(f.size for f in factors))
     decs = [f.decomposition for f in factors]
     strides = [math.prod(f.size for f in factors[k + 1 :]) for k in range(len(factors))]
-    zero = sum(f.zero_i * m for f, m in zip(factors, strides))
-    atoms = [zero + (a - f.zero_i) * m for f, dec, m in zip(factors, decs, strides) for a in dec.atoms]
+    zero = sum(f.zero * m for f, m in zip(factors, strides))
+    atoms = [zero + (a - f.zero) * m for f, dec, m in zip(factors, decs, strides) for a in dec.atoms]
     lengths = [n for dec in decs for n in dec.lengths]
     order = sorted(range(len(atoms)), key=atoms.__getitem__)
     side_by_side = map(tuple, map(itertools.chain.from_iterable, itertools.product(*(dec.coords for dec in decs))))

@@ -10,17 +10,19 @@ the carrier indices of a finite algebra, boxing only its answer and
 witness; the worked-example ledger calls it, and it serves as the oracle
 for every family-specific procedure:
 
-* on a group interval, ``element_sqrt`` asks the descriptor's root rule,
-  ``desc.root(payload)`` (the halving formula ``(x + u) / 2`` of a chain
-  whose unit is central, the twisted ``Z^3`` procedure, products factor by
-  factor; see ``ogroups``), boxes the answer and checks ``a (.) a == x``,
-  the one check for every family; ``sqrt_zero`` is its answer at 0, and
+* ``element_sqrt`` has one path for every algebra: it asks the algebra's
+  root rule, ``A.root(payload)``, boxes the answer and checks
+  ``a (.) a == x``, the one check for both kinds and every family.  A group
+  interval asks its descriptor (the halving formula ``(x + u) / 2`` of a
+  chain whose unit is central, the twisted ``Z^3`` procedure, products
+  factor by factor; see ``ogroups``); a finite algebra reads its chain
+  decomposition, chain by chain, with ``ogroups.chain_root``, the one
+  statement of a chain's root.  ``sqrt_zero`` is its answer at 0, and
   ``twist3_bounded_check`` re-verifies a twisted ``Z^3`` verdict on a box;
-* on a finite algebra, roots are read off its chain decomposition in closed
-  form, chain by chain (``_chain_root``): ``element_sqrt`` and ``sqrt_zero``
-  for one element; ``sqrt_map`` reads the chain lengths alone, as only
-  Boolean algebras have a total mapping; ``greatest_sqrt_subalgebra`` runs
-  its stages chain by chain on integer coordinates, for both quantifiers.
+* on a finite algebra, ``sqrt_map`` reads the chain lengths alone, as only
+  Boolean algebras have a total mapping, and ``greatest_sqrt_subalgebra``
+  runs its stages chain by chain on integer coordinates, for both
+  quantifiers, with ``ogroups.chain_root``.
 
 The tests keep the element-level procedures these replaced as oracles: the
 relative quantifier ``sqrt_in_subset``, the subalgebra scan and the root of
@@ -190,13 +192,11 @@ def twist3_bounded_check(A: GammaAlgebra, x: Element, bound: int = 6) -> dict:
 
 
 def element_sqrt(A: pmv.Algebra, x: Element) -> SqrtResult:
-    """The closed form on a finite algebra, the descriptor's root rule on a
-    group interval; the root is checked to square to ``x``."""
+    """The algebra's root rule, ``A.root``; the root is checked to square
+    to ``x``."""
     if x.algebra != A:
         raise ParameterError("element does not belong to the algebra")
-    if isinstance(A, FiniteAlgebra):
-        return _finite_root(A, x)
-    h, reason, note = A.desc.root(x.payload)
+    h, reason, note = A.root(x.payload)
     if h is None:
         return _not_exists(reason, note=note)
     a = Element(A, h)
@@ -233,30 +233,12 @@ class SqrtMap(Record, uncompared=("mapping",)):
     w: Element  # r(0)- (.) r(0)-
 
 
-def _chain_root(n: int, k: int) -> int | None:
-    """The root of k in M(n): floor(n/2) for k = 0, (k + n)/2 for k > 0 when
-    k + n is even, and otherwise None, as no a has a (.) a == k."""
-    if k == 0:
-        return n // 2
-    return (k + n) // 2 if (k + n) % 2 == 0 else None
-
-
-def _finite_root(M: FiniteAlgebra, x: Element) -> SqrtResult:
-    """The root of one element, coordinate by coordinate; a chain product
-    has no root that fails by Sq2 alone."""
-    dec = M.decomposition
-    r = tuple(map(_chain_root, dec.lengths, dec.coords[x.payload]))
-    if None in r:
-        return _not_exists(og.NO_CANDIDATE)
-    return _exists(Element(M, dec.index[r]))
-
-
 def sqrt_map(M: FiniteAlgebra) -> SqrtMap | None:
     """The total square root mapping of a finite algebra, or None.
 
     A chain M(n) has one only for n = 1, where k + n is even for every
-    k > 0 (``_chain_root``), so a product of chains has one exactly when
-    every chain has length 1.  It is then the identity: r(0) = 0 and
+    k > 0 (``ogroups.chain_root``), so a product of chains has one exactly
+    when every chain has length 1.  It is then the identity: r(0) = 0 and
     w = 0- (.) 0- = 1, strict only on the one-element algebra.
     """
     if not isinstance(M, FiniteAlgebra):
@@ -296,7 +278,7 @@ def _next_chain_stage(n: int, stage: frozenset[int], quantifier: str) -> frozens
     def root(k):
         if k == 0 and quantifier == "relative":
             return max(j for j in stage if 2 * j <= n)
-        return _chain_root(n, k)
+        return og.chain_root(n, k)
 
     return frozenset(k for k in stage if root(k) in stage)
 

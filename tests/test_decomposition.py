@@ -100,7 +100,7 @@ def chain_decomposition_oracle(A):
 
 def is_ideal(A, members):
     """``members`` (carrier indices) contains 0 and is downward and (+)-closed."""
-    if A.zero_i not in members:
+    if A.zero not in members:
         return False
     _, jo, _ = derived_tables_of(A)
     for x in members:
@@ -190,7 +190,7 @@ def interval_oracle(A, b):
         [[pos[me[op[i][j]][bm]] for j in keep] for i in keep],
         [pos[me[ln[i]][bm]] for i in keep],
         [pos[me[rn[i]][bm]] for i in keep],
-        pos[A.zero_i],
+        pos[A.zero],
         pos[bm],
     )
 
@@ -212,9 +212,9 @@ def sqrt_in_subset(A, x, allowed):
 def finite_roots(A):
     """The square root of every carrier element, in carrier order; None
     where there is none, read off the chain decomposition coordinate by
-    coordinate with the closed form of one chain, ``roots._chain_root``."""
+    coordinate with the closed form of one chain, ``ogroups.chain_root``."""
     dec = A.decomposition
-    per_chain = [[roots._chain_root(n, k) for k in range(n + 1)] for n in dec.lengths]
+    per_chain = [[og.chain_root(n, k) for k in range(n + 1)] for n in dec.lengths]
     out = []
     for c in dec.coords:
         r = tuple(roots_in[k] for roots_in, k in zip(per_chain, c))
@@ -361,7 +361,7 @@ def assert_composed_matches_checked(A):
     """The table constructor, given the tables derived from a composed
     algebra, builds an equal algebra, and ``pmv._decompose`` finds exactly
     the composed decomposition in them: atoms, lengths, coords and index."""
-    tables = (*tables_of(A), A.zero_i, A.one_i)
+    tables = (*tables_of(A), A.zero, A.unit)
     checked = pmv.FiniteAlgebra(A.values, *tables)
     assert checked == A and hash(checked) == hash(A)
     assert pmv._decompose(*tables) == A.decomposition
@@ -396,7 +396,7 @@ def test_coordinate_operations_match_the_table_formulas(A):
     assert [pmv.lneg(x).payload for x in elems] == list(ln)
     assert [pmv.rneg(x).payload for x in elems] == list(rn)
     assert [[pmv.leq(x, y) for y in elems] for x in elems] == [
-        [op[ln[i]][j] == A.one_i for j in rng] for i in rng
+        [op[ln[i]][j] == A.unit for j in rng] for i in rng
     ]
     assert [pmv.is_boolean_elem(x) for x in elems] == [op[i][i] == i for i in rng]
 
@@ -665,7 +665,7 @@ def altered(A, kind, cell, value):
         op[cell[0]][cell[1]] = value
     else:
         (ln if kind == "lneg" else rn)[cell[0]] = value
-    return op, ln, rn, A.zero_i, A.one_i
+    return op, ln, rn, A.zero, A.unit
 
 
 def every_alteration(A):
@@ -708,8 +708,8 @@ def test_every_altered_cell_is_not_a_chain_product(lengths):
 def test_a_misplaced_zero_or_one_is_not_a_chain_product(lengths):
     A = product_of(lengths)
     for x in range(A.size):
-        for zero, one in ((x, A.one_i), (A.zero_i, x)):
-            if (zero, one) != (A.zero_i, A.one_i):
+        for zero, one in ((x, A.unit), (A.zero, x)):
+            if (zero, one) != (A.zero, A.unit):
                 assert_rejected(A.values, (*tables_of(A), zero, one))
 
 
@@ -731,8 +731,8 @@ def relabelled(draw, presentations=ORDERED):
         [[perm[op[inv[i]][inv[j]]] for j in range(A.size)] for i in range(A.size)],
         [perm[ln[inv[i]]] for i in range(A.size)],
         [perm[rn[inv[i]]] for i in range(A.size)],
-        perm[A.zero_i],
-        perm[A.one_i],
+        perm[A.zero],
+        perm[A.unit],
     )
     return lengths, B
 

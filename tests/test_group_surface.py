@@ -27,6 +27,12 @@ module but ``ogroups`` and ``worked_examples`` compares a group with ``==``
 or ``!=`` to a family instance that it builds, except the input guard of
 ``roots.twist3_bounded_check``, a procedure defined on that one group.
 
+The algebra kinds share one surface too: ``root``, ``zero`` and ``unit``
+are methods and fields of both, so ``roots`` and ``pmv.zero_elem`` and
+``pmv.one_elem`` call ``isinstance`` on an algebra class only in the test
+of an ``if`` that raises, the input guard of a procedure defined on one
+kind (``sqrt_element_finite``, ``twist3_bounded_check``, ``sqrt_map``).
+
 The modules are layered, lowest first: ``errors`` and ``records``;
 ``scalars``; ``ogroups``; ``pmv``; ``roots``, ``ideals``, ``closures`` and
 ``dsl``; ``worked_examples``; ``cli``.  A module imports only from lower
@@ -37,6 +43,7 @@ import ast
 import pathlib
 
 from pmvroots import ogroups as og
+from pmvroots import pmv
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "pmvroots"
 MODULES = sorted(SRC.glob("*.py"))
@@ -280,18 +287,23 @@ FAMILIES = frozenset(
 )
 
 
+def isinstance_classes(node) -> list[str]:
+    """The names in the class argument of an ``isinstance`` call, alone or
+    in a tuple; none for any other node."""
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
+        return []
+    classes = node.args[1:2]
+    if classes and isinstance(classes[0], ast.Tuple):
+        classes = classes[0].elts
+    return [n for c in classes for n in _names(c)]
+
+
 def family_tests(source: str) -> list[str]:
     """``line: Family`` for each ``isinstance`` call of ``source`` whose class
     argument names a group family, alone or in a tuple."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
-            continue
-        classes = node.args[1:2]
-        if classes and isinstance(classes[0], ast.Tuple):
-            classes = classes[0].elts
-        found += [f"{node.lineno}: {n}" for c in classes for n in _names(c) if n in FAMILIES]
-    return found
+    return [
+        f"{node.lineno}: {n}" for node in ast.walk(ast.parse(source)) for n in isinstance_classes(node) if n in FAMILIES
+    ]
 
 
 def family_comparisons(source: str) -> list[tuple[str, int, str]]:
@@ -343,6 +355,61 @@ def test_only_the_twist3_box_compares_with_a_family_instance():
         for function, _, family in family_comparisons(path.read_text(encoding="utf-8"))
     ]
     assert found == [("roots", "twist3_bounded_check", "Twist3")]
+
+
+# the algebra kinds: the classes of pmv that derive from its Algebra
+ALGEBRAS = frozenset(
+    name for name, c in vars(pmv).items() if isinstance(c, type) and issubclass(c, pmv.Algebra)
+)
+
+
+def algebra_tests(source: str) -> list[tuple[str, int, bool]]:
+    """``(function, line, guard)`` for each ``isinstance`` call of ``source``
+    whose class argument names an algebra kind; ``guard`` tells whether it
+    lies in the test of an ``if`` with no ``else`` whose body only raises.
+    The function is the innermost ``def`` around it, or ``<module>``."""
+    found = []
+
+    def visit(node, function, guard):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        if ALGEBRAS.intersection(isinstance_classes(node)):
+            found.append((function, node.lineno, guard))
+        if isinstance(node, ast.If):
+            raises = not node.orelse and all(isinstance(s, ast.Raise) for s in node.body)
+            visit(node.test, function, raises)
+            children = node.body + node.orelse
+        else:
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, function, guard)
+
+    visit(ast.parse(source), "<module>", False)
+    return found
+
+
+def test_the_guard_finds_algebra_kind_switches():
+    source = (
+        "def f(A):\n"
+        "    if not isinstance(A, FiniteAlgebra) or A.size > 2:\n        raise ParameterError('finite')\n"
+        "    if isinstance(A, pmv.GammaAlgebra):\n        return A.zero\n"
+        "    if isinstance(A, (int, Algebra)):\n        raise ValueError\n    else:\n        pass\n"
+        "    def g(B):\n        return isinstance(B, FiniteAlgebra), isinstance(B, og.ScaledInt)\n"
+        "    return [x for x in A if isinstance(x, GammaAlgebra)]\n"
+        "KIND = isinstance(None, Algebra)\n"
+    )
+    assert ALGEBRAS == {"Algebra", "FiniteAlgebra", "GammaAlgebra"}
+    assert algebra_tests(source) == [
+        ("f", 2, True), ("f", 4, False), ("f", 6, False), ("g", 11, False), ("f", 12, False), ("<module>", 13, False),
+    ]
+
+
+def test_roots_and_the_units_switch_on_no_algebra_kind():
+    found = algebra_tests((SRC / "roots.py").read_text(encoding="utf-8"))
+    assert [f for f, _, guard in found if not guard] == []
+    assert sorted(f for f, _, _ in found) == ["sqrt_element_finite", "sqrt_map", "twist3_bounded_check"]
+    found = algebra_tests((SRC / "pmv.py").read_text(encoding="utf-8"))
+    assert [f for f, _, _ in found if f in ("zero_elem", "one_elem")] == []
 
 
 # the layers of the package, lowest first; scalars raises the errors of

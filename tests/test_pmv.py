@@ -431,8 +431,8 @@ def _product_by_tuples(factors):
     )
     lneg_t = tuple(pos[tuple(f.lneg(a) for f, a in zip(factors, s))] for s in tuples)
     rneg_t = tuple(pos[tuple(f.rneg(a) for f, a in zip(factors, s))] for s in tuples)
-    zero = pos[tuple(f.zero_i for f in factors)]
-    one = pos[tuple(f.one_i for f in factors)]
+    zero = pos[tuple(f.zero for f in factors)]
+    one = pos[tuple(f.unit for f in factors)]
     return values, oplus_t, lneg_t, rneg_t, zero, one
 
 
@@ -441,7 +441,7 @@ def _assert_product_matches_oracle(factors):
     values, oplus_t, lneg_t, rneg_t, zero, one = _product_by_tuples(factors)
     assert P.values == values
     assert tables_of(P) == (oplus_t, lneg_t, rneg_t)
-    assert (P.zero_i, P.one_i) == (zero, one)
+    assert (P.zero, P.unit) == (zero, one)
 
 
 def _chain_sizes(limit, prod=1):
@@ -700,14 +700,14 @@ def test_derived_tables_and_axiom_checks_match_the_cell_by_cell_oracle():
             "meet expressions disagree"} <= kinds
     # finite chains and products, with one-sided negations left equal
     for A in finite_algebras():
-        tables = (*tables_of(A), A.zero_i, A.one_i)
+        tables = (*tables_of(A), A.zero, A.unit)
         assert _verdict_cell_by_cell(*tables) == operation_tables(A)
 
 
 @pytest.mark.parametrize("n", range(1, 25))
 def test_every_chain_up_to_24_passes_the_cell_by_cell_oracle(n):
     A = pmv.finite_mv_chain(n)
-    tables = (*tables_of(A), A.zero_i, A.one_i)
+    tables = (*tables_of(A), A.zero, A.unit)
     assert _verdict_cell_by_cell(*tables) == operation_tables(A)
     assert A.decomposition.lengths == (n,)
 

@@ -13,7 +13,14 @@ from pmvroots import ogroups as og
 from pmvroots import pmv
 from pmvroots import roots
 from pmvroots import scalars as S
-from pmvroots.errors import CarrierError, MismatchError, ParameterError, PmvError, UnsupportedOperationError
+from pmvroots.errors import (
+    CarrierError,
+    InternalError,
+    MismatchError,
+    ParameterError,
+    PmvError,
+    UnsupportedOperationError,
+)
 from test_closures import GRID, PROFILE_GRID
 
 ALPHA = S.QuadValue.make(Fraction(-1), Fraction(1), 2)
@@ -150,6 +157,49 @@ def test_failure_reason_constants():
     z = roots.sqrt_zero(pmv.GammaAlgebra(og.Twist3("Z")))
     assert z.status == "not_exists" and z.reason == og.NO_MAX
     assert z.note == "nilpotents (0,p,q) are unbounded in p"
+
+
+
+# --- one root rule for both algebra kinds ---------------------------------------
+#
+# The finite route once stated a chain's root in ``roots._chain_root``, and
+# ``ScaledInt`` answered 0 itself and left the base class's halving rule to
+# the rest; ``og.chain_root`` replaced both, and the replaced routes are the
+# oracles here.
+
+
+def test_chain_root_matches_the_exhaustive_search_on_every_chain():
+    for n in range(1, 41):
+        A = M(n)
+        for x in pmv.carrier(A):
+            r = roots.sqrt_element_finite(A, x)
+            k = pmv.value_of(x) * n
+            assert og.chain_root(n, k) == (pmv.value_of(r.value) * n if r.exists else None), (n, k)
+
+
+def test_the_scaled_int_root_is_the_halving_rule_above_zero():
+    for n in range(1, 65):
+        desc = og.ScaledInt(n)
+        for k in range(1, n + 1):
+            p = Fraction(k, n)
+            assert desc.root(p) == og.GroupDescriptor.root(desc, p), (n, k)
+
+
+def test_the_scaled_int_rootless_element_is_the_parity_formula():
+    for n in range(1, 65):
+        k = 1 + n % 2
+        assert og.ScaledInt(n).rootless() == (Fraction(k, n) if k <= n else None), n
+
+
+@pytest.mark.parametrize("kind, target", [(pmv.FiniteAlgebra, "M(4)"), (pmv.GammaAlgebra, "gamma(Z/4)")])
+def test_the_root_check_covers_both_algebra_kinds(monkeypatch, kind, target):
+    A = dsl.parse_algebra(target)
+    x = dsl.parse_element(A, "1/2")
+    right = roots.element_sqrt(A, x).value
+    wrong = A.lneg(right.payload)  # 1/4, whose square is 0
+    monkeypatch.setattr(kind, "root", lambda algebra, p: (wrong, None, None))
+    with pytest.raises(InternalError, match="the root a has a"):
+        roots.element_sqrt(A, x)
 
 
 # --- interval algebras over groups ------------------------------------------------
